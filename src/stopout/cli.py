@@ -25,16 +25,17 @@ from .evaluator import (
     CellResult,
     GridResult,
     cell_seed,
+    evaluate_cell,
     evaluate_problem,
     export_grid,
     export_heatmap_matrix,
     load_grid,
-    run_grid,
 )
 from .event_store import dump_calendar, dump_dataset, ingest, load_calendar, load_dump
 from .featurizer import build_feature_matrix, export_feature_matrix, export_histogram, load_feature_matrix
 from .logistic_model import save_model
 from .synth import SynthConfig, generate, write_events, write_truth
+from .tsv import write_table
 from .viz import write_heatmap, write_importance_chart
 
 DEFAULTS = {
@@ -84,18 +85,17 @@ def config_sha256(cfg: dict[str, str]) -> str:
     return hashlib.sha256(canon.encode("utf-8")).hexdigest()
 
 
-def _get_int(cfg: dict[str, str], key: str) -> int:
+def _setting(args, cfg: dict[str, str], key: str, kind: type = int, flag: str | None = None):
+    """The command-line flag named flag (default: key) when given, else the
+    config value of key parsed as kind."""
+    value = getattr(args, flag or key, None)
+    if value is not None:
+        return value
     try:
-        return int(cfg[key])
+        return kind(cfg[key])
     except ValueError as exc:
-        raise ConfigError(f"config key {key} must be an integer, got {cfg[key]!r}") from exc
-
-
-def _get_float(cfg: dict[str, str], key: str) -> float:
-    try:
-        return float(cfg[key])
-    except ValueError as exc:
-        raise ConfigError(f"config key {key} must be a number, got {cfg[key]!r}") from exc
+        expected = "an integer" if kind is int else "a number"
+        raise ConfigError(f"config key {key} must be {expected}, got {cfg[key]!r}") from exc
 
 
 def parse_filter(clause: str) -> dict[str, object]:
@@ -187,19 +187,6 @@ def load_manifest(path: str | Path) -> dict[str, list[tuple[str, ...]]]:
     return out
 
 
-def _write_ingest_stats(stats, path: Path) -> None:
-    rows = [
-        "key\tvalue",
-        f"total\t{stats.total}",
-        f"accepted\t{stats.accepted}",
-        f"rejected\t{stats.rejected}",
-        f"clamped\t{stats.clamped}",
-    ]
-    for reason in sorted(stats.reject_reasons):
-        rows.append(f"reject:{reason}\t{stats.reject_reasons[reason]}")
-    path.write_text("\n".join(rows) + "\n", encoding="utf-8")
-
-
 def _out_dir(args) -> Path:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -215,13 +202,13 @@ def print_defaults() -> int:
 def cmd_synth(args) -> int:
     cfg = load_config(args.config)
     config = SynthConfig(
-        num_learners=args.learners if args.learners is not None else _get_int(cfg, "synth_learners"),
-        num_weeks=args.weeks if args.weeks is not None else _get_int(cfg, "synth_weeks"),
-        seed=args.seed if args.seed is not None else _get_int(cfg, "seed"),
-        volume_slope=_get_float(cfg, "synth_volume_slope"),
-        timeliness_slope=_get_float(cfg, "synth_timeliness_slope"),
-        grades_slope=_get_float(cfg, "synth_grades_slope"),
-        hazard_noise=_get_float(cfg, "synth_hazard_noise"),
+        num_learners=_setting(args, cfg, "synth_learners", flag="learners"),
+        num_weeks=_setting(args, cfg, "synth_weeks", flag="weeks"),
+        seed=_setting(args, cfg, "seed"),
+        volume_slope=_setting(args, cfg, "synth_volume_slope", float),
+        timeliness_slope=_setting(args, cfg, "synth_timeliness_slope", float),
+        grades_slope=_setting(args, cfg, "synth_grades_slope", float),
+        hazard_noise=_setting(args, cfg, "synth_hazard_noise", float),
     )
     out = _out_dir(args)
     course = generate(config)
@@ -232,74 +219,88 @@ def cmd_synth(args) -> int:
     return 0
 
 
-def cmd_ingest(args) -> int:
-    out = _out_dir(args)
+# The stages shared by the single-stage commands and run-all; each writes its
+# outputs under out and returns what the next stage needs.
+
+def _ingest_stage(args, out: Path):
     dataset = ingest(args.events, args.calendar)
     dump_dataset(dataset, out / "dataset.tsv")
     dump_calendar(dataset.calendar, out / "calendar.tsv")
-    _write_ingest_stats(dataset.stats, out / "ingest_stats.tsv")
     s = dataset.stats
+    counts = {"total": s.total, "accepted": s.accepted, "rejected": s.rejected, "clamped": s.clamped}
+    counts.update((f"reject:{reason}", n) for reason, n in sorted(s.reject_reasons.items()))
+    write_table(out / "ingest_stats.tsv", ("key", "value"), counts.items())
+    return dataset
+
+
+def _featurize_stage(dataset, out: Path):
+    matrix, histogram = build_feature_matrix(dataset)
+    export_feature_matrix(matrix, out / "features.tsv")
+    export_histogram(histogram, out / "stopout_histogram.tsv")
+    return matrix
+
+
+def _cohorts_stage(dataset, out: Path) -> dict[str, str]:
+    assignments = cohorts_mod.assign_cohorts(dataset)
+    cohorts_mod.export_cohorts(assignments, out / "cohorts.tsv")
+    return assignments
+
+
+def cmd_ingest(args) -> int:
+    s = _ingest_stage(args, _out_dir(args)).stats
     print(f"ingest: {s.accepted}/{s.total} rows accepted, {s.rejected} rejected, {s.clamped} clamped")
     return 0
 
 
 def cmd_featurize(args) -> int:
     out = _out_dir(args)
-    calendar = load_calendar(args.calendar)
-    dataset = load_dump(args.dataset, calendar)
-    matrix, histogram = build_feature_matrix(dataset)
-    export_feature_matrix(matrix, out / "features.tsv")
-    export_histogram(histogram, out / "stopout_histogram.tsv")
+    matrix = _featurize_stage(load_dump(args.dataset, load_calendar(args.calendar)), out)
     print(f"featurize: {matrix.num_learners} participating learners, {matrix.num_weeks} weeks")
     return 0
 
 
 def cmd_cohorts(args) -> int:
     out = _out_dir(args)
-    calendar = load_calendar(args.calendar)
-    dataset = load_dump(args.dataset, calendar)
-    assignments = cohorts_mod.assign_cohorts(dataset)
-    cohorts_mod.export_cohorts(assignments, out / "cohorts.tsv")
+    assignments = _cohorts_stage(load_dump(args.dataset, load_calendar(args.calendar)), out)
     counts = cohorts_mod.cohort_counts(assignments)
     print("cohorts: " + ", ".join(f"{name}={counts[name]}" for name in cohorts_mod.COHORTS))
     return 0
 
 
-def cmd_build(args) -> int:
-    out = _out_dir(args)
+def _load_problem(args):
+    """The feature matrix, the cohort assignments and the problem the flags name."""
     matrix = load_feature_matrix(args.features)
     assignments = cohorts_mod.load_cohorts(args.cohorts) if args.cohorts else None
     if args.cohort is not None and assignments is None:
         raise ConfigError("--cohort requires --cohorts FILE")
-    spec = ProblemSpec(lead=args.lead, lag=args.lag, cohort=args.cohort)
+    return matrix, assignments, ProblemSpec(lead=args.lead, lag=args.lag, cohort=args.cohort)
+
+
+def cmd_build(args) -> int:
+    out = _out_dir(args)
+    matrix, assignments, spec = _load_problem(args)
     X, y, learners, columns = flatten(matrix, spec, assignments)
     if y.size == 0:
         raise InsufficientDataError(
             f"no eligible learners for lead={args.lead} lag={args.lag}"
             + (f" cohort={args.cohort}" if args.cohort else "")
         )
-    rows = ["\t".join(["learner_id", "label"] + columns)]
-    for i, lid in enumerate(learners):
-        rows.append("\t".join([lid, str(int(y[i]))] + [repr(float(v)) for v in X[i]]))
-    (out / "design.tsv").write_text("\n".join(rows) + "\n", encoding="utf-8")
+    write_table(out / "design.tsv", ["learner_id", "label"] + columns, (
+        [lid, int(label), *row] for lid, label, row in zip(learners, y.tolist(), X.tolist())
+    ))
     print(f"build: {y.size} rows x {len(columns)} columns -> {out / 'design.tsv'}")
     return 0
 
 
 def cmd_train_eval(args) -> int:
     cfg = load_config(args.config)
-    seed = args.seed if args.seed is not None else _get_int(cfg, "seed")
-    ratio = args.ratio if args.ratio is not None else _get_float(cfg, "ratio")
-    ridge = args.ridge if args.ridge is not None else _get_float(cfg, "ridge")
-    folds = args.folds if args.folds is not None else _get_int(cfg, "folds")
-    min_rows = _get_int(cfg, "min_rows")
+    seed = _setting(args, cfg, "seed")
+    ratio = _setting(args, cfg, "ratio", float)
+    ridge = _setting(args, cfg, "ridge", float)
+    folds = _setting(args, cfg, "folds")
+    min_rows = _setting(args, cfg, "min_rows")
     out = _out_dir(args)
-
-    matrix = load_feature_matrix(args.features)
-    assignments = cohorts_mod.load_cohorts(args.cohorts) if args.cohorts else None
-    if args.cohort is not None and assignments is None:
-        raise ConfigError("--cohort requires --cohorts FILE")
-    spec = ProblemSpec(lead=args.lead, lag=args.lag, cohort=args.cohort)
+    matrix, assignments, spec = _load_problem(args)
     X, y, _, columns = flatten(matrix, spec, assignments)
     if y.size < min_rows:
         raise InsufficientDataError(
@@ -328,25 +329,30 @@ def cmd_train_eval(args) -> int:
 _POOL_STATE: dict[str, object] = {}
 
 
-def _pool_init(matrix, assignments, seed, params, shuffle) -> None:
-    _POOL_STATE.update(
-        matrix=matrix, assignments=assignments, seed=seed, params=params, shuffle=shuffle
-    )
+def _pool_init(matrix, assignments, cell_args) -> None:
+    _POOL_STATE.update(matrix=matrix, assignments=assignments, cell_args=cell_args)
 
 
 def _cell_task(key: tuple[str, int, int]) -> CellResult:
     cohort, lead, lag = key
-    params = _POOL_STATE["params"]
-    grid = run_grid(
-        _POOL_STATE["matrix"], assignments=_POOL_STATE["assignments"], cohort=cohort,
-        seed=_POOL_STATE["seed"], min_rows=params["min_rows"], ratio=params["ratio"],
-        ridge=params["ridge"], folds=params["folds"], shuffle_labels=_POOL_STATE["shuffle"],
-        specs=[ProblemSpec(lead=lead, lag=lag, cohort=cohort)],
-    )
-    return grid.cells[0]
+    spec = ProblemSpec(lead=lead, lag=lag, cohort=cohort)
+    return evaluate_cell(_POOL_STATE["matrix"], spec, _POOL_STATE["assignments"], **_POOL_STATE["cell_args"])
 
 
-def _run_importance_reports(matrix, assignments, cfg, seed, out: Path) -> None:
+def _importance_settings(args, cfg: dict[str, str]) -> dict[str, object]:
+    """run_importance's keyword arguments from the flags and the config."""
+    return {
+        "seed": _setting(args, cfg, "seed"),
+        "subsamples": _setting(args, cfg, "importance_subsamples", flag="subsamples"),
+        "fraction": _setting(args, cfg, "importance_fraction", float),
+        "weight_floor": _setting(args, cfg, "importance_weight_floor", float),
+        "target_support": _setting(args, cfg, "importance_target_support"),
+        "min_rows": _setting(args, cfg, "min_rows"),
+    }
+
+
+def _run_importance_reports(matrix, assignments, args, cfg: dict[str, str], out: Path) -> None:
+    settings = _importance_settings(args, cfg)
     pairs = parse_problem_pairs(cfg["importance_problems"])
     valid = [(lead, lag) for lead, lag in pairs if lead + lag <= matrix.num_weeks]
     if not valid:
@@ -355,14 +361,7 @@ def _run_importance_reports(matrix, assignments, cfg, seed, out: Path) -> None:
     for cohort in cohorts_mod.COHORTS:
         specs = [ProblemSpec(lead=lead, lag=lag, cohort=cohort) for lead, lag in valid]
         try:
-            report = importance_mod.run_importance(
-                matrix, specs, assignments=assignments, seed=seed,
-                subsamples=_get_int(cfg, "importance_subsamples"),
-                fraction=_get_float(cfg, "importance_fraction"),
-                weight_floor=_get_float(cfg, "importance_weight_floor"),
-                target_support=_get_int(cfg, "importance_target_support"),
-                min_rows=_get_int(cfg, "min_rows"),
-            )
+            report = importance_mod.run_importance(matrix, specs, assignments=assignments, **settings)
         except InsufficientDataError:
             print(f"importance {cohort}: no problem had enough rows, skipped")
             continue
@@ -376,27 +375,21 @@ def _run_importance_reports(matrix, assignments, cfg, seed, out: Path) -> None:
 
 def cmd_run_all(args) -> int:
     cfg = load_config(args.config)
-    seed = args.seed if args.seed is not None else _get_int(cfg, "seed")
-    params = {
-        "ratio": _get_float(cfg, "ratio"),
-        "ridge": _get_float(cfg, "ridge"),
-        "folds": _get_int(cfg, "folds"),
-        "min_rows": _get_int(cfg, "min_rows"),
+    seed = _setting(args, cfg, "seed")
+    cell_args = {
+        "seed": seed,
+        "ratio": _setting(args, cfg, "ratio", float),
+        "ridge": _setting(args, cfg, "ridge", float),
+        "folds": _setting(args, cfg, "folds"),
+        "min_rows": _setting(args, cfg, "min_rows"),
+        "shuffle_labels": args.shuffle_labels,
     }
     clauses = [parse_filter(c) for c in (args.filter or [])]
     out = _out_dir(args)
 
-    dataset = ingest(args.events, args.calendar)
-    dump_dataset(dataset, out / "dataset.tsv")
-    dump_calendar(dataset.calendar, out / "calendar.tsv")
-    _write_ingest_stats(dataset.stats, out / "ingest_stats.tsv")
-
-    matrix, histogram = build_feature_matrix(dataset)
-    export_feature_matrix(matrix, out / "features.tsv")
-    export_histogram(histogram, out / "stopout_histogram.tsv")
-
-    assignments = cohorts_mod.assign_cohorts(dataset)
-    cohorts_mod.export_cohorts(assignments, out / "cohorts.tsv")
+    dataset = _ingest_stage(args, out)
+    matrix = _featurize_stage(dataset, out)
+    assignments = _cohorts_stage(dataset, out)
 
     keys = [
         (cohort, s.lead, s.lag)
@@ -404,7 +397,7 @@ def cmd_run_all(args) -> int:
         for s in enumerate_problems(matrix.num_weeks, cohort=cohort)
         if filter_match(clauses, cohort, s.lead, s.lag)
     ]
-    init_args = (matrix, assignments, seed, params, args.shuffle_labels)
+    init_args = (matrix, assignments, cell_args)
     if args.jobs > 1 and len(keys) > 1:
         with Pool(processes=min(args.jobs, len(keys)), initializer=_pool_init,
                   initargs=init_args) as pool:
@@ -427,7 +420,7 @@ def cmd_run_all(args) -> int:
         manifest_cells.extend((c.cohort, c.lead, c.lag, c.status) for c in own)
 
     if not args.shuffle_labels:
-        _run_importance_reports(matrix, assignments, cfg, seed, out)
+        _run_importance_reports(matrix, assignments, args, cfg, out)
 
     meta = {
         "package_version": __version__,
@@ -470,22 +463,14 @@ def _parse_problem(text: str) -> ProblemSpec:
 
 def cmd_importance(args) -> int:
     cfg = load_config(args.config)
-    seed = args.seed if args.seed is not None else _get_int(cfg, "seed")
-    subsamples = args.subsamples if args.subsamples is not None else _get_int(cfg, "importance_subsamples")
+    settings = _importance_settings(args, cfg)
     out = _out_dir(args)
     matrix = load_feature_matrix(args.features)
     assignments = cohorts_mod.load_cohorts(args.cohorts) if args.cohorts else None
     specs = [_parse_problem(p) for p in args.problem]
     if any(s.cohort is not None for s in specs) and assignments is None:
         raise ConfigError("cohort-restricted problems need --cohorts FILE")
-    report = importance_mod.run_importance(
-        matrix, specs, assignments=assignments, seed=seed,
-        subsamples=subsamples,
-        fraction=_get_float(cfg, "importance_fraction"),
-        weight_floor=_get_float(cfg, "importance_weight_floor"),
-        target_support=_get_int(cfg, "importance_target_support"),
-        min_rows=_get_int(cfg, "min_rows"),
-    )
+    report = importance_mod.run_importance(matrix, specs, assignments=assignments, **settings)
     importance_mod.export_importance(report, out / "importance.tsv")
     write_importance_chart(report.base_freq, out / "importance.svg",
                            title=f"{report.cohort} feature stability")

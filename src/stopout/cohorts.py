@@ -10,8 +10,8 @@ from __future__ import annotations
 
 from pathlib import Path
 
-from .errors import DataError
 from .event_store import CourseDataset
+from .tsv import read_table, write_table
 
 PASSIVE = "passive_collaborator"
 FORUM = "forum_contributor"
@@ -50,26 +50,18 @@ def cohort_counts(assignments: dict[str, str]) -> dict[str, int]:
     return counts
 
 
+COHORT_COLUMNS = ("learner_id", "cohort")
+
+
 def export_cohorts(assignments: dict[str, str], path: str | Path) -> None:
-    rows = ["learner_id\tcohort"]
-    for lid in sorted(assignments):
-        rows.append(f"{lid}\t{assignments[lid]}")
-    Path(path).write_text("\n".join(rows) + "\n", encoding="utf-8")
+    write_table(path, COHORT_COLUMNS, sorted(assignments.items()))
+
+
+def _cohort_row(cells: list[str]) -> tuple[str, str]:
+    if cells[1] not in COHORTS:
+        raise ValueError(f"bad cohort row: unknown cohort {cells[1]!r}")
+    return cells[0], cells[1]
 
 
 def load_cohorts(path: str | Path) -> dict[str, str]:
-    path = Path(path)
-    if not path.exists():
-        raise DataError(f"cohort file not found: {path}")
-    lines = path.read_text(encoding="utf-8").splitlines()
-    if not lines or lines[0] != "learner_id\tcohort":
-        raise DataError(f"{path}: not a cohort export")
-    out = {}
-    for ln in lines[1:]:
-        if not ln:
-            continue
-        parts = ln.split("\t")
-        if len(parts) != 2 or parts[1] not in COHORTS:
-            raise DataError(f"{path}: bad cohort row {ln!r}")
-        out[parts[0]] = parts[1]
-    return out
+    return dict(read_table(path, COHORT_COLUMNS, _cohort_row))

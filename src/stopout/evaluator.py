@@ -18,6 +18,7 @@ from .dataset_builder import ProblemSpec, enumerate_problems, flatten, normalize
 from .errors import DataError, DegenerateLabelsError
 from .featurizer import FeatureMatrix
 from .logistic_model import TrainedModel, predict_proba, train
+from .tsv import read_table, write_table
 
 STATUS_OK = "ok"
 STATUS_INSUFFICIENT = "insufficient_data"
@@ -243,6 +244,53 @@ class GridResult:
         raise KeyError(f"no cell for lead={lead} lag={lag}")
 
 
+def evaluate_cell(
+    matrix: FeatureMatrix,
+    spec: ProblemSpec,
+    assignments: dict[str, str] | None = None,
+    seed: int = 0,
+    min_rows: int = 10,
+    ratio: float = 0.7,
+    ridge: float = 0.0,
+    folds: int = 10,
+    shuffle_labels: bool = False,
+) -> CellResult:
+    """Evaluate one lead/lag problem as a grid cell.
+
+    A cell that cannot be evaluated gets a typed status instead of raising:
+    too few eligible learners, or a single-class label vector somewhere in
+    the pipeline. shuffle_labels permutes y before splitting, as a no-signal
+    control.
+    """
+    label = spec.cohort if spec.cohort is not None else ALL_COHORT
+    X, y, _, columns = flatten(matrix, spec, assignments)
+    cell = CellResult(
+        cohort=label,
+        lead=spec.lead,
+        lag=spec.lag,
+        predicted_week=spec.predicted_week,
+        status=STATUS_OK,
+        n_rows=int(y.size),
+    )
+    if y.size < min_rows:
+        cell.status = STATUS_INSUFFICIENT
+        return cell
+    rng = np.random.default_rng(cell_seed(seed, label, spec.lead, spec.lag))
+    if shuffle_labels:
+        y = y[rng.permutation(y.size)]
+    try:
+        ev = evaluate_problem(X, y, rng, ratio=ratio, ridge=ridge, folds=folds, columns=columns)
+    except DegenerateLabelsError:
+        cell.status = STATUS_DEGENERATE
+        return cell
+    cell.n_train = ev.n_train
+    cell.n_test = ev.n_test
+    cell.cv_mean = ev.cv_mean
+    cell.train_auc = ev.train_auc
+    cell.test_auc = ev.test_auc
+    return cell
+
+
 def run_grid(
     matrix: FeatureMatrix,
     assignments: dict[str, str] | None = None,
@@ -255,47 +303,16 @@ def run_grid(
     shuffle_labels: bool = False,
     specs: list[ProblemSpec] | None = None,
 ) -> GridResult:
-    """Evaluate every lead/lag prediction problem for one population.
-
-    Cells that cannot be evaluated are recorded with a typed status instead of
-    raising: too few eligible learners, or a single-class label vector
-    somewhere in the pipeline. shuffle_labels permutes y before splitting, as
-    a no-signal control.
-    """
-    label = cohort if cohort is not None else ALL_COHORT
+    """Evaluate every lead/lag prediction problem for one population."""
     if specs is None:
         specs = enumerate_problems(matrix.num_weeks, cohort=cohort)
-    grid = GridResult(cohort=label, num_weeks=matrix.num_weeks, seed=seed)
-    for spec in specs:
-        X, y, _, columns = flatten(matrix, spec, assignments)
-        cell = CellResult(
-            cohort=label,
-            lead=spec.lead,
-            lag=spec.lag,
-            predicted_week=spec.predicted_week,
-            status=STATUS_OK,
-            n_rows=int(y.size),
-        )
-        if y.size < min_rows:
-            cell.status = STATUS_INSUFFICIENT
-            grid.cells.append(cell)
-            continue
-        rng = np.random.default_rng(cell_seed(seed, label, spec.lead, spec.lag))
-        if shuffle_labels:
-            y = y[rng.permutation(y.size)]
-        try:
-            ev = evaluate_problem(X, y, rng, ratio=ratio, ridge=ridge, folds=folds, columns=columns)
-        except DegenerateLabelsError:
-            cell.status = STATUS_DEGENERATE
-            grid.cells.append(cell)
-            continue
-        cell.n_train = ev.n_train
-        cell.n_test = ev.n_test
-        cell.cv_mean = ev.cv_mean
-        cell.train_auc = ev.train_auc
-        cell.test_auc = ev.test_auc
-        grid.cells.append(cell)
-    return grid
+    cells = [
+        evaluate_cell(matrix, spec, assignments, seed=seed, min_rows=min_rows, ratio=ratio,
+                      ridge=ridge, folds=folds, shuffle_labels=shuffle_labels)
+        for spec in specs
+    ]
+    return GridResult(cohort=cohort if cohort is not None else ALL_COHORT,
+                      num_weeks=matrix.num_weeks, seed=seed, cells=cells)
 
 
 GRID_COLUMNS = (
@@ -304,20 +321,16 @@ GRID_COLUMNS = (
 )
 
 
-def _fmt(value: float | None) -> str:
-    return "" if value is None else repr(float(value))
+def _fmt(value: float | None) -> str | float:
+    return "" if value is None else float(value)
 
 
 def export_grid(grid: GridResult, path: str | Path) -> None:
-    rows = ["\t".join(GRID_COLUMNS)]
-    ordered = sorted(grid.cells, key=lambda c: (c.lag, c.lead))
-    for c in ordered:
-        rows.append("\t".join((
-            c.cohort, str(c.lead), str(c.lag), str(c.predicted_week), c.status,
-            str(c.n_rows), str(c.n_train), str(c.n_test),
-            _fmt(c.cv_mean), _fmt(c.train_auc), _fmt(c.test_auc),
-        )))
-    Path(path).write_text("\n".join(rows) + "\n", encoding="utf-8")
+    write_table(path, GRID_COLUMNS, (
+        (c.cohort, c.lead, c.lag, c.predicted_week, c.status, c.n_rows, c.n_train, c.n_test,
+         _fmt(c.cv_mean), _fmt(c.train_auc), _fmt(c.test_auc))
+        for c in sorted(grid.cells, key=lambda c: (c.lag, c.lead))
+    ))
 
 
 def export_heatmap_matrix(grid: GridResult, path: str | Path, value: str = "test_auc") -> None:
@@ -326,72 +339,29 @@ def export_heatmap_matrix(grid: GridResult, path: str | Path, value: str = "test
     Rows are lag 1..num_weeks-1, columns predicted week 2..num_weeks. Cells
     outside the triangle (predicted week <= lag) are empty strings too.
     """
-    W = grid.num_weeks
-    by_pos = {(c.lag, c.predicted_week): c for c in grid.cells}
-    rows = ["\t".join(["lag"] + [str(pw) for pw in range(2, W + 1)])]
-    for lag in range(1, W):
-        cells = [str(lag)]
-        for pw in range(2, W + 1):
-            cell = by_pos.get((lag, pw))
-            if cell is not None and cell.status == STATUS_OK:
-                cells.append(repr(float(getattr(cell, value))))
-            else:
-                cells.append("")
-        rows.append("\t".join(cells))
-    Path(path).write_text("\n".join(rows) + "\n", encoding="utf-8")
+    weeks = range(2, grid.num_weeks + 1)
+    by_pos = {(c.lag, c.predicted_week): c for c in grid.cells if c.status == STATUS_OK}
+
+    def row(lag: int) -> list:
+        cells = [by_pos.get((lag, pw)) for pw in weeks]
+        return [lag] + [_fmt(None if c is None else getattr(c, value)) for c in cells]
+
+    write_table(path, ["lag", *map(str, weeks)], map(row, range(1, grid.num_weeks)))
 
 
-def load_heatmap_matrix(path: str | Path) -> dict[tuple[int, int], float]:
-    """Parse a heatmap matrix back into {(lag, predicted_week): value}."""
-    path = Path(path)
-    if not path.exists():
-        raise DataError(f"heatmap matrix not found: {path}")
-    lines = path.read_text(encoding="utf-8").splitlines()
-    if not lines or not lines[0].startswith("lag\t"):
-        raise DataError(f"{path}: not a heatmap matrix export")
-    pws = [int(v) for v in lines[0].split("\t")[1:]]
-    out: dict[tuple[int, int], float] = {}
-    for ln in lines[1:]:
-        if not ln:
-            continue
-        parts = ln.split("\t")
-        lag = int(parts[0])
-        for pw, cell in zip(pws, parts[1:]):
-            if cell:
-                out[(lag, pw)] = float(cell)
-    return out
+def _grid_cell(cells: list[str]) -> CellResult:
+    cohort, lead, lag, predicted_week, status, n_rows, n_train, n_test, *aucs = cells
+    return CellResult(
+        cohort, int(lead), int(lag), int(predicted_week), status,
+        int(n_rows), int(n_train), int(n_test), *(float(v) if v else None for v in aucs),
+    )
 
 
 def load_grid(path: str | Path) -> GridResult:
-    path = Path(path)
-    if not path.exists():
-        raise DataError(f"grid file not found: {path}")
-    lines = path.read_text(encoding="utf-8").splitlines()
-    if not lines or lines[0] != "\t".join(GRID_COLUMNS):
-        raise DataError(f"{path}: not a grid export")
-    cells = []
-    cohort = ALL_COHORT
-    num_weeks = 0
-    for ln in lines[1:]:
-        if not ln:
-            continue
-        parts = ln.split("\t")
-        if len(parts) != len(GRID_COLUMNS):
-            raise DataError(f"{path}: bad grid row {ln!r}")
-        cohort = parts[0]
-        cell = CellResult(
-            cohort=parts[0],
-            lead=int(parts[1]),
-            lag=int(parts[2]),
-            predicted_week=int(parts[3]),
-            status=parts[4],
-            n_rows=int(parts[5]),
-            n_train=int(parts[6]),
-            n_test=int(parts[7]),
-            cv_mean=float(parts[8]) if parts[8] else None,
-            train_auc=float(parts[9]) if parts[9] else None,
-            test_auc=float(parts[10]) if parts[10] else None,
-        )
-        num_weeks = max(num_weeks, cell.predicted_week)
-        cells.append(cell)
-    return GridResult(cohort=cohort, num_weeks=num_weeks, seed=-1, cells=cells)
+    cells = list(read_table(path, GRID_COLUMNS, _grid_cell))
+    return GridResult(
+        cohort=cells[-1].cohort if cells else ALL_COHORT,
+        num_weeks=max((c.predicted_week for c in cells), default=0),
+        seed=-1,
+        cells=cells,
+    )

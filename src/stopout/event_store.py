@@ -9,9 +9,11 @@ table canonically, and infers observed-event durations from click gaps.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from itertools import chain
 from pathlib import Path
 
 from .errors import DataError
+from .tsv import read_table, write_table
 
 WEEK_SECONDS = 604800
 
@@ -126,18 +128,6 @@ class CourseDataset:
     @property
     def num_learners(self) -> int:
         return len(self.learners)
-
-    def learner_index(self, learner_id: str) -> int:
-        lo, hi = 0, len(self.learners)
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if self.learners[mid] < learner_id:
-                lo = mid + 1
-            else:
-                hi = mid
-        if lo == len(self.learners) or self.learners[lo] != learner_id:
-            raise KeyError(learner_id)
-        return lo
 
 
 def week_of(timestamp: int, calendar: CourseCalendar) -> int:
@@ -271,14 +261,7 @@ def ingest(paths: list[str | Path], calendar_path: str | Path) -> CourseDataset:
     """
     calendar = load_calendar(calendar_path)
     stats = IngestStats()
-    observed_rows: list[tuple] = []
-    submission_rows: list[tuple] = []
-    collab_rows: list[tuple] = []
-    routes = {
-        TABLE_OBSERVED: observed_rows,
-        TABLE_SUBMISSION: submission_rows,
-        TABLE_COLLABORATION: collab_rows,
-    }
+    rows: dict[str, list[tuple]] = {t: [] for t in TABLES}
     for path in paths:
         path = Path(path)
         if not path.exists():
@@ -299,35 +282,34 @@ def ingest(paths: list[str | Path], calendar_path: str | Path) -> CourseDataset:
                     continue
                 parsed = _parse_line(dict(zip(header, parts)), calendar, stats)
                 if parsed is not None:
-                    routes[parsed[0]].append(parsed[1])
+                    rows[parsed[0]].append(parsed[1])
 
-    missing = sorted({r[2] for r in submission_rows} - set(calendar.problem_meta))
+    missing = sorted({r[2] for r in rows[TABLE_SUBMISSION]} - set(calendar.problem_meta))
     if missing:
         raise DataError(f"submissions reference problems missing from the calendar: {missing}")
+    dataset = _build_dataset(calendar, rows, stats)
+    dataset.observed = derive_durations(dataset.observed)
+    return dataset
 
-    learner_ids = sorted(
-        {r[0] for rows in (observed_rows, submission_rows, collab_rows) for r in rows}
-    )
+
+def _build_dataset(calendar: CourseCalendar, rows: dict[str, list[tuple]], stats: IngestStats) -> CourseDataset:
+    """Intern learner ids to dense sorted indices and sort each table canonically.
+
+    rows maps each table name to record tuples whose first field is the
+    learner id and whose rest are that table's event fields in order.
+    """
+    learner_ids = sorted({r[0] for table in rows.values() for r in table})
     index = {lid: i for i, lid in enumerate(learner_ids)}
 
-    observed = sorted(
-        (ObservedEvent(index[lid], ts, rid, kind) for lid, ts, rid, kind in observed_rows),
-        key=dataclass_tuple,
-    )
-    submissions = sorted(
-        (SubmissionEvent(index[lid], ts, pid, ok, kind) for lid, ts, pid, ok, kind in submission_rows),
-        key=dataclass_tuple,
-    )
-    collaborations = sorted(
-        (CollaborationEvent(index[lid], ts, kind, n) for lid, ts, kind, n in collab_rows),
-        key=dataclass_tuple,
-    )
+    def events(cls, table: str) -> list:
+        return sorted((cls(index[r[0]], *r[1:]) for r in rows[table]), key=dataclass_tuple)
+
     return CourseDataset(
         calendar=calendar,
         learners=learner_ids,
-        observed=derive_durations(observed),
-        submissions=submissions,
-        collaborations=collaborations,
+        observed=events(ObservedEvent, TABLE_OBSERVED),
+        submissions=events(SubmissionEvent, TABLE_SUBMISSION),
+        collaborations=events(CollaborationEvent, TABLE_COLLABORATION),
         stats=stats,
     )
 
@@ -342,82 +324,35 @@ def dataclass_tuple(ev) -> tuple:
 
 def dump_dataset(dataset: CourseDataset, path: str | Path) -> None:
     """Write the canonical sorted tab-separated export used for golden tests."""
-    rows: list[str] = ["\t".join(DUMP_COLUMNS)]
-    for ev in dataset.observed:
-        lid = dataset.learners[ev.learner]
-        rows.append(
-            f"{TABLE_OBSERVED}\t{lid}\t{ev.timestamp}\t{ev.resource_id}\t{ev.resource_kind}"
-            f"\t\t\t\t\t\t{ev.duration}"
-        )
-    for ev in dataset.submissions:
-        lid = dataset.learners[ev.learner]
-        correct = "1" if ev.correct else "0"
-        rows.append(
-            f"{TABLE_SUBMISSION}\t{lid}\t{ev.timestamp}\t\t\t{ev.problem_id}\t{correct}"
-            f"\t{ev.assignment_kind}\t\t\t"
-        )
-    for ev in dataset.collaborations:
-        lid = dataset.learners[ev.learner]
-        rows.append(
-            f"{TABLE_COLLABORATION}\t{lid}\t{ev.timestamp}\t\t\t\t\t\t{ev.kind}\t{ev.text_length}\t"
-        )
-    Path(path).write_text("\n".join(rows) + "\n", encoding="utf-8")
+    ids = dataset.learners
+    write_table(path, DUMP_COLUMNS, chain(
+        ((TABLE_OBSERVED, ids[ev.learner], ev.timestamp, ev.resource_id, ev.resource_kind,
+          "", "", "", "", "", ev.duration) for ev in dataset.observed),
+        ((TABLE_SUBMISSION, ids[ev.learner], ev.timestamp, "", "", ev.problem_id,
+          "1" if ev.correct else "0", ev.assignment_kind, "", "", "") for ev in dataset.submissions),
+        ((TABLE_COLLABORATION, ids[ev.learner], ev.timestamp, "", "", "", "", "", ev.kind,
+          ev.text_length, "") for ev in dataset.collaborations),
+    ))
+
+
+def _dump_row(cells: list[str]) -> tuple[str, tuple]:
+    table, lid, ts, rid, rkind, pid, correct, akind, ckind, length, duration = cells
+    if table == TABLE_OBSERVED:
+        return table, (lid, int(ts), rid, rkind, int(duration))
+    if table == TABLE_SUBMISSION:
+        return table, (lid, int(ts), pid, correct == "1", akind)
+    if table == TABLE_COLLABORATION:
+        return table, (lid, int(ts), ckind, int(length))
+    raise ValueError(f"unknown table {table!r} in dump")
 
 
 def load_dump(path: str | Path, calendar: CourseCalendar) -> CourseDataset:
     """Reload a dataset dump produced by dump_dataset (durations included)."""
-    path = Path(path)
-    if not path.exists():
-        raise DataError(f"dataset dump not found: {path}")
-    lines = path.read_text(encoding="utf-8").splitlines()
-    if not lines or lines[0].split("\t") != list(DUMP_COLUMNS):
-        raise DataError(f"{path}: not a dataset dump (bad header)")
-    observed_rows, submission_rows, collab_rows = [], [], []
-    for ln in lines[1:]:
-        if not ln:
-            continue
-        parts = ln.split("\t")
-        if len(parts) != len(DUMP_COLUMNS):
-            raise DataError(f"{path}: malformed dump row {ln!r}")
-        row = dict(zip(DUMP_COLUMNS, parts))
-        table = row["table"]
-        if table == TABLE_OBSERVED:
-            observed_rows.append(
-                (row["learner_id"], int(row["timestamp"]), row["resource_id"], row["resource_kind"], int(row["duration"]))
-            )
-        elif table == TABLE_SUBMISSION:
-            submission_rows.append(
-                (row["learner_id"], int(row["timestamp"]), row["problem_id"], row["correct"] == "1", row["assignment_kind"])
-            )
-        elif table == TABLE_COLLABORATION:
-            collab_rows.append((row["learner_id"], int(row["timestamp"]), row["collab_kind"], int(row["text_length"])))
-        else:
-            raise DataError(f"{path}: unknown table {table!r} in dump")
-    learner_ids = sorted(
-        {r[0] for rows in (observed_rows, submission_rows, collab_rows) for r in rows}
-    )
-    index = {lid: i for i, lid in enumerate(learner_ids)}
-    stats = IngestStats(
-        total=len(observed_rows) + len(submission_rows) + len(collab_rows),
-        accepted=len(observed_rows) + len(submission_rows) + len(collab_rows),
-    )
-    return CourseDataset(
-        calendar=calendar,
-        learners=learner_ids,
-        observed=sorted(
-            (ObservedEvent(index[l], t, r, k, d) for l, t, r, k, d in observed_rows),
-            key=dataclass_tuple,
-        ),
-        submissions=sorted(
-            (SubmissionEvent(index[l], t, p, c, k) for l, t, p, c, k in submission_rows),
-            key=dataclass_tuple,
-        ),
-        collaborations=sorted(
-            (CollaborationEvent(index[l], t, k, n) for l, t, k, n in collab_rows),
-            key=dataclass_tuple,
-        ),
-        stats=stats,
-    )
+    rows: dict[str, list[tuple]] = {t: [] for t in TABLES}
+    for table, record in read_table(path, DUMP_COLUMNS, _dump_row):
+        rows[table].append(record)
+    total = sum(len(table) for table in rows.values())
+    return _build_dataset(calendar, rows, IngestStats(total=total, accepted=total))
 
 
 def dump_calendar(calendar: CourseCalendar, path: str | Path) -> None:

@@ -9,14 +9,15 @@ aggregates of the still-active peers of that week.
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
 
 import numpy as np
 
-from .errors import DataError
 from .event_store import CourseDataset, CourseCalendar, week_of, week_start
+from .tsv import read_table, write_table
 
 FEATURE_IDS: tuple[str, ...] = (
     "x2", "x3", "x4", "x5", "x6", "x7", "x8", "x9", "x10", "x11",
@@ -124,20 +125,6 @@ def stopout_profiles(dataset: CourseDataset) -> list[StopoutProfile]:
         week, participated = compute_stopout([] if ts is None else [ts], dataset.calendar)
         profiles.append(StopoutProfile(learner=li, stopout_week=week, participated=participated))
     return profiles
-
-
-def percentile_rank(value: float, peers: Sequence[float]) -> float:
-    """Mean-rank percentile of value within peers (peers include the value itself).
-
-    Strictly smaller peers count 1, equal peers count 1/2, all over the peer
-    count, so the result is permutation-invariant and lies in [0, 1].
-    """
-    n = len(peers)
-    if n == 0:
-        return 0.0
-    below = sum(1 for p in peers if p < value)
-    ties = sum(1 for p in peers if p == value)
-    return (below + 0.5 * ties) / n
 
 
 def _percentile_sorted(value: float, stats: PeerStats) -> float:
@@ -332,42 +319,39 @@ def build_feature_matrix(dataset: CourseDataset) -> tuple[FeatureMatrix, np.ndar
     return matrix, histogram
 
 
+FEATURE_COLUMNS = ("learner_id", "week", "x1") + FEATURE_IDS
+
+
 def export_feature_matrix(matrix: FeatureMatrix, path: str | Path) -> None:
-    rows = ["\t".join(("learner_id", "week", "x1") + FEATURE_IDS)]
-    for i, lid in enumerate(matrix.learners):
-        for w in range(1, matrix.num_weeks + 1):
-            cells = [lid, str(w), str(int(matrix.labels[i, w - 1]))]
-            cells.extend(repr(float(v)) for v in matrix.values[i, w - 1])
-            rows.append("\t".join(cells))
-    Path(path).write_text("\n".join(rows) + "\n", encoding="utf-8")
+    write_table(path, FEATURE_COLUMNS, (
+        [lid, w, label, *row]
+        for lid, labels, values in zip(matrix.learners, matrix.labels, matrix.values)
+        for w, label, row in zip(range(1, matrix.num_weeks + 1), labels.tolist(), values.tolist())
+    ))
+
+
+def _feature_row(cells: list[str]) -> tuple[str, int, int, list[float]]:
+    return cells[0], int(cells[1]), int(cells[2]), [float(v) for v in cells[3:]]
 
 
 def load_feature_matrix(path: str | Path) -> FeatureMatrix:
-    path = Path(path)
-    if not path.exists():
-        raise DataError(f"feature matrix not found: {path}")
-    lines = path.read_text(encoding="utf-8").splitlines()
-    expected_header = "\t".join(("learner_id", "week", "x1") + FEATURE_IDS)
-    if not lines or lines[0] != expected_header:
-        raise DataError(f"{path}: not a feature matrix export")
-    rows = [ln.split("\t") for ln in lines[1:] if ln]
-    if not rows:
-        return FeatureMatrix(
-            learners=[],
-            num_weeks=0,
-            values=np.zeros((0, 0, NUM_FEATURES)),
-            labels=np.zeros((0, 0), dtype=np.int8),
-            stopout_week=np.zeros(0, dtype=np.int64),
-        )
-    learners = sorted({r[0] for r in rows})
-    num_weeks = max(int(r[1]) for r in rows)
+    # rows stream into flat buffers (8 bytes per feature value) until the
+    # learner and week counts are known
+    ids, weeks, flat_labels = [], [], []
+    flat_values = array("d")
+    for lid, week, label, row in read_table(path, FEATURE_COLUMNS, _feature_row):
+        ids.append(lid)
+        weeks.append(week - 1)
+        flat_labels.append(label)
+        flat_values.extend(row)
+    learners = sorted(set(ids))
+    num_weeks = max(weeks, default=-1) + 1
     index = {lid: i for i, lid in enumerate(learners)}
+    at = ([index[lid] for lid in ids], weeks)
     values = np.zeros((len(learners), num_weeks, NUM_FEATURES))
+    values[at] = np.frombuffer(flat_values).reshape(-1, NUM_FEATURES)
     labels = np.zeros((len(learners), num_weeks), dtype=np.int8)
-    for r in rows:
-        i, w = index[r[0]], int(r[1])
-        labels[i, w - 1] = int(r[2])
-        values[i, w - 1] = [float(v) for v in r[3:]]
+    labels[at] = flat_labels
     stopout = np.full(len(learners), num_weeks + 1, dtype=np.int64)
     for i in range(len(learners)):
         zeros = np.flatnonzero(labels[i] == 0)
@@ -383,7 +367,4 @@ def load_feature_matrix(path: str | Path) -> FeatureMatrix:
 
 
 def export_histogram(histogram: np.ndarray, path: str | Path) -> None:
-    rows = ["week\tcount"]
-    for w in range(1, len(histogram)):
-        rows.append(f"{w}\t{int(histogram[w])}")
-    Path(path).write_text("\n".join(rows) + "\n", encoding="utf-8")
+    write_table(path, ("week", "count"), enumerate(histogram.tolist()[1:], start=1))

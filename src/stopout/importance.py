@@ -18,6 +18,7 @@ from .errors import DataError, InsufficientDataError
 from .evaluator import ALL_COHORT, STATUS_DEGENERATE, STATUS_INSUFFICIENT, STATUS_OK, cell_seed
 from .featurizer import FEATURE_IDS, FeatureMatrix
 from .logistic_model import sigmoid
+from .tsv import write_table
 
 SELECT_EPS = 1e-6
 DEFAULT_SUBSAMPLES = 200
@@ -250,30 +251,12 @@ def run_importance(
     return report
 
 
-IMPORTANCE_HEADER = "cohort\tfeature_id\tfrequency"
+IMPORTANCE_COLUMNS = ("cohort", "feature_id", "frequency")
 
 
 def export_importance(reports: ImportanceReport | list[ImportanceReport], path: str | Path) -> None:
     if isinstance(reports, ImportanceReport):
         reports = [reports]
-    rows = [IMPORTANCE_HEADER]
-    for report in reports:
-        for fid, freq in report.ranked():
-            rows.append(f"{report.cohort}\t{fid}\t{freq!r}")
-    Path(path).write_text("\n".join(rows) + "\n", encoding="utf-8")
-
-
-def load_importance(path: str | Path) -> dict[tuple[str, str], float]:
-    path = Path(path)
-    if not path.exists():
-        raise DataError(f"importance file not found: {path}")
-    lines = path.read_text(encoding="utf-8").splitlines()
-    if not lines or lines[0] != IMPORTANCE_HEADER:
-        raise DataError(f"{path}: not an importance export")
-    out = {}
-    for ln in lines[1:]:
-        if not ln:
-            continue
-        cohort, fid, freq = ln.split("\t")
-        out[(cohort, fid)] = float(freq)
-    return out
+    write_table(path, IMPORTANCE_COLUMNS, (
+        (report.cohort, fid, freq) for report in reports for fid, freq in report.ranked()
+    ))

@@ -167,11 +167,6 @@ def predict_proba(model: TrainedModel, X: np.ndarray) -> np.ndarray:
     return sigmoid(model.beta[0] + X @ model.beta[1:])
 
 
-def decide(probs: np.ndarray, threshold: float) -> np.ndarray:
-    """Hard labels from probabilities; the threshold itself maps to 1."""
-    return (np.asarray(probs) >= threshold).astype(np.int64)
-
-
 def apply_model(model: TrainedModel, X_raw: np.ndarray) -> np.ndarray:
     """Predict from raw rows, replaying the model's stored normalization."""
     X_raw = np.asarray(X_raw, dtype=np.float64)

@@ -27,6 +27,7 @@ from .event_store import (
     CourseCalendar,
     ProblemMeta,
 )
+from .tsv import write_table
 
 DUE_OFFSET = 6 * 3600  # assignments close six hours before the week ends
 
@@ -216,28 +217,15 @@ def generate(config: SynthConfig) -> SynthCourse:
     return SynthCourse(config=config, calendar=calendar, events=events, truth=truth)
 
 
+TRUTH_COLUMNS = ("learner_id", "cohort", "stopout_week", "volume", "timeliness", "grades")
+
+
 def write_events(course: SynthCourse, path: str | Path) -> None:
-    rows = ["\t".join(EVENT_COLUMNS)]
-    rows.extend("\t".join(r) for r in course.events)
-    Path(path).write_text("\n".join(rows) + "\n", encoding="utf-8")
+    write_table(path, EVENT_COLUMNS, course.events)
 
 
 def write_truth(course: SynthCourse, path: str | Path) -> None:
-    rows = ["learner_id\tcohort\tstopout_week\tvolume\ttimeliness\tgrades"]
-    for t in course.truth:
-        rows.append(
-            f"{t.learner_id}\t{t.cohort}\t{t.stopout_week}"
-            f"\t{t.volume!r}\t{t.timeliness!r}\t{t.grades!r}"
-        )
-    Path(path).write_text("\n".join(rows) + "\n", encoding="utf-8")
-
-
-def load_truth(path: str | Path) -> list[TruthRow]:
-    lines = Path(path).read_text(encoding="utf-8").splitlines()
-    out = []
-    for ln in lines[1:]:
-        if not ln:
-            continue
-        lid, cohort, week, vol, tim, gr = ln.split("\t")
-        out.append(TruthRow(lid, cohort, int(week), float(vol), float(tim), float(gr)))
-    return out
+    write_table(path, TRUTH_COLUMNS, (
+        (t.learner_id, t.cohort, t.stopout_week, t.volume, t.timeliness, t.grades)
+        for t in course.truth
+    ))

@@ -51,6 +51,10 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config) -> None:
     terminalreporter.section("acceptance criteria")
     for entry in sorted(_ACCEPTANCE.values(), key=lambda e: e["label"]):
         terminalreporter.write_line(f"[{entry['outcome']}] {entry['label']}")
+    # ROADMAP aim 2 tracks this number: the same outputs from less code
+    src = Path(__file__).parent.parent / "src" / "stopout"
+    lines = sum(len(p.read_text(encoding="utf-8").splitlines()) for p in src.glob("*.py"))
+    terminalreporter.write_line(f"src/stopout: {lines:,} lines")
 
 
 # ---------------------------------------------------------------------------

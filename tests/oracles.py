@@ -1,8 +1,8 @@
 """Independent reference implementations used only by tests.
 
 Deliberately slow and simple: AUC by exhaustive pair counting in exact
-rational arithmetic, and logistic maximum likelihood by a dense coefficient
-grid search with iterative refinement. Production code has to match these,
+rational arithmetic, logistic maximum likelihood by a dense coefficient grid
+search with iterative refinement, and peer percentiles by counting. Production code has to match these,
 never the other way around.
 """
 
@@ -28,6 +28,20 @@ def pairwise_auc(scores, labels) -> Fraction:
             elif sp == sn:
                 twice += 1
     return Fraction(twice, 2 * len(pos) * len(neg))
+
+
+def percentile_rank(value: float, peers) -> float:
+    """Mean-rank percentile of value within peers (peers include the value itself).
+
+    Strictly smaller peers count 1, equal peers count 1/2, all over the peer
+    count, so the result is permutation-invariant and lies in [0, 1].
+    """
+    n = len(peers)
+    if n == 0:
+        return 0.0
+    below = sum(1 for p in peers if p < value)
+    ties = sum(1 for p in peers if p == value)
+    return (below + 0.5 * ties) / n
 
 
 def penalized_ll_reference(beta: np.ndarray, X: np.ndarray, y: np.ndarray, ridge: float) -> float:

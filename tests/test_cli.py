@@ -448,3 +448,65 @@ def test_run_all_rejects_bad_filter(pipeline, tmp_path, capsys):
     ])
     assert rc == 2
     assert "unknown filter key" in capsys.readouterr().err
+
+
+def test_stage_commands_and_run_all_write_the_same_bytes(pipeline, runall_dir):
+    ingested, featurized = pipeline.dataset.parent, pipeline.features.parent
+    staged = [
+        ingested / "dataset.tsv",
+        ingested / "calendar.tsv",
+        ingested / "ingest_stats.tsv",
+        featurized / "features.tsv",
+        featurized / "stopout_histogram.tsv",
+        pipeline.cohorts,
+    ]
+    for path in staged:
+        assert path.read_bytes() == (runall_dir / path.name).read_bytes(), path.name
+
+
+def test_train_eval_row_equals_the_run_all_grid_row(pipeline, runall_dir, tmp_path):
+    header, *rows = (runall_dir / "grid_passive_collaborator.tsv").read_text(encoding="utf-8").splitlines()
+    ok = [row for row in rows if row.split("\t")[4] == "ok"]
+    assert ok
+    _, lead, lag, *_ = ok[0].split("\t")
+    out = tmp_path / "te"
+    rc = main([
+        "train-eval", "--features", str(pipeline.features), "--lead", lead, "--lag", lag,
+        "--cohort", "passive_collaborator", "--cohorts", str(pipeline.cohorts),
+        "--config", str(pipeline.config), "--out", str(out),
+    ])
+    assert rc == 0
+    assert (out / "eval.tsv").read_text(encoding="utf-8").splitlines() == [header, ok[0]]
+
+
+@pytest.mark.parametrize(
+    "command,column,value",
+    [
+        ("featurize", 2, "12x"),  # dataset.tsv timestamp
+        ("train-eval", -1, None),  # features.tsv row one cell short
+        ("heatmap", -1, "abc"),  # grid test_auc
+    ],
+)
+def test_malformed_intermediate_row_exits_3(pipeline, runall_dir, tmp_path, capsys, command, column, value):
+    source = {
+        "featurize": pipeline.dataset,
+        "train-eval": pipeline.features,
+        "heatmap": runall_dir / "grid_passive_collaborator.tsv",
+    }[command]
+    lines = source.read_text(encoding="utf-8").splitlines()
+    cells = lines[1].split("\t")
+    if value is None:
+        del cells[column]
+    else:
+        cells[column] = value
+    lines[1] = "\t".join(cells)
+    bad = tmp_path / source.name
+    bad.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    inputs = {
+        "featurize": ["--dataset", str(bad), "--calendar", str(pipeline.ing_calendar)],
+        "train-eval": ["--features", str(bad), "--lead", "1", "--lag", "1"],
+        "heatmap": ["--grid", str(bad)],
+    }[command]
+    rc = main([command, *inputs, "--out", str(tmp_path / "o")])
+    assert rc == 3
+    assert f"data error: {bad}:2: " in capsys.readouterr().err

@@ -70,7 +70,7 @@ def test_load_rejects_unknown_cohort(tmp_path):
 def test_load_rejects_bad_header_and_missing_file(tmp_path):
     path = tmp_path / "cohorts.tsv"
     path.write_text("who\twhat\n", encoding="utf-8")
-    with pytest.raises(DataError, match="not a cohort export"):
+    with pytest.raises(DataError, match="cohorts.tsv:1: bad header"):
         load_cohorts(path)
     with pytest.raises(DataError, match="not found"):
         load_cohorts(tmp_path / "absent.tsv")

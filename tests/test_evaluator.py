@@ -25,11 +25,11 @@ from stopout.evaluator import (
     export_grid,
     export_heatmap_matrix,
     load_grid,
-    load_heatmap_matrix,
     roc_auc,
     roc_points,
     run_grid,
 )
+from stopout.tsv import read_table
 
 # labels then scores, both ways, to exercise ties and mid cases
 binary_case = st.integers(2, 25).flatmap(
@@ -283,6 +283,17 @@ def test_grid_export_is_sorted_by_lag_then_lead(small_course, tmp_path):
     assert keys == sorted(keys)
 
 
+def read_heatmap(path, num_weeks):
+    """A heatmap matrix as {(lag, predicted_week): value}, read through the codec."""
+    weeks = range(2, num_weeks + 1)
+    return {
+        (int(row[0]), pw): float(cell)
+        for row in read_table(path, ["lag", *map(str, weeks)])
+        for pw, cell in zip(weeks, row[1:])
+        if cell
+    }
+
+
 def test_heatmap_matrix_round_trip(small_course, tmp_path):
     grid = run_grid(small_course.matrix, seed=2, folds=4)
     path = tmp_path / "heat.tsv"
@@ -291,7 +302,7 @@ def test_heatmap_matrix_round_trip(small_course, tmp_path):
     W = small_course.matrix.num_weeks
     assert lines[0].split("\t") == ["lag"] + [str(pw) for pw in range(2, W + 1)]
     assert len(lines) == W  # header + one row per lag
-    loaded = load_heatmap_matrix(path)
+    loaded = read_heatmap(path, W)
     expected = {
         (c.lag, c.predicted_week): c.test_auc
         for c in grid.cells
@@ -309,7 +320,7 @@ def test_heatmap_matrix_leaves_invalid_cells_empty(tmp_path):
     ])
     path = tmp_path / "heat.tsv"
     export_heatmap_matrix(grid, path)
-    assert load_heatmap_matrix(path) == {(1, 2): 0.85}
+    assert read_heatmap(path, 3) == {(1, 2): 0.85}
     row_lag1 = path.read_text(encoding="utf-8").splitlines()[1].split("\t")
     assert row_lag1 == ["1", "0.85", ""]
 
@@ -317,8 +328,7 @@ def test_heatmap_matrix_leaves_invalid_cells_empty(tmp_path):
 def test_loaders_reject_junk(tmp_path):
     junk = tmp_path / "junk.tsv"
     junk.write_text("nope\n", encoding="utf-8")
-    for loader in (load_grid, load_heatmap_matrix):
-        with pytest.raises(DataError):
-            loader(junk)
-        with pytest.raises(DataError, match="not found"):
-            loader(tmp_path / "absent.tsv")
+    with pytest.raises(DataError):
+        load_grid(junk)
+    with pytest.raises(DataError, match="not found"):
+        load_grid(tmp_path / "absent.tsv")

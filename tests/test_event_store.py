@@ -234,17 +234,12 @@ def test_fixture_table_counts(fixture_dataset):
 
 
 def test_fixture_durations(fixture_dataset):
-    alice = fixture_dataset.learner_index("alice")
-    carol = fixture_dataset.learner_index("carol")
+    alice = fixture_dataset.learners.index("alice")
+    carol = fixture_dataset.learners.index("carol")
     alice_durations = [ev.duration for ev in fixture_dataset.observed if ev.learner == alice]
     carol_durations = [ev.duration for ev in fixture_dataset.observed if ev.learner == carol]
     assert alice_durations == [2000, 3600, 3600, 60]
     assert carol_durations == [60]
-
-
-def test_learner_index_unknown_raises(fixture_dataset):
-    with pytest.raises(KeyError):
-        fixture_dataset.learner_index("zara")
 
 
 def test_dump_round_trip(fixture_dataset, tmp_path):

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from oracles import percentile_rank
 from stopout.errors import DataError
 from stopout.event_store import WEEK_SECONDS, CourseCalendar
 from stopout.featurizer import (
@@ -23,7 +24,6 @@ from stopout.featurizer import (
     export_histogram,
     extract_week,
     load_feature_matrix,
-    percentile_rank,
     stopout_profiles,
 )
 
@@ -300,7 +300,7 @@ def test_load_feature_matrix_errors(tmp_path):
         load_feature_matrix(tmp_path / "absent.tsv")
     junk = tmp_path / "junk.tsv"
     junk.write_text("learner\toops\n", encoding="utf-8")
-    with pytest.raises(DataError, match="not a feature matrix"):
+    with pytest.raises(DataError, match="junk.tsv:1: bad header"):
         load_feature_matrix(junk)
 
 

@@ -11,16 +11,17 @@ from stopout.errors import DataError, InsufficientDataError
 from stopout.evaluator import STATUS_DEGENERATE, STATUS_INSUFFICIENT, STATUS_OK
 from stopout.featurizer import FEATURE_IDS, NUM_FEATURES, FeatureMatrix
 from stopout.importance import (
+    IMPORTANCE_COLUMNS,
     ImportanceReport,
     calibrate_lambda,
     export_importance,
     l1_logistic,
-    load_importance,
     run_importance,
     soft_threshold,
     stability_select,
 )
 from stopout.logistic_model import predict_proba, sigmoid, train
+from stopout.tsv import read_table
 
 LAG1_COLUMNS = column_names(1)
 
@@ -257,17 +258,9 @@ def test_export_round_trip(tmp_path):
     )
     path = tmp_path / "importance.tsv"
     export_importance([a, b], path)
-    loaded = load_importance(path)
+    loaded = {(cohort, fid): float(freq) for cohort, fid, freq in read_table(path, IMPORTANCE_COLUMNS)}
     assert loaded == {("all", "x2"): 1 / 3, ("all", "x9"): 0.25, (WIKI, "x2"): 0.75}
     lines = path.read_text(encoding="utf-8").splitlines()
     assert lines[0] == "cohort\tfeature_id\tfrequency"
     assert lines[1].startswith("all\tx2")  # ranked within each cohort
 
-
-def test_load_importance_rejects_junk(tmp_path):
-    junk = tmp_path / "junk.tsv"
-    junk.write_text("nope\n", encoding="utf-8")
-    with pytest.raises(DataError, match="not an importance export"):
-        load_importance(junk)
-    with pytest.raises(DataError, match="not found"):
-        load_importance(tmp_path / "absent.tsv")

@@ -14,7 +14,6 @@ from stopout.logistic_model import (
     TrainedModel,
     add_intercept,
     apply_model,
-    decide,
     load_model,
     penalized_gradient,
     penalized_ll,
@@ -49,13 +48,6 @@ def test_sigmoid_strictly_increasing():
     # strictness holds until float64 saturation near |z| ~ 36.7
     grid = sigmoid(np.linspace(-30.0, 30.0, 201))
     assert np.all(np.diff(grid) > 0)
-
-
-def test_decide_threshold_is_inclusive():
-    probs = np.array([0.3, 0.5, 0.7])
-    assert decide(probs, 0.5).tolist() == [0, 1, 1]
-    assert decide(probs, 0.7).tolist() == [0, 0, 1]
-    assert decide(probs, 0.0).tolist() == [1, 1, 1]
 
 
 def test_add_intercept():

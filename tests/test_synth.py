@@ -18,16 +18,25 @@ from stopout.event_store import dump_calendar, ingest
 from stopout.featurizer import build_feature_matrix
 from stopout.synth import (
     DUE_OFFSET,
+    TRUTH_COLUMNS,
     SynthConfig,
+    TruthRow,
     build_calendar,
     generate,
-    load_truth,
     sample_stopout,
     write_events,
     write_truth,
 )
+from stopout.tsv import read_table
 
 WEEK = 7 * 86400
+
+
+def read_truth(path):
+    return [
+        TruthRow(lid, cohort, int(week), float(volume), float(timeliness), float(grades))
+        for lid, cohort, week, volume, timeliness, grades in read_table(path, TRUTH_COLUMNS)
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -134,7 +143,7 @@ def test_zero_learners_yields_header_only_files(tmp_path):
     assert matrix.values.shape == (0, 3, 27)
     assert histogram.tolist() == [0, 0, 0, 0, 0]
     assert assign_cohorts(dataset) == {}
-    assert load_truth(truth_path) == []
+    assert read_truth(truth_path) == []
 
 
 def test_same_seed_reproduces_files_byte_for_byte(tmp_path):
@@ -203,7 +212,7 @@ def test_cohort_mix_is_respected(small_course):
 
 
 def test_truth_file_round_trips(small_course):
-    assert load_truth(small_course.truth_path) == small_course.course.truth
+    assert read_truth(small_course.truth_path) == small_course.course.truth
 
 
 def test_load_truth_skips_blank_lines(tmp_path):
@@ -211,4 +220,4 @@ def test_load_truth_skips_blank_lines(tmp_path):
     path = tmp_path / "truth.tsv"
     write_truth(course, path)
     path.write_text(path.read_text(encoding="utf-8") + "\n\n", encoding="utf-8")
-    assert load_truth(path) == course.truth
+    assert read_truth(path) == course.truth
