@@ -9,9 +9,17 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import os
 import sys
 from multiprocessing import Pool
 from pathlib import Path
+
+# One BLAS thread per process unless the user chose otherwise: with the
+# library default, every --jobs worker starts one thread per core, which
+# oversubscribes the machine and lets results depend on the thread count.
+# This has to happen before numpy is first imported.
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
 
 import numpy as np
 
@@ -324,23 +332,30 @@ def cmd_train_eval(args) -> int:
     return 0
 
 
-# worker-process state for cell-level parallelism; the feature matrix is
-# shipped once per worker instead of once per cell
+# worker-process state for the run-all pool; the feature matrix is shipped
+# once per worker instead of once per task
 _POOL_STATE: dict[str, object] = {}
+IMPORTANCE_TASK = "importance"
+CELL_TASK = "cell"
 
 
-def _pool_init(matrix, assignments, cell_args) -> None:
-    _POOL_STATE.update(matrix=matrix, assignments=assignments, cell_args=cell_args)
+def _pool_init(matrix, assignments, cell_args, importance_args) -> None:
+    _POOL_STATE.update(matrix=matrix, assignments=assignments, cell_args=cell_args,
+                       importance_args=importance_args)
 
 
-def _cell_task(key: tuple[str, int, int]) -> CellResult:
-    cohort, lead, lag = key
+def _cell_task(task: tuple[str, str, int, int]) -> CellResult | importance_mod.ProblemImportance:
+    """One run-all task: an importance problem or a grid cell, by its kind."""
+    kind, cohort, lead, lag = task
     spec = ProblemSpec(lead=lead, lag=lag, cohort=cohort)
+    if kind == IMPORTANCE_TASK:
+        return importance_mod.problem_importance(
+            _POOL_STATE["matrix"], spec, _POOL_STATE["assignments"], **_POOL_STATE["importance_args"])
     return evaluate_cell(_POOL_STATE["matrix"], spec, _POOL_STATE["assignments"], **_POOL_STATE["cell_args"])
 
 
 def _importance_settings(args, cfg: dict[str, str]) -> dict[str, object]:
-    """run_importance's keyword arguments from the flags and the config."""
+    """problem_importance's keyword arguments from the flags and the config."""
     return {
         "seed": _setting(args, cfg, "seed"),
         "subsamples": _setting(args, cfg, "importance_subsamples", flag="subsamples"),
@@ -351,17 +366,19 @@ def _importance_settings(args, cfg: dict[str, str]) -> dict[str, object]:
     }
 
 
-def _run_importance_reports(matrix, assignments, args, cfg: dict[str, str], out: Path) -> None:
-    settings = _importance_settings(args, cfg)
+def _importance_pairs(cfg: dict[str, str], num_weeks: int) -> list[tuple[int, int]]:
+    """The configured (lead, lag) problems that fit the course."""
     pairs = parse_problem_pairs(cfg["importance_problems"])
-    valid = [(lead, lag) for lead, lag in pairs if lead + lag <= matrix.num_weeks]
-    if not valid:
-        valid = [(1, 1)]  # shortest problem always fits a >= 2 week course
+    valid = [(lead, lag) for lead, lag in pairs if lead + lag <= num_weeks]
+    return valid or [(1, 1)]  # shortest problem always fits a >= 2 week course
+
+
+def _run_importance_reports(problems: list[importance_mod.ProblemImportance], out: Path) -> None:
+    """Combine each cohort's problems into a report; write charts and importance.tsv."""
     reports = []
     for cohort in cohorts_mod.COHORTS:
-        specs = [ProblemSpec(lead=lead, lag=lag, cohort=cohort) for lead, lag in valid]
         try:
-            report = importance_mod.run_importance(matrix, specs, assignments=assignments, **settings)
+            report = importance_mod.combine_problems([p for p in problems if p.cohort == cohort])
         except InsufficientDataError:
             print(f"importance {cohort}: no problem had enough rows, skipped")
             continue
@@ -384,6 +401,7 @@ def cmd_run_all(args) -> int:
         "min_rows": _setting(args, cfg, "min_rows"),
         "shuffle_labels": args.shuffle_labels,
     }
+    importance_args = None if args.shuffle_labels else _importance_settings(args, cfg)
     clauses = [parse_filter(c) for c in (args.filter or [])]
     out = _out_dir(args)
 
@@ -391,20 +409,29 @@ def cmd_run_all(args) -> int:
     matrix = _featurize_stage(dataset, out)
     assignments = _cohorts_stage(dataset, out)
 
-    keys = [
-        (cohort, s.lead, s.lag)
+    # One task list for one pool: the importance problems first, since they
+    # are the longest tasks, then every grid cell. Each task seeds itself
+    # from its own key, so the outputs do not depend on --jobs.
+    tasks = []
+    if importance_args is not None:
+        pairs = _importance_pairs(cfg, matrix.num_weeks)
+        tasks += [(IMPORTANCE_TASK, cohort, lead, lag) for cohort in cohorts_mod.COHORTS for lead, lag in pairs]
+    first_cell = len(tasks)
+    tasks += [
+        (CELL_TASK, cohort, s.lead, s.lag)
         for cohort in cohorts_mod.COHORTS
         for s in enumerate_problems(matrix.num_weeks, cohort=cohort)
         if filter_match(clauses, cohort, s.lead, s.lag)
     ]
-    init_args = (matrix, assignments, cell_args)
-    if args.jobs > 1 and len(keys) > 1:
-        with Pool(processes=min(args.jobs, len(keys)), initializer=_pool_init,
+    init_args = (matrix, assignments, cell_args, importance_args)
+    if args.jobs > 1 and len(tasks) > 1:
+        with Pool(processes=min(args.jobs, len(tasks)), initializer=_pool_init,
                   initargs=init_args) as pool:
-            cells = pool.map(_cell_task, keys)
+            results = pool.map(_cell_task, tasks, chunksize=1)
     else:
         _pool_init(*init_args)
-        cells = [_cell_task(k) for k in keys]
+        results = [_cell_task(t) for t in tasks]
+    cells = results[first_cell:]
 
     manifest_cells = []
     for cohort in cohorts_mod.COHORTS:
@@ -419,8 +446,8 @@ def cmd_run_all(args) -> int:
         print(f"grid {cohort}: {ok}/{len(own)} cells ok")
         manifest_cells.extend((c.cohort, c.lead, c.lag, c.status) for c in own)
 
-    if not args.shuffle_labels:
-        _run_importance_reports(matrix, assignments, args, cfg, out)
+    if importance_args is not None:
+        _run_importance_reports(results[:first_cell], out)
 
     meta = {
         "package_version": __version__,

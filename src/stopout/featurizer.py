@@ -17,7 +17,8 @@ from typing import Sequence
 import numpy as np
 
 from .event_store import CourseDataset, CourseCalendar, week_of, week_start
-from .tsv import read_table, write_table
+from .errors import DataError
+from .tsv import read_table, row_line, write_table
 
 FEATURE_IDS: tuple[str, ...] = (
     "x2", "x3", "x4", "x5", "x6", "x7", "x8", "x9", "x10", "x11",
@@ -331,10 +332,30 @@ def export_feature_matrix(matrix: FeatureMatrix, path: str | Path) -> None:
 
 
 def _feature_row(cells: list[str]) -> tuple[str, int, int, list[float]]:
-    return cells[0], int(cells[1]), int(cells[2]), [float(v) for v in cells[3:]]
+    week = int(cells[1])
+    if week < 1:
+        raise ValueError(f"week {week} is out of range, weeks start at 1")
+    return cells[0], week, int(cells[2]), [float(v) for v in cells[3:]]
+
+
+def _check_learner_weeks(path, ids, keys, counts, learners, num_weeks) -> None:
+    """DataError at the first duplicate (learner, week) row, else at the
+    first row of the first learner missing a week."""
+    _, first = np.unique(keys, return_index=True)
+    repeated = np.setdiff1d(np.arange(keys.size), first)
+    if repeated.size:
+        i = int(repeated[0])
+        raise DataError(f"{path}:{row_line(path, i)}: duplicate row for learner {ids[i]} "
+                        f"week {int(keys[i]) % num_weeks + 1}")
+    gap = int(np.flatnonzero(counts == 0)[0])
+    lid = learners[gap // num_weeks]
+    raise DataError(f"{path}:{row_line(path, ids.index(lid))}: learner {lid} has no row "
+                    f"for week {gap % num_weeks + 1}")
 
 
 def load_feature_matrix(path: str | Path) -> FeatureMatrix:
+    """Read a features.tsv export; every learner needs exactly one row per
+    week 1..W, where W is the largest week in the file."""
     # rows stream into flat buffers (8 bytes per feature value) until the
     # learner and week counts are known
     ids, weeks, flat_labels = [], [], []
@@ -347,16 +368,17 @@ def load_feature_matrix(path: str | Path) -> FeatureMatrix:
     learners = sorted(set(ids))
     num_weeks = max(weeks, default=-1) + 1
     index = {lid: i for i, lid in enumerate(learners)}
-    at = ([index[lid] for lid in ids], weeks)
+    at = (np.array([index[lid] for lid in ids], dtype=np.int64), np.array(weeks, dtype=np.int64))
+    keys = at[0] * num_weeks + at[1]
+    counts = np.bincount(keys, minlength=len(learners) * num_weeks)
+    if counts.size and (counts.max() > 1 or counts.min() == 0):
+        _check_learner_weeks(path, ids, keys, counts, learners, num_weeks)
     values = np.zeros((len(learners), num_weeks, NUM_FEATURES))
     values[at] = np.frombuffer(flat_values).reshape(-1, NUM_FEATURES)
     labels = np.zeros((len(learners), num_weeks), dtype=np.int8)
     labels[at] = flat_labels
-    stopout = np.full(len(learners), num_weeks + 1, dtype=np.int64)
-    for i in range(len(learners)):
-        zeros = np.flatnonzero(labels[i] == 0)
-        if zeros.size:
-            stopout[i] = int(zeros[0]) + 1
+    # stopout week: the first week labelled 0, else num_weeks + 1
+    stopout = np.where(labels == 0, np.arange(1, num_weeks + 1), num_weeks + 1).min(axis=1, initial=num_weeks + 1)
     return FeatureMatrix(
         learners=learners,
         num_weeks=num_weeks,

@@ -8,6 +8,7 @@ score is the max over its copies, then averaged across prediction problems.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -56,16 +57,18 @@ def l1_logistic(
 
     lipschitz = np.linalg.norm(X1, ord=2) ** 2 / (4.0 * n)
     step = 1.0 / lipschitz
+    step_tau = step * tau
     beta = np.zeros(d + 1)
     look = beta
     t = 1.0
     for _ in range(max_iter):
         p = sigmoid(X1 @ look)
         grad = X1.T @ (p - y) / n
-        new_beta = soft_threshold(look - step * grad, step * tau)
-        t_new = (1.0 + np.sqrt(1.0 + 4.0 * t * t)) / 2.0
-        look = new_beta + ((t - 1.0) / t_new) * (new_beta - beta)
-        delta = float(np.max(np.abs(new_beta - beta)))
+        new_beta = soft_threshold(look - step * grad, step_tau)
+        t_new = (1.0 + math.sqrt(1.0 + 4.0 * t * t)) / 2.0
+        moved = new_beta - beta
+        look = new_beta + ((t - 1.0) / t_new) * moved
+        delta = float(np.max(np.abs(moved)))
         beta = new_beta
         t = t_new
         if delta < tol:
@@ -184,12 +187,56 @@ def stability_select(
 
 
 @dataclass
+class ProblemImportance:
+    """One problem's stability selection, or the status that skipped it."""
+
+    cohort: str
+    lead: int
+    lag: int
+    status: str
+    lam: float = 0.0
+    base_freq: dict[str, float] = field(default_factory=dict)
+
+
+def problem_importance(
+    matrix: FeatureMatrix,
+    spec: ProblemSpec,
+    assignments: dict[str, str] | None = None,
+    seed: int = 0,
+    subsamples: int = DEFAULT_SUBSAMPLES,
+    fraction: float = DEFAULT_FRACTION,
+    weight_floor: float = DEFAULT_WEIGHT_FLOOR,
+    target_support: int = DEFAULT_TARGET_SUPPORT,
+    min_rows: int = 10,
+) -> ProblemImportance:
+    """Stability selection on one problem, seeded by the problem alone.
+
+    A problem without enough usable rows or with fewer than two examples of
+    a class is skipped with a typed status instead of raising.
+    """
+    label = spec.cohort if spec.cohort is not None else ALL_COHORT
+    result = ProblemImportance(cohort=label, lead=spec.lead, lag=spec.lag, status=STATUS_OK)
+    X, y, _, columns = flatten(matrix, spec, assignments)
+    pos = int(np.sum(y == 1))
+    if y.size < min_rows:
+        result.status = STATUS_INSUFFICIENT
+    elif min(pos, y.size - pos) < 2:
+        result.status = STATUS_DEGENERATE
+    else:
+        rng = np.random.default_rng(cell_seed(seed, f"importance|{label}", spec.lead, spec.lag))
+        selection = stability_select(
+            X, y, columns, rng,
+            subsamples=subsamples, fraction=fraction,
+            weight_floor=weight_floor, target_support=target_support,
+        )
+        result.lam = selection.lam
+        result.base_freq = selection.base_freq
+    return result
+
+
+@dataclass
 class ImportanceReport:
     cohort: str
-    seed: int
-    subsamples: int
-    fraction: float
-    weight_floor: float
     statuses: list[tuple[str, int, int, str]]  # (cohort, lead, lag, status)
     lams: list[float] = field(default_factory=list)
     base_freq: dict[str, float] = field(default_factory=dict)
@@ -199,56 +246,40 @@ class ImportanceReport:
         return sorted(self.base_freq.items(), key=lambda kv: (-kv[1], order[kv[0]]))
 
 
+def combine_problems(problems: list[ProblemImportance]) -> ImportanceReport:
+    """Average base-feature frequencies over the problems that ran, in order.
+
+    Raises InsufficientDataError unless at least one problem ran.
+    """
+    used = [p for p in problems if p.status == STATUS_OK]
+    if not used:
+        raise InsufficientDataError("no prediction problem had enough usable rows")
+    sums = dict.fromkeys(FEATURE_IDS, 0.0)
+    for p in used:
+        for fid in FEATURE_IDS:
+            sums[fid] += p.base_freq.get(fid, 0.0)
+    labels = {p.cohort for p in problems}
+    return ImportanceReport(
+        cohort=labels.pop() if len(labels) == 1 else "mixed",
+        statuses=[(p.cohort, p.lead, p.lag, p.status) for p in problems],
+        lams=[p.lam for p in used],
+        base_freq={fid: sums[fid] / len(used) for fid in FEATURE_IDS},
+    )
+
+
 def run_importance(
     matrix: FeatureMatrix,
     specs: list[ProblemSpec],
     assignments: dict[str, str] | None = None,
-    seed: int = 0,
-    subsamples: int = DEFAULT_SUBSAMPLES,
-    fraction: float = DEFAULT_FRACTION,
-    weight_floor: float = DEFAULT_WEIGHT_FLOOR,
-    target_support: int = DEFAULT_TARGET_SUPPORT,
-    min_rows: int = 10,
+    **settings,
 ) -> ImportanceReport:
     """Stability selection over a set of problems, averaged per base feature.
 
-    Problems without enough usable rows or with fewer than two examples of a
-    class are skipped with a recorded status; at least one problem must
-    survive or InsufficientDataError is raised.
+    settings are problem_importance's keyword arguments. Problems that cannot
+    run keep a recorded status; at least one must run or
+    InsufficientDataError is raised.
     """
-    labels = {spec.cohort if spec.cohort is not None else ALL_COHORT for spec in specs}
-    cohort = labels.pop() if len(labels) == 1 else "mixed"
-    report = ImportanceReport(
-        cohort=cohort, seed=seed, subsamples=subsamples,
-        fraction=fraction, weight_floor=weight_floor, statuses=[],
-    )
-    sums: dict[str, float] = {fid: 0.0 for fid in FEATURE_IDS}
-    used = 0
-    for spec in specs:
-        label = spec.cohort if spec.cohort is not None else ALL_COHORT
-        X, y, _, columns = flatten(matrix, spec, assignments)
-        if y.size < min_rows:
-            report.statuses.append((label, spec.lead, spec.lag, STATUS_INSUFFICIENT))
-            continue
-        pos = int(np.sum(y == 1))
-        if min(pos, y.size - pos) < 2:
-            report.statuses.append((label, spec.lead, spec.lag, STATUS_DEGENERATE))
-            continue
-        rng = np.random.default_rng(cell_seed(seed, f"importance|{label}", spec.lead, spec.lag))
-        result = stability_select(
-            X, y, columns, rng,
-            subsamples=subsamples, fraction=fraction,
-            weight_floor=weight_floor, target_support=target_support,
-        )
-        for fid in FEATURE_IDS:
-            sums[fid] += result.base_freq.get(fid, 0.0)
-        used += 1
-        report.lams.append(result.lam)
-        report.statuses.append((label, spec.lead, spec.lag, STATUS_OK))
-    if used == 0:
-        raise InsufficientDataError("no prediction problem had enough usable rows")
-    report.base_freq = {fid: sums[fid] / used for fid in FEATURE_IDS}
-    return report
+    return combine_problems([problem_importance(matrix, spec, assignments, **settings) for spec in specs])
 
 
 IMPORTANCE_COLUMNS = ("cohort", "feature_id", "frequency")

@@ -29,12 +29,10 @@ Z_CLAMP = 709.0  # largest |z| exp() survives; keeps sigmoid(-1000) positive
 def sigmoid(z: np.ndarray) -> np.ndarray:
     """Numerically stable logistic function; never underflows to 0 or NaN."""
     z = np.clip(np.asarray(z, dtype=np.float64), -Z_CLAMP, Z_CLAMP)
-    out = np.empty_like(z)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out
+    # e^-|z| <= 1 cannot overflow; it is e^-z on one side of 0 and e^z on the other
+    e = np.exp(-np.abs(z))
+    denom = 1.0 + e
+    return np.where(z >= 0, 1.0 / denom, e / denom)
 
 
 def add_intercept(X: np.ndarray) -> np.ndarray:
@@ -50,13 +48,6 @@ def penalized_ll(beta: np.ndarray, X1: np.ndarray, y: np.ndarray, ridge: float) 
     z = X1 @ beta
     ll = float(np.sum(y * z - np.logaddexp(0.0, z)))
     return ll - 0.5 * ridge * float(np.sum(beta[1:] ** 2))
-
-
-def penalized_gradient(beta: np.ndarray, X1: np.ndarray, y: np.ndarray, ridge: float) -> np.ndarray:
-    p = sigmoid(X1 @ beta)
-    grad = X1.T @ (y - p)
-    grad[1:] -= ridge * beta[1:]
-    return grad
 
 
 @dataclass

@@ -9,6 +9,7 @@ one line at a time and never held as text.
 
 from __future__ import annotations
 
+from itertools import islice
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, Sequence, TypeVar
 
@@ -61,3 +62,11 @@ def read_table(
             except ValueError as exc:
                 raise DataError(f"{path}:{lineno}: {exc}") from None
             yield row
+
+
+def row_line(path: str | Path, index: int) -> int:
+    """The line number of a table file's index-th (0-based) data row."""
+    with open(path, encoding="utf-8") as fh:
+        fh.readline()
+        numbers = (lineno for lineno, line in enumerate(fh, start=2) if line.rstrip("\n"))
+        return next(islice(numbers, index, None))

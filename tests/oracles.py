@@ -4,6 +4,10 @@ Deliberately slow and simple: AUC by exhaustive pair counting in exact
 rational arithmetic, logistic maximum likelihood by a dense coefficient grid
 search with iterative refinement, and peer percentiles by counting. Production code has to match these,
 never the other way around.
+
+The sigmoid and FISTA references are the plain forms of the production
+kernels (two masked exps; every product recomputed inside the loop), kept so
+the lean kernels can be checked bit for bit against them.
 """
 
 from __future__ import annotations
@@ -94,3 +98,63 @@ def grid_mle_ll(
         if not on_edge:
             width *= shrink
     return best
+
+
+Z_CLAMP = 709.0
+
+
+def sigmoid_reference(z: np.ndarray) -> np.ndarray:
+    """Clipped logistic function with one exp per sign branch."""
+    z = np.clip(np.asarray(z, dtype=np.float64), -Z_CLAMP, Z_CLAMP)
+    out = np.empty_like(z)
+    pos = z >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
+    ez = np.exp(z[~pos])
+    out[~pos] = ez / (1.0 + ez)
+    return out
+
+
+def penalized_gradient(beta: np.ndarray, X1: np.ndarray, y: np.ndarray, ridge: float) -> np.ndarray:
+    """Gradient of the ridge-penalized log-likelihood; beta[0] is unpenalized."""
+    p = sigmoid_reference(X1 @ beta)
+    grad = X1.T @ (y - p)
+    grad[1:] -= ridge * beta[1:]
+    return grad
+
+
+def l1_logistic_reference(
+    X: np.ndarray,
+    y: np.ndarray,
+    lam: float,
+    weights: np.ndarray | None = None,
+    tol: float = 1e-7,
+    max_iter: int = 1000,
+) -> np.ndarray:
+    """FISTA for mean logistic loss + lam * sum_j weights_j |beta_j|, intercept first."""
+    X = np.asarray(X, dtype=np.float64)
+    y = np.asarray(y, dtype=np.float64)
+    n, d = X.shape
+    X1 = np.hstack([np.ones((n, 1)), X])
+    if weights is None:
+        weights = np.ones(d)
+    tau = np.zeros(d + 1)
+    tau[1:] = lam * weights
+
+    lipschitz = np.linalg.norm(X1, ord=2) ** 2 / (4.0 * n)
+    step = 1.0 / lipschitz
+    beta = np.zeros(d + 1)
+    look = beta
+    t = 1.0
+    for _ in range(max_iter):
+        p = sigmoid_reference(X1 @ look)
+        grad = X1.T @ (p - y) / n
+        v = look - step * grad
+        new_beta = np.sign(v) * np.maximum(np.abs(v) - step * tau, 0.0)
+        t_new = (1.0 + np.sqrt(1.0 + 4.0 * t * t)) / 2.0
+        look = new_beta + ((t - 1.0) / t_new) * (new_beta - beta)
+        delta = float(np.max(np.abs(new_beta - beta)))
+        beta = new_beta
+        t = t_new
+        if delta < tol:
+            break
+    return beta

@@ -12,7 +12,7 @@ import time
 import numpy as np
 import pytest
 
-from oracles import grid_mle_ll, pairwise_auc
+from oracles import grid_mle_ll, pairwise_auc, penalized_gradient
 from test_featurizer import ALICE_WEEK1
 
 from stopout.cli import main, load_manifest
@@ -21,7 +21,7 @@ from stopout.evaluator import roc_auc, roc_points, run_grid
 from stopout.event_store import ingest, dump_calendar
 from stopout.featurizer import FEATURE_INDEX, build_feature_matrix
 from stopout.importance import run_importance
-from stopout.logistic_model import add_intercept, penalized_gradient, penalized_ll, train
+from stopout.logistic_model import add_intercept, penalized_ll, train
 from stopout.synth import SynthConfig, generate, write_events
 
 COLLABORATION_FEATURES = {"x3", "x4", "x5", "x14", "x201"}

@@ -6,11 +6,16 @@ output are observable without spawning subprocesses.
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+import stopout
 from stopout.cli import (
     DEFAULTS,
     config_sha256,
@@ -80,6 +85,23 @@ def jobs_pair(pipeline):
             "run-all", "--events", str(pipeline.events), "--calendar", str(pipeline.calendar),
             "--out", str(out), "--config", str(pipeline.config),
             "--filter", "lead=1", "--jobs", jobs, "--shuffle-labels",
+        ])
+        assert rc == 0
+        outs.append(out)
+    return outs
+
+
+@pytest.fixture(scope="module")
+def importance_jobs_pair(pipeline):
+    """The same run with importance on, with one worker and with two."""
+    cfg = pipeline.base / "importance.cfg"
+    cfg.write_text("folds = 3\nimportance_subsamples = 5\n", encoding="utf-8")
+    outs = []
+    for jobs in ("1", "2"):
+        out = pipeline.base / f"importance_jobs{jobs}"
+        rc = main([
+            "run-all", "--events", str(pipeline.events), "--calendar", str(pipeline.calendar),
+            "--out", str(out), "--config", str(cfg), "--jobs", jobs,
         ])
         assert rc == 0
         outs.append(out)
@@ -430,6 +452,32 @@ def test_parallel_run_is_byte_identical(jobs_pair):
     assert names_one == names_two
     for rel in sorted(names_one):
         assert (one / rel).read_bytes() == (two / rel).read_bytes(), rel
+
+
+def test_parallel_importance_run_is_byte_identical(importance_jobs_pair):
+    one, two = importance_jobs_pair
+    names_one = {p.relative_to(one).as_posix() for p in one.rglob("*") if p.is_file()}
+    names_two = {p.relative_to(two).as_posix() for p in two.rglob("*") if p.is_file()}
+    assert names_one == names_two
+    assert "importance.tsv" in names_one
+    assert any(name.startswith("importance_") and name.endswith(".svg") for name in names_one)
+    for rel in sorted(names_one):
+        assert (one / rel).read_bytes() == (two / rel).read_bytes(), rel
+
+
+BLAS_THREADS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+@pytest.mark.parametrize("preset", [None, "2"])
+def test_cli_import_defaults_blas_threads_to_one(preset):
+    env = {k: v for k, v in os.environ.items() if k not in BLAS_THREADS}
+    src = str(Path(stopout.__file__).resolve().parent.parent)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    if preset is not None:
+        env["OPENBLAS_NUM_THREADS"] = preset
+    probe = f"import os, stopout.cli; print(*[os.environ[v] for v in {BLAS_THREADS!r}])"
+    found = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True)
+    assert found.stdout.split() == [preset or "1", "1", "1"]
 
 
 def test_manifest_loader_rejects_noise(tmp_path):

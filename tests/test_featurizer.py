@@ -11,6 +11,7 @@ from oracles import percentile_rank
 from stopout.errors import DataError
 from stopout.event_store import WEEK_SECONDS, CourseCalendar
 from stopout.featurizer import (
+    FEATURE_COLUMNS,
     FEATURE_IDS,
     FEATURE_INDEX,
     NUM_FEATURES,
@@ -26,6 +27,7 @@ from stopout.featurizer import (
     load_feature_matrix,
     stopout_profiles,
 )
+from stopout.tsv import write_table
 
 START = 1600000000
 BARE_CAL = CourseCalendar(course_start=START, num_weeks=14, problem_meta={})
@@ -302,6 +304,49 @@ def test_load_feature_matrix_errors(tmp_path):
     junk.write_text("learner\toops\n", encoding="utf-8")
     with pytest.raises(DataError, match="junk.tsv:1: bad header"):
         load_feature_matrix(junk)
+
+
+def _features_file(path, learner_weeks):
+    """A features.tsv with one row of constant features per (learner, week)."""
+    write_table(path, FEATURE_COLUMNS, ([lid, week, 1] + [0.5] * NUM_FEATURES for lid, week in learner_weeks))
+    return path
+
+
+def test_load_feature_matrix_rejects_week_below_one(tmp_path):
+    # before this check, week 0 overwrote week 2 through negative indexing
+    path = _features_file(tmp_path / "features.tsv", [("a", 1), ("a", 2), ("a", 0)])
+    with pytest.raises(DataError, match=r"features.tsv:4: week 0 is out of range"):
+        load_feature_matrix(path)
+    path = _features_file(tmp_path / "negative.tsv", [("a", -3), ("a", 1)])
+    with pytest.raises(DataError, match=r"negative.tsv:2: week -3 is out of range"):
+        load_feature_matrix(path)
+
+
+def test_load_feature_matrix_rejects_duplicate_learner_week(tmp_path):
+    path = _features_file(tmp_path / "features.tsv", [("a", 1), ("a", 2), ("b", 1), ("b", 2), ("a", 2)])
+    with pytest.raises(DataError, match=r"features.tsv:6: duplicate row for learner a week 2"):
+        load_feature_matrix(path)
+
+
+def test_load_feature_matrix_rejects_missing_learner_week(tmp_path):
+    # b lacks week 2; the error points at b's first row, after a blank line
+    path = tmp_path / "features.tsv"
+    _features_file(path, [("a", 1), ("a", 2), ("b", 1), ("c", 1), ("c", 2)])
+    lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+    path.write_text("".join(lines[:3] + ["\n"] + lines[3:]), encoding="utf-8")
+    with pytest.raises(DataError, match=r"features.tsv:5: learner b has no row for week 2"):
+        load_feature_matrix(path)
+
+
+def test_load_feature_matrix_accepts_rows_in_any_order(fixture_matrix, tmp_path):
+    path = tmp_path / "features.tsv"
+    export_feature_matrix(fixture_matrix, path)
+    header, *rows = path.read_text(encoding="utf-8").splitlines(keepends=True)
+    path.write_text(header + "".join(reversed(rows)), encoding="utf-8")
+    again = load_feature_matrix(path)
+    assert again.learners == fixture_matrix.learners
+    assert np.array_equal(again.values, fixture_matrix.values)
+    assert np.array_equal(again.stopout_week, fixture_matrix.stopout_week)
 
 
 def test_histogram_export(fixture_histogram, tmp_path):

@@ -4,6 +4,10 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from oracles import l1_logistic_reference
 
 from stopout.cohorts import WIKI
 from stopout.dataset_builder import ProblemSpec, column_names, normalize
@@ -13,9 +17,12 @@ from stopout.featurizer import FEATURE_IDS, NUM_FEATURES, FeatureMatrix
 from stopout.importance import (
     IMPORTANCE_COLUMNS,
     ImportanceReport,
+    ProblemImportance,
     calibrate_lambda,
+    combine_problems,
     export_importance,
     l1_logistic,
+    problem_importance,
     run_importance,
     soft_threshold,
     stability_select,
@@ -82,6 +89,20 @@ def test_l1_without_penalty_matches_smooth_trainer():
     p_l1 = sigmoid(beta[0] + X @ beta[1:])
     p_irls = predict_proba(smooth, X)
     assert p_l1 == pytest.approx(p_irls, abs=1e-5)
+
+
+@settings(max_examples=60)
+@given(st.integers(0, 2**32 - 1), st.booleans())
+def test_l1_logistic_is_bitwise_the_reference(seed, weighted):
+    rng = np.random.default_rng(seed)
+    n, d = int(rng.integers(4, 40)), int(rng.integers(1, 7))
+    X = rng.normal(size=(n, d)) * rng.uniform(0.1, 4.0, size=d)
+    y = (rng.random(n) < rng.uniform(0.1, 0.9)).astype(float)
+    lam = float(10.0 ** rng.uniform(-4.0, 0.0))
+    weights = rng.uniform(0.5, 1.0, size=d) if weighted else None
+    max_iter = int(rng.integers(1, 400))
+    ours = l1_logistic(X, y, lam, weights=weights, max_iter=max_iter)
+    assert np.array_equal(ours, l1_logistic_reference(X, y, lam, weights=weights, max_iter=max_iter))
 
 
 def test_calibrated_lambda_hits_target_support():
@@ -231,6 +252,39 @@ def test_statuses_are_typed_per_problem():
     assert len(report.lams) == 1
 
 
+PROBLEMS = [ProblemSpec(1, 1), ProblemSpec(2, 1), ProblemSpec(1, 2), ProblemSpec(1, 1, cohort=WIKI),
+            ProblemSpec(7, 1)]
+
+
+@settings(max_examples=6)
+@given(st.permutations(PROBLEMS), st.integers(1, len(PROBLEMS)), st.integers(0, 3))
+def test_run_importance_is_its_problems_combined_in_spec_order(small_course, order, k, seed):
+    # each problem seeds itself from its own key, so one computed alone (as a
+    # run-all pool task is) is the same as one computed within a list
+    specs = order[:k]
+    kwargs = {"seed": seed, "subsamples": 4, "min_rows": 10}
+    matrix, assignments = small_course.matrix, small_course.assignments
+    parts = [problem_importance(matrix, spec, assignments, **kwargs) for spec in specs]
+    if not any(p.status == STATUS_OK for p in parts):
+        with pytest.raises(InsufficientDataError):
+            run_importance(matrix, specs, assignments, **kwargs)
+        return
+    report = run_importance(matrix, specs, assignments, **kwargs)
+    assert report == combine_problems(parts)
+    assert report.statuses == [(p.cohort, p.lead, p.lag, p.status) for p in parts]
+
+
+def test_combine_averages_only_the_problems_that_ran():
+    ran = [ProblemImportance("all", 1, 1, STATUS_OK, lam=0.5, base_freq={"x2": 0.25, "x3": 1.0}),
+           ProblemImportance("all", 2, 1, STATUS_DEGENERATE),
+           ProblemImportance("all", 1, 2, STATUS_OK, lam=0.25, base_freq={"x2": 0.75})]
+    report = combine_problems(ran)
+    assert report.cohort == "all" and report.lams == [0.5, 0.25]
+    assert report.base_freq["x2"] == 0.5 and report.base_freq["x3"] == 0.5
+    assert report.base_freq["x9"] == 0.0
+    assert report.statuses[1] == ("all", 2, 1, STATUS_DEGENERATE)
+
+
 def test_no_usable_problem_raises(fixture_matrix):
     with pytest.raises(InsufficientDataError, match="enough usable rows"):
         run_importance(fixture_matrix, [ProblemSpec(1, 1)], seed=0)
@@ -241,21 +295,14 @@ def test_no_usable_problem_raises(fixture_matrix):
 
 def test_ranked_breaks_ties_in_feature_order():
     report = ImportanceReport(
-        cohort="all", seed=0, subsamples=1, fraction=1.0, weight_floor=1.0,
-        statuses=[], base_freq={"x9": 0.5, "x2": 0.5, "x210": 0.9},
+        cohort="all", statuses=[], base_freq={"x9": 0.5, "x2": 0.5, "x210": 0.9},
     )
     assert report.ranked() == [("x210", 0.9), ("x2", 0.5), ("x9", 0.5)]
 
 
 def test_export_round_trip(tmp_path):
-    a = ImportanceReport(
-        cohort="all", seed=0, subsamples=2, fraction=0.75, weight_floor=0.5,
-        statuses=[], base_freq={"x2": 1 / 3, "x9": 0.25},
-    )
-    b = ImportanceReport(
-        cohort=WIKI, seed=0, subsamples=2, fraction=0.75, weight_floor=0.5,
-        statuses=[], base_freq={"x2": 0.75},
-    )
+    a = ImportanceReport(cohort="all", statuses=[], base_freq={"x2": 1 / 3, "x9": 0.25})
+    b = ImportanceReport(cohort=WIKI, statuses=[], base_freq={"x2": 0.75})
     path = tmp_path / "importance.tsv"
     export_importance([a, b], path)
     loaded = {(cohort, fid): float(freq) for cohort, fid, freq in read_table(path, IMPORTANCE_COLUMNS)}

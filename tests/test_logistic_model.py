@@ -4,10 +4,10 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import grid_mle_ll, penalized_ll_reference
+from oracles import grid_mle_ll, penalized_gradient, penalized_ll_reference, sigmoid_reference
 from stopout.errors import DataError, DegenerateLabelsError
 from stopout.logistic_model import (
     RIDGE_LADDER,
@@ -15,7 +15,6 @@ from stopout.logistic_model import (
     add_intercept,
     apply_model,
     load_model,
-    penalized_gradient,
     penalized_ll,
     predict_proba,
     save_model,
@@ -42,6 +41,33 @@ def test_sigmoid_complement(z):
     p = sigmoid(arr)
     assert p[0] + p[1] == pytest.approx(1.0, abs=1e-12)
     assert np.all(np.isfinite(p))
+
+
+SIGN_BIT = np.uint64(1 << 63)
+SIGMOID_EDGES = [
+    709.0, -709.0, 710.0, -710.0, 0.0, -0.0, 708.9999999999999, -708.9999999999999,
+    5e-324, -5e-324, 2.2250738585072014e-308, -2.2250738585072009e-308,
+    36.7, -36.7, 1e308, -1e308,
+]
+
+
+def _bits(a: np.ndarray) -> np.ndarray:
+    return np.ascontiguousarray(a, dtype=np.float64).view(np.uint64)
+
+
+@settings(max_examples=300)
+@given(st.lists(st.floats(allow_nan=False, allow_infinity=False), max_size=40),
+       st.lists(st.sampled_from(SIGMOID_EDGES), max_size=8))
+def test_sigmoid_is_bitwise_the_reference(values, edges):
+    z = np.array(values + edges + SIGMOID_EDGES, dtype=np.float64)
+    assert np.array_equal(_bits(sigmoid(z)), _bits(sigmoid_reference(z)))
+
+
+def test_sigmoid_keeps_nan_up_to_its_sign():
+    z = np.array([np.nan, -np.nan, 1.0, np.nan, -2.0])
+    ours, ref = sigmoid(z), sigmoid_reference(z)
+    assert np.array_equal(np.isnan(ours), np.isnan(z))
+    assert np.array_equal(_bits(ours) & ~SIGN_BIT, _bits(ref) & ~SIGN_BIT)
 
 
 def test_sigmoid_strictly_increasing():
