@@ -322,6 +322,7 @@ def cmd_train_eval(args) -> int:
         cohort=label, lead=args.lead, lag=args.lag, predicted_week=spec.predicted_week,
         status="ok", n_rows=int(y.size), n_train=ev.n_train, n_test=ev.n_test,
         cv_mean=ev.cv_mean, train_auc=ev.train_auc, test_auc=ev.test_auc,
+        folds_used=len(ev.cv_aucs),
     )
     export_grid(GridResult(cohort=label, num_weeks=matrix.num_weeks, seed=seed, cells=[cell]),
                 out / "eval.tsv")
@@ -374,7 +375,9 @@ def _importance_pairs(cfg: dict[str, str], num_weeks: int) -> list[tuple[int, in
 
 
 def _run_importance_reports(problems: list[importance_mod.ProblemImportance], out: Path) -> None:
-    """Combine each cohort's problems into a report; write charts and importance.tsv."""
+    """Combine each cohort's problems into a report; write charts, importance.tsv
+    and importance_problems.tsv."""
+    importance_mod.export_problems(problems, out / "importance_problems.tsv")
     reports = []
     for cohort in cohorts_mod.COHORTS:
         try:
@@ -499,6 +502,7 @@ def cmd_importance(args) -> int:
         raise ConfigError("cohort-restricted problems need --cohorts FILE")
     report = importance_mod.run_importance(matrix, specs, assignments=assignments, **settings)
     importance_mod.export_importance(report, out / "importance.tsv")
+    importance_mod.export_problems(report.problems, out / "importance_problems.tsv")
     write_importance_chart(report.base_freq, out / "importance.svg",
                            title=f"{report.cohort} feature stability")
     top = ", ".join(f"{fid}={freq:.3f}" for fid, freq in report.ranked()[:5])

@@ -228,6 +228,7 @@ class CellResult:
     cv_mean: float | None = None
     train_auc: float | None = None
     test_auc: float | None = None
+    folds_used: int = 0  # cross-validation AUCs behind cv_mean
 
 
 @dataclass
@@ -288,6 +289,7 @@ def evaluate_cell(
     cell.cv_mean = ev.cv_mean
     cell.train_auc = ev.train_auc
     cell.test_auc = ev.test_auc
+    cell.folds_used = len(ev.cv_aucs)
     return cell
 
 
@@ -317,7 +319,7 @@ def run_grid(
 
 GRID_COLUMNS = (
     "cohort", "lead", "lag", "predicted_week", "status",
-    "n_rows", "n_train", "n_test", "cv_mean", "train_auc", "test_auc",
+    "n_rows", "n_train", "n_test", "cv_mean", "train_auc", "test_auc", "folds_used",
 )
 
 
@@ -328,7 +330,7 @@ def _fmt(value: float | None) -> str | float:
 def export_grid(grid: GridResult, path: str | Path) -> None:
     write_table(path, GRID_COLUMNS, (
         (c.cohort, c.lead, c.lag, c.predicted_week, c.status, c.n_rows, c.n_train, c.n_test,
-         _fmt(c.cv_mean), _fmt(c.train_auc), _fmt(c.test_auc))
+         _fmt(c.cv_mean), _fmt(c.train_auc), _fmt(c.test_auc), c.folds_used)
         for c in sorted(grid.cells, key=lambda c: (c.lag, c.lead))
     ))
 
@@ -350,10 +352,11 @@ def export_heatmap_matrix(grid: GridResult, path: str | Path, value: str = "test
 
 
 def _grid_cell(cells: list[str]) -> CellResult:
-    cohort, lead, lag, predicted_week, status, n_rows, n_train, n_test, *aucs = cells
+    cohort, lead, lag, predicted_week, status, n_rows, n_train, n_test, *aucs, folds_used = cells
     return CellResult(
         cohort, int(lead), int(lag), int(predicted_week), status,
         int(n_rows), int(n_train), int(n_test), *(float(v) if v else None for v in aucs),
+        int(folds_used),
     )
 
 

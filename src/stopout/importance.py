@@ -11,6 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -32,6 +33,15 @@ def soft_threshold(v: np.ndarray, tau: np.ndarray) -> np.ndarray:
     return np.sign(v) * np.maximum(np.abs(v) - tau, 0.0)
 
 
+class L1Fit(NamedTuple):
+    """One l1 fit: beta with intercept first, the FISTA iterations it ran,
+    and whether it stopped by meeting tol rather than at max_iter."""
+
+    beta: np.ndarray
+    iterations: int
+    converged: bool
+
+
 def l1_logistic(
     X: np.ndarray,
     y: np.ndarray,
@@ -39,12 +49,16 @@ def l1_logistic(
     weights: np.ndarray | None = None,
     tol: float = 1e-7,
     max_iter: int = 1000,
-) -> np.ndarray:
-    """l1-penalized logistic fit by FISTA; returns beta with intercept first.
+    init: np.ndarray | None = None,
+) -> L1Fit:
+    """l1-penalized logistic fit by FISTA with adaptive restart.
 
     Minimizes mean logistic loss plus lam * sum_j weights_j * |beta_j| over
-    the non-intercept coordinates. The step size comes from the loss's exact
-    Lipschitz bound, so no line search is needed.
+    the non-intercept coordinates, starting from init (zeros when None). The
+    step size comes from the loss's exact Lipschitz bound, so no line search
+    is needed. Momentum restarts whenever the proximal step points against
+    it (O'Donoghue & Candes 2015, gradient scheme). The fit has converged when
+    a step moves no coordinate by tol or more.
     """
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
@@ -58,22 +72,23 @@ def l1_logistic(
     lipschitz = np.linalg.norm(X1, ord=2) ** 2 / (4.0 * n)
     step = 1.0 / lipschitz
     step_tau = step * tau
-    beta = np.zeros(d + 1)
+    beta = np.zeros(d + 1) if init is None else np.array(init, dtype=np.float64)
     look = beta
     t = 1.0
-    for _ in range(max_iter):
+    for iteration in range(1, max_iter + 1):
         p = sigmoid(X1 @ look)
         grad = X1.T @ (p - y) / n
         new_beta = soft_threshold(look - step * grad, step_tau)
-        t_new = (1.0 + math.sqrt(1.0 + 4.0 * t * t)) / 2.0
         moved = new_beta - beta
+        if np.dot(look - new_beta, moved) > 0.0:
+            t = 1.0  # restart: this step takes no momentum
+        t_new = (1.0 + math.sqrt(1.0 + 4.0 * t * t)) / 2.0
         look = new_beta + ((t - 1.0) / t_new) * moved
-        delta = float(np.max(np.abs(moved)))
         beta = new_beta
         t = t_new
-        if delta < tol:
-            break
-    return beta
+        if float(np.max(np.abs(moved))) < tol:
+            return L1Fit(beta, iteration, True)
+    return L1Fit(beta, max_iter, False)
 
 
 def _base_id(column: str) -> str:
@@ -88,6 +103,12 @@ def _support_size(beta: np.ndarray, columns: list[str], eps: float) -> int:
     return len(selected)
 
 
+class Calibration(NamedTuple):
+    lam: float
+    fit: L1Fit  # the full-data fit at lam
+    fits: list[L1Fit]  # every fit the calibration ran, in order
+
+
 def calibrate_lambda(
     X: np.ndarray,
     y: np.ndarray,
@@ -95,12 +116,13 @@ def calibrate_lambda(
     target_support: int = DEFAULT_TARGET_SUPPORT,
     eps: float = SELECT_EPS,
     steps: int = 25,
-) -> float:
+) -> Calibration:
     """Pick the l1 strength whose full-data support is closest to the target.
 
     Support counts base features, not columns. Geometric bisection between a
     tiny penalty and the smallest all-zero penalty; ties prefer the sparser
-    (larger) lambda.
+    (larger) lambda. Each step starts from the previous step's solution,
+    whose lambda is an endpoint of the current interval.
     """
     n = X.shape[0]
     resid = y - float(np.mean(y))
@@ -108,18 +130,24 @@ def calibrate_lambda(
     if lam_max <= 0.0:
         raise DataError("cannot calibrate l1 strength on constant labels")
     lo, hi = lam_max * 1e-4, lam_max
-    best_lam, best_diff = hi, abs(0 - target_support)
+    best_lam, best_diff, best_fit = hi, abs(0 - target_support), None
+    fits: list[L1Fit] = []
     for _ in range(steps):
         mid = float(np.sqrt(lo * hi))
-        support = _support_size(l1_logistic(X, y, mid), columns, eps)
+        fit = l1_logistic(X, y, mid, init=fits[-1].beta if fits else None)
+        fits.append(fit)
+        support = _support_size(fit.beta, columns, eps)
         diff = abs(support - target_support)
         if diff < best_diff or (diff == best_diff and mid > best_lam):
-            best_lam, best_diff = mid, diff
+            best_lam, best_diff, best_fit = mid, diff, fit
         if support > target_support:
             lo = mid
         else:
             hi = mid
-    return best_lam
+    if best_fit is None:  # no midpoint beat the all-zero lam_max
+        best_fit = l1_logistic(X, y, best_lam)
+        fits.append(best_fit)
+    return Calibration(best_lam, best_fit, fits)
 
 
 def _stratified_subsample(y: np.ndarray, fraction: float, rng: np.random.Generator) -> np.ndarray:
@@ -138,6 +166,9 @@ class StabilityResult:
     base_freq: dict[str, float]
     lam: float
     subsamples: int
+    l1_fits: int  # every l1 fit run, calibration included
+    l1_iterations: int
+    l1_unconverged: int
 
 
 def stability_select(
@@ -157,7 +188,8 @@ def stability_select(
     Each round draws a stratified row subsample and fresh per-column penalty
     weights uniform on [weight_floor, 1]; a column counts as selected when its
     coefficient magnitude clears eps. Base-feature scores take the max over
-    that feature's weekly copies.
+    that feature's weekly copies. Every round starts from the full-data
+    solution at lam: the calibration's own fit, or one fit when lam is given.
     """
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
@@ -169,20 +201,26 @@ def stability_select(
     y = y[order]
     Xn, _, _, _ = normalize(X)
     if lam is None:
-        lam = calibrate_lambda(Xn, y, columns, target_support=target_support, eps=eps)
+        lam, full, fits = calibrate_lambda(Xn, y, columns, target_support=target_support, eps=eps)
+    else:
+        full = l1_logistic(Xn, y, lam)
+        fits = [full]
     hits = np.zeros(len(columns))
     for _ in range(subsamples):
         weights = rng.uniform(weight_floor, 1.0, size=len(columns))
         idx = _stratified_subsample(y, fraction, rng)
-        beta = l1_logistic(Xn[idx], y[idx], lam, weights=weights)
-        hits += (np.abs(beta[1:]) > eps).astype(np.float64)
+        fit = l1_logistic(Xn[idx], y[idx], lam, weights=weights, init=full.beta)
+        fits.append(fit)
+        hits += (np.abs(fit.beta[1:]) > eps).astype(np.float64)
     freq = hits / subsamples
     base: dict[str, float] = {}
     for j, col in enumerate(columns):
         fid = _base_id(col)
         base[fid] = max(base.get(fid, 0.0), float(freq[j]))
     return StabilityResult(
-        columns=list(columns), column_freq=freq, base_freq=base, lam=lam, subsamples=subsamples
+        columns=list(columns), column_freq=freq, base_freq=base, lam=lam, subsamples=subsamples,
+        l1_fits=len(fits), l1_iterations=sum(f.iterations for f in fits),
+        l1_unconverged=sum(not f.converged for f in fits),
     )
 
 
@@ -194,8 +232,11 @@ class ProblemImportance:
     lead: int
     lag: int
     status: str
-    lam: float = 0.0
+    lam: float | None = None
     base_freq: dict[str, float] = field(default_factory=dict)
+    l1_fits: int = 0
+    l1_iterations: int = 0
+    l1_unconverged: int = 0
 
 
 def problem_importance(
@@ -231,15 +272,25 @@ def problem_importance(
         )
         result.lam = selection.lam
         result.base_freq = selection.base_freq
+        result.l1_fits = selection.l1_fits
+        result.l1_iterations = selection.l1_iterations
+        result.l1_unconverged = selection.l1_unconverged
     return result
 
 
 @dataclass
 class ImportanceReport:
     cohort: str
-    statuses: list[tuple[str, int, int, str]]  # (cohort, lead, lag, status)
-    lams: list[float] = field(default_factory=list)
+    problems: list[ProblemImportance] = field(default_factory=list)
     base_freq: dict[str, float] = field(default_factory=dict)
+
+    @property
+    def statuses(self) -> list[tuple[str, int, int, str]]:
+        return [(p.cohort, p.lead, p.lag, p.status) for p in self.problems]
+
+    @property
+    def lams(self) -> list[float]:
+        return [p.lam for p in self.problems if p.status == STATUS_OK]
 
     def ranked(self) -> list[tuple[str, float]]:
         order = {fid: i for i, fid in enumerate(FEATURE_IDS)}
@@ -261,8 +312,7 @@ def combine_problems(problems: list[ProblemImportance]) -> ImportanceReport:
     labels = {p.cohort for p in problems}
     return ImportanceReport(
         cohort=labels.pop() if len(labels) == 1 else "mixed",
-        statuses=[(p.cohort, p.lead, p.lag, p.status) for p in problems],
-        lams=[p.lam for p in used],
+        problems=list(problems),
         base_freq={fid: sums[fid] / len(used) for fid in FEATURE_IDS},
     )
 
@@ -283,6 +333,7 @@ def run_importance(
 
 
 IMPORTANCE_COLUMNS = ("cohort", "feature_id", "frequency")
+PROBLEM_COLUMNS = ("cohort", "lead", "lag", "status", "lam", "l1_fits", "l1_iterations", "l1_unconverged")
 
 
 def export_importance(reports: ImportanceReport | list[ImportanceReport], path: str | Path) -> None:
@@ -290,4 +341,13 @@ def export_importance(reports: ImportanceReport | list[ImportanceReport], path: 
         reports = [reports]
     write_table(path, IMPORTANCE_COLUMNS, (
         (report.cohort, fid, freq) for report in reports for fid, freq in report.ranked()
+    ))
+
+
+def export_problems(problems: list[ProblemImportance], path: str | Path) -> None:
+    """One row per problem: its status, calibrated lambda and l1 solver counts."""
+    write_table(path, PROBLEM_COLUMNS, (
+        (p.cohort, p.lead, p.lag, p.status, "" if p.lam is None else p.lam,
+         p.l1_fits, p.l1_iterations, p.l1_unconverged)
+        for p in problems
     ))

@@ -7,7 +7,8 @@ never the other way around.
 
 The sigmoid and FISTA references are the plain forms of the production
 kernels (two masked exps; every product recomputed inside the loop), kept so
-the lean kernels can be checked bit for bit against them.
+the lean kernels can be checked bit for bit against them. The l1 KKT
+violation checks any l1 fit against the optimality conditions themselves.
 """
 
 from __future__ import annotations
@@ -129,8 +130,14 @@ def l1_logistic_reference(
     weights: np.ndarray | None = None,
     tol: float = 1e-7,
     max_iter: int = 1000,
-) -> np.ndarray:
-    """FISTA for mean logistic loss + lam * sum_j weights_j |beta_j|, intercept first."""
+    init: np.ndarray | None = None,
+) -> tuple[np.ndarray, int, bool]:
+    """FISTA with gradient-scheme adaptive restart for mean logistic loss +
+    lam * sum_j weights_j |beta_j|, intercept first, from init (or zeros).
+
+    Returns (beta, iterations run, whether a step moved every coordinate by
+    less than tol).
+    """
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
     n, d = X.shape
@@ -142,19 +149,51 @@ def l1_logistic_reference(
 
     lipschitz = np.linalg.norm(X1, ord=2) ** 2 / (4.0 * n)
     step = 1.0 / lipschitz
-    beta = np.zeros(d + 1)
+    beta = np.zeros(d + 1) if init is None else np.array(init, dtype=np.float64)
     look = beta
     t = 1.0
-    for _ in range(max_iter):
+    for k in range(max_iter):
         p = sigmoid_reference(X1 @ look)
         grad = X1.T @ (p - y) / n
         v = look - step * grad
         new_beta = np.sign(v) * np.maximum(np.abs(v) - step * tau, 0.0)
+        if np.dot(look - new_beta, new_beta - beta) > 0.0:
+            t = 1.0  # the step went against the momentum: drop it
         t_new = (1.0 + np.sqrt(1.0 + 4.0 * t * t)) / 2.0
         look = new_beta + ((t - 1.0) / t_new) * (new_beta - beta)
         delta = float(np.max(np.abs(new_beta - beta)))
         beta = new_beta
         t = t_new
         if delta < tol:
-            break
-    return beta
+            return beta, k + 1, True
+    return beta, max_iter, False
+
+
+def l1_kkt_violation(
+    beta: np.ndarray,
+    X: np.ndarray,
+    y: np.ndarray,
+    lam: float,
+    weights: np.ndarray | None = None,
+) -> float:
+    """Largest breach of the optimality conditions of mean logistic loss +
+    lam * sum_j weights_j |beta_j| (intercept beta[0] unpenalized).
+
+    With g the loss gradient: g_0 = 0; g_j = -lam w_j sign(beta_j) where
+    beta_j != 0; |g_j| <= lam w_j where beta_j = 0. Zero at the exact optimum.
+    """
+    X = np.asarray(X, dtype=np.float64)
+    y = np.asarray(y, dtype=np.float64)
+    beta = np.asarray(beta, dtype=np.float64)
+    n, d = X.shape
+    X1 = np.hstack([np.ones((n, 1)), X])
+    g = X1.T @ (sigmoid_reference(X1 @ beta) - y) / n
+    bound = lam * (np.ones(d) if weights is None else np.asarray(weights, dtype=np.float64))
+    worst = abs(float(g[0]))
+    for j in range(d):
+        if beta[j + 1] != 0.0:
+            breach = abs(float(g[j + 1]) + bound[j] * np.sign(beta[j + 1]))
+        else:
+            breach = max(abs(float(g[j + 1])) - bound[j], 0.0)
+        worst = max(worst, breach)
+    return worst

@@ -27,9 +27,12 @@ from stopout.cli import (
     parse_problem_pairs,
     sha256_file,
 )
+from stopout.cohorts import COHORTS
 from stopout.dataset_builder import ProblemSpec, column_names
 from stopout.errors import ConfigError, DataError
 from stopout.featurizer import FeatureMatrix, export_feature_matrix
+from stopout.importance import PROBLEM_COLUMNS
+from stopout.tsv import read_table
 
 
 @pytest.fixture(scope="module")
@@ -376,6 +379,9 @@ def test_importance_command_writes_report_and_chart(pipeline, tmp_path, capsys):
     assert rc == 0
     assert "importance: top features" in capsys.readouterr().out
     assert (out / "importance.tsv").exists() and (out / "importance.svg").exists()
+    rows = list(read_table(out / "importance_problems.tsv", PROBLEM_COLUMNS))
+    assert [row[:4] for row in rows] == [["all", "1", "1", "ok"]]
+    assert int(rows[0][5]) == 25 + 10  # calibration fits, then one per subsample
 
 
 def test_importance_cohort_problem_needs_cohorts_file(pipeline, tmp_path, capsys):
@@ -433,8 +439,25 @@ def test_run_all_writes_grid_artifacts_per_cohort(runall_dir):
         assert (runall_dir / f"heatmap_{cohort}.tsv").exists()
         assert (runall_dir / f"heatmap_{cohort}.svg").exists()
     assert (runall_dir / "importance.tsv").exists()
+    assert (runall_dir / "importance_problems.tsv").exists()
     assert (runall_dir / "features.tsv").exists()
     assert (runall_dir / "cohorts.tsv").exists()
+
+
+def test_run_all_reports_every_importance_problem(runall_dir):
+    rows = list(read_table(runall_dir / "importance_problems.tsv", PROBLEM_COLUMNS))
+    # no configured problem fits 4 weeks, so each cohort runs (1, 1)
+    assert [tuple(row[:3]) for row in rows] == [(cohort, "1", "1") for cohort in COHORTS]
+    for cohort, _, _, status, lam, fits, iterations, unconverged in rows:
+        assert status in {"ok", "insufficient_data", "degenerate_labels"}
+        if status == "ok":
+            assert float(lam) > 0.0 and int(fits) == 25 + 20
+            assert int(fits) <= int(iterations) and 0 <= int(unconverged) <= int(fits)
+        else:
+            assert (lam, fits, iterations, unconverged) == ("", "0", "0", "0")
+    assert any(row[3] == "ok" for row in rows)
+    man = load_manifest(runall_dir / "manifest.tsv")
+    assert "importance_problems.tsv" in {row[0] for row in man["file"]}
 
 
 def test_shuffled_runs_skip_importance(jobs_pair):
@@ -532,7 +555,7 @@ def test_train_eval_row_equals_the_run_all_grid_row(pipeline, runall_dir, tmp_pa
     [
         ("featurize", 2, "12x"),  # dataset.tsv timestamp
         ("train-eval", -1, None),  # features.tsv row one cell short
-        ("heatmap", -1, "abc"),  # grid test_auc
+        ("heatmap", -1, "abc"),  # grid folds_used, the last column
     ],
 )
 def test_malformed_intermediate_row_exits_3(pipeline, runall_dir, tmp_path, capsys, command, column, value):

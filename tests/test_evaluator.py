@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -21,6 +22,7 @@ from stopout.evaluator import (
     GridResult,
     cell_seed,
     cross_validate,
+    evaluate_cell,
     evaluate_problem,
     export_grid,
     export_heatmap_matrix,
@@ -204,6 +206,18 @@ def test_grid_covers_all_problems(small_course):
     assert any(c.status == STATUS_OK for c in grid.cells)
 
 
+def test_cell_records_the_folds_cross_validation_used(small_course):
+    m = small_course.matrix
+    full = evaluate_cell(m, ProblemSpec(lead=1, lag=1), seed=4, folds=4)
+    assert full.status == STATUS_OK and full.folds_used == 4
+    with pytest.warns(RuntimeWarning, match=r"reducing cross-validation folds from 1000 to (\d+)") as caught:
+        reduced = evaluate_cell(m, ProblemSpec(lead=1, lag=1), seed=4, folds=1000)
+    k = int(re.search(r"to (\d+)", str(caught[0].message)).group(1))
+    assert reduced.folds_used == k and 2 <= k < 1000
+    skipped = evaluate_cell(m, ProblemSpec(lead=1, lag=1), min_rows=10**9)
+    assert skipped.status == STATUS_INSUFFICIENT and skipped.folds_used == 0
+
+
 def test_grid_cells_do_not_depend_on_iteration_order(small_course):
     m = small_course.matrix
     specs = [ProblemSpec(lead=1, lag=1), ProblemSpec(lead=2, lag=3), ProblemSpec(lead=3, lag=2)]
@@ -272,6 +286,20 @@ def test_grid_round_trip(small_course, tmp_path):
     by_key = {(c.lead, c.lag): c for c in again.cells}
     for cell in grid.cells:
         assert by_key[(cell.lead, cell.lag)] == cell
+
+
+def test_grid_round_trip_keeps_folds_used(tmp_path):
+    grid = GridResult(cohort="all", num_weeks=3, seed=0, cells=[
+        CellResult(cohort="all", lead=1, lag=1, predicted_week=2, status=STATUS_OK, n_rows=12,
+                   n_train=8, n_test=4, cv_mean=0.75, train_auc=1.0, test_auc=0.5, folds_used=3),
+        CellResult(cohort="all", lead=2, lag=1, predicted_week=3, status=STATUS_INSUFFICIENT, n_rows=3),
+    ])
+    path = tmp_path / "grid.tsv"
+    export_grid(grid, path)
+    header, ok_row, skipped_row = path.read_text(encoding="utf-8").splitlines()
+    assert header.split("\t")[-1] == "folds_used"
+    assert ok_row.split("\t")[-1] == "3" and skipped_row.split("\t")[-1] == "0"
+    assert load_grid(path).cells == grid.cells
 
 
 def test_grid_export_is_sorted_by_lag_then_lead(small_course, tmp_path):

@@ -7,8 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import l1_logistic_reference
+from oracles import l1_kkt_violation, l1_logistic_reference
 
+from stopout import importance
 from stopout.cohorts import WIKI
 from stopout.dataset_builder import ProblemSpec, column_names, normalize
 from stopout.errors import DataError, InsufficientDataError
@@ -16,11 +17,14 @@ from stopout.evaluator import STATUS_DEGENERATE, STATUS_INSUFFICIENT, STATUS_OK
 from stopout.featurizer import FEATURE_IDS, NUM_FEATURES, FeatureMatrix
 from stopout.importance import (
     IMPORTANCE_COLUMNS,
+    PROBLEM_COLUMNS,
     ImportanceReport,
     ProblemImportance,
+    _stratified_subsample,
     calibrate_lambda,
     combine_problems,
     export_importance,
+    export_problems,
     l1_logistic,
     problem_importance,
     run_importance,
@@ -73,7 +77,7 @@ def test_soft_threshold():
 
 def test_l1_heavy_penalty_keeps_only_intercept():
     X, y = planted_instance(1)
-    beta = l1_logistic(X, y, lam=10.0)
+    beta = l1_logistic(X, y, lam=10.0).beta
     assert np.all(beta[1:] == 0.0)
     assert sigmoid(np.array([beta[0]]))[0] == pytest.approx(y.mean(), abs=1e-4)
 
@@ -83,7 +87,7 @@ def test_l1_without_penalty_matches_smooth_trainer():
     X = rng.normal(size=(80, 3))
     z = X @ np.array([1.0, -1.5, 0.0])
     y = (rng.random(80) < 1 / (1 + np.exp(-z))).astype(float)
-    beta = l1_logistic(X, y, lam=0.0, tol=1e-10, max_iter=20000)
+    beta = l1_logistic(X, y, lam=0.0, tol=1e-10, max_iter=20000).beta
     smooth = train(X, y)
     assert smooth.converged
     p_l1 = sigmoid(beta[0] + X @ beta[1:])
@@ -92,8 +96,8 @@ def test_l1_without_penalty_matches_smooth_trainer():
 
 
 @settings(max_examples=60)
-@given(st.integers(0, 2**32 - 1), st.booleans())
-def test_l1_logistic_is_bitwise_the_reference(seed, weighted):
+@given(st.integers(0, 2**32 - 1), st.booleans(), st.booleans())
+def test_l1_logistic_is_bitwise_the_reference(seed, weighted, warm):
     rng = np.random.default_rng(seed)
     n, d = int(rng.integers(4, 40)), int(rng.integers(1, 7))
     X = rng.normal(size=(n, d)) * rng.uniform(0.1, 4.0, size=d)
@@ -101,22 +105,102 @@ def test_l1_logistic_is_bitwise_the_reference(seed, weighted):
     lam = float(10.0 ** rng.uniform(-4.0, 0.0))
     weights = rng.uniform(0.5, 1.0, size=d) if weighted else None
     max_iter = int(rng.integers(1, 400))
-    ours = l1_logistic(X, y, lam, weights=weights, max_iter=max_iter)
-    assert np.array_equal(ours, l1_logistic_reference(X, y, lam, weights=weights, max_iter=max_iter))
+    init = rng.normal(size=d + 1) if warm else None
+    ours = l1_logistic(X, y, lam, weights=weights, max_iter=max_iter, init=init)
+    beta, iterations, converged = l1_logistic_reference(
+        X, y, lam, weights=weights, max_iter=max_iter, init=init)
+    assert np.array_equal(ours.beta, beta)
+    assert (ours.iterations, ours.converged) == (iterations, converged)
+
+
+# planted problems the solver oracles run on
+PLANTED_SEEDS = (1, 3, 6, 77, 4000, 4001)
+
+
+def _support(beta: np.ndarray) -> np.ndarray:
+    return np.abs(beta[1:]) > 1e-6
+
+
+def test_converged_fits_meet_the_kkt_conditions_on_random_problems():
+    for seed in range(20):
+        rng = np.random.default_rng(seed)
+        n, d = int(rng.integers(20, 200)), int(rng.integers(1, 20))
+        X = rng.normal(size=(n, d)) * rng.uniform(0.5, 2.0, size=d)
+        y = (rng.random(n) < rng.uniform(0.2, 0.8)).astype(float)
+        lam = float(10.0 ** rng.uniform(-3.0, -0.5))
+        weights = rng.uniform(0.5, 1.0, size=d)
+        fit = l1_logistic(X, y, lam, weights=weights)
+        assert fit.converged and 1 <= fit.iterations < 1000, seed
+        assert l1_kkt_violation(fit.beta, X, y, lam, weights) <= 1e-5, seed
+
+
+def test_planted_fits_converge_and_warm_starts_keep_the_support():
+    # the stability-selection pattern: calibrate on the full data, then fit
+    # reweighted subsamples from the full-data solution
+    for seed in PLANTED_SEEDS:
+        X, y = planted_instance(seed)
+        Xn, _, _, _ = normalize(X)
+        cal = calibrate_lambda(Xn, y, LAG1_COLUMNS)
+        assert cal.fit.converged
+        assert l1_kkt_violation(cal.fit.beta, Xn, y, cal.lam) <= 1e-5
+        rng = np.random.default_rng(seed)
+        for _ in range(10):
+            weights = rng.uniform(0.5, 1.0, size=Xn.shape[1])
+            idx = _stratified_subsample(y, 0.75, rng)
+            cold = l1_logistic(Xn[idx], y[idx], cal.lam, weights=weights)
+            warm = l1_logistic(Xn[idx], y[idx], cal.lam, weights=weights, init=cal.fit.beta)
+            assert cold.converged and warm.converged
+            assert l1_kkt_violation(warm.beta, Xn[idx], y[idx], cal.lam, weights) <= 1e-5
+            assert np.array_equal(_support(warm.beta), _support(cold.beta)), seed
+
+
+def test_warm_started_calibration_picks_the_cold_start_lambda():
+    for seed in PLANTED_SEEDS:
+        X, y = planted_instance(seed)
+        Xn, _, _, _ = normalize(X)
+        # the bisection written out, every fit from zero
+        n = Xn.shape[0]
+        lam_max = float(np.max(np.abs(Xn.T @ (y - y.mean())))) / n
+        lo, hi = lam_max * 1e-4, lam_max
+        best_lam, best_diff = hi, 8
+        for _ in range(25):
+            mid = float(np.sqrt(lo * hi))
+            beta = l1_logistic(Xn, y, mid).beta
+            support = len({col.split("_", 1)[1] for col, on in zip(LAG1_COLUMNS, _support(beta)) if on})
+            diff = abs(support - 8)
+            if diff < best_diff or (diff == best_diff and mid > best_lam):
+                best_lam, best_diff = mid, diff
+            if support > 8:
+                lo = mid
+            else:
+                hi = mid
+        cal = calibrate_lambda(Xn, y, LAG1_COLUMNS)
+        assert cal.lam == best_lam, seed
+        assert len(cal.fits) == 25 and any(f is cal.fit for f in cal.fits)
 
 
 def test_calibrated_lambda_hits_target_support():
     for seed in (4000, 4001):
         X, y = planted_instance(seed)
         Xn, _, _, _ = normalize(X)
-        lam = calibrate_lambda(Xn, y, LAG1_COLUMNS)
-        beta = l1_logistic(Xn, y, lam)
+        lam = calibrate_lambda(Xn, y, LAG1_COLUMNS).lam
+        beta = l1_logistic(Xn, y, lam).beta
         support = {
             col.split("_", 1)[1]
             for j, col in enumerate(LAG1_COLUMNS)
             if abs(beta[j + 1]) > 1e-6
         }
         assert len(support) == 8
+
+
+def test_calibration_without_a_better_midpoint_fits_lam_max():
+    # a target of 0 features is met by lam_max itself, which no midpoint beats
+    X, y = planted_instance(4000)
+    Xn, _, _, _ = normalize(X)
+    cal = calibrate_lambda(Xn, y, LAG1_COLUMNS, target_support=0)
+    assert cal.lam == float(np.max(np.abs(Xn.T @ (y - y.mean())))) / y.size
+    assert len(cal.fits) == 26 and cal.fit is cal.fits[-1]
+    assert cal.fit.converged and not _support(cal.fit.beta).any()
 
 
 def test_calibrate_lambda_rejects_constant_labels():
@@ -137,7 +221,7 @@ def test_degenerate_parameters_reduce_to_single_fit():
     )
     order = np.lexsort(np.vstack([X.T, y[None, :]]))  # the canonical row order
     Xn, _, _, _ = normalize(X[order])
-    beta = l1_logistic(Xn, y[order], lam)
+    beta = l1_logistic(Xn, y[order], lam).beta
     assert np.array_equal(res.column_freq, (np.abs(beta[1:]) > 1e-6).astype(float))
     assert res.lam == lam and res.subsamples == 1
 
@@ -181,6 +265,39 @@ def test_base_score_is_max_over_lag_copies():
         fid = col.split("_", 1)[1]
         assert res.base_freq[fid] >= res.column_freq[j]
     assert set(res.base_freq) == set(FEATURE_IDS)
+
+
+def test_stability_select_counts_every_l1_fit():
+    X, y = planted_instance(6, n=90)
+    calibrated = stability_select(X, y, LAG1_COLUMNS, np.random.default_rng(2), subsamples=12)
+    assert calibrated.l1_fits == 25 + 12  # the bisection's fits, then one per subsample
+    given = stability_select(X, y, LAG1_COLUMNS, np.random.default_rng(2), subsamples=12,
+                             lam=calibrated.lam)
+    assert given.l1_fits == 1 + 12  # one cold full-data fit instead of the bisection
+    assert np.array_equal(given.column_freq, calibrated.column_freq)
+    for res in (calibrated, given):
+        assert res.l1_fits <= res.l1_iterations <= 1000 * res.l1_fits
+        assert 0 <= res.l1_unconverged <= res.l1_fits
+
+
+def test_each_fit_starts_from_its_nearest_solved_neighbour(monkeypatch):
+    calls = []
+    real = importance.l1_logistic
+
+    def spy(X, y, lam, **kwargs):
+        fit = real(X, y, lam, **kwargs)
+        calls.append((kwargs.get("init"), fit))
+        return fit
+
+    monkeypatch.setattr(importance, "l1_logistic", spy)
+    X, y = planted_instance(6, n=90)
+    stability_select(X, y, LAG1_COLUMNS, np.random.default_rng(2), subsamples=5)
+    bisection, rounds = calls[:25], calls[25:]
+    assert len(rounds) == 5 and bisection[0][0] is None
+    for (init, _), (_, previous) in zip(bisection[1:], bisection):
+        assert init is previous.beta  # the previous midpoint
+    assert all(init is rounds[0][0] for init, _ in rounds)
+    assert any(rounds[0][0] is fit.beta for _, fit in bisection)  # the calibration's own fit
 
 
 # ---------------------------------------------------------------------------
@@ -285,6 +402,15 @@ def test_combine_averages_only_the_problems_that_ran():
     assert report.statuses[1] == ("all", 2, 1, STATUS_DEGENERATE)
 
 
+def test_problems_carry_their_solver_counts(small_course):
+    ran = problem_importance(small_course.matrix, ProblemSpec(1, 1), seed=1, subsamples=6)
+    skipped = problem_importance(small_course.matrix, ProblemSpec(1, 1), seed=1, subsamples=6,
+                                 min_rows=10**9)
+    assert ran.status == STATUS_OK and ran.l1_fits == 25 + 6 and ran.l1_iterations >= ran.l1_fits
+    assert skipped.status == STATUS_INSUFFICIENT and skipped.lam is None
+    assert (skipped.l1_fits, skipped.l1_iterations, skipped.l1_unconverged) == (0, 0, 0)
+
+
 def test_no_usable_problem_raises(fixture_matrix):
     with pytest.raises(InsufficientDataError, match="enough usable rows"):
         run_importance(fixture_matrix, [ProblemSpec(1, 1)], seed=0)
@@ -295,14 +421,14 @@ def test_no_usable_problem_raises(fixture_matrix):
 
 def test_ranked_breaks_ties_in_feature_order():
     report = ImportanceReport(
-        cohort="all", statuses=[], base_freq={"x9": 0.5, "x2": 0.5, "x210": 0.9},
+        cohort="all", base_freq={"x9": 0.5, "x2": 0.5, "x210": 0.9},
     )
     assert report.ranked() == [("x210", 0.9), ("x2", 0.5), ("x9", 0.5)]
 
 
 def test_export_round_trip(tmp_path):
-    a = ImportanceReport(cohort="all", statuses=[], base_freq={"x2": 1 / 3, "x9": 0.25})
-    b = ImportanceReport(cohort=WIKI, statuses=[], base_freq={"x2": 0.75})
+    a = ImportanceReport(cohort="all", base_freq={"x2": 1 / 3, "x9": 0.25})
+    b = ImportanceReport(cohort=WIKI, base_freq={"x2": 0.75})
     path = tmp_path / "importance.tsv"
     export_importance([a, b], path)
     loaded = {(cohort, fid): float(freq) for cohort, fid, freq in read_table(path, IMPORTANCE_COLUMNS)}
@@ -311,3 +437,15 @@ def test_export_round_trip(tmp_path):
     assert lines[0] == "cohort\tfeature_id\tfrequency"
     assert lines[1].startswith("all\tx2")  # ranked within each cohort
 
+
+def test_export_problems_round_trip(tmp_path):
+    problems = [
+        ProblemImportance("all", 1, 1, STATUS_OK, lam=1 / 3, l1_fits=35, l1_iterations=4138,
+                          l1_unconverged=2),
+        ProblemImportance(WIKI, 2, 1, STATUS_DEGENERATE),
+    ]
+    path = tmp_path / "importance_problems.tsv"
+    export_problems(problems, path)
+    rows = list(read_table(path, PROBLEM_COLUMNS))
+    assert rows == [["all", "1", "1", STATUS_OK, repr(1 / 3), "35", "4138", "2"],
+                    [WIKI, "2", "1", STATUS_DEGENERATE, "", "0", "0", "0"]]
