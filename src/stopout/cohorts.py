@@ -10,7 +10,9 @@ from __future__ import annotations
 
 from pathlib import Path
 
-from .event_store import CourseDataset
+import numpy as np
+
+from .event_store import TABLE_COLLABORATION, TABLE_SUBMISSION, CourseDataset
 from .tsv import read_table, write_table
 
 PASSIVE = "passive_collaborator"
@@ -22,25 +24,17 @@ COHORTS: tuple[str, ...] = (PASSIVE, FORUM, WIKI, FULL)
 
 def assign_cohorts(dataset: CourseDataset) -> dict[str, str]:
     """Map each participating learner id to its cohort name."""
-    posts = [0] * dataset.num_learners
-    edits = [0] * dataset.num_learners
-    participated = [False] * dataset.num_learners
-    for ev in dataset.collaborations:
-        if ev.kind == "wiki_edit":
-            edits[ev.learner] += 1
-        else:  # forum_post and forum_response both count as forum activity
-            posts[ev.learner] += 1
-    for ev in dataset.submissions:
-        participated[ev.learner] = True
-    out = {}
-    for li, lid in enumerate(dataset.learners):
-        if not participated[li]:
-            continue
-        if posts[li] > 0:
-            out[lid] = FULL if edits[li] > 0 else FORUM
-        else:
-            out[lid] = WIKI if edits[li] > 0 else PASSIVE
-    return out
+    n = dataset.num_learners
+    collaborations = dataset.table(TABLE_COLLABORATION)
+    wiki = collaborations["collab_kind"] == dataset.code("collab_kind", "wiki_edit")
+    edits = np.bincount(collaborations["learner_id"][wiki], minlength=n)
+    # forum_post and forum_response both count as forum activity
+    posts = np.bincount(collaborations["learner_id"][~wiki], minlength=n)
+    submitted = np.bincount(dataset.table(TABLE_SUBMISSION)["learner_id"], minlength=n)
+    # rows: no forum activity, some; columns: no wiki edits, some
+    by_activity = np.array([[PASSIVE, WIKI], [FORUM, FULL]])
+    names = by_activity[(posts > 0).astype(int), (edits > 0).astype(int)].tolist()
+    return {lid: name for lid, name, n in zip(dataset.learners, names, submitted.tolist()) if n}
 
 
 def cohort_counts(assignments: dict[str, str]) -> dict[str, int]:

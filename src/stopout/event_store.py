@@ -1,16 +1,22 @@
-"""Normalized in-memory event store for weekly-structured online courses.
+"""Columnar in-memory event store for weekly-structured online courses.
 
 Raw activity arrives as line-delimited, tab-separated event files plus a
 course calendar. Ingestion validates every line, tallies rejects instead of
-silently dropping them, interns learner ids to dense indices, sorts each
-table canonically, and infers observed-event durations from click gaps.
+silently dropping them, interns learner ids to dense indices, sorts the
+events canonically, and infers observed-event durations from click gaps.
+The events are held as one numpy array per dump column, with strings as
+codes into each column's sorted vocabulary.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
-from itertools import chain
+from dataclasses import dataclass, field
+from functools import partial
+from operator import itemgetter
 from pathlib import Path
+from typing import Iterable, Iterator, Sequence
+
+import numpy as np
 
 from .errors import DataError
 from .tsv import read_table, write_table
@@ -39,37 +45,15 @@ EVENT_COLUMNS = (
     "text_length",
 )
 DUMP_COLUMNS = EVENT_COLUMNS + ("duration",)
+# held as int64 arrays of their values; every other column is held as codes
+INT_COLUMNS = frozenset({"table", "timestamp", "text_length", "duration"})
 
 TABLE_OBSERVED = "observed"
 TABLE_SUBMISSION = "submission"
 TABLE_COLLABORATION = "collaboration"
-TABLES = frozenset({TABLE_OBSERVED, TABLE_SUBMISSION, TABLE_COLLABORATION})
-
-
-@dataclass(frozen=True, slots=True)
-class ObservedEvent:
-    learner: int
-    timestamp: int
-    resource_id: str
-    resource_kind: str
-    duration: int = 0
-
-
-@dataclass(frozen=True, slots=True)
-class SubmissionEvent:
-    learner: int
-    timestamp: int
-    problem_id: str
-    correct: bool
-    assignment_kind: str
-
-
-@dataclass(frozen=True, slots=True)
-class CollaborationEvent:
-    learner: int
-    timestamp: int
-    kind: str
-    text_length: int
+# canonical (and dump) order of the tables; the table column holds indices into it
+TABLE_ORDER = (TABLE_OBSERVED, TABLE_SUBMISSION, TABLE_COLLABORATION)
+TABLE_CODE = {name: code for code, name in enumerate(TABLE_ORDER)}
 
 
 @dataclass(frozen=True, slots=True)
@@ -116,50 +100,67 @@ class IngestStats:
 
 @dataclass
 class CourseDataset:
-    """Immutable-after-construction course dataset shared by all later stages."""
+    """Immutable-after-construction course dataset shared by all later stages.
+
+    events maps each DUMP_COLUMNS name to one int64 array with a cell per
+    event, in canonical order: the tables in TABLE_ORDER, each sorted by
+    learner, then timestamp, then its remaining cells. table holds indices
+    into TABLE_ORDER, and every string column indices into its sorted
+    vocabulary, so codes sort as the strings do. A cell its table does not
+    use is "" in a string column and -1 in text_length and duration.
+    """
 
     calendar: CourseCalendar
-    learners: list[str]  # dense index -> original learner id, sorted
-    observed: list[ObservedEvent]
-    submissions: list[SubmissionEvent]
-    collaborations: list[CollaborationEvent]
+    events: dict[str, np.ndarray]
+    vocab: dict[str, list[str]]  # string column -> its sorted distinct values
     stats: IngestStats
+
+    @property
+    def learners(self) -> list[str]:
+        """Dense learner index -> original learner id, sorted."""
+        return self.vocab["learner_id"]
 
     @property
     def num_learners(self) -> int:
         return len(self.learners)
 
+    def code(self, column: str, value: str) -> int:
+        """The code of value in a string column; -1 if no event has it."""
+        words = self.vocab[column]
+        return words.index(value) if value in words else -1
 
-def week_of(timestamp: int, calendar: CourseCalendar) -> int:
-    """1-based week index of a timestamp; weeks are fixed 604800 s slices.
+    def table(self, name: str) -> dict[str, np.ndarray]:
+        """Views of the columns over one table's rows, a contiguous block."""
+        code = TABLE_CODE[name]
+        lo, hi = np.searchsorted(self.events["table"], (code, code + 1))
+        return {column: values[lo:hi] for column, values in self.events.items()}
+
+
+def week_of(timestamp, calendar: CourseCalendar) -> np.ndarray:
+    """1-based week index of each timestamp; weeks are fixed 604800 s slices.
 
     Timestamps past the final week clamp to the final week (callers tally).
     """
-    if timestamp < calendar.course_start:
-        raise ValueError(f"timestamp {timestamp} precedes course start {calendar.course_start}")
-    week = (timestamp - calendar.course_start) // WEEK_SECONDS + 1
-    return min(week, calendar.num_weeks)
+    timestamp = np.asarray(timestamp, dtype=np.int64)
+    if (timestamp < calendar.course_start).any():
+        raise ValueError(f"timestamp {timestamp.min()} precedes course start {calendar.course_start}")
+    return np.minimum((timestamp - calendar.course_start) // WEEK_SECONDS + 1, calendar.num_weeks)
 
 
-def week_start(week: int, calendar: CourseCalendar) -> int:
+def week_start(week, calendar: CourseCalendar):
     return calendar.course_start + (week - 1) * WEEK_SECONDS
 
 
-def derive_durations(events: list[ObservedEvent]) -> list[ObservedEvent]:
-    """Fill durations from gaps between consecutive events of the same learner.
+def derive_durations(learner: np.ndarray, timestamp: np.ndarray) -> np.ndarray:
+    """Durations from gaps between consecutive events of the same learner.
 
     Input must be sorted by (learner, timestamp). Every event with a successor
     gets min(gap, SESSION_CAP); each learner's final event gets DEFAULT_TAIL.
     """
-    out: list[ObservedEvent] = []
-    for i, ev in enumerate(events):
-        nxt = events[i + 1] if i + 1 < len(events) else None
-        if nxt is not None and nxt.learner == ev.learner:
-            duration = min(nxt.timestamp - ev.timestamp, SESSION_CAP)
-        else:
-            duration = DEFAULT_TAIL
-        out.append(replace(ev, duration=duration))
-    return out
+    duration = np.full(len(learner), DEFAULT_TAIL, dtype=np.int64)
+    same = learner[1:] == learner[:-1]
+    duration[:-1][same] = np.minimum(np.diff(timestamp)[same], SESSION_CAP)
+    return duration
 
 
 def load_calendar(path: str | Path) -> CourseCalendar:
@@ -198,57 +199,47 @@ def load_calendar(path: str | Path) -> CourseCalendar:
 
 def _parse_int(text: str, reason: str) -> int:
     try:
-        return int(text)
+        value = int(text)
     except ValueError:
         raise ValueError(reason) from None
+    if not -(2**63) <= value < 2**63:  # the columns are int64
+        raise ValueError(reason)
+    return value
 
 
-def _parse_line(row: dict[str, str], calendar: CourseCalendar, stats: IngestStats):
-    """Parse one event row into a (table, record-tuple) pair, or None if rejected."""
-    table = row["table"]
-    if table not in TABLES:
-        stats.reject("bad_table")
-        return None
-    learner_id = row["learner_id"]
+def _parse_event(cells: Sequence[str], course_start: int) -> tuple:
+    """One event row, cells in EVENT_COLUMNS order, as a tuple in that order
+    with the table coded, integers parsed, and the cells its table does not
+    use blanked. A row ingest rejects raises ValueError naming the reason."""
+    table, learner_id, ts, rid, rkind, pid, correct, akind, ckind, length = cells
+    code = TABLE_CODE.get(table)
+    if code is None:
+        raise ValueError("bad_table")
     if not learner_id:
-        stats.reject("missing_learner")
-        return None
-    try:
-        timestamp = _parse_int(row["timestamp"], "bad_timestamp")
-        if timestamp < calendar.course_start:
-            stats.reject("before_start")
-            return None
-        if table == TABLE_OBSERVED:
-            kind = row["resource_kind"]
-            if kind not in RESOURCE_KINDS:
-                raise ValueError("bad_resource_kind")
-            if not row["resource_id"]:
-                raise ValueError("missing_resource")
-            record = (learner_id, timestamp, row["resource_id"], kind)
-        elif table == TABLE_SUBMISSION:
-            if not row["problem_id"]:
-                raise ValueError("missing_problem")
-            if row["correct"] not in ("0", "1"):
-                raise ValueError("bad_correct_flag")
-            kind = row["assignment_kind"]
-            if kind not in ASSIGNMENT_KINDS:
-                raise ValueError("bad_assignment_kind")
-            record = (learner_id, timestamp, row["problem_id"], row["correct"] == "1", kind)
-        else:
-            kind = row["collab_kind"]
-            if kind not in COLLAB_KINDS:
-                raise ValueError("bad_collab_kind")
-            length = _parse_int(row["text_length"], "bad_text_length")
-            if length < 0:
-                raise ValueError("negative_text_length")
-            record = (learner_id, timestamp, kind, length)
-    except ValueError as exc:
-        stats.reject(str(exc))
-        return None
-    if timestamp >= calendar.course_end:
-        stats.clamped += 1
-    stats.accepted += 1
-    return table, record
+        raise ValueError("missing_learner")
+    timestamp = _parse_int(ts, "bad_timestamp")
+    if timestamp < course_start:
+        raise ValueError("before_start")
+    if table == TABLE_OBSERVED:
+        if rkind not in RESOURCE_KINDS:
+            raise ValueError("bad_resource_kind")
+        if not rid:
+            raise ValueError("missing_resource")
+        return code, learner_id, timestamp, rid, rkind, "", "", "", "", -1
+    if table == TABLE_SUBMISSION:
+        if not pid:
+            raise ValueError("missing_problem")
+        if correct not in ("0", "1"):
+            raise ValueError("bad_correct_flag")
+        if akind not in ASSIGNMENT_KINDS:
+            raise ValueError("bad_assignment_kind")
+        return code, learner_id, timestamp, "", "", pid, correct, akind, "", -1
+    if ckind not in COLLAB_KINDS:
+        raise ValueError("bad_collab_kind")
+    text_length = _parse_int(length, "bad_text_length")
+    if text_length < 0:
+        raise ValueError("negative_text_length")
+    return code, learner_id, timestamp, "", "", "", "", "", ckind, text_length
 
 
 def ingest(paths: list[str | Path], calendar_path: str | Path) -> CourseDataset:
@@ -256,12 +247,25 @@ def ingest(paths: list[str | Path], calendar_path: str | Path) -> CourseDataset:
 
     Malformed lines and pre-course timestamps are counted and skipped; a
     submission referencing a problem the calendar does not know is a hard
-    error. Output tables are canonically sorted, so the result is independent
-    of input line order.
+    error. Events are canonically sorted, so the result is independent of
+    input line order.
     """
     calendar = load_calendar(calendar_path)
     stats = IngestStats()
-    rows: dict[str, list[tuple]] = {t: [] for t in TABLES}
+    dataset = _build_dataset(calendar, _accepted_rows(paths, calendar, stats), stats)
+    vocab = dataset.vocab["problem_id"]
+    problems = {vocab[code] for code in np.unique(dataset.table(TABLE_SUBMISSION)["problem_id"]).tolist()}
+    missing = sorted(problems - calendar.problem_meta.keys())
+    if missing:
+        raise DataError(f"submissions reference problems missing from the calendar: {missing}")
+    observed = dataset.table(TABLE_OBSERVED)
+    observed["duration"][:] = derive_durations(observed["learner_id"], observed["timestamp"])
+    return dataset
+
+
+def _accepted_rows(paths: list[str | Path], calendar: CourseCalendar, stats: IngestStats) -> Iterator[tuple]:
+    """Yield each row of the event files that ingest accepts, as _parse_event
+    returns it plus a duration to derive (-1), and tally every row in stats."""
     for path in paths:
         path = Path(path)
         if not path.exists():
@@ -271,6 +275,7 @@ def ingest(paths: list[str | Path], calendar_path: str | Path) -> CourseDataset:
             header = header_line.split("\t")
             if sorted(header) != sorted(EVENT_COLUMNS):
                 raise DataError(f"{path}: header must name columns {sorted(EVENT_COLUMNS)}, got {header}")
+            in_event_order = itemgetter(*(header.index(column) for column in EVENT_COLUMNS))
             for raw in fh:
                 line = raw.rstrip("\n")
                 if not line:
@@ -280,79 +285,73 @@ def ingest(paths: list[str | Path], calendar_path: str | Path) -> CourseDataset:
                 if len(parts) != len(header):
                     stats.reject("bad_columns")
                     continue
-                parsed = _parse_line(dict(zip(header, parts)), calendar, stats)
-                if parsed is not None:
-                    rows[parsed[0]].append(parsed[1])
+                try:
+                    row = _parse_event(in_event_order(parts), calendar.course_start)
+                except ValueError as exc:
+                    stats.reject(str(exc))
+                    continue
+                if row[2] >= calendar.course_end:
+                    stats.clamped += 1
+                stats.accepted += 1
+                yield row + (-1,)
 
-    missing = sorted({r[2] for r in rows[TABLE_SUBMISSION]} - set(calendar.problem_meta))
-    if missing:
-        raise DataError(f"submissions reference problems missing from the calendar: {missing}")
-    dataset = _build_dataset(calendar, rows, stats)
-    dataset.observed = derive_durations(dataset.observed)
-    return dataset
 
+def _build_dataset(calendar: CourseCalendar, rows: Iterable[tuple], stats: IngestStats) -> CourseDataset:
+    """Code each string column by its sorted vocabulary (learner ids become
+    dense sorted indices) and sort the rows canonically.
 
-def _build_dataset(calendar: CourseCalendar, rows: dict[str, list[tuple]], stats: IngestStats) -> CourseDataset:
-    """Intern learner ids to dense sorted indices and sort each table canonically.
-
-    rows maps each table name to record tuples whose first field is the
-    learner id and whose rest are that table's event fields in order.
+    rows are DUMP_COLUMNS tuples as _parse_event returns them plus a duration.
+    To keep the peak memory low they are read into one list per column, and
+    each list is dropped once its array is built.
     """
-    learner_ids = sorted({r[0] for table in rows.values() for r in table})
-    index = {lid: i for i, lid in enumerate(learner_ids)}
-
-    def events(cls, table: str) -> list:
-        return sorted((cls(index[r[0]], *r[1:]) for r in rows[table]), key=dataclass_tuple)
-
-    return CourseDataset(
-        calendar=calendar,
-        learners=learner_ids,
-        observed=events(ObservedEvent, TABLE_OBSERVED),
-        submissions=events(SubmissionEvent, TABLE_SUBMISSION),
-        collaborations=events(CollaborationEvent, TABLE_COLLABORATION),
-        stats=stats,
-    )
-
-
-def dataclass_tuple(ev) -> tuple:
-    if isinstance(ev, ObservedEvent):
-        return (ev.learner, ev.timestamp, ev.resource_id, ev.resource_kind)
-    if isinstance(ev, SubmissionEvent):
-        return (ev.learner, ev.timestamp, ev.problem_id, ev.correct, ev.assignment_kind)
-    return (ev.learner, ev.timestamp, ev.kind, ev.text_length)
+    columns: list[list] = [[] for _ in DUMP_COLUMNS]
+    for row in rows:
+        for column, value in zip(columns, row):
+            column.append(value)
+    events, vocab = {}, {}
+    for name in DUMP_COLUMNS:
+        values = columns.pop(0)
+        if name in INT_COLUMNS:
+            events[name] = np.array(values, dtype=np.int64)
+        else:
+            vocab[name] = sorted(set(values))
+            rank = {word: code for code, word in enumerate(vocab[name])}
+            events[name] = np.fromiter(map(rank.__getitem__, values), dtype=np.int64, count=len(values))
+    # lexsort's last key is the primary one; the sort is stable
+    order = np.lexsort([events[name] for name in reversed(EVENT_COLUMNS)])
+    for name in events:
+        events[name] = events[name][order]
+    return CourseDataset(calendar=calendar, events=events, vocab=vocab, stats=stats)
 
 
 def dump_dataset(dataset: CourseDataset, path: str | Path) -> None:
     """Write the canonical sorted tab-separated export used for golden tests."""
-    ids = dataset.learners
-    write_table(path, DUMP_COLUMNS, chain(
-        ((TABLE_OBSERVED, ids[ev.learner], ev.timestamp, ev.resource_id, ev.resource_kind,
-          "", "", "", "", "", ev.duration) for ev in dataset.observed),
-        ((TABLE_SUBMISSION, ids[ev.learner], ev.timestamp, "", "", ev.problem_id,
-          "1" if ev.correct else "0", ev.assignment_kind, "", "", "") for ev in dataset.submissions),
-        ((TABLE_COLLABORATION, ids[ev.learner], ev.timestamp, "", "", "", "", "", ev.kind,
-          ev.text_length, "") for ev in dataset.collaborations),
-    ))
+    cells = {column: values.tolist() for column, values in dataset.events.items()}
+    cells["table"] = [TABLE_ORDER[code] for code in cells["table"]]
+    for column, words in dataset.vocab.items():
+        cells[column] = [words[code] for code in cells[column]]
+    for column in ("text_length", "duration"):
+        cells[column] = ["" if value < 0 else value for value in cells[column]]
+    write_table(path, DUMP_COLUMNS, zip(*(cells[column] for column in DUMP_COLUMNS)))
 
 
-def _dump_row(cells: list[str]) -> tuple[str, tuple]:
-    table, lid, ts, rid, rkind, pid, correct, akind, ckind, length, duration = cells
-    if table == TABLE_OBSERVED:
-        return table, (lid, int(ts), rid, rkind, int(duration))
-    if table == TABLE_SUBMISSION:
-        return table, (lid, int(ts), pid, correct == "1", akind)
-    if table == TABLE_COLLABORATION:
-        return table, (lid, int(ts), ckind, int(length))
-    raise ValueError(f"unknown table {table!r} in dump")
+def _dump_row(cells: list[str], calendar: CourseCalendar) -> tuple:
+    row = _parse_event(cells[:-1], calendar.course_start)
+    if row[0] == TABLE_CODE[TABLE_SUBMISSION] and row[5] not in calendar.problem_meta:
+        raise ValueError(f"problem {row[5]!r} is not in the calendar")
+    return row + (_parse_int(cells[-1], "bad_duration") if row[0] == TABLE_CODE[TABLE_OBSERVED] else -1,)
 
 
 def load_dump(path: str | Path, calendar: CourseCalendar) -> CourseDataset:
-    """Reload a dataset dump produced by dump_dataset (durations included)."""
-    rows: dict[str, list[tuple]] = {t: [] for t in TABLES}
-    for table, record in read_table(path, DUMP_COLUMNS, _dump_row):
-        rows[table].append(record)
-    total = sum(len(table) for table in rows.values())
-    return _build_dataset(calendar, rows, IngestStats(total=total, accepted=total))
+    """Reload a dataset dump produced by dump_dataset (durations included).
+
+    Every row must pass ingest's checks and name a calendar problem; the
+    first that does not is a DataError naming its line.
+    """
+    rows = read_table(path, DUMP_COLUMNS, partial(_dump_row, calendar=calendar))
+    dataset = _build_dataset(calendar, rows, IngestStats())
+    dataset.stats.total = dataset.stats.accepted = dataset.events["table"].size
+    return dataset
 
 
 def dump_calendar(calendar: CourseCalendar, path: str | Path) -> None:

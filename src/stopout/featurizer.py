@@ -12,11 +12,19 @@ from __future__ import annotations
 from array import array
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Sequence
 
 import numpy as np
 
-from .event_store import CourseDataset, CourseCalendar, week_of, week_start
+from .event_store import (
+    TABLE_COLLABORATION,
+    TABLE_OBSERVED,
+    TABLE_SUBMISSION,
+    CourseCalendar,
+    CourseDataset,
+    ProblemMeta,
+    week_of,
+    week_start,
+)
 from .errors import DataError
 from .tsv import read_table, row_line, write_table
 
@@ -59,36 +67,6 @@ FEATURE_NAMES = {
 }
 
 
-@dataclass(frozen=True, slots=True)
-class StopoutProfile:
-    learner: int
-    stopout_week: int  # in 1..num_weeks+1; num_weeks+1 means persisted to the end
-    participated: bool
-
-
-@dataclass(frozen=True)
-class WeekContext:
-    """Calendar-derived facts shared by every learner's extraction for one week."""
-
-    week: int
-    week_start: int
-    hw_problems: frozenset[str]
-    lab_problems: frozenset[str]
-    due: dict[str, int]
-
-
-@dataclass
-class PeerStats:
-    """Week-level aggregates of x9 over participating, still-active learners."""
-
-    sorted_ratios: np.ndarray  # ascending x9 values, one per active learner
-    max_ratio: float
-
-    @property
-    def count(self) -> int:
-        return int(self.sorted_ratios.size)
-
-
 @dataclass
 class FeatureMatrix:
     learners: list[str]        # participating learners, sorted by id
@@ -102,136 +80,32 @@ class FeatureMatrix:
         return len(self.learners)
 
 
-def compute_stopout(submission_timestamps: Sequence[int], calendar: CourseCalendar) -> tuple[int, bool]:
-    """Stopout week and participation flag from one learner's submission times.
+def stopout_weeks(learner: np.ndarray, timestamp: np.ndarray, calendar: CourseCalendar, num_learners: int) -> np.ndarray:
+    """Each learner's stopout week from the (learner, timestamp) submissions.
 
-    The stopout week is the week after the last submission, capped at
-    num_weeks+1 (persisted). No submissions at all puts the stopout at week 1.
+    The stopout week is the week after the learner's last submission, capped
+    at num_weeks+1 (persisted). No submissions at all puts the stopout at
+    week 1, and only such learners have it there.
     """
-    if not submission_timestamps:
-        return 1, False
-    last_week = week_of(max(submission_timestamps), calendar)
-    return min(last_week + 1, calendar.num_weeks + 1), True
+    last_week = np.zeros(num_learners, dtype=np.int64)
+    np.maximum.at(last_week, learner, week_of(timestamp, calendar))
+    return np.minimum(last_week + 1, calendar.num_weeks + 1)
 
 
-def stopout_profiles(dataset: CourseDataset) -> list[StopoutProfile]:
-    per_learner: dict[int, int] = {}
-    for sub in dataset.submissions:
-        prev = per_learner.get(sub.learner)
-        if prev is None or sub.timestamp > prev:
-            per_learner[sub.learner] = sub.timestamp
-    profiles = []
-    for li in range(dataset.num_learners):
-        ts = per_learner.get(li)
-        week, participated = compute_stopout([] if ts is None else [ts], dataset.calendar)
-        profiles.append(StopoutProfile(learner=li, stopout_week=week, participated=participated))
-    return profiles
+def peer_percentile(values: np.ndarray, peers: np.ndarray) -> np.ndarray:
+    """Mean-rank percentile of each value among the ascending peers: smaller
+    peers count 1 and equal ones 1/2, over the peer count (0 with no peers)."""
+    if peers.size == 0:
+        return np.zeros(values.shape)
+    lo = np.searchsorted(peers, values, side="left")
+    hi = np.searchsorted(peers, values, side="right")
+    return (lo + 0.5 * (hi - lo)) / peers.size
 
 
-def _percentile_sorted(value: float, stats: PeerStats) -> float:
-    if stats.count == 0:
-        return 0.0
-    lo = int(np.searchsorted(stats.sorted_ratios, value, side="left"))
-    hi = int(np.searchsorted(stats.sorted_ratios, value, side="right"))
-    return (lo + 0.5 * (hi - lo)) / stats.count
-
-
-def _ratio(num: float, den: float) -> float:
+def _ratio(num, den) -> np.ndarray:
     # Guarded division: no-evidence denominators yield 0 to keep vectors finite.
-    return num / den if den else 0.0
-
-
-def extract_week(
-    observed: Sequence[tuple[int, str, int]],
-    submissions: Sequence[tuple[int, str, bool, str]],
-    collaborations: Sequence[tuple[str, int]],
-    ctx: WeekContext,
-    past_hw_grades: Sequence[float],
-    past_lab_grades: Sequence[float],
-    peers: PeerStats,
-) -> np.ndarray:
-    """Compute one learner-week's 27 features.
-
-    observed rows are (timestamp, resource_kind, duration), submissions are
-    (timestamp, problem_id, correct, assignment_kind), collaborations are
-    (kind, text_length). History supplies the learner's past weekly homework
-    and lab grades; peers supplies this week's active-learner x9 aggregates.
-    """
-    x = np.zeros(NUM_FEATURES)
-
-    durations = [d for _, _, d in observed]
-    x[FEATURE_INDEX["x2"]] = sum(durations)
-    x[FEATURE_INDEX["x15"]] = max(durations, default=0)
-    x[FEATURE_INDEX["x16"]] = sum(d for _, k, d in observed if k == "lecture")
-    x[FEATURE_INDEX["x17"]] = sum(d for _, k, d in observed if k == "book")
-    x[FEATURE_INDEX["x18"]] = sum(d for _, k, d in observed if k == "wiki")
-    if observed:
-        offsets = np.array([ts - ctx.week_start for ts, _, _ in observed], dtype=float)
-        x[FEATURE_INDEX["x13"]] = float(np.var(offsets))
-
-    post_lengths = [n for k, n in collaborations if k == "forum_post"]
-    x[FEATURE_INDEX["x3"]] = len(post_lengths)
-    x[FEATURE_INDEX["x4"]] = sum(1 for k, _ in collaborations if k == "wiki_edit")
-    x[FEATURE_INDEX["x5"]] = _ratio(sum(post_lengths), len(post_lengths))
-    x[FEATURE_INDEX["x14"]] = x[FEATURE_INDEX["x3"]] + x[FEATURE_INDEX["x4"]]
-    x[FEATURE_INDEX["x201"]] = sum(1 for k, _ in collaborations if k == "forum_response")
-
-    by_problem: dict[str, list[int]] = {}
-    correct_problems: set[str] = set()
-    n_correct_subs = 0
-    margin_total = 0
-    for ts, pid, correct, _kind in submissions:
-        by_problem.setdefault(pid, []).append(ts)
-        if correct:
-            correct_problems.add(pid)
-            n_correct_subs += 1
-        margin_total += ctx.due[pid] - ts
-
-    x6 = len(by_problem)
-    x7 = len(submissions)
-    x8 = len(correct_problems)
-    x[FEATURE_INDEX["x6"]] = x6
-    x[FEATURE_INDEX["x7"]] = x7
-    x[FEATURE_INDEX["x8"]] = x8
-    x9 = _ratio(x7, x6)
-    x[FEATURE_INDEX["x9"]] = x9
-    x[FEATURE_INDEX["x10"]] = _ratio(x[FEATURE_INDEX["x2"]], x8)
-    x[FEATURE_INDEX["x11"]] = _ratio(x6, x8)
-    if by_problem:
-        spans = [max(tss) - min(tss) for tss in by_problem.values()]
-        x[FEATURE_INDEX["x12"]] = sum(spans) / len(spans)
-    x[FEATURE_INDEX["x208"]] = n_correct_subs
-    x[FEATURE_INDEX["x209"]] = _ratio(n_correct_subs, x7)
-    x[FEATURE_INDEX["x210"]] = _ratio(margin_total, x7)
-
-    x[FEATURE_INDEX["x202"]] = _percentile_sorted(x9, peers)
-    x[FEATURE_INDEX["x203"]] = _ratio(x9, peers.max_ratio)
-
-    hw_grade = _ratio(len(correct_problems & ctx.hw_problems), len(ctx.hw_problems))
-    lab_grade = _ratio(len(correct_problems & ctx.lab_problems), len(ctx.lab_problems))
-    past_hw = sum(past_hw_grades) / len(past_hw_grades) if past_hw_grades else 0.0
-    past_lab = sum(past_lab_grades) / len(past_lab_grades) if past_lab_grades else 0.0
-    x[FEATURE_INDEX["x204"]] = hw_grade
-    x[FEATURE_INDEX["x205"]] = hw_grade - past_hw
-    x[FEATURE_INDEX["x206"]] = lab_grade
-    x[FEATURE_INDEX["x207"]] = lab_grade - past_lab
-    return x
-
-
-def week_contexts(calendar: CourseCalendar) -> list[WeekContext]:
-    due = {pid: m.due_timestamp for pid, m in calendar.problem_meta.items()}
-    contexts = []
-    for w in range(1, calendar.num_weeks + 1):
-        hw = frozenset(
-            pid for pid, m in calendar.problem_meta.items()
-            if m.week_assigned == w and m.assignment_kind == "homework"
-        )
-        lab = frozenset(
-            pid for pid, m in calendar.problem_meta.items()
-            if m.week_assigned == w and m.assignment_kind == "lab"
-        )
-        contexts.append(WeekContext(week=w, week_start=week_start(w, calendar), hw_problems=hw, lab_problems=lab, due=due))
-    return contexts
+    num, den = np.broadcast_arrays(num, den)
+    return np.divide(num, den, out=np.zeros(num.shape), where=den != 0)
 
 
 def build_feature_matrix(dataset: CourseDataset) -> tuple[FeatureMatrix, np.ndarray]:
@@ -239,82 +113,117 @@ def build_feature_matrix(dataset: CourseDataset) -> tuple[FeatureMatrix, np.ndar
 
     The matrix has one row per (participating learner, week 1..num_weeks);
     the histogram counts stopout weeks over all learners, participants or not,
-    indexed 1..num_weeks+1 (index 0 unused).
+    indexed 1..num_weeks+1 (index 0 unused). Every feature is a reduction
+    over the events grouped by learner-week key row * num_weeks + week - 1.
     """
     cal = dataset.calendar
     num_weeks = cal.num_weeks
-    profiles = stopout_profiles(dataset)
+    submissions = dataset.table(TABLE_SUBMISSION)
+    weeks = stopout_weeks(submissions["learner_id"], submissions["timestamp"], cal, dataset.num_learners)
+    histogram = np.bincount(weeks, minlength=num_weeks + 2)
+    participants = np.flatnonzero(weeks > 1)
+    stopout = weeks[participants]
+    L = participants.size
+    row_of = np.full(dataset.num_learners, -1)
+    row_of[participants] = np.arange(L)
 
-    histogram = np.zeros(num_weeks + 2, dtype=np.int64)
-    for p in profiles:
-        histogram[p.stopout_week] += 1
+    def grouped(table: str, *columns: str) -> list[np.ndarray]:
+        """The named columns over the table's rows of participants, then
+        those rows' learner-week keys and weeks.
 
-    participants = [p.learner for p in profiles if p.participated]
-    row_of = {li: i for i, li in enumerate(participants)}
-    stopout = np.array([profiles[li].stopout_week for li in participants], dtype=np.int64)
-    L = len(participants)
+        Rows are sorted by learner, then timestamp, so the keys ascend.
+        """
+        rows = dataset.table(table)
+        row = row_of[rows["learner_id"]]
+        kept = row >= 0
+        week = week_of(rows["timestamp"][kept], cal)
+        return [rows[column][kept] for column in columns] + [row[kept] * num_weeks + week - 1, week]
 
-    obs_by: dict[tuple[int, int], list] = {}
-    for ev in dataset.observed:
-        if ev.learner in row_of:
-            w = week_of(ev.timestamp, cal)
-            obs_by.setdefault((row_of[ev.learner], w), []).append((ev.timestamp, ev.resource_kind, ev.duration))
-    sub_by: dict[tuple[int, int], list] = {}
-    for ev in dataset.submissions:
-        if ev.learner in row_of:
-            w = week_of(ev.timestamp, cal)
-            sub_by.setdefault((row_of[ev.learner], w), []).append(
-                (ev.timestamp, ev.problem_id, ev.correct, ev.assignment_kind)
-            )
-    col_by: dict[tuple[int, int], list] = {}
-    for ev in dataset.collaborations:
-        if ev.learner in row_of:
-            w = week_of(ev.timestamp, cal)
-            col_by.setdefault((row_of[ev.learner], w), []).append((ev.kind, ev.text_length))
-
-    contexts = week_contexts(cal)
     values = np.zeros((L, num_weeks, NUM_FEATURES))
-    labels = np.zeros((L, num_weeks), dtype=np.int8)
-    hw_hist: list[list[float]] = [[] for _ in range(L)]
-    lab_hist: list[list[float]] = [[] for _ in range(L)]
-    i204 = FEATURE_INDEX["x204"]
-    i206 = FEATURE_INDEX["x206"]
+    x = values.reshape(L * num_weeks, NUM_FEATURES)  # a view: x[key] is one learner-week
 
-    for ctx in contexts:
-        w = ctx.week
-        # Peer aggregates use only learners still active (not yet stopped out)
-        # this week; their own x9 values are therefore part of the multiset.
-        ratios = np.empty(L)
-        for i in range(L):
-            subs = sub_by.get((i, w), ())
-            distinct = len({pid for _, pid, _, _ in subs})
-            ratios[i] = _ratio(len(subs), distinct)
-        active = stopout > w
-        peer_vals = np.sort(ratios[active])
-        peers = PeerStats(
-            sorted_ratios=peer_vals,
-            max_ratio=float(peer_vals[-1]) if peer_vals.size else 0.0,
-        )
-        for i in range(L):
-            row = extract_week(
-                obs_by.get((i, w), ()),
-                sub_by.get((i, w), ()),
-                col_by.get((i, w), ()),
-                ctx,
-                hw_hist[i],
-                lab_hist[i],
-                peers,
-            )
-            values[i, w - 1] = row
-            labels[i, w - 1] = 1 if stopout[i] > w else 0
-            hw_hist[i].append(row[i204])
-            lab_hist[i].append(row[i206])
+    def feature(fid: str) -> np.ndarray:
+        return x[:, FEATURE_INDEX[fid]]
+
+    def count(keys: np.ndarray, weights: np.ndarray | None = None) -> np.ndarray:
+        return np.bincount(keys, weights, minlength=L * num_weeks)
+
+    timestamp, duration, resource_kind, key, week = grouped(TABLE_OBSERVED, "timestamp", "duration", "resource_kind")
+    feature("x2")[:] = count(key, duration)
+    for fid, kind in (("x16", "lecture"), ("x17", "book"), ("x18", "wiki")):
+        at = resource_kind == dataset.code("resource_kind", kind)
+        feature(fid)[:] = count(key[at], duration[at])
+    groups, starts, sizes = np.unique(key, return_index=True, return_counts=True)
+    feature("x15")[groups] = np.maximum.reduceat(duration, starts)
+    offsets = (timestamp - week_start(week, cal)).astype(np.float64)
+    # one np.var per learner-week: a variance vectorized across groups sums
+    # in another order, and its last bits move
+    x13 = feature("x13")
+    for group, lo, size in zip(groups.tolist(), starts.tolist(), sizes.tolist()):
+        if size > 1:
+            x13[group] = np.var(offsets[lo:lo + size])
+
+    collab_kind, text_length, key, _ = grouped(TABLE_COLLABORATION, "collab_kind", "text_length")
+    post = collab_kind == dataset.code("collab_kind", "forum_post")
+    feature("x3")[:] = count(key[post])
+    feature("x4")[:] = count(key[collab_kind == dataset.code("collab_kind", "wiki_edit")])
+    feature("x5")[:] = _ratio(count(key[post], text_length[post]), feature("x3"))
+    feature("x14")[:] = feature("x3") + feature("x4")
+    feature("x201")[:] = count(key[collab_kind == dataset.code("collab_kind", "forum_response")])
+
+    timestamp, problem, correct, key, _ = grouped(TABLE_SUBMISSION, "timestamp", "problem_id", "correct")
+    correct = correct == dataset.code("correct", "1")
+    # calendar facts by problem code; "" (the cell of other tables) gets a placeholder
+    placeholder = ProblemMeta(assignment_kind="", week_assigned=0, due_timestamp=0)
+    meta = [cal.problem_meta.get(pid, placeholder) for pid in dataset.vocab["problem_id"]]
+    due = np.array([m.due_timestamp for m in meta], dtype=np.int64)
+    assigned_week = np.array([m.week_assigned for m in meta], dtype=np.int64)
+    assignment_kind = np.array([m.assignment_kind for m in meta], dtype=str)
+    # (learner-week, problem) pairs: attempted, and solved at least once
+    P = max(len(meta), 1)
+    pair = key * P + problem
+    tried, first, which = np.unique(pair, return_index=True, return_inverse=True)
+    solved = np.unique(pair[correct])
+    feature("x6")[:] = count(tried // P)
+    feature("x7")[:] = count(key)
+    feature("x8")[:] = count(solved // P)
+    feature("x9")[:] = _ratio(feature("x7"), feature("x6"))
+    feature("x10")[:] = _ratio(feature("x2"), feature("x8"))
+    feature("x11")[:] = _ratio(feature("x6"), feature("x8"))
+    # a pair's first row is its earliest submission
+    last = timestamp[first]
+    np.maximum.at(last, which, timestamp)
+    feature("x12")[:] = _ratio(count(tried // P, last - timestamp[first]), feature("x6"))
+    feature("x208")[:] = count(key[correct])
+    feature("x209")[:] = _ratio(feature("x208"), feature("x7"))
+    feature("x210")[:] = _ratio(count(key, due[problem] - timestamp), feature("x7"))
+
+    # Peer aggregates use only learners still active (not yet stopped out)
+    # this week; their own x9 values are therefore part of the multiset.
+    x9 = values[..., FEATURE_INDEX["x9"]]
+    for w in range(num_weeks):
+        peers = np.sort(x9[stopout > w + 1, w])
+        values[:, w, FEATURE_INDEX["x202"]] = peer_percentile(x9[:, w], peers)
+        values[:, w, FEATURE_INDEX["x203"]] = _ratio(x9[:, w], peers[-1] if peers.size else 0.0)
+
+    # a weekly grade is the share of that week's assigned problems of the
+    # kind solved that week; its trend subtracts the mean of earlier grades
+    solved_problem, solved_week = solved % P, solved // P % num_weeks + 1
+    for kind, grade_id, trend_id in (("homework", "x204", "x205"), ("lab", "x206", "x207")):
+        weeks_assigned = [m.week_assigned for m in cal.problem_meta.values() if m.assignment_kind == kind]
+        assigned = np.bincount(np.array(weeks_assigned, dtype=np.int64), minlength=num_weeks + 1)[1:]
+        hit = (assignment_kind[solved_problem] == kind) & (assigned_week[solved_problem] == solved_week)
+        grade = _ratio(count(solved[hit] // P).reshape(L, num_weeks), assigned)
+        past = np.zeros((L, num_weeks))
+        past[:, 1:] = np.cumsum(grade, axis=1)[:, :-1] / np.arange(1, num_weeks)
+        values[..., FEATURE_INDEX[grade_id]] = grade
+        values[..., FEATURE_INDEX[trend_id]] = grade - past
 
     matrix = FeatureMatrix(
         learners=[dataset.learners[li] for li in participants],
         num_weeks=num_weeks,
         values=values,
-        labels=labels,
+        labels=(stopout[:, None] > np.arange(1, num_weeks + 1)).astype(np.int8),
         stopout_week=stopout,
     )
     return matrix, histogram

@@ -9,13 +9,20 @@ The sigmoid and FISTA references are the plain forms of the production
 kernels (two masked exps; every product recomputed inside the loop), kept so
 the lean kernels can be checked bit for bit against them. The l1 KKT
 violation checks any l1 fit against the optimality conditions themselves.
+The reference featurizer computes the 27 features one learner-week at a time
+from per-event tuples, in the same floating-point order as the grouped
+reductions of build_feature_matrix, so the two must agree bit for bit.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from fractions import Fraction
 
 import numpy as np
+
+from stopout.event_store import TABLE_COLLABORATION, TABLE_OBSERVED, TABLE_SUBMISSION, WEEK_SECONDS
+from stopout.featurizer import FEATURE_INDEX, NUM_FEATURES, FeatureMatrix
 
 
 def pairwise_auc(scores, labels) -> Fraction:
@@ -197,3 +204,162 @@ def l1_kkt_violation(
             breach = max(abs(float(g[j + 1])) - bound[j], 0.0)
         worst = max(worst, breach)
     return worst
+
+
+def _ratio(num: float, den: float) -> float:
+    return num / den if den else 0.0
+
+
+def _extract_week(observed, submissions, collaborations, week_start, hw_problems, lab_problems, due,
+                  past_hw_grades, past_lab_grades, sorted_peers) -> np.ndarray:
+    """One learner-week's 27 features.
+
+    observed rows are (timestamp, resource_kind, duration), submissions are
+    (timestamp, problem_id, correct), collaborations are (kind, text_length);
+    sorted_peers are this week's active learners' x9 values, ascending.
+    """
+    x = np.zeros(NUM_FEATURES)
+
+    durations = [d for _, _, d in observed]
+    x[FEATURE_INDEX["x2"]] = sum(durations)
+    x[FEATURE_INDEX["x15"]] = max(durations, default=0)
+    x[FEATURE_INDEX["x16"]] = sum(d for _, k, d in observed if k == "lecture")
+    x[FEATURE_INDEX["x17"]] = sum(d for _, k, d in observed if k == "book")
+    x[FEATURE_INDEX["x18"]] = sum(d for _, k, d in observed if k == "wiki")
+    if observed:
+        offsets = np.array([ts - week_start for ts, _, _ in observed], dtype=float)
+        x[FEATURE_INDEX["x13"]] = float(np.var(offsets))
+
+    post_lengths = [n for k, n in collaborations if k == "forum_post"]
+    x[FEATURE_INDEX["x3"]] = len(post_lengths)
+    x[FEATURE_INDEX["x4"]] = sum(1 for k, _ in collaborations if k == "wiki_edit")
+    x[FEATURE_INDEX["x5"]] = _ratio(sum(post_lengths), len(post_lengths))
+    x[FEATURE_INDEX["x14"]] = x[FEATURE_INDEX["x3"]] + x[FEATURE_INDEX["x4"]]
+    x[FEATURE_INDEX["x201"]] = sum(1 for k, _ in collaborations if k == "forum_response")
+
+    by_problem: dict[str, list[int]] = {}
+    correct_problems: set[str] = set()
+    n_correct_subs = 0
+    margin_total = 0
+    for ts, pid, correct in submissions:
+        by_problem.setdefault(pid, []).append(ts)
+        if correct:
+            correct_problems.add(pid)
+            n_correct_subs += 1
+        margin_total += due[pid] - ts
+
+    x6 = len(by_problem)
+    x7 = len(submissions)
+    x8 = len(correct_problems)
+    x[FEATURE_INDEX["x6"]] = x6
+    x[FEATURE_INDEX["x7"]] = x7
+    x[FEATURE_INDEX["x8"]] = x8
+    x9 = _ratio(x7, x6)
+    x[FEATURE_INDEX["x9"]] = x9
+    x[FEATURE_INDEX["x10"]] = _ratio(x[FEATURE_INDEX["x2"]], x8)
+    x[FEATURE_INDEX["x11"]] = _ratio(x6, x8)
+    if by_problem:
+        spans = [max(tss) - min(tss) for tss in by_problem.values()]
+        x[FEATURE_INDEX["x12"]] = sum(spans) / len(spans)
+    x[FEATURE_INDEX["x208"]] = n_correct_subs
+    x[FEATURE_INDEX["x209"]] = _ratio(n_correct_subs, x7)
+    x[FEATURE_INDEX["x210"]] = _ratio(margin_total, x7)
+
+    if sorted_peers:
+        lo, hi = bisect_left(sorted_peers, x9), bisect_right(sorted_peers, x9)
+        x[FEATURE_INDEX["x202"]] = (lo + 0.5 * (hi - lo)) / len(sorted_peers)
+    x[FEATURE_INDEX["x203"]] = _ratio(x9, sorted_peers[-1] if sorted_peers else 0.0)
+
+    hw_grade = _ratio(len(correct_problems & hw_problems), len(hw_problems))
+    lab_grade = _ratio(len(correct_problems & lab_problems), len(lab_problems))
+    past_hw = sum(past_hw_grades) / len(past_hw_grades) if past_hw_grades else 0.0
+    past_lab = sum(past_lab_grades) / len(past_lab_grades) if past_lab_grades else 0.0
+    x[FEATURE_INDEX["x204"]] = hw_grade
+    x[FEATURE_INDEX["x205"]] = hw_grade - past_hw
+    x[FEATURE_INDEX["x206"]] = lab_grade
+    x[FEATURE_INDEX["x207"]] = lab_grade - past_lab
+    return x
+
+
+def feature_matrix_reference(dataset) -> tuple[FeatureMatrix, np.ndarray]:
+    """build_feature_matrix computed per learner-week from per-event tuples.
+
+    Stopout is the week after the last submission (capped at num_weeks+1),
+    week 1 without submissions; events are grouped by (participant, week)
+    into lists, and each learner-week's vector comes from _extract_week.
+    """
+    cal = dataset.calendar
+    num_weeks = cal.num_weeks
+
+    def week_of(ts: int) -> int:
+        assert ts >= cal.course_start
+        return min((ts - cal.course_start) // WEEK_SECONDS + 1, num_weeks)
+
+    def rows(table: str):
+        """The table's events as tuples of cell values, codes decoded."""
+        columns = dataset.table(table)
+        return zip(*(
+            [dataset.vocab[c][code] for code in values.tolist()] if c in dataset.vocab else values.tolist()
+            for c, values in columns.items()
+        ))
+
+    last_submission: dict[str, int] = {}
+    for _, li, ts, *_ in rows(TABLE_SUBMISSION):
+        last_submission[li] = max(ts, last_submission.get(li, ts))
+    histogram = np.zeros(num_weeks + 2, dtype=np.int64)
+    stopout_of = {}
+    for li in dataset.learners:
+        week = min(week_of(last_submission[li]) + 1, num_weeks + 1) if li in last_submission else 1
+        histogram[week] += 1
+        if li in last_submission:
+            stopout_of[li] = week
+    participants = sorted(stopout_of)
+    row_of = {li: i for i, li in enumerate(participants)}
+    stopout = np.array([stopout_of[li] for li in participants], dtype=np.int64)
+    L = len(participants)
+
+    obs_by: dict[tuple[int, int], list] = {}
+    sub_by: dict[tuple[int, int], list] = {}
+    col_by: dict[tuple[int, int], list] = {}
+    for _, li, ts, _, kind, _, _, _, _, _, duration in rows(TABLE_OBSERVED):
+        if li in row_of:
+            obs_by.setdefault((row_of[li], week_of(ts)), []).append((ts, kind, duration))
+    for _, li, ts, _, _, pid, correct, _, _, _, _ in rows(TABLE_SUBMISSION):
+        if li in row_of:
+            sub_by.setdefault((row_of[li], week_of(ts)), []).append((ts, pid, correct == "1"))
+    for _, li, ts, _, _, _, _, _, kind, length, _ in rows(TABLE_COLLABORATION):
+        if li in row_of:
+            col_by.setdefault((row_of[li], week_of(ts)), []).append((kind, length))
+
+    meta = cal.problem_meta
+    due = {pid: m.due_timestamp for pid, m in meta.items()}
+    values = np.zeros((L, num_weeks, NUM_FEATURES))
+    labels = np.zeros((L, num_weeks), dtype=np.int8)
+    hw_hist: list[list[float]] = [[] for _ in range(L)]
+    lab_hist: list[list[float]] = [[] for _ in range(L)]
+    for w in range(1, num_weeks + 1):
+        hw = {pid for pid, m in meta.items() if m.week_assigned == w and m.assignment_kind == "homework"}
+        lab = {pid for pid, m in meta.items() if m.week_assigned == w and m.assignment_kind == "lab"}
+        ratios = []
+        for i in range(L):
+            subs = sub_by.get((i, w), ())
+            ratios.append(_ratio(len(subs), len({pid for _, pid, _ in subs})))
+        peers = sorted(r for r, s in zip(ratios, stopout) if s > w)
+        for i in range(L):
+            row = _extract_week(
+                obs_by.get((i, w), ()), sub_by.get((i, w), ()), col_by.get((i, w), ()),
+                cal.course_start + (w - 1) * WEEK_SECONDS, hw, lab, due, hw_hist[i], lab_hist[i], peers,
+            )
+            values[i, w - 1] = row
+            labels[i, w - 1] = 1 if stopout[i] > w else 0
+            hw_hist[i].append(row[FEATURE_INDEX["x204"]])
+            lab_hist[i].append(row[FEATURE_INDEX["x206"]])
+
+    matrix = FeatureMatrix(
+        learners=participants,
+        num_weeks=num_weeks,
+        values=values,
+        labels=labels,
+        stopout_week=stopout,
+    )
+    return matrix, histogram

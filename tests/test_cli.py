@@ -28,10 +28,12 @@ from stopout.cli import (
     sha256_file,
 )
 from stopout.cohorts import COHORTS
-from stopout.dataset_builder import ProblemSpec, column_names
+from stopout.dataset_builder import ProblemSpec, column_names, flatten, stratified_split
 from stopout.errors import ConfigError, DataError
-from stopout.featurizer import FeatureMatrix, export_feature_matrix
+from stopout.evaluator import ALL_COHORT, cell_seed, roc_auc
+from stopout.featurizer import FeatureMatrix, export_feature_matrix, load_feature_matrix
 from stopout.importance import PROBLEM_COLUMNS
+from stopout.logistic_model import apply_model, load_model
 from stopout.tsv import read_table
 
 
@@ -581,3 +583,47 @@ def test_malformed_intermediate_row_exits_3(pipeline, runall_dir, tmp_path, caps
     rc = main([command, *inputs, "--out", str(tmp_path / "o")])
     assert rc == 3
     assert f"data error: {bad}:2: " in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "table,column,value,message",
+    [
+        ("submission", "problem_id", "nope", "problem 'nope' is not in the calendar"),
+        ("observed", "timestamp", None, "before_start"),  # one second before course start
+        ("observed", "resource_kind", "podcast", "bad_resource_kind"),
+    ],
+)
+def test_invalid_dataset_row_exits_3(pipeline, tmp_path, capsys, table, column, value, message):
+    # a row that ingest would reject, or whose problem the calendar lacks, is
+    # a data error with its line, not a traceback or a silently dropped row
+    course_start = int(pipeline.ing_calendar.read_text(encoding="utf-8").split("\t")[0])
+    lines = pipeline.dataset.read_text(encoding="utf-8").splitlines()
+    header = lines[0].split("\t")
+    index = next(i for i, line in enumerate(lines) if line.startswith(table + "\t"))
+    cells = lines[index].split("\t")
+    cells[header.index(column)] = str(course_start - 1) if value is None else value
+    lines[index] = "\t".join(cells)
+    bad = tmp_path / "dataset.tsv"
+    bad.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    rc = main(["featurize", "--dataset", str(bad), "--calendar", str(pipeline.ing_calendar),
+               "--out", str(tmp_path / "o")])
+    assert rc == 3
+    assert f"data error: {bad}:{index + 1}: {message}" in capsys.readouterr().err
+
+
+def test_model_file_replays_the_held_out_auc(pipeline, tmp_path):
+    seed, lead, lag = 4, 1, 2
+    out = tmp_path / "te"
+    rc = main([
+        "train-eval", "--features", str(pipeline.features), "--lead", str(lead), "--lag", str(lag),
+        "--seed", str(seed), "--folds", "3", "--out", str(out),
+    ])
+    assert rc == 0
+    # the held-out rows: the first draw of the cell's generator splits them off
+    X, y, _, _ = flatten(load_feature_matrix(pipeline.features), ProblemSpec(lead=lead, lag=lag))
+    rng = np.random.default_rng(cell_seed(seed, ALL_COHORT, lead, lag))
+    _, test_idx = stratified_split(y, float(DEFAULTS["ratio"]), rng)
+    auc = roc_auc(y[test_idx], apply_model(load_model(out / "model.txt"), X[test_idx]))
+    header, row = (out / "eval.tsv").read_text(encoding="utf-8").splitlines()
+    written = dict(zip(header.split("\t"), row.split("\t")))
+    assert float(written["test_auc"]) == auc  # floats are written with repr: bit for bit

@@ -16,6 +16,7 @@ from stopout.cohorts import (
     load_cohorts,
 )
 from stopout.errors import DataError
+from stopout.event_store import TABLE_SUBMISSION
 
 
 def test_fixture_assignments(fixture_cohorts):
@@ -30,9 +31,8 @@ def test_fixture_assignments(fixture_cohorts):
 
 def test_non_participants_get_no_cohort(fixture_cohorts, fixture_dataset):
     assert "carol" not in fixture_cohorts
-    participating = {
-        fixture_dataset.learners[s.learner] for s in fixture_dataset.submissions
-    }
+    submitters = fixture_dataset.table(TABLE_SUBMISSION)["learner_id"].tolist()
+    participating = {fixture_dataset.learners[li] for li in submitters}
     assert set(fixture_cohorts) == participating
 
 

@@ -5,6 +5,7 @@ from __future__ import annotations
 import random
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -14,13 +15,12 @@ from stopout.event_store import (
     DEFAULT_TAIL,
     EVENT_COLUMNS,
     SESSION_CAP,
+    TABLE_COLLABORATION,
+    TABLE_OBSERVED,
+    TABLE_SUBMISSION,
     WEEK_SECONDS,
-    CollaborationEvent,
     CourseCalendar,
-    ObservedEvent,
     ProblemMeta,
-    SubmissionEvent,
-    dataclass_tuple,
     derive_durations,
     dump_calendar,
     dump_dataset,
@@ -73,6 +73,17 @@ def collab_row(learner: str, ts, kind: str = "forum_post", length: str = "10", *
 DEFAULT_PROBLEMS = (("p1", "homework", 1, START + 600000),)
 
 
+def table_size(dataset, table: str) -> int:
+    return dataset.table(table)["timestamp"].size
+
+
+def assert_same_events(a, b) -> None:
+    assert a.vocab == b.vocab
+    assert a.events.keys() == b.events.keys()
+    for column in a.events:
+        assert np.array_equal(a.events[column], b.events[column]), column
+
+
 # ---------------------------------------------------------------------------
 # ingest basics
 
@@ -97,7 +108,7 @@ def test_empty_path_list_gives_empty_dataset(tmp_path):
     cal = make_calendar(tmp_path, DEFAULT_PROBLEMS)
     ds = ingest([], cal)
     assert ds.learners == []
-    assert ds.observed == [] and ds.submissions == [] and ds.collaborations == []
+    assert all(values.size == 0 for values in ds.events.values())
     assert ds.stats.total == 0 and ds.stats.accepted == 0 and ds.stats.rejected == 0
 
 
@@ -116,8 +127,7 @@ def test_header_column_order_is_free(tmp_path):
         columns=permuted_cols,
     )
     ds_a, ds_b = ingest([canonical], cal), ingest([permuted], cal)
-    assert ds_a.observed == ds_b.observed
-    assert ds_a.submissions == ds_b.submissions
+    assert_same_events(ds_a, ds_b)
 
 
 def test_wrong_field_count_rejected_as_bad_columns(tmp_path):
@@ -135,6 +145,7 @@ def test_wrong_field_count_rejected_as_bad_columns(tmp_path):
         (event_row("grading", "a", START + 1), "bad_table"),
         (event_row("observed", "", START + 1, resource_id="r", resource_kind="book"), "missing_learner"),
         (observed_row("a", START - 1), "before_start"),
+        (observed_row("a", 2**63), "bad_timestamp"),  # does not fit the int64 column
         (observed_row("a", START + 1, kind="movie"), "bad_resource_kind"),
         (observed_row("a", START + 1, rid=""), "missing_resource"),
         (submission_row("a", START + 1, pid=""), "missing_problem"),
@@ -143,6 +154,7 @@ def test_wrong_field_count_rejected_as_bad_columns(tmp_path):
         (collab_row("a", START + 1, kind="chat"), "bad_collab_kind"),
         (collab_row("a", START + 1, length="long"), "bad_text_length"),
         (collab_row("a", START + 1, length="-3"), "negative_text_length"),
+        (collab_row("a", START + 1, length=str(2**63)), "bad_text_length"),
     ],
 )
 def test_reject_reasons(tmp_path, row, reason):
@@ -158,7 +170,7 @@ def test_zero_text_length_is_accepted(tmp_path):
     events = write_event_file(tmp_path / "events.tsv", [collab_row("a", START + 1, length="0")])
     ds = ingest([events], cal)
     assert ds.stats.accepted == 1
-    assert ds.collaborations[0].text_length == 0
+    assert ds.table(TABLE_COLLABORATION)["text_length"].tolist() == [0]
 
 
 def test_post_course_timestamp_accepted_and_tallied(tmp_path):
@@ -168,7 +180,7 @@ def test_post_course_timestamp_accepted_and_tallied(tmp_path):
     ds = ingest([events], cal)
     assert ds.stats.accepted == 1
     assert ds.stats.clamped == 1
-    assert ds.submissions[0].timestamp == late
+    assert ds.table(TABLE_SUBMISSION)["timestamp"].tolist() == [late]
     assert week_of(late, ds.calendar) == 2
 
 
@@ -225,9 +237,9 @@ def test_stats_total_is_accepted_plus_rejected(fixture_dataset):
 
 def test_fixture_table_counts(fixture_dataset):
     assert fixture_dataset.learners == ["alice", "bob", "carol", "dave", "eve"]
-    assert len(fixture_dataset.observed) == 5
-    assert len(fixture_dataset.submissions) == 11
-    assert len(fixture_dataset.collaborations) == 6
+    assert table_size(fixture_dataset, TABLE_OBSERVED) == 5
+    assert table_size(fixture_dataset, TABLE_SUBMISSION) == 11
+    assert table_size(fixture_dataset, TABLE_COLLABORATION) == 6
     assert fixture_dataset.stats.accepted == 22
     assert fixture_dataset.stats.rejected == 0
     assert fixture_dataset.stats.clamped == 0
@@ -236,8 +248,9 @@ def test_fixture_table_counts(fixture_dataset):
 def test_fixture_durations(fixture_dataset):
     alice = fixture_dataset.learners.index("alice")
     carol = fixture_dataset.learners.index("carol")
-    alice_durations = [ev.duration for ev in fixture_dataset.observed if ev.learner == alice]
-    carol_durations = [ev.duration for ev in fixture_dataset.observed if ev.learner == carol]
+    observed = fixture_dataset.table(TABLE_OBSERVED)
+    alice_durations = observed["duration"][observed["learner_id"] == alice].tolist()
+    carol_durations = observed["duration"][observed["learner_id"] == carol].tolist()
     assert alice_durations == [2000, 3600, 3600, 60]
     assert carol_durations == [60]
 
@@ -247,9 +260,7 @@ def test_dump_round_trip(fixture_dataset, tmp_path):
     dump_dataset(fixture_dataset, path)
     again = load_dump(path, fixture_dataset.calendar)
     assert again.learners == fixture_dataset.learners
-    assert again.observed == fixture_dataset.observed
-    assert again.submissions == fixture_dataset.submissions
-    assert again.collaborations == fixture_dataset.collaborations
+    assert_same_events(again, fixture_dataset)
 
 
 def test_load_dump_rejects_other_files(tmp_path, fixture_dataset):
@@ -262,22 +273,18 @@ def test_load_dump_rejects_other_files(tmp_path, fixture_dataset):
 # ---------------------------------------------------------------------------
 # durations
 
+def durations(learners, timestamps) -> list[int]:
+    return derive_durations(np.array(learners), np.array(timestamps)).tolist()
+
+
 def test_duration_examples():
-    base = [
-        ObservedEvent(0, START, "r1", "lecture"),
-        ObservedEvent(0, START + 30, "r2", "lecture"),
-        ObservedEvent(0, START + 30 + 7200, "r3", "book"),
-    ]
-    assert [ev.duration for ev in derive_durations(base)] == [30, SESSION_CAP, DEFAULT_TAIL]
-    assert [ev.duration for ev in derive_durations(base[:1])] == [DEFAULT_TAIL]
+    base = [START, START + 30, START + 30 + 7200]
+    assert durations([0, 0, 0], base) == [30, SESSION_CAP, DEFAULT_TAIL]
+    assert durations([0], base[:1]) == [DEFAULT_TAIL]
 
 
 def test_duration_gap_crosses_learner_boundary():
-    events = [
-        ObservedEvent(0, START, "r1", "lecture"),
-        ObservedEvent(1, START + 5, "r1", "lecture"),
-    ]
-    assert [ev.duration for ev in derive_durations(events)] == [DEFAULT_TAIL, DEFAULT_TAIL]
+    assert durations([0, 1], [START, START + 5]) == [DEFAULT_TAIL, DEFAULT_TAIL]
 
 
 @given(
@@ -288,19 +295,20 @@ def test_duration_gap_crosses_learner_boundary():
     )
 )
 def test_duration_rule_matches_brute_force(pairs):
-    events = sorted(
-        (ObservedEvent(l, START + off, "r", "lecture") for l, off in pairs),
-        key=dataclass_tuple,
-    )
-    derived = derive_durations(events)
-    assert [dataclass_tuple(e) for e in derived] == [dataclass_tuple(e) for e in events]
-    for i, ev in enumerate(derived):
-        if events[i + 1 : i + 2] and events[i + 1].learner == ev.learner:
-            expected = min(events[i + 1].timestamp - ev.timestamp, SESSION_CAP)
+    events = sorted((l, START + off) for l, off in pairs)
+    learners = np.array([l for l, _ in events])
+    timestamps = np.array([ts for _, ts in events])
+    derived = derive_durations(learners, timestamps)
+    assert derived.shape == timestamps.shape
+    # the events themselves are left as they were
+    assert list(zip(learners.tolist(), timestamps.tolist())) == events
+    for i, (learner, ts) in enumerate(events):
+        if events[i + 1 : i + 2] and events[i + 1][0] == learner:
+            expected = min(events[i + 1][1] - ts, SESSION_CAP)
         else:
             expected = DEFAULT_TAIL
-        assert ev.duration == expected
-        assert 0 <= ev.duration <= SESSION_CAP
+        assert derived[i] == expected
+        assert 0 <= derived[i] <= SESSION_CAP
 
 
 # ---------------------------------------------------------------------------

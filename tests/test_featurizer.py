@@ -2,30 +2,39 @@
 
 from __future__ import annotations
 
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from oracles import percentile_rank
+from oracles import feature_matrix_reference, percentile_rank
 from stopout.errors import DataError
-from stopout.event_store import WEEK_SECONDS, CourseCalendar
+from stopout.event_store import (
+    ASSIGNMENT_KINDS,
+    COLLAB_KINDS,
+    EVENT_COLUMNS,
+    RESOURCE_KINDS,
+    TABLE_SUBMISSION,
+    WEEK_SECONDS,
+    CourseCalendar,
+    CourseDataset,
+    ingest,
+)
 from stopout.featurizer import (
     FEATURE_COLUMNS,
     FEATURE_IDS,
     FEATURE_INDEX,
     NUM_FEATURES,
     FeatureMatrix,
-    PeerStats,
-    WeekContext,
-    _percentile_sorted,
     build_feature_matrix,
-    compute_stopout,
     export_feature_matrix,
     export_histogram,
-    extract_week,
     load_feature_matrix,
-    stopout_profiles,
+    peer_percentile,
+    stopout_weeks,
 )
 from stopout.tsv import write_table
 
@@ -37,41 +46,64 @@ def week_ts(week: int, offset: int = 0) -> int:
     return START + (week - 1) * WEEK_SECONDS + offset
 
 
+def compute_stopout(submission_timestamps) -> tuple[int, bool]:
+    """One learner's stopout week and participation flag, via stopout_weeks."""
+    ts = np.array(submission_timestamps, dtype=np.int64)
+    week = int(stopout_weeks(np.zeros(ts.size, dtype=np.int64), ts, BARE_CAL, 1)[0])
+    return week, week > 1
+
+
+def ingest_course(root: Path, num_weeks: int, problems, events) -> CourseDataset:
+    """Ingest a course from (pid, kind, week, due) problems and event rows
+    given as EVENT_COLUMNS tuples."""
+    calendar = root / "calendar.tsv"
+    lines = [f"{START}\t{num_weeks}"] + ["\t".join(map(str, problem)) for problem in problems]
+    calendar.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    write_table(root / "events.tsv", EVENT_COLUMNS, events)
+    return ingest([root / "events.tsv"], calendar)
+
+
+def submission(learner: str, ts: int, pid: str, correct: int = 1) -> tuple:
+    return ("submission", learner, ts, "", "", pid, correct, "homework", "", "")
+
+
 # ---------------------------------------------------------------------------
 # stopout
 
 def test_stopout_week_follows_last_submission():
-    assert compute_stopout([week_ts(3)], BARE_CAL) == (4, True)
-    assert compute_stopout([week_ts(1), week_ts(3), week_ts(2)], BARE_CAL) == (4, True)
+    assert compute_stopout([week_ts(3)]) == (4, True)
+    assert compute_stopout([week_ts(1), week_ts(3), week_ts(2)]) == (4, True)
 
 
 def test_stopout_without_submissions():
-    assert compute_stopout([], BARE_CAL) == (1, False)
+    assert compute_stopout([]) == (1, False)
 
 
 def test_stopout_persisted_to_the_end_caps_at_15():
     everything = [week_ts(w) for w in range(1, 15)]
-    assert compute_stopout(everything, BARE_CAL) == (15, True)
-    assert compute_stopout([week_ts(14)], BARE_CAL) == (15, True)
+    assert compute_stopout(everything) == (15, True)
+    assert compute_stopout([week_ts(14)]) == (15, True)
     # post-course timestamps clamp into the final week first
-    assert compute_stopout([START + 40 * WEEK_SECONDS], BARE_CAL) == (15, True)
+    assert compute_stopout([START + 40 * WEEK_SECONDS]) == (15, True)
 
 
 @given(st.lists(st.integers(0, 20 * WEEK_SECONDS), min_size=1, max_size=20))
 def test_stopout_bounds(offsets):
-    week, participated = compute_stopout([START + off for off in offsets], BARE_CAL)
+    week, participated = compute_stopout([START + off for off in offsets])
     assert participated
     assert 2 <= week <= BARE_CAL.num_weeks + 1
 
 
 def test_fixture_profiles(fixture_dataset):
-    profiles = {fixture_dataset.learners[p.learner]: p for p in stopout_profiles(fixture_dataset)}
-    assert profiles["carol"].participated is False
-    assert profiles["carol"].stopout_week == 1
-    assert profiles["alice"].stopout_week == 3
-    assert profiles["bob"].stopout_week == 2
-    assert profiles["dave"].stopout_week == 3
-    assert profiles["eve"].stopout_week == 2
+    submissions = fixture_dataset.table(TABLE_SUBMISSION)
+    weeks = stopout_weeks(submissions["learner_id"], submissions["timestamp"],
+                          fixture_dataset.calendar, fixture_dataset.num_learners)
+    profiles = dict(zip(fixture_dataset.learners, weeks.tolist()))
+    assert profiles["carol"] == 1  # never submitted: did not participate
+    assert profiles["alice"] == 3
+    assert profiles["bob"] == 2
+    assert profiles["dave"] == 3
+    assert profiles["eve"] == 2
 
 
 # ---------------------------------------------------------------------------
@@ -90,9 +122,8 @@ def test_percentile_examples():
 )
 def test_percentile_routes_agree(value, others):
     peers = others + [value]
-    stats = PeerStats(sorted_ratios=np.sort(np.array(peers)), max_ratio=max(peers))
     brute = percentile_rank(value, peers)
-    assert _percentile_sorted(value, stats) == brute
+    assert peer_percentile(np.array([value]), np.sort(np.array(peers)))[0] == brute
     assert 0.0 < brute < 1.0  # the value itself is one of the peers
 
 
@@ -104,28 +135,27 @@ def test_percentile_is_permutation_invariant(peers, rnd):
 
 
 # ---------------------------------------------------------------------------
-# single-week extraction
+# single-week extraction, on tiny courses built here
 
-EMPTY_PEERS = PeerStats(sorted_ratios=np.array([]), max_ratio=0.0)
-
-
-def bare_ctx(**kw) -> WeekContext:
-    base = dict(week=1, week_start=START, hw_problems=frozenset(), lab_problems=frozenset(), due={})
-    base.update(kw)
-    return WeekContext(**base)
-
-
-def test_empty_week_is_all_zero_except_grade_trends():
-    x = extract_week((), (), (), bare_ctx(hw_problems=frozenset({"p1"})), [0.5, 0.25], [], EMPTY_PEERS)
+def test_empty_week_is_all_zero_except_grade_trends(tmp_path):
+    # homework grades 1/2 in week 1 and 1/4 in week 2; week 3 assigns p1 and
+    # has no events
+    problems = [("h1", "homework", 1, week_ts(2)), ("h2", "homework", 1, week_ts(2)),
+                *((f"h{i}", "homework", 2, week_ts(3)) for i in range(3, 7)),
+                ("p1", "homework", 3, week_ts(4))]
+    ds = ingest_course(tmp_path, 3, problems, [submission("a", week_ts(1, 10), "h1"),
+                                               submission("a", week_ts(2, 10), "h3")])
+    matrix, _ = build_feature_matrix(ds)
+    x = matrix.values[0, 2]
     expected = np.zeros(NUM_FEATURES)
     expected[FEATURE_INDEX["x205"]] = -0.375  # 0 minus mean past homework grade
     assert np.array_equal(x, expected)
 
 
-def test_repeat_attempts_on_one_problem():
-    subs = [(START + 10, "p1", False, "homework"), (START + 40, "p1", True, "homework")]
-    ctx = bare_ctx(hw_problems=frozenset({"p1"}), due={"p1": START + 100})
-    x = extract_week((), subs, (), ctx, [], [], EMPTY_PEERS)
+def test_repeat_attempts_on_one_problem(tmp_path):
+    events = [submission("a", START + 10, "p1", 0), submission("a", START + 40, "p1", 1)]
+    ds = ingest_course(tmp_path, 2, [("p1", "homework", 1, START + 100)], events)
+    x = build_feature_matrix(ds)[0].values[0, 0]
     assert x[FEATURE_INDEX["x9"]] == 2.0
     assert x[FEATURE_INDEX["x6"]] == 1.0
     assert x[FEATURE_INDEX["x7"]] == 2.0
@@ -134,11 +164,64 @@ def test_repeat_attempts_on_one_problem():
     assert x[FEATURE_INDEX["x210"]] == (90 + 60) / 2
 
 
-def test_grade_guard_when_week_has_no_assigned_problems():
-    subs = [(START + 10, "p9", True, "homework")]
-    x = extract_week((), subs, (), bare_ctx(due={"p9": START + 50}), [], [], EMPTY_PEERS)
+def test_grade_guard_when_week_has_no_assigned_problems(tmp_path):
+    # p9 belongs to week 2, so week 1 assigns nothing
+    ds = ingest_course(tmp_path, 2, [("p9", "homework", 2, START + 50)], [submission("a", START + 10, "p9")])
+    x = build_feature_matrix(ds)[0].values[0, 0]
     assert x[FEATURE_INDEX["x204"]] == 0.0
     assert x[FEATURE_INDEX["x206"]] == 0.0
+
+
+# ---------------------------------------------------------------------------
+# the grouped featurizer against the per-learner-week reference
+
+def assert_matches_reference(dataset: CourseDataset) -> None:
+    matrix, histogram = build_feature_matrix(dataset)
+    ref, ref_histogram = feature_matrix_reference(dataset)
+    assert matrix.learners == ref.learners and matrix.num_weeks == ref.num_weeks
+    assert np.array_equal(matrix.values, ref.values)
+    assert np.array_equal(matrix.labels, ref.labels)
+    assert np.array_equal(matrix.stopout_week, ref.stopout_week)
+    assert np.array_equal(histogram, ref_histogram)
+
+
+def test_fixture_and_synthetic_courses_match_the_reference(fixture_dataset, small_course, planted_course):
+    for dataset in (fixture_dataset, small_course.dataset, planted_course.dataset):
+        assert_matches_reference(dataset)
+
+
+@st.composite
+def random_courses(draw):
+    """A small course: problems of every kind, some never attempted, some
+    submitted in other weeks than their own, repeated attempts, post-course
+    timestamps that clamp into the last week, and learners who never submit."""
+    num_weeks = draw(st.integers(2, 5))
+    problems = [(f"p{i}", draw(st.sampled_from(sorted(ASSIGNMENT_KINDS))), draw(st.integers(1, num_weeks)),
+                 START + draw(st.integers(0, (num_weeks + 1) * WEEK_SECONDS)))
+                for i in range(draw(st.integers(1, 8)))]
+    learners = st.sampled_from([f"u{i}" for i in range(draw(st.integers(1, 6)))])
+    timestamps = st.integers(START, START + (num_weeks + 1) * WEEK_SECONDS)
+
+    def submission(learner, problem, own_week, offset, ts, correct, kind):
+        if own_week:  # in the week the problem is assigned
+            ts = week_ts(problem[2], offset)
+        return ("submission", learner, ts, "", "", problem[0], correct, kind, "", "")
+
+    observed = st.builds(lambda l, ts, r, k: ("observed", l, ts, f"r{r}", k, "", "", "", "", ""),
+                         learners, timestamps, st.integers(0, 3), st.sampled_from(sorted(RESOURCE_KINDS)))
+    submitted = st.builds(submission, learners, st.sampled_from(problems), st.booleans(),
+                          st.integers(0, WEEK_SECONDS - 1), timestamps, st.integers(0, 1),
+                          st.sampled_from(sorted(ASSIGNMENT_KINDS)))
+    collaborated = st.builds(lambda l, ts, k, n: ("collaboration", l, ts, "", "", "", "", "", k, n),
+                             learners, timestamps, st.sampled_from(sorted(COLLAB_KINDS)), st.integers(0, 500))
+    events = draw(st.lists(st.one_of(observed, submitted, collaborated), max_size=60))
+    return num_weeks, problems, events
+
+
+@given(random_courses())
+def test_random_courses_match_the_reference(course):
+    with tempfile.TemporaryDirectory() as root:
+        assert_matches_reference(ingest_course(Path(root), *course))
 
 
 # ---------------------------------------------------------------------------
