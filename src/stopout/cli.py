@@ -30,11 +30,13 @@ from .dataset_builder import ProblemSpec, enumerate_problems, flatten
 from .errors import ConfigError, DataError, DegenerateLabelsError, InsufficientDataError
 from .evaluator import (
     ALL_COHORT,
+    STATUS_DEGENERATE,
+    STATUS_INSUFFICIENT,
+    STATUS_OK,
     CellResult,
     GridResult,
-    cell_seed,
     evaluate_cell,
-    evaluate_problem,
+    evaluate_problem,  # noqa: F401  (unused here; perfbench/tracer.py wraps cli.evaluate_problem)
     export_grid,
     export_heatmap_matrix,
     load_grid,
@@ -120,9 +122,7 @@ def parse_filter(clause: str) -> dict[str, object]:
             except ValueError as exc:
                 raise ConfigError(f"filter {key} must be an integer, got {value!r}") from exc
         elif key == "cohort":
-            if value not in cohorts_mod.COHORTS and value != ALL_COHORT:
-                raise ConfigError(f"unknown cohort {value!r}")
-            out[key] = value
+            out[key] = parse_cohort(value) or ALL_COHORT
         else:
             raise ConfigError(f"unknown filter key {key!r}")
     return out
@@ -135,26 +135,33 @@ def filter_match(clauses: list[dict[str, object]], cohort: str, lead: int, lag: 
     return any(all(facts[k] == v for k, v in c.items()) for c in clauses)
 
 
+def parse_cohort(name: str | None) -> str | None:
+    """None (the whole population) for no name, '' or 'all'; else a known cohort."""
+    if not name or name == ALL_COHORT:
+        return None
+    if name not in cohorts_mod.COHORTS:
+        raise ConfigError(f"unknown cohort {name!r}")
+    return name
+
+
+def parse_problem(text: str, with_cohort: bool = True) -> ProblemSpec:
+    """'LEAD,LAG[,COHORT]', or 'LEAD,LAG' only; ProblemSpec checks lead, lag >= 1."""
+    parts = text.split(",")
+    if len(parts) not in ((2, 3) if with_cohort else (2,)):
+        raise ConfigError(f"bad problem {text!r}, expected LEAD,LAG" + ("[,COHORT]" if with_cohort else ""))
+    try:
+        lead, lag = int(parts[0]), int(parts[1])
+    except ValueError as exc:
+        raise ConfigError(f"bad problem {text!r}: lead and lag must be integers") from exc
+    return ProblemSpec(lead=lead, lag=lag, cohort=parse_cohort(parts[2]) if len(parts) == 3 else None)
+
+
 def parse_problem_pairs(text: str) -> list[tuple[int, int]]:
     """Semicolon-separated 'LEAD,LAG' pairs, e.g. '13,1;3,6;6,4'."""
-    pairs = []
-    for chunk in text.split(";"):
-        chunk = chunk.strip()
-        if not chunk:
-            continue
-        parts = chunk.split(",")
-        if len(parts) != 2:
-            raise ConfigError(f"bad problem {chunk!r}, expected LEAD,LAG")
-        try:
-            lead, lag = int(parts[0]), int(parts[1])
-        except ValueError as exc:
-            raise ConfigError(f"bad problem {chunk!r}: lead and lag must be integers") from exc
-        if lead < 1 or lag < 1:
-            raise ConfigError(f"bad problem {chunk!r}: lead and lag must be >= 1")
-        pairs.append((lead, lag))
-    if not pairs:
+    specs = [parse_problem(chunk.strip(), with_cohort=False) for chunk in text.split(";") if chunk.strip()]
+    if not specs:
         raise ConfigError("importance_problems lists no problems")
-    return pairs
+    return [(s.lead, s.lag) for s in specs]
 
 
 def sha256_file(path: Path) -> str:
@@ -275,13 +282,19 @@ def cmd_cohorts(args) -> int:
     return 0
 
 
-def _load_problem(args):
-    """The feature matrix, the cohort assignments and the problem the flags name."""
+def _load_inputs(args, specs: list[ProblemSpec], missing: str):
+    """The feature matrix and the cohort assignments; missing is the error for no --cohorts."""
     matrix = load_feature_matrix(args.features)
     assignments = cohorts_mod.load_cohorts(args.cohorts) if args.cohorts else None
-    if args.cohort is not None and assignments is None:
-        raise ConfigError("--cohort requires --cohorts FILE")
-    return matrix, assignments, ProblemSpec(lead=args.lead, lag=args.lag, cohort=args.cohort)
+    if assignments is None and any(s.cohort is not None for s in specs):
+        raise ConfigError(missing)
+    return matrix, assignments
+
+
+def _load_problem(args):
+    """The feature matrix, the cohort assignments and the problem the flags name."""
+    spec = ProblemSpec(lead=args.lead, lag=args.lag, cohort=parse_cohort(args.cohort))
+    return *_load_inputs(args, [spec], "--cohort requires --cohorts FILE"), spec
 
 
 def cmd_build(args) -> int:
@@ -289,10 +302,8 @@ def cmd_build(args) -> int:
     matrix, assignments, spec = _load_problem(args)
     X, y, learners, columns = flatten(matrix, spec, assignments)
     if y.size == 0:
-        raise InsufficientDataError(
-            f"no eligible learners for lead={args.lead} lag={args.lag}"
-            + (f" cohort={args.cohort}" if args.cohort else "")
-        )
+        cohort = f" cohort={spec.cohort}" if spec.cohort else ""
+        raise InsufficientDataError(f"no eligible learners for lead={spec.lead} lag={spec.lag}{cohort}")
     write_table(out / "design.tsv", ["learner_id", "label"] + columns, (
         [lid, int(label), *row] for lid, label, row in zip(learners, y.tolist(), X.tolist())
     ))
@@ -300,36 +311,31 @@ def cmd_build(args) -> int:
     return 0
 
 
+def _cell_settings(args, cfg: dict[str, str]) -> dict[str, object]:
+    """evaluate_cell's keyword arguments from the flags and the config."""
+    return {
+        "seed": _setting(args, cfg, "seed"),
+        "ratio": _setting(args, cfg, "ratio", float),
+        "ridge": _setting(args, cfg, "ridge", float),
+        "folds": _setting(args, cfg, "folds"),
+        "min_rows": _setting(args, cfg, "min_rows"),
+    }
+
+
 def cmd_train_eval(args) -> int:
-    cfg = load_config(args.config)
-    seed = _setting(args, cfg, "seed")
-    ratio = _setting(args, cfg, "ratio", float)
-    ridge = _setting(args, cfg, "ridge", float)
-    folds = _setting(args, cfg, "folds")
-    min_rows = _setting(args, cfg, "min_rows")
+    settings = _cell_settings(args, load_config(args.config))
     out = _out_dir(args)
     matrix, assignments, spec = _load_problem(args)
-    X, y, _, columns = flatten(matrix, spec, assignments)
-    if y.size < min_rows:
-        raise InsufficientDataError(
-            f"{y.size} eligible learners for lead={args.lead} lag={args.lag}, need {min_rows}"
-        )
-    label = args.cohort if args.cohort is not None else ALL_COHORT
-    rng = np.random.default_rng(cell_seed(seed, label, args.lead, args.lag))
-    ev = evaluate_problem(X, y, rng, ratio=ratio, ridge=ridge, folds=folds, columns=columns)
-    save_model(ev.model, out / "model.txt")
-    cell = CellResult(
-        cohort=label, lead=args.lead, lag=args.lag, predicted_week=spec.predicted_week,
-        status="ok", n_rows=int(y.size), n_train=ev.n_train, n_test=ev.n_test,
-        cv_mean=ev.cv_mean, train_auc=ev.train_auc, test_auc=ev.test_auc,
-        folds_used=len(ev.cv_aucs),
-    )
-    export_grid(GridResult(cohort=label, num_weeks=matrix.num_weeks, seed=seed, cells=[cell]),
-                out / "eval.tsv")
-    print(
-        f"train-eval: lead={args.lead} lag={args.lag} cohort={label} "
-        f"cv={ev.cv_mean:.4f} train={ev.train_auc:.4f} test={ev.test_auc:.4f}"
-    )
+    cell, model = evaluate_cell(matrix, spec, assignments, **settings)
+    where = f"lead={cell.lead} lag={cell.lag}"
+    if cell.status == STATUS_INSUFFICIENT:
+        raise InsufficientDataError(f"{cell.n_rows} eligible learners for {where}, need {settings['min_rows']}")
+    if cell.status == STATUS_DEGENERATE:
+        raise DegenerateLabelsError(f"{where}: too few of one class to split and cross-validate")
+    save_model(model, out / "model.txt")
+    export_grid(GridResult(cohort=cell.cohort, num_weeks=matrix.num_weeks, cells=[cell]), out / "eval.tsv")
+    print(f"train-eval: {where} cohort={cell.cohort} "
+          f"cv={cell.cv_mean:.4f} train={cell.train_auc:.4f} test={cell.test_auc:.4f}")
     return 0
 
 
@@ -352,7 +358,7 @@ def _cell_task(task: tuple[str, str, int, int]) -> CellResult | importance_mod.P
     if kind == IMPORTANCE_TASK:
         return importance_mod.problem_importance(
             _POOL_STATE["matrix"], spec, _POOL_STATE["assignments"], **_POOL_STATE["importance_args"])
-    return evaluate_cell(_POOL_STATE["matrix"], spec, _POOL_STATE["assignments"], **_POOL_STATE["cell_args"])
+    return evaluate_cell(_POOL_STATE["matrix"], spec, _POOL_STATE["assignments"], **_POOL_STATE["cell_args"])[0]
 
 
 def _importance_settings(args, cfg: dict[str, str]) -> dict[str, object]:
@@ -394,16 +400,10 @@ def _run_importance_reports(problems: list[importance_mod.ProblemImportance], ou
 
 
 def cmd_run_all(args) -> int:
+    if args.jobs < 1:
+        raise ConfigError(f"--jobs must be >= 1, got {args.jobs}")
     cfg = load_config(args.config)
-    seed = _setting(args, cfg, "seed")
-    cell_args = {
-        "seed": seed,
-        "ratio": _setting(args, cfg, "ratio", float),
-        "ridge": _setting(args, cfg, "ridge", float),
-        "folds": _setting(args, cfg, "folds"),
-        "min_rows": _setting(args, cfg, "min_rows"),
-        "shuffle_labels": args.shuffle_labels,
-    }
+    cell_args = {**_cell_settings(args, cfg), "shuffle_labels": args.shuffle_labels}
     importance_args = None if args.shuffle_labels else _importance_settings(args, cfg)
     clauses = [parse_filter(c) for c in (args.filter or [])]
     out = _out_dir(args)
@@ -441,11 +441,11 @@ def cmd_run_all(args) -> int:
         own = [c for c in cells if c.cohort == cohort]
         if not own:
             continue
-        grid = GridResult(cohort=cohort, num_weeks=matrix.num_weeks, seed=seed, cells=own)
+        grid = GridResult(cohort=cohort, num_weeks=matrix.num_weeks, cells=own)
         export_grid(grid, out / f"grid_{cohort}.tsv")
         export_heatmap_matrix(grid, out / f"heatmap_{cohort}.tsv")
         write_heatmap(grid, out / f"heatmap_{cohort}.svg")
-        ok = sum(1 for c in own if c.status == "ok")
+        ok = sum(1 for c in own if c.status == STATUS_OK)
         print(f"grid {cohort}: {ok}/{len(own)} cells ok")
         manifest_cells.extend((c.cohort, c.lead, c.lag, c.status) for c in own)
 
@@ -456,7 +456,7 @@ def cmd_run_all(args) -> int:
         "package_version": __version__,
         "numpy_version": np.__version__,
         "python_version": "{}.{}.{}".format(*sys.version_info[:3]),
-        "seed": str(seed),
+        "seed": str(cell_args["seed"]),
         "config_sha256": config_sha256(cfg),
     }
     write_manifest(out, meta=meta, cells=manifest_cells)
@@ -475,31 +475,11 @@ def cmd_heatmap(args) -> int:
     return 0
 
 
-def _parse_problem(text: str) -> ProblemSpec:
-    parts = text.split(",")
-    if len(parts) not in (2, 3):
-        raise ConfigError(f"bad problem {text!r}, expected LEAD,LAG[,COHORT]")
-    try:
-        lead, lag = int(parts[0]), int(parts[1])
-    except ValueError as exc:
-        raise ConfigError(f"bad problem {text!r}: lead and lag must be integers") from exc
-    cohort = None
-    if len(parts) == 3 and parts[2] and parts[2] != ALL_COHORT:
-        if parts[2] not in cohorts_mod.COHORTS:
-            raise ConfigError(f"unknown cohort {parts[2]!r}")
-        cohort = parts[2]
-    return ProblemSpec(lead=lead, lag=lag, cohort=cohort)
-
-
 def cmd_importance(args) -> int:
-    cfg = load_config(args.config)
-    settings = _importance_settings(args, cfg)
+    settings = _importance_settings(args, load_config(args.config))
     out = _out_dir(args)
-    matrix = load_feature_matrix(args.features)
-    assignments = cohorts_mod.load_cohorts(args.cohorts) if args.cohorts else None
-    specs = [_parse_problem(p) for p in args.problem]
-    if any(s.cohort is not None for s in specs) and assignments is None:
-        raise ConfigError("cohort-restricted problems need --cohorts FILE")
+    specs = [parse_problem(p) for p in args.problem]
+    matrix, assignments = _load_inputs(args, specs, "cohort-restricted problems need --cohorts FILE")
     report = importance_mod.run_importance(matrix, specs, assignments=assignments, **settings)
     importance_mod.export_importance(report, out / "importance.tsv")
     importance_mod.export_problems(report.problems, out / "importance_problems.tsv")

@@ -1,8 +1,10 @@
 """Model evaluation: ROC AUC, stratified cross-validation, lead/lag grids.
 
-AUC is computed by two independent routes on every call (threshold sweep with
-trapezoids, and the rank statistic with midrank tie handling in exact integer
-arithmetic); a disagreement beyond 1e-9 is a hard error, not a warning.
+AUC is computed by two routes on every call from the same per-score class
+counts (threshold sweep with trapezoids, and the rank statistic with midrank
+tie handling in exact integer arithmetic); a disagreement beyond 1e-9 is a
+hard error, not a warning. evaluate_cell is the one scorer of a lead/lag cell,
+for run-all grids and for train-eval alike.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .dataset_builder import ProblemSpec, enumerate_problems, flatten, normalize, stratified_split
+from .dataset_builder import ProblemSpec, flatten, normalize, stratified_split
 from .errors import DataError, DegenerateLabelsError
 from .featurizer import FeatureMatrix
 from .logistic_model import TrainedModel, predict_proba, train
@@ -33,79 +35,9 @@ def _counts(y: np.ndarray) -> tuple[int, int]:
     return pos, neg
 
 
-def _auc_rank(y: np.ndarray, scores: np.ndarray, pos: int, neg: int) -> float:
-    # Mann-Whitney with midranks, kept in integers until the final division:
-    # each positive beats every negative scored strictly below it and half-wins
-    # each tied negative, so 2*U stays integral.
-    order = np.argsort(scores, kind="stable")
-    s = scores[order]
-    t = y[order]
-    twice_u = 0
-    neg_below = 0
-    i = 0
-    n = s.size
-    while i < n:
-        j = i
-        pos_g = 0
-        neg_g = 0
-        while j < n and s[j] == s[i]:
-            if t[j] == 1:
-                pos_g += 1
-            else:
-                neg_g += 1
-            j += 1
-        twice_u += pos_g * (2 * neg_below + neg_g)
-        neg_below += neg_g
-        i = j
-    return twice_u / (2 * pos * neg)
-
-
-def _sweep_points(y: np.ndarray, scores: np.ndarray, pos: int, neg: int) -> list[tuple[float, float]]:
-    # Sweep the decision threshold down through every distinct score; each
-    # stop adds one (fpr, tpr) operating point after the (0, 0) sentinel.
-    order = np.argsort(-scores, kind="stable")
-    s = scores[order]
-    t = y[order]
-    points = [(0.0, 0.0)]
-    tp = fp = 0
-    i = 0
-    n = s.size
-    while i < n:
-        j = i
-        while j < n and s[j] == s[i]:
-            if t[j] == 1:
-                tp += 1
-            else:
-                fp += 1
-            j += 1
-        points.append((fp / neg, tp / pos))
-        i = j
-    return points
-
-
-def _auc_sweep(y: np.ndarray, scores: np.ndarray, pos: int, neg: int) -> float:
-    points = _sweep_points(y, scores, pos, neg)
-    area = 0.0
-    for (fpr0, tpr0), (fpr1, tpr1) in zip(points, points[1:]):
-        area += (fpr1 - fpr0) * (tpr1 + tpr0) / 2.0
-    return area
-
-
-def roc_points(y_true: np.ndarray, scores: np.ndarray) -> list[tuple[float, float]]:
-    """ROC operating points from (0,0) to (1,1), one per distinct threshold."""
-    y = np.asarray(y_true, dtype=np.float64)
-    s = np.asarray(scores, dtype=np.float64)
-    pos, neg = _counts(y)
-    if pos == 0 or neg == 0:
-        raise DegenerateLabelsError("ROC needs both classes present")
-    return _sweep_points(y, s, pos, neg)
-
-
-def roc_auc(y_true: np.ndarray, scores: np.ndarray) -> float:
-    """Area under the ROC curve; ties earn half credit.
-
-    Raises DegenerateLabelsError when either class is absent.
-    """
+def _roc_counts(y_true: np.ndarray, scores: np.ndarray) -> tuple[np.ndarray, np.ndarray, int, int]:
+    """Checked inputs as positives and negatives at each distinct score, in
+    ascending score order, then the two class totals."""
     y = np.asarray(y_true, dtype=np.float64)
     s = np.asarray(scores, dtype=np.float64)
     if y.shape != s.shape or y.ndim != 1:
@@ -114,9 +46,44 @@ def roc_auc(y_true: np.ndarray, scores: np.ndarray) -> float:
         raise DataError("scores must be finite")
     pos, neg = _counts(y)
     if pos == 0 or neg == 0:
-        raise DegenerateLabelsError("AUC needs both classes present")
-    by_rank = _auc_rank(y, s, pos, neg)
-    by_sweep = _auc_sweep(y, s, pos, neg)
+        raise DegenerateLabelsError("ROC needs both classes present")
+    distinct, group = np.unique(s, return_inverse=True)
+    is_pos = y == 1
+    return (np.bincount(group[is_pos], minlength=distinct.size),
+            np.bincount(group[~is_pos], minlength=distinct.size), pos, neg)
+
+
+def _auc_rank(pos_g: np.ndarray, neg_g: np.ndarray, pos: int, neg: int) -> float:
+    # Mann-Whitney with midranks, kept in integers until the final division:
+    # each positive beats every negative scored strictly below it and half-wins
+    # each tied negative, so 2*U stays integral.
+    neg_below = np.cumsum(neg_g) - neg_g
+    return int(np.sum(pos_g * (2 * neg_below + neg_g))) / (2 * pos * neg)
+
+
+def _sweep_rates(pos_g: np.ndarray, neg_g: np.ndarray, pos: int, neg: int) -> tuple[np.ndarray, np.ndarray]:
+    # Sweep the decision threshold down through every distinct score; each
+    # stop adds one (fpr, tpr) operating point after the (0, 0) sentinel.
+    fpr = np.concatenate(([0.0], np.cumsum(neg_g[::-1]) / neg))
+    tpr = np.concatenate(([0.0], np.cumsum(pos_g[::-1]) / pos))
+    return fpr, tpr
+
+
+def roc_points(y_true: np.ndarray, scores: np.ndarray) -> list[tuple[float, float]]:
+    """ROC operating points from (0,0) to (1,1), one per distinct threshold."""
+    fpr, tpr = _sweep_rates(*_roc_counts(y_true, scores))
+    return list(zip(fpr.tolist(), tpr.tolist()))
+
+
+def roc_auc(y_true: np.ndarray, scores: np.ndarray) -> float:
+    """Area under the ROC curve; ties earn half credit.
+
+    Raises DegenerateLabelsError when either class is absent.
+    """
+    counts = _roc_counts(y_true, scores)
+    by_rank = _auc_rank(*counts)
+    fpr, tpr = _sweep_rates(*counts)
+    by_sweep = float(np.sum(np.diff(fpr) * (tpr[1:] + tpr[:-1]))) / 2.0  # trapezoids
     if abs(by_rank - by_sweep) > AUC_ROUTE_TOL:
         raise DataError(
             f"AUC routes disagree: rank={by_rank!r} sweep={by_sweep!r}"
@@ -235,14 +202,7 @@ class CellResult:
 class GridResult:
     cohort: str
     num_weeks: int
-    seed: int
     cells: list[CellResult] = field(default_factory=list)
-
-    def cell(self, lead: int, lag: int) -> CellResult:
-        for c in self.cells:
-            if c.lead == lead and c.lag == lag:
-                return c
-        raise KeyError(f"no cell for lead={lead} lag={lag}")
 
 
 def evaluate_cell(
@@ -255,13 +215,13 @@ def evaluate_cell(
     ridge: float = 0.0,
     folds: int = 10,
     shuffle_labels: bool = False,
-) -> CellResult:
-    """Evaluate one lead/lag problem as a grid cell.
+) -> tuple[CellResult, TrainedModel | None]:
+    """Evaluate one lead/lag problem: its grid cell and its full-train model.
 
-    A cell that cannot be evaluated gets a typed status instead of raising:
-    too few eligible learners, or a single-class label vector somewhere in
-    the pipeline. shuffle_labels permutes y before splitting, as a no-signal
-    control.
+    A cell that cannot be evaluated gets a typed status, and no model,
+    instead of raising: too few eligible learners, or a single-class label
+    vector somewhere in the pipeline. shuffle_labels permutes y before
+    splitting, as a no-signal control.
     """
     label = spec.cohort if spec.cohort is not None else ALL_COHORT
     X, y, _, columns = flatten(matrix, spec, assignments)
@@ -275,7 +235,7 @@ def evaluate_cell(
     )
     if y.size < min_rows:
         cell.status = STATUS_INSUFFICIENT
-        return cell
+        return cell, None
     rng = np.random.default_rng(cell_seed(seed, label, spec.lead, spec.lag))
     if shuffle_labels:
         y = y[rng.permutation(y.size)]
@@ -283,38 +243,14 @@ def evaluate_cell(
         ev = evaluate_problem(X, y, rng, ratio=ratio, ridge=ridge, folds=folds, columns=columns)
     except DegenerateLabelsError:
         cell.status = STATUS_DEGENERATE
-        return cell
+        return cell, None
     cell.n_train = ev.n_train
     cell.n_test = ev.n_test
     cell.cv_mean = ev.cv_mean
     cell.train_auc = ev.train_auc
     cell.test_auc = ev.test_auc
     cell.folds_used = len(ev.cv_aucs)
-    return cell
-
-
-def run_grid(
-    matrix: FeatureMatrix,
-    assignments: dict[str, str] | None = None,
-    cohort: str | None = None,
-    seed: int = 0,
-    min_rows: int = 10,
-    ratio: float = 0.7,
-    ridge: float = 0.0,
-    folds: int = 10,
-    shuffle_labels: bool = False,
-    specs: list[ProblemSpec] | None = None,
-) -> GridResult:
-    """Evaluate every lead/lag prediction problem for one population."""
-    if specs is None:
-        specs = enumerate_problems(matrix.num_weeks, cohort=cohort)
-    cells = [
-        evaluate_cell(matrix, spec, assignments, seed=seed, min_rows=min_rows, ratio=ratio,
-                      ridge=ridge, folds=folds, shuffle_labels=shuffle_labels)
-        for spec in specs
-    ]
-    return GridResult(cohort=cohort if cohort is not None else ALL_COHORT,
-                      num_weeks=matrix.num_weeks, seed=seed, cells=cells)
+    return cell, ev.model
 
 
 GRID_COLUMNS = (
@@ -365,6 +301,5 @@ def load_grid(path: str | Path) -> GridResult:
     return GridResult(
         cohort=cells[-1].cohort if cells else ALL_COHORT,
         num_weeks=max((c.predicted_week for c in cells), default=0),
-        seed=-1,
         cells=cells,
     )

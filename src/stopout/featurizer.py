@@ -36,36 +36,6 @@ FEATURE_IDS: tuple[str, ...] = (
 NUM_FEATURES = len(FEATURE_IDS)
 FEATURE_INDEX = {fid: i for i, fid in enumerate(FEATURE_IDS)}
 
-FEATURE_NAMES = {
-    "x2": "total resource time",
-    "x3": "forum posts",
-    "x4": "wiki edits",
-    "x5": "avg forum post length",
-    "x6": "distinct problems attempted",
-    "x7": "submissions",
-    "x8": "distinct problems correct",
-    "x9": "submissions per problem",
-    "x10": "time per correct problem",
-    "x11": "attempts per correct problem",
-    "x12": "avg first-to-last submission span",
-    "x13": "event time variance",
-    "x14": "collaborations",
-    "x15": "max event duration",
-    "x16": "lecture time",
-    "x17": "book time",
-    "x18": "wiki time",
-    "x201": "forum responses",
-    "x202": "submission ratio percentile",
-    "x203": "submission ratio vs week max",
-    "x204": "homework grade",
-    "x205": "homework grade trend",
-    "x206": "lab grade",
-    "x207": "lab grade trend",
-    "x208": "correct submissions",
-    "x209": "correct submission ratio",
-    "x210": "avg pre-deadline margin",
-}
-
 
 @dataclass
 class FeatureMatrix:

@@ -161,11 +161,9 @@ def _stratified_subsample(y: np.ndarray, fraction: float, rng: np.random.Generat
 
 @dataclass
 class StabilityResult:
-    columns: list[str]
     column_freq: np.ndarray
     base_freq: dict[str, float]
     lam: float
-    subsamples: int
     l1_fits: int  # every l1 fit run, calibration included
     l1_iterations: int
     l1_unconverged: int
@@ -218,9 +216,8 @@ def stability_select(
         fid = _base_id(col)
         base[fid] = max(base.get(fid, 0.0), float(freq[j]))
     return StabilityResult(
-        columns=list(columns), column_freq=freq, base_freq=base, lam=lam, subsamples=subsamples,
-        l1_fits=len(fits), l1_iterations=sum(f.iterations for f in fits),
-        l1_unconverged=sum(not f.converged for f in fits),
+        column_freq=freq, base_freq=base, lam=lam, l1_fits=len(fits),
+        l1_iterations=sum(f.iterations for f in fits), l1_unconverged=sum(not f.converged for f in fits),
     )
 
 
@@ -283,14 +280,6 @@ class ImportanceReport:
     cohort: str
     problems: list[ProblemImportance] = field(default_factory=list)
     base_freq: dict[str, float] = field(default_factory=dict)
-
-    @property
-    def statuses(self) -> list[tuple[str, int, int, str]]:
-        return [(p.cohort, p.lead, p.lag, p.status) for p in self.problems]
-
-    @property
-    def lams(self) -> list[float]:
-        return [p.lam for p in self.problems if p.status == STATUS_OK]
 
     def ranked(self) -> list[tuple[str, float]]:
         order = {fid: i for i, fid in enumerate(FEATURE_IDS)}

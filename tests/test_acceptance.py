@@ -13,11 +13,12 @@ import numpy as np
 import pytest
 
 from oracles import grid_mle_ll, pairwise_auc, penalized_gradient
+from test_evaluator import run_grid
 from test_featurizer import ALICE_WEEK1
 
 from stopout.cli import main, load_manifest
 from stopout.dataset_builder import ProblemSpec, enumerate_problems, flatten
-from stopout.evaluator import roc_auc, roc_points, run_grid
+from stopout.evaluator import roc_auc, roc_points
 from stopout.event_store import ingest, dump_calendar
 from stopout.featurizer import FEATURE_INDEX, build_feature_matrix
 from stopout.importance import run_importance
@@ -169,14 +170,15 @@ def test_planted_signal_reproduction(planted_course):
     specs = [ProblemSpec(lead=1, lag=lag) for lag in range(1, matrix.num_weeks)]
     specs += [ProblemSpec(lead=pw - 1, lag=1) for pw in range(8, matrix.num_weeks + 1)]
     grid = run_grid(matrix, seed=0, folds=2, specs=specs)
+    cell = {(c.lead, c.lag): c for c in grid.cells}
 
-    diagonal = [grid.cell(1, lag).test_auc for lag in range(1, matrix.num_weeks)]
+    diagonal = [cell[1, lag].test_auc for lag in range(1, matrix.num_weeks)]
     assert all(a is not None for a in diagonal)
     assert float(np.mean(diagonal)) >= 0.85
 
     for pw in range(8, matrix.num_weeks + 1):
-        shortest = grid.cell(pw - 1, 1).test_auc
-        longest = grid.cell(1, pw - 1).test_auc
+        shortest = cell[pw - 1, 1].test_auc
+        longest = cell[1, pw - 1].test_auc
         # telescoped mean of successive lag differences at this predicted week
         assert (longest - shortest) / (pw - 2) >= -0.02
 

@@ -23,7 +23,9 @@ from stopout.cli import (
     load_config,
     load_manifest,
     main,
+    parse_cohort,
     parse_filter,
+    parse_problem,
     parse_problem_pairs,
     sha256_file,
 )
@@ -218,6 +220,21 @@ def test_parse_problem_pairs():
         parse_problem_pairs("0,1")
     with pytest.raises(ConfigError, match="lists no problems"):
         parse_problem_pairs(";")
+    with pytest.raises(ConfigError, match="expected LEAD,LAG"):
+        parse_problem_pairs("1,1,wiki_contributor")  # a config pair names no cohort
+
+
+def test_one_problem_grammar():
+    assert parse_problem("3,6") == ProblemSpec(lead=3, lag=6)
+    assert parse_problem("3,6,all") == parse_problem("3,6,") == ProblemSpec(lead=3, lag=6)
+    assert parse_problem("3,6,wiki_contributor") == ProblemSpec(lead=3, lag=6, cohort="wiki_contributor")
+    assert parse_cohort(None) is parse_cohort("") is parse_cohort("all") is None
+    with pytest.raises(ConfigError, match="unknown cohort 'lurker'"):
+        parse_problem("3,6,lurker")
+    with pytest.raises(ConfigError, match=r"expected LEAD,LAG\[,COHORT\]"):
+        parse_problem("3,6,all,4")
+    with pytest.raises(ConfigError, match="must be >= 1"):
+        parse_problem("0,6")
 
 
 # ---------------------------------------------------------------------------
@@ -307,6 +324,34 @@ def test_build_cohort_needs_cohorts_file(pipeline, tmp_path, capsys):
     ])
     assert rc == 2
     assert "--cohort requires --cohorts FILE" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command,written", [("build", ["design.tsv"]), ("train-eval", ["eval.tsv", "model.txt"])])
+def test_cohort_all_is_the_whole_population(pipeline, tmp_path, capsys, command, written):
+    problem = [command, "--features", str(pipeline.features), "--lead", "2", "--lag", "1"]
+    runs = {
+        "plain": [],
+        "all": ["--cohort", "all"],  # needs no --cohorts file
+        "all_with_file": ["--cohort", "all", "--cohorts", str(pipeline.cohorts)],
+    }
+    for name, flags in runs.items():
+        assert main([*problem, *flags, "--out", str(tmp_path / name)]) == 0, name
+    printed = capsys.readouterr().out.splitlines()
+    assert len({line.replace(str(tmp_path / name), "OUT") for line, name in zip(printed, runs)}) == 1
+    for name in written:
+        plain = (tmp_path / "plain" / name).read_bytes()
+        assert (tmp_path / "all" / name).read_bytes() == plain
+        assert (tmp_path / "all_with_file" / name).read_bytes() == plain
+
+
+@pytest.mark.parametrize("command", ["build", "train-eval"])
+def test_unknown_cohort_exits_2(pipeline, tmp_path, capsys, command):
+    rc = main([
+        command, "--features", str(pipeline.features), "--lead", "1", "--lag", "2",
+        "--cohort", "lurker", "--cohorts", str(pipeline.cohorts), "--out", str(tmp_path / "o"),
+    ])
+    assert rc == 2
+    assert "config error: unknown cohort 'lurker'" in capsys.readouterr().err
 
 
 def test_train_eval_writes_model_and_grid(pipeline, tmp_path, capsys):
@@ -512,6 +557,18 @@ def test_manifest_loader_rejects_noise(tmp_path):
         load_manifest(path)
     with pytest.raises(DataError, match="manifest not found"):
         load_manifest(tmp_path / "absent.tsv")
+
+
+@pytest.mark.parametrize("jobs", ["0", "-2"])
+def test_run_all_rejects_jobs_below_one(pipeline, tmp_path, capsys, jobs):
+    out = tmp_path / "o"
+    rc = main([
+        "run-all", "--events", str(pipeline.events), "--calendar", str(pipeline.calendar),
+        "--out", str(out), "--jobs", jobs,
+    ])
+    assert rc == 2
+    assert f"config error: --jobs must be >= 1, got {jobs}" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_run_all_rejects_bad_filter(pipeline, tmp_path, capsys):

@@ -12,9 +12,10 @@ from hypothesis import strategies as st
 
 from oracles import pairwise_auc
 from stopout.cohorts import PASSIVE
-from stopout.dataset_builder import ProblemSpec, flatten
+from stopout.dataset_builder import ProblemSpec, enumerate_problems, flatten
 from stopout.errors import DataError, DegenerateLabelsError
 from stopout.evaluator import (
+    ALL_COHORT,
     STATUS_DEGENERATE,
     STATUS_INSUFFICIENT,
     STATUS_OK,
@@ -29,19 +30,33 @@ from stopout.evaluator import (
     load_grid,
     roc_auc,
     roc_points,
-    run_grid,
 )
 from stopout.tsv import read_table
 
-# labels then scores, both ways, to exercise ties and mid cases
-binary_case = st.integers(2, 25).flatmap(
-    lambda n: st.tuples(
-        st.lists(st.integers(0, 1), min_size=n, max_size=n).filter(
-            lambda ls: 0 < sum(ls) < len(ls)
-        ),
-        st.lists(st.integers(-5, 5), min_size=n, max_size=n),
+
+def run_grid(matrix, assignments=None, cohort=None, specs=None, **settings) -> GridResult:
+    """Every lead/lag cell of one population, or just the cells of specs."""
+    if specs is None:
+        specs = enumerate_problems(matrix.num_weeks, cohort=cohort)
+    cells = [evaluate_cell(matrix, spec, assignments, **settings)[0] for spec in specs]
+    return GridResult(cohort=cohort or ALL_COHORT, num_weeks=matrix.num_weeks, cells=cells)
+
+def labelled_scores(max_n: int, score: st.SearchStrategy) -> st.SearchStrategy:
+    """Labels with both classes present, then one score per label."""
+    return st.integers(2, max_n).flatmap(
+        lambda n: st.tuples(
+            st.lists(st.integers(0, 1), min_size=n, max_size=n).filter(
+                lambda ls: 0 < sum(ls) < len(ls)
+            ),
+            st.lists(score, min_size=n, max_size=n),
+        )
     )
-)
+
+
+# small integer scores, to exercise ties and mid cases
+binary_case = labelled_scores(25, st.integers(-5, 5))
+# real-valued scores, mostly distinct
+float_case = labelled_scores(60, st.floats(-1e6, 1e6))
 
 
 # ---------------------------------------------------------------------------
@@ -116,6 +131,27 @@ def test_roc_points_merges_ties():
 def test_roc_points_needs_both_classes():
     with pytest.raises(DegenerateLabelsError):
         roc_points(np.array([0, 0]), np.array([0.1, 0.2]))
+
+
+def test_roc_points_checks_scores_as_roc_auc_does():
+    with pytest.raises(DataError, match="finite"):
+        roc_points(np.array([1, 0, 1]), np.array([np.nan, 0.2, np.nan]))
+    with pytest.raises(DataError, match="shape"):
+        roc_points(np.array([1, 0]), np.array([0.1, 0.2, 0.3]))
+
+
+@given(binary_case | float_case)
+def test_roc_points_equal_direct_threshold_counts(case):
+    # after (0, 0), one point per distinct score t, highest first: the share
+    # of each class scored t or above
+    labels, scores = case
+    pos, neg = sum(labels), len(labels) - sum(labels)
+    expected = [(0.0, 0.0)] + [
+        (sum(1 for label, score in zip(labels, scores) if label == 0 and score >= t) / neg,
+         sum(1 for label, score in zip(labels, scores) if label == 1 and score >= t) / pos)
+        for t in sorted(set(scores), reverse=True)
+    ]
+    assert roc_points(np.array(labels, dtype=float), np.array(scores, dtype=float)) == expected
 
 
 # ---------------------------------------------------------------------------
@@ -208,14 +244,15 @@ def test_grid_covers_all_problems(small_course):
 
 def test_cell_records_the_folds_cross_validation_used(small_course):
     m = small_course.matrix
-    full = evaluate_cell(m, ProblemSpec(lead=1, lag=1), seed=4, folds=4)
+    full, _ = evaluate_cell(m, ProblemSpec(lead=1, lag=1), seed=4, folds=4)
     assert full.status == STATUS_OK and full.folds_used == 4
     with pytest.warns(RuntimeWarning, match=r"reducing cross-validation folds from 1000 to (\d+)") as caught:
-        reduced = evaluate_cell(m, ProblemSpec(lead=1, lag=1), seed=4, folds=1000)
+        reduced, _ = evaluate_cell(m, ProblemSpec(lead=1, lag=1), seed=4, folds=1000)
     k = int(re.search(r"to (\d+)", str(caught[0].message)).group(1))
     assert reduced.folds_used == k and 2 <= k < 1000
-    skipped = evaluate_cell(m, ProblemSpec(lead=1, lag=1), min_rows=10**9)
+    skipped, no_model = evaluate_cell(m, ProblemSpec(lead=1, lag=1), min_rows=10**9)
     assert skipped.status == STATUS_INSUFFICIENT and skipped.folds_used == 0
+    assert no_model is None
 
 
 def test_grid_cells_do_not_depend_on_iteration_order(small_course):
@@ -289,7 +326,7 @@ def test_grid_round_trip(small_course, tmp_path):
 
 
 def test_grid_round_trip_keeps_folds_used(tmp_path):
-    grid = GridResult(cohort="all", num_weeks=3, seed=0, cells=[
+    grid = GridResult(cohort="all", num_weeks=3, cells=[
         CellResult(cohort="all", lead=1, lag=1, predicted_week=2, status=STATUS_OK, n_rows=12,
                    n_train=8, n_test=4, cv_mean=0.75, train_auc=1.0, test_auc=0.5, folds_used=3),
         CellResult(cohort="all", lead=2, lag=1, predicted_week=3, status=STATUS_INSUFFICIENT, n_rows=3),
@@ -340,7 +377,7 @@ def test_heatmap_matrix_round_trip(small_course, tmp_path):
 
 
 def test_heatmap_matrix_leaves_invalid_cells_empty(tmp_path):
-    grid = GridResult(cohort="all", num_weeks=3, seed=0, cells=[
+    grid = GridResult(cohort="all", num_weeks=3, cells=[
         CellResult(cohort="all", lead=1, lag=1, predicted_week=2, status=STATUS_OK,
                    n_rows=50, n_train=35, n_test=15, cv_mean=0.8, train_auc=0.9, test_auc=0.85),
         CellResult(cohort="all", lead=2, lag=1, predicted_week=3, status=STATUS_INSUFFICIENT, n_rows=3),
