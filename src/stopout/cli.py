@@ -122,7 +122,9 @@ def parse_filter(clause: str) -> dict[str, object]:
             except ValueError as exc:
                 raise ConfigError(f"filter {key} must be an integer, got {value!r}") from exc
         elif key == "cohort":
-            out[key] = parse_cohort(value) or ALL_COHORT
+            cohort = parse_cohort(value)
+            if cohort is not None:  # 'all' or '' restricts no cohort
+                out[key] = cohort
         else:
             raise ConfigError(f"unknown filter key {key!r}")
     return out

@@ -91,30 +91,38 @@ def roc_auc(y_true: np.ndarray, scores: np.ndarray) -> float:
     return by_rank
 
 
-def cross_validate(
-    X: np.ndarray,
-    y: np.ndarray,
-    rng: np.random.Generator,
-    folds: int = 10,
-    ridge: float = 0.0,
-) -> list[float]:
-    """Stratified k-fold AUCs; k shrinks to the minority count when needed.
-
-    Folds are assigned round-robin within each shuffled class, so every fold
-    holds at least one example of each class. Normalization statistics are
-    recomputed inside each fold from its own training split.
-    """
-    y = np.asarray(y, dtype=np.float64)
+def _fold_count(y: np.ndarray, folds: int) -> int:
+    """Folds cross-validation can use: at most the minority count, at least 2."""
     pos, neg = _counts(y)
     k = min(folds, pos, neg)
     if k < 2:
         raise DegenerateLabelsError(
             f"cross-validation needs 2+ of each class, got {pos} pos / {neg} neg"
         )
+    return k
+
+
+def cross_validate(
+    X: np.ndarray,
+    y: np.ndarray,
+    rng: np.random.Generator,
+    folds: int = 10,
+    ridge: float = 0.0,
+    beta0: np.ndarray | None = None,
+) -> list[float]:
+    """Stratified k-fold AUCs; k shrinks to the minority count when needed.
+
+    Folds are assigned round-robin within each shuffled class, so every fold
+    holds at least one example of each class. Normalization statistics are
+    recomputed inside each fold from its own training split. Each fold fit
+    starts from beta0 when given (see train).
+    """
+    y = np.asarray(y, dtype=np.float64)
+    k = _fold_count(y, folds)
     if k < folds:
         warnings.warn(
             f"reducing cross-validation folds from {folds} to {k} "
-            f"(minority class has {min(pos, neg)} rows)",
+            f"(minority class has {k} rows)",
             RuntimeWarning,
             stacklevel=2,
         )
@@ -127,7 +135,7 @@ def cross_validate(
     for f in range(k):
         test_mask = fold_id == f
         Xtr, Xte, _, _ = normalize(X[~test_mask], X[test_mask])
-        model = train(Xtr, y[~test_mask], ridge=ridge)
+        model = train(Xtr, y[~test_mask], ridge=ridge, beta0=beta0)
         aucs.append(roc_auc(y[test_mask], predict_proba(model, Xte)))
     return aucs
 
@@ -155,17 +163,24 @@ def evaluate_problem(
     folds: int = 10,
     columns: list[str] | None = None,
 ) -> Evaluation:
-    """Split, cross-validate on train, fit on full train, score both sides."""
+    """Split, fit on full train and score both sides, then cross-validate.
+
+    The folds start from the full-train fit. rng draws only the split and the
+    folds, so fitting first changes no draw; a cell that cannot
+    cross-validate raises before anything is fit.
+    """
     train_idx, test_idx = stratified_split(y, ratio, rng)
     X_train, y_train = X[train_idx], y[train_idx]
     X_test, y_test = X[test_idx], y[test_idx]
-    cv_aucs = cross_validate(X_train, y_train, rng, folds=folds, ridge=ridge)
+    _fold_count(y_train, folds)
     Xtr, Xte, means, scales = normalize(X_train, X_test)
     model = train(Xtr, y_train, ridge=ridge, columns=columns)
     model.norm_means = means
     model.norm_scales = scales
     train_auc = roc_auc(y_train, predict_proba(model, Xtr))
     test_auc = roc_auc(y_test, predict_proba(model, Xte))
+    del Xtr, Xte  # not held while the folds allocate their own
+    cv_aucs = cross_validate(X_train, y_train, rng, folds=folds, ridge=ridge, beta0=model.beta)
     return Evaluation(
         model=model,
         cv_aucs=cv_aucs,

@@ -5,9 +5,12 @@ rational arithmetic, logistic maximum likelihood by a dense coefficient grid
 search with iterative refinement, and peer percentiles by counting. Production code has to match these,
 never the other way around.
 
-The sigmoid and FISTA references are the plain forms of the production
-kernels (two masked exps; every product recomputed inside the loop), kept so
-the lean kernels can be checked bit for bit against them. The l1 KKT
+The IRLS reference is the trainer without its shortcuts (no warm start, no
+dropped zero columns, no dual step), so a grid scored with it in train's
+place must give the same AUCs. The sigmoid and FISTA references are the
+plain forms of the production kernels (two masked exps; every product
+recomputed inside the loop), kept so the lean kernels can be checked bit for
+bit against them. The l1 KKT
 violation checks any l1 fit against the optimality conditions themselves.
 The reference featurizer computes the 27 features one learner-week at a time
 from per-event tuples, in the same floating-point order as the grouped
@@ -16,13 +19,16 @@ reductions of build_feature_matrix, so the two must agree bit for bit.
 
 from __future__ import annotations
 
+import math
 from bisect import bisect_left, bisect_right
 from fractions import Fraction
 
 import numpy as np
 
 from stopout.event_store import TABLE_COLLABORATION, TABLE_OBSERVED, TABLE_SUBMISSION, WEEK_SECONDS
+from stopout.errors import DataError
 from stopout.featurizer import FEATURE_INDEX, NUM_FEATURES, FeatureMatrix
+from stopout.logistic_model import RIDGE_LADDER, TrainedModel
 
 
 def pairwise_auc(scores, labels) -> Fraction:
@@ -57,10 +63,16 @@ def percentile_rank(value: float, peers) -> float:
 
 
 def penalized_ll_reference(beta: np.ndarray, X: np.ndarray, y: np.ndarray, ridge: float) -> float:
-    """Same objective the trainer maximizes, written independently."""
+    """Same objective the trainer maximizes, one row at a time in math.
+
+    A row with margin m = (2y - 1) * z adds -log(1 + e^-m), taken as
+    log1p(e^-|m|) + max(-m, 0) so that no exp can overflow and no two large
+    numbers are subtracted; the rows are summed exactly by fsum.
+    """
     X1 = np.hstack([np.ones((X.shape[0], 1)), np.asarray(X, dtype=np.float64)])
     z = X1 @ np.asarray(beta, dtype=np.float64)
-    ll = float(np.sum(np.asarray(y, dtype=np.float64) * z - np.logaddexp(0.0, z)))
+    margins = [zi if yi == 1 else -zi for zi, yi in zip(z.tolist(), np.asarray(y).tolist())]
+    ll = -math.fsum(math.log1p(math.exp(-abs(m))) + max(-m, 0.0) for m in margins)
     return ll - 0.5 * ridge * float(np.sum(np.asarray(beta)[1:] ** 2))
 
 
@@ -128,6 +140,47 @@ def penalized_gradient(beta: np.ndarray, X1: np.ndarray, y: np.ndarray, ridge: f
     grad = X1.T @ (y - p)
     grad[1:] -= ridge * beta[1:]
     return grad
+
+
+def irls_reference(X: np.ndarray, y: np.ndarray, ridge: float = 0.0,
+                   columns: list[str] | None = None, beta0: np.ndarray | None = None) -> TrainedModel:
+    """Plain damped Newton up the same ridge ladder as train, in train's place.
+
+    Every rung starts from zeros and solves the full Hessian (beta0 is
+    accepted and ignored); a singular Hessian or a step that no halving
+    improves moves on to the next rung. Zero columns are fit like any other.
+    """
+    X1 = np.hstack([np.ones((len(y), 1)), np.asarray(X, dtype=np.float64)])
+    sign = 1.0 - 2.0 * np.asarray(y, dtype=np.float64)
+    for rung in (ridge, *(r for r in RIDGE_LADDER if r > ridge)):
+        penalty = np.full(X1.shape[1], rung)
+        penalty[0] = 0.0
+
+        def objective(beta):
+            return -np.sum(np.logaddexp(0.0, sign * (X1 @ beta))) - 0.5 * rung * np.sum(beta[1:] ** 2)
+
+        beta = np.zeros(X1.shape[1])
+        ll = objective(beta)
+        for iteration in range(1, 101):
+            p = sigmoid_reference(X1 @ beta)
+            hessian = X1.T @ (X1 * (p * (1.0 - p))[:, None]) + np.diag(penalty)
+            try:
+                step = np.linalg.solve(hessian, X1.T @ (y - p) - penalty * beta)
+            except np.linalg.LinAlgError:
+                break
+            for _ in range(31):
+                new_ll = objective(beta + step)
+                if np.isfinite(new_ll) and new_ll >= ll:
+                    break
+                step = step / 2.0
+            else:
+                break
+            beta, ll = beta + step, new_ll
+            if np.max(np.abs(step)) < 1e-8:
+                return TrainedModel(beta, rung, True, iteration, columns=columns)
+        else:
+            return TrainedModel(beta, rung, False, 100, columns=columns)
+    raise DataError(f"reference fit failed at every rung up to {rung}")
 
 
 def l1_logistic_reference(

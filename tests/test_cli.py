@@ -30,9 +30,9 @@ from stopout.cli import (
     sha256_file,
 )
 from stopout.cohorts import COHORTS
-from stopout.dataset_builder import ProblemSpec, column_names, flatten, stratified_split
+from stopout.dataset_builder import ProblemSpec, column_names, enumerate_problems, flatten, stratified_split
 from stopout.errors import ConfigError, DataError
-from stopout.evaluator import ALL_COHORT, cell_seed, roc_auc
+from stopout.evaluator import ALL_COHORT, cell_seed, load_grid, roc_auc
 from stopout.featurizer import FeatureMatrix, export_feature_matrix, load_feature_matrix
 from stopout.importance import PROBLEM_COLUMNS
 from stopout.logistic_model import apply_model, load_model
@@ -190,7 +190,9 @@ def test_config_sha256_is_order_insensitive():
 def test_parse_filter_clauses():
     assert parse_filter("lead=1,lag=3") == {"lead": 1, "lag": 3}
     assert parse_filter("cohort=passive_collaborator") == {"cohort": "passive_collaborator"}
-    assert parse_filter("cohort=all") == {"cohort": "all"}
+    assert parse_filter("cohort=all") == {}
+    assert parse_filter("cohort=") == {}
+    assert parse_filter("lag=1,cohort=all") == {"lag": 1}
     with pytest.raises(ConfigError, match="expected key=value"):
         parse_filter("lead")
     with pytest.raises(ConfigError, match="must be an integer"):
@@ -569,6 +571,24 @@ def test_run_all_rejects_jobs_below_one(pipeline, tmp_path, capsys, jobs):
     assert rc == 2
     assert f"config error: --jobs must be >= 1, got {jobs}" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("clause, lags", [
+    ("cohort=all", (1, 2, 3)),
+    ("cohort=", (1, 2, 3)),
+    ("lag=1,cohort=all", (1,)),
+])
+def test_run_all_filter_cohort_all_keeps_every_cohort(pipeline, tmp_path, capsys, clause, lags):
+    out = tmp_path / "o"
+    rc = main([
+        "run-all", "--events", str(pipeline.events), "--calendar", str(pipeline.calendar),
+        "--out", str(out), "--config", str(pipeline.config), "--filter", clause, "--shuffle-labels",
+    ])
+    assert rc == 0
+    want = sorted((s.lead, s.lag) for s in enumerate_problems(4) if s.lag in lags)
+    assert f"run-all: {len(want) * len(COHORTS)} cells attempted" in capsys.readouterr().out
+    for cohort in COHORTS:
+        assert sorted((c.lead, c.lag) for c in load_grid(out / f"grid_{cohort}.tsv").cells) == want
 
 
 def test_run_all_rejects_bad_filter(pipeline, tmp_path, capsys):

@@ -10,8 +10,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from oracles import pairwise_auc
-from stopout.cohorts import PASSIVE
+from oracles import irls_reference, pairwise_auc
+from stopout import evaluator
+from stopout.cohorts import COHORTS, PASSIVE
 from stopout.dataset_builder import ProblemSpec, enumerate_problems, flatten
 from stopout.errors import DataError, DegenerateLabelsError
 from stopout.evaluator import (
@@ -31,6 +32,7 @@ from stopout.evaluator import (
     roc_auc,
     roc_points,
 )
+from stopout.logistic_model import train
 from stopout.tsv import read_table
 
 
@@ -198,6 +200,49 @@ def test_cv_floor_is_two_folds():
     y[0] = 1.0
     with pytest.raises(DegenerateLabelsError, match="cross-validation"):
         cross_validate(X, y, np.random.default_rng(0), folds=10)
+
+
+def test_folds_start_from_the_full_train_fit(monkeypatch):
+    X, y = balanced_problem(80, seed=4)
+    calls = []
+
+    def spy(X, y, **kwargs):
+        model = train(X, y, **kwargs)
+        calls.append((kwargs.get("beta0"), model))
+        return model
+
+    monkeypatch.setattr(evaluator, "train", spy)
+    ev = evaluate_problem(X, y, np.random.default_rng(3), folds=5)
+    assert calls[0][1] is ev.model and calls[0][0] is None
+    assert len(calls) == 6 and all(beta0 is ev.model.beta for beta0, _ in calls[1:])
+
+
+def test_a_cell_that_cannot_cross_validate_fits_nothing(monkeypatch):
+    X, y = balanced_problem(30, seed=1)
+    y[:] = 0.0
+    y[:2] = 1.0  # one positive reaches the train split: no 2-fold CV
+
+    def fail(*args, **kwargs):
+        raise AssertionError("train called")
+
+    monkeypatch.setattr(evaluator, "train", fail)
+    with pytest.raises(DegenerateLabelsError, match="cross-validation"):
+        evaluate_problem(X, y, np.random.default_rng(0), folds=10)
+
+
+def test_grid_scores_equal_the_reference_fitter(small_course, monkeypatch):
+    m, assignments = small_course.matrix, small_course.assignments
+    specs = [s for cohort in COHORTS for s in enumerate_problems(m.num_weeks, cohort=cohort)]
+
+    def scores():
+        cells = [evaluate_cell(m, spec, assignments, seed=4, folds=5)[0] for spec in specs]
+        return [(c.status, c.cv_mean, c.train_auc, c.test_auc, c.folds_used) for c in cells]
+
+    ours = scores()
+    monkeypatch.setattr(evaluator, "train", irls_reference)
+    reference = scores()
+    assert sum(s[0] == STATUS_OK for s in ours) >= len(specs) // 2
+    assert ours == reference
 
 
 def test_cv_tracks_heldout_auc_on_planted_cell(planted_course):

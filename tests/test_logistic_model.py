@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -12,6 +14,7 @@ from stopout.errors import DataError, DegenerateLabelsError
 from stopout.logistic_model import (
     RIDGE_LADDER,
     TrainedModel,
+    _dual_direction,
     add_intercept,
     apply_model,
     load_model,
@@ -93,6 +96,25 @@ def test_penalized_ll_matches_reference(seed, d, ridge):
     beta = rng.normal(size=d + 1) * 2
     ours = penalized_ll(beta, add_intercept(X), y, ridge)
     assert ours == pytest.approx(penalized_ll_reference(beta, X, y, ridge), rel=1e-12)
+
+
+@settings(max_examples=200)
+@given(st.lists(st.tuples(st.floats(-700.0, 700.0), st.sampled_from([0.0, 1.0])), min_size=1, max_size=30),
+       st.sampled_from([0.0, 1e-6, 1.0]))
+def test_penalized_ll_is_exact_per_row_up_to_z_700(rows, ridge):
+    # one column holding z itself, so every margin up to |z| = 700 is reached
+    z = np.array([r[0] for r in rows])
+    y = np.array([r[1] for r in rows])
+    beta = np.array([0.0, 1.0])
+    ours = penalized_ll(beta, add_intercept(z[:, None]), y, ridge)
+    assert ours == pytest.approx(penalized_ll_reference(beta, z[:, None], y, ridge), rel=1e-12, abs=0)
+
+
+def test_penalized_ll_keeps_the_digits_of_well_fit_rows():
+    # each row adds -log1p(e^-15); y*z - log(1 + e^z) would leave ~8 digits
+    z = np.full(4, 15.0)
+    ll = penalized_ll(np.array([0.0, 1.0]), add_intercept(z[:, None]), np.ones(4), 0.0)
+    assert ll == pytest.approx(-4.0 * math.log1p(math.exp(-15.0)), rel=1e-15, abs=0)
 
 
 def test_gradient_matches_finite_differences():
@@ -182,6 +204,75 @@ def test_separable_data_escalates_ridge():
     assert model.beta[1] > 0
     probs = predict_proba(model, X)
     assert np.all(probs[y == 1] > 0.5) and np.all(probs[y == 0] < 0.5)
+
+
+def test_separable_wide_fit_stays_on_the_first_rung():
+    # 16 rows, 36 z-scored count columns: separable, so at ridge 1e-6 every
+    # row ends up fit to a wide margin. With y*z - log(1 + e^z) the rounding
+    # noise outgrew the last Newton steps' real gain, no halving improved,
+    # and this fit escalated to ridge 1e-4.
+    rng = np.random.default_rng(38)
+    X = rng.poisson(1.0, size=(16, 36)).astype(float)
+    y = (np.arange(16) % 2).astype(float)
+    X = (X - X.mean(axis=0)) / np.where(X.std(axis=0) > 0, X.std(axis=0), 1.0)
+    model = train(X, y, ridge=1e-6)
+    assert model.ridge == 1e-6 and model.converged
+    assert np.all((predict_proba(model, X) > 0.5) == (y == 1))
+
+
+def test_dual_direction_is_the_full_hessian_solve():
+    rng = np.random.default_rng(5)
+    for _ in range(100):
+        n = int(rng.integers(2, 30))
+        d = int(rng.integers(n + 1, 3 * n + 5))
+        ridge = float(rng.choice([1e-6, 1e-4, 1e-2, 1.0]))
+        X1 = add_intercept(rng.normal(size=(n, d)))
+        y = rng.integers(0, 2, size=n).astype(float)
+        beta = rng.normal(size=d + 1)
+        p = sigmoid(X1 @ beta)
+        w = p * (1.0 - p)
+        penalty = np.full(d + 1, ridge)
+        penalty[0] = 0.0
+        grad = X1.T @ (y - p) - penalty * beta
+        full = np.linalg.solve(X1.T @ (X1 * w[:, None]) + np.diag(penalty), grad)
+        Z = X1[:, 1:]
+        dual = _dual_direction(Z, Z @ Z.T, w, grad, ridge)
+        assert np.linalg.norm(dual - full) <= 1e-8 * np.linalg.norm(full)
+
+
+def test_zero_columns_are_left_out_and_get_exactly_zero(tmp_path):
+    rng = np.random.default_rng(11)
+    X = rng.normal(size=(40, 3))
+    y = (rng.random(40) < 1 / (1 + np.exp(-X[:, 0]))).astype(float)
+    padded = np.zeros((40, 5))
+    padded[:, [0, 2, 4]] = X
+    model = train(padded, y, ridge=0.0)
+    # ridge 0 is singular with a zero column, so the fit starts at the first rung
+    assert model.ridge == RIDGE_LADDER[0]
+    assert model.beta[2] == 0.0 and model.beta[4] == 0.0
+    alone = train(X, y, ridge=RIDGE_LADDER[0])
+    assert np.array_equal(model.beta[[0, 1, 3, 5]], alone.beta)
+    assert model.iterations == alone.iterations
+    path = tmp_path / "model.txt"
+    save_model(model, path)
+    assert np.array_equal(load_model(path).beta, model.beta)
+    assert load_model(path).beta.size == 6
+
+
+def test_a_failed_warm_start_reruns_the_rung_cold():
+    rng = np.random.default_rng(3)
+    for n, d in ((60, 4), (20, 45)):  # the primal and the dual step
+        X = rng.normal(size=(n, d))
+        y = (rng.random(n) < 1 / (1 + np.exp(-X[:, 0]))).astype(float)
+        cold = train(X, y, ridge=1e-4)
+        for bad in (np.full(d + 1, np.nan), np.full(d + 1, 1e300)):
+            with np.errstate(over="ignore", invalid="ignore"):  # the garbage is the point
+                warm = train(X, y, ridge=1e-4, beta0=bad)
+            assert warm.ridge == cold.ridge
+            assert np.array_equal(warm.beta, cold.beta)
+        near = train(X, y, ridge=1e-4, beta0=cold.beta + 1e-3)
+        assert near.converged and near.iterations < cold.iterations
+        assert near.beta == pytest.approx(cold.beta, abs=1e-7)
 
 
 def test_rescaling_a_column_preserves_predictions():
