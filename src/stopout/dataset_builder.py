@@ -135,6 +135,9 @@ def normalize(
     """
     means = X_train.mean(axis=0) if X_train.size else np.zeros(X_train.shape[1])
     stds = X_train.std(axis=0) if X_train.size else np.zeros(X_train.shape[1])
+    if X_train.size:  # centered on its value, a column of equal values is exact zeros
+        constant = (X_train == X_train[0]).all(axis=0)
+        means[constant], stds[constant] = X_train[0, constant], 0.0
     scales = np.where(stds > 0.0, stds, 1.0)
     train = (X_train - means) / scales
     test = None if X_test is None else (X_test - means) / scales

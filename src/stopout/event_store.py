@@ -11,15 +11,13 @@ codes into each column's sorted vocabulary.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import partial
-from operator import itemgetter
+from itertools import compress, count
 from pathlib import Path
-from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
 from .errors import DataError
-from .tsv import read_table, write_table
+from .tsv import read_chunks, write_table
 
 WEEK_SECONDS = 604800
 
@@ -93,9 +91,10 @@ class IngestStats:
     clamped: int = 0  # accepted records timestamped past the final week
     reject_reasons: dict[str, int] = field(default_factory=dict)
 
-    def reject(self, reason: str) -> None:
-        self.rejected += 1
-        self.reject_reasons[reason] = self.reject_reasons.get(reason, 0) + 1
+    def reject(self, reason: str, count: int) -> None:
+        if count:
+            self.rejected += count
+            self.reject_reasons[reason] = self.reject_reasons.get(reason, 0) + count
 
 
 @dataclass
@@ -197,65 +196,102 @@ def load_calendar(path: str | Path) -> CourseCalendar:
     return CourseCalendar(course_start=course_start, num_weeks=num_weeks, problem_meta=meta)
 
 
-def _parse_int(text: str, reason: str) -> int:
+# The row checks in the order they are made; a row is rejected for the first
+# it fails. The last two are load_dump's alone: a submission's problem must be
+# in the calendar, and an observed row's duration an integer.
+REASONS = ("bad_table", "missing_learner", "bad_timestamp", "before_start", "bad_resource_kind", "missing_resource",
+           "missing_problem", "bad_correct_flag", "bad_assignment_kind", "bad_collab_kind", "bad_text_length",
+           "negative_text_length", "problem {!r} is not in the calendar", "bad_duration")
+
+
+class _Coder(dict):
+    """word -> code; a word not yet coded gets the next free code."""
+
+    def __missing__(self, word: str) -> int:
+        self[word] = code = len(self)
+        return code
+
+
+def _coders(calendar: CourseCalendar) -> dict[str, _Coder]:
+    """A coder per string column: table's starts as TABLE_CODE, each other's as
+    "" (0), then the words its cells may hold if a closed set (1, 2, ...)."""
+    closed = {"resource_kind": sorted(RESOURCE_KINDS), "problem_id": sorted(calendar.problem_meta),
+              "correct": ["0", "1"], "assignment_kind": sorted(ASSIGNMENT_KINDS), "collab_kind": sorted(COLLAB_KINDS)}
+    strings = [name for name in EVENT_COLUMNS if name not in INT_COLUMNS]
+    return {"table": _Coder(TABLE_CODE), **{name: _Coder(zip(["", *closed.get(name, [])], count())) for name in strings}}
+
+
+def _int64(cells: list[str], rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """int() of the cells at the rows of a mask as int64 (the others read -1),
+    and a mask of the cells where that fails: no integer, or outside int64."""
+    values, bad = np.full(rows.size, -1, dtype=np.int64), np.zeros(rows.size, dtype=bool)
+    cells = list(compress(cells, rows.tolist()))
     try:
-        value = int(text)
-    except ValueError:
-        raise ValueError(reason) from None
-    if not -(2**63) <= value < 2**63:  # the columns are int64
-        raise ValueError(reason)
-    return value
+        values[rows] = np.fromiter(map(int, cells), np.int64, len(cells))
+    except (ValueError, OverflowError):  # a cell fails: try them one by one
+        for row, cell in zip(np.flatnonzero(rows).tolist(), cells):
+            try:
+                values[row] = int(cell)
+            except (ValueError, OverflowError):
+                bad[row] = True
+    return values, bad
 
 
-def _parse_event(cells: Sequence[str], course_start: int) -> tuple:
-    """One event row, cells in EVENT_COLUMNS order, as a tuple in that order
-    with the table coded, integers parsed, and the cells its table does not
-    use blanked. A row ingest rejects raises ValueError naming the reason."""
-    table, learner_id, ts, rid, rkind, pid, correct, akind, ckind, length = cells
-    code = TABLE_CODE.get(table)
-    if code is None:
-        raise ValueError("bad_table")
-    if not learner_id:
-        raise ValueError("missing_learner")
-    timestamp = _parse_int(ts, "bad_timestamp")
-    if timestamp < course_start:
-        raise ValueError("before_start")
-    if table == TABLE_OBSERVED:
-        if rkind not in RESOURCE_KINDS:
-            raise ValueError("bad_resource_kind")
-        if not rid:
-            raise ValueError("missing_resource")
-        return code, learner_id, timestamp, rid, rkind, "", "", "", "", -1
-    if table == TABLE_SUBMISSION:
-        if not pid:
-            raise ValueError("missing_problem")
-        if correct not in ("0", "1"):
-            raise ValueError("bad_correct_flag")
-        if akind not in ASSIGNMENT_KINDS:
-            raise ValueError("bad_assignment_kind")
-        return code, learner_id, timestamp, "", "", pid, correct, akind, "", -1
-    if ckind not in COLLAB_KINDS:
-        raise ValueError("bad_collab_kind")
-    text_length = _parse_int(length, "bad_text_length")
-    if text_length < 0:
-        raise ValueError("negative_text_length")
-    return code, learner_id, timestamp, "", "", "", "", "", ckind, text_length
+def _check_events(cells: dict[str, list[str]], coders: dict[str, _Coder],
+                  calendar: CourseCalendar, dump: bool) -> tuple[np.ndarray, dict[str, np.ndarray]]:
+    """Each row's first failing check as an index into REASONS (len(REASONS)
+    if none), and the rows' DUMP_COLUMNS arrays with strings coded and the
+    cells a row's table does not use blanked; only dump reads durations (else
+    -1) and checks problems against the calendar."""
+    code = {name: np.fromiter(map(coder.__getitem__, cells[name]), np.int64, len(cells[name]))
+            for name, coder in coders.items()}
+    observed, submission, collab = (code["table"] == TABLE_CODE[name] for name in TABLE_ORDER)
+
+    def one_of(name: str, words) -> np.ndarray:  # words follow "" in the column's coder
+        return (code[name] >= 1) & (code[name] <= len(words))
+
+    timestamp, bad_timestamp = _int64(cells["timestamp"], np.ones(observed.size, dtype=bool))
+    text_length, bad_text_length = _int64(cells["text_length"], collab)
+    duration, bad_duration = _int64(cells.get("duration", []), observed & dump)
+    reason = np.select([  # in REASONS order
+        code["table"] >= len(TABLE_ORDER), code["learner_id"] == 0, bad_timestamp, timestamp < calendar.course_start,
+        observed & ~one_of("resource_kind", RESOURCE_KINDS), observed & (code["resource_id"] == 0),
+        submission & (code["problem_id"] == 0), submission & ~one_of("correct", ("0", "1")),
+        submission & ~one_of("assignment_kind", ASSIGNMENT_KINDS),
+        collab & ~one_of("collab_kind", COLLAB_KINDS), bad_text_length, collab & (text_length < 0),
+        submission & ~one_of("problem_id", calendar.problem_meta) & dump, bad_duration,
+    ], list(range(len(REASONS))), len(REASONS))
+    for rows, names in ((observed, ("resource_id", "resource_kind")), (collab, ("collab_kind",)),
+                        (submission, ("problem_id", "correct", "assignment_kind"))):
+        for name in names:
+            code[name][~rows] = 0
+    return reason, {**code, "timestamp": timestamp, "text_length": text_length, "duration": duration}
 
 
 def ingest(paths: list[str | Path], calendar_path: str | Path) -> CourseDataset:
     """Parse event files against a calendar into a validated CourseDataset.
 
-    Malformed lines and pre-course timestamps are counted and skipped; a
-    submission referencing a problem the calendar does not know is a hard
-    error. Events are canonically sorted, so the result is independent of
-    input line order.
+    A file's header names EVENT_COLUMNS in any order. Malformed lines and
+    pre-course timestamps are counted and skipped; a submission referencing a
+    problem the calendar does not know is a hard error. Events are
+    canonically sorted, so the result is independent of input line order.
     """
     calendar = load_calendar(calendar_path)
-    stats = IngestStats()
-    dataset = _build_dataset(calendar, _accepted_rows(paths, calendar, stats), stats)
-    vocab = dataset.vocab["problem_id"]
-    problems = {vocab[code] for code in np.unique(dataset.table(TABLE_SUBMISSION)["problem_id"]).tolist()}
-    missing = sorted(problems - calendar.problem_meta.keys())
+    stats, coders, parts = IngestStats(), _coders(calendar), []
+    for path in paths:
+        for chunk in read_chunks(path, EVENT_COLUMNS, any_order=True, drop_wrong_width=True):
+            stats.total += len(chunk.rows) + chunk.dropped
+            stats.reject("bad_columns", chunk.dropped)
+            reason, values = _check_events(chunk.columns(), coders, calendar, False)
+            for name, count in zip(REASONS, np.bincount(reason, minlength=len(REASONS)).tolist()):
+                stats.reject(name, count)
+            ok = reason == len(REASONS)
+            parts.append({name: column[ok] for name, column in values.items()})
+            stats.accepted += int(ok.sum())
+            stats.clamped += int((parts[-1]["timestamp"] >= calendar.course_end).sum())
+    dataset = _build_dataset(calendar, coders, parts, stats)
+    # the problem_id words besides "" are those of accepted submissions
+    missing = sorted(set(dataset.vocab["problem_id"]) - calendar.problem_meta.keys() - {""})
     if missing:
         raise DataError(f"submissions reference problems missing from the calendar: {missing}")
     observed = dataset.table(TABLE_OBSERVED)
@@ -263,64 +299,21 @@ def ingest(paths: list[str | Path], calendar_path: str | Path) -> CourseDataset:
     return dataset
 
 
-def _accepted_rows(paths: list[str | Path], calendar: CourseCalendar, stats: IngestStats) -> Iterator[tuple]:
-    """Yield each row of the event files that ingest accepts, as _parse_event
-    returns it plus a duration to derive (-1), and tally every row in stats."""
-    for path in paths:
-        path = Path(path)
-        if not path.exists():
-            raise DataError(f"event file not found: {path}")
-        with path.open(encoding="utf-8") as fh:
-            header_line = fh.readline().rstrip("\n")
-            header = header_line.split("\t")
-            if sorted(header) != sorted(EVENT_COLUMNS):
-                raise DataError(f"{path}: header must name columns {sorted(EVENT_COLUMNS)}, got {header}")
-            in_event_order = itemgetter(*(header.index(column) for column in EVENT_COLUMNS))
-            for raw in fh:
-                line = raw.rstrip("\n")
-                if not line:
-                    continue
-                stats.total += 1
-                parts = line.split("\t")
-                if len(parts) != len(header):
-                    stats.reject("bad_columns")
-                    continue
-                try:
-                    row = _parse_event(in_event_order(parts), calendar.course_start)
-                except ValueError as exc:
-                    stats.reject(str(exc))
-                    continue
-                if row[2] >= calendar.course_end:
-                    stats.clamped += 1
-                stats.accepted += 1
-                yield row + (-1,)
-
-
-def _build_dataset(calendar: CourseCalendar, rows: Iterable[tuple], stats: IngestStats) -> CourseDataset:
-    """Code each string column by its sorted vocabulary (learner ids become
-    dense sorted indices) and sort the rows canonically.
-
-    rows are DUMP_COLUMNS tuples as _parse_event returns them plus a duration.
-    To keep the peak memory low they are read into one list per column, and
-    each list is dropped once its array is built.
-    """
-    columns: list[list] = [[] for _ in DUMP_COLUMNS]
-    for row in rows:
-        for column, value in zip(columns, row):
-            column.append(value)
-    events, vocab = {}, {}
-    for name in DUMP_COLUMNS:
-        values = columns.pop(0)
-        if name in INT_COLUMNS:
-            events[name] = np.array(values, dtype=np.int64)
-        else:
-            vocab[name] = sorted(set(values))
-            rank = {word: code for code, word in enumerate(vocab[name])}
-            events[name] = np.fromiter(map(rank.__getitem__, values), dtype=np.int64, count=len(values))
+def _build_dataset(calendar: CourseCalendar, coders: dict[str, _Coder],
+                   parts: list[dict[str, np.ndarray]], stats: IngestStats) -> CourseDataset:
+    """Join the parts, recode each string column by the sorted words its rows
+    use (learner ids become dense sorted indices), and sort canonically."""
+    events = {name: np.concatenate([part[name] for part in parts] or [np.zeros(0, dtype=np.int64)])
+              for name in DUMP_COLUMNS}
+    vocab = {}
+    for name, words in ((name, list(coder)) for name, coder in coders.items() if name != "table"):
+        used = sorted(np.flatnonzero(np.bincount(events[name], minlength=len(words))).tolist(), key=words.__getitem__)
+        rank = np.zeros(len(words), dtype=np.int64)
+        rank[used] = np.arange(len(used))
+        events[name], vocab[name] = rank[events[name]], [words[code] for code in used]
     # lexsort's last key is the primary one; the sort is stable
     order = np.lexsort([events[name] for name in reversed(EVENT_COLUMNS)])
-    for name in events:
-        events[name] = events[name][order]
+    events = {name: column[order] for name, column in events.items()}
     return CourseDataset(calendar=calendar, events=events, vocab=vocab, stats=stats)
 
 
@@ -335,23 +328,22 @@ def dump_dataset(dataset: CourseDataset, path: str | Path) -> None:
     write_table(path, DUMP_COLUMNS, zip(*(cells[column] for column in DUMP_COLUMNS)))
 
 
-def _dump_row(cells: list[str], calendar: CourseCalendar) -> tuple:
-    row = _parse_event(cells[:-1], calendar.course_start)
-    if row[0] == TABLE_CODE[TABLE_SUBMISSION] and row[5] not in calendar.problem_meta:
-        raise ValueError(f"problem {row[5]!r} is not in the calendar")
-    return row + (_parse_int(cells[-1], "bad_duration") if row[0] == TABLE_CODE[TABLE_OBSERVED] else -1,)
-
-
 def load_dump(path: str | Path, calendar: CourseCalendar) -> CourseDataset:
     """Reload a dataset dump produced by dump_dataset (durations included).
 
     Every row must pass ingest's checks and name a calendar problem; the
     first that does not is a DataError naming its line.
     """
-    rows = read_table(path, DUMP_COLUMNS, partial(_dump_row, calendar=calendar))
-    dataset = _build_dataset(calendar, rows, IngestStats())
-    dataset.stats.total = dataset.stats.accepted = dataset.events["table"].size
-    return dataset
+    coders, parts = _coders(calendar), []
+    for chunk in read_chunks(path, DUMP_COLUMNS):
+        cells = chunk.columns()
+        reason, values = _check_events(cells, coders, calendar, True)
+        bad = np.flatnonzero(reason < len(REASONS))
+        if bad.size:
+            raise chunk.error(bad[0], REASONS[reason[bad[0]]].format(cells["problem_id"][bad[0]]))
+        parts.append(values)
+    rows = sum(part["table"].size for part in parts)
+    return _build_dataset(calendar, coders, parts, IngestStats(total=rows, accepted=rows))
 
 
 def dump_calendar(calendar: CourseCalendar, path: str | Path) -> None:

@@ -9,7 +9,6 @@ aggregates of the still-active peers of that week.
 
 from __future__ import annotations
 
-from array import array
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -25,8 +24,7 @@ from .event_store import (
     week_of,
     week_start,
 )
-from .errors import DataError
-from .tsv import read_table, row_line, write_table
+from .tsv import read_chunks, read_table, write_table
 
 FEATURE_IDS: tuple[str, ...] = (
     "x2", "x3", "x4", "x5", "x6", "x7", "x8", "x9", "x10", "x11",
@@ -126,12 +124,10 @@ def build_feature_matrix(dataset: CourseDataset) -> tuple[FeatureMatrix, np.ndar
     groups, starts, sizes = np.unique(key, return_index=True, return_counts=True)
     feature("x15")[groups] = np.maximum.reduceat(duration, starts)
     offsets = (timestamp - week_start(week, cal)).astype(np.float64)
-    # one np.var per learner-week: a variance vectorized across groups sums
-    # in another order, and its last bits move
-    x13 = feature("x13")
-    for group, lo, size in zip(groups.tolist(), starts.tolist(), sizes.tolist()):
-        if size > 1:
-            x13[group] = np.var(offsets[lo:lo + size])
+    # one row-wise np.var per group size; a row sums as its 1-D slice does, bit for bit
+    for size in np.unique(sizes[sizes > 1]).tolist():
+        at = np.flatnonzero(sizes == size)
+        feature("x13")[groups[at]] = np.var(offsets[starts[at, None] + np.arange(size)], axis=1)
 
     collab_kind, text_length, key, _ = grouped(TABLE_COLLABORATION, "collab_kind", "text_length")
     post = collab_kind == dataset.code("collab_kind", "forum_post")
@@ -217,54 +213,59 @@ def _feature_row(cells: list[str]) -> tuple[str, int, int, list[float]]:
     return cells[0], week, int(cells[2]), [float(v) for v in cells[3:]]
 
 
-def _check_learner_weeks(path, ids, keys, counts, learners, num_weeks) -> None:
-    """DataError at the first duplicate (learner, week) row, else at the
-    first row of the first learner missing a week."""
-    _, first = np.unique(keys, return_index=True)
-    repeated = np.setdiff1d(np.arange(keys.size), first)
-    if repeated.size:
-        i = int(repeated[0])
-        raise DataError(f"{path}:{row_line(path, i)}: duplicate row for learner {ids[i]} "
-                        f"week {int(keys[i]) % num_weeks + 1}")
-    gap = int(np.flatnonzero(counts == 0)[0])
-    lid = learners[gap // num_weeks]
-    raise DataError(f"{path}:{row_line(path, ids.index(lid))}: learner {lid} has no row "
-                    f"for week {gap % num_weeks + 1}")
+def _read_features(path: str | Path) -> tuple[list[str], np.ndarray, np.ndarray, np.ndarray]:
+    """The ids, weeks, labels and values of a features.tsv's rows, parsed by
+    column; if that fails, the file is read again row by row with _feature_row."""
+    ids, weeks, labels, values = [], [np.zeros(0, np.int64)], [np.zeros(0, np.int8)], [np.zeros((0, NUM_FEATURES))]
+    try:
+        for chunk in read_chunks(path, FEATURE_COLUMNS):
+            lid, week, label, rest = zip(*(row.split("\t", 3) for row in chunk.rows))
+            if any(map("".join(rest).__contains__, "\x1c\x1d\x1e\x1f")):
+                raise ValueError("np.loadtxt reads these as spaces, float() does not")
+            values.append(np.loadtxt(rest, delimiter="\t", comments=None, ndmin=2))
+            weeks.append(np.fromiter(map(int, week), np.int64, len(week)))
+            labels.append(np.fromiter(map(int, label), np.int8, len(label)))
+            ids.extend(lid)
+            if weeks[-1].min() < 1:
+                raise ValueError("a week is out of range")
+    except (ValueError, OverflowError):
+        ids, weeks, labels, values = zip(*read_table(path, FEATURE_COLUMNS, _feature_row))
+        return list(ids), np.array(weeks, np.int64), np.array(labels, np.int8), np.array(values)
+    return ids, np.concatenate(weeks), np.concatenate(labels), np.concatenate(values)
 
 
 def load_feature_matrix(path: str | Path) -> FeatureMatrix:
     """Read a features.tsv export; every learner needs exactly one row per
     week 1..W, where W is the largest week in the file."""
-    # rows stream into flat buffers (8 bytes per feature value) until the
-    # learner and week counts are known
-    ids, weeks, flat_labels = [], [], []
-    flat_values = array("d")
-    for lid, week, label, row in read_table(path, FEATURE_COLUMNS, _feature_row):
-        ids.append(lid)
-        weeks.append(week - 1)
-        flat_labels.append(label)
-        flat_values.extend(row)
+    ids, weeks, flat_labels, flat_values = _read_features(path)
     learners = sorted(set(ids))
-    num_weeks = max(weeks, default=-1) + 1
+    num_weeks = int(weeks.max(initial=0))
     index = {lid: i for i, lid in enumerate(learners)}
-    at = (np.array([index[lid] for lid in ids], dtype=np.int64), np.array(weeks, dtype=np.int64))
+    at = (np.fromiter(map(index.__getitem__, ids), np.int64, len(ids)), weeks - 1)
     keys = at[0] * num_weeks + at[1]
     counts = np.bincount(keys, minlength=len(learners) * num_weeks)
     if counts.size and (counts.max() > 1 or counts.min() == 0):
-        _check_learner_weeks(path, ids, keys, counts, learners, num_weeks)
+        # an error at the first duplicate learner-week, else at the first row of the first learner missing one
+        _, first = np.unique(keys, return_index=True)
+        repeated = np.setdiff1d(np.arange(keys.size), first)
+        if repeated.size:
+            row = int(repeated[0])
+            text = f"duplicate row for learner {ids[row]} week {int(keys[row]) % num_weeks + 1}"
+        else:
+            gap = int(np.flatnonzero(counts == 0)[0])
+            lid = learners[gap // num_weeks]
+            row, text = ids.index(lid), f"learner {lid} has no row for week {gap % num_weeks + 1}"
+        for chunk in read_chunks(path, FEATURE_COLUMNS):  # read again for the row's line
+            if row < len(chunk.rows):
+                raise chunk.error(row, text)
+            row -= len(chunk.rows)
     values = np.zeros((len(learners), num_weeks, NUM_FEATURES))
-    values[at] = np.frombuffer(flat_values).reshape(-1, NUM_FEATURES)
+    values[at] = flat_values
     labels = np.zeros((len(learners), num_weeks), dtype=np.int8)
     labels[at] = flat_labels
     # stopout week: the first week labelled 0, else num_weeks + 1
     stopout = np.where(labels == 0, np.arange(1, num_weeks + 1), num_weeks + 1).min(axis=1, initial=num_weeks + 1)
-    return FeatureMatrix(
-        learners=learners,
-        num_weeks=num_weeks,
-        values=values,
-        labels=labels,
-        stopout_week=stopout,
-    )
+    return FeatureMatrix(learners=learners, num_weeks=num_weeks, values=values, labels=labels, stopout_week=stopout)
 
 
 def export_histogram(histogram: np.ndarray, path: str | Path) -> None:

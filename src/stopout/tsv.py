@@ -3,19 +3,22 @@
 A table is a header row naming its columns, then one line per row with
 exactly that many tab-separated cells; blank lines are ignored. Cells are
 written with str() (the %s format), which for a Python float is its repr, so
-floats read back bit-exactly with float(). Readers stream: rows are parsed
-one line at a time and never held as text.
+floats read back bit-exactly with float(). Readers take about CHUNK_BYTES of
+whole lines at a time, and hold no more than one chunk as text.
 """
 
 from __future__ import annotations
 
-from itertools import islice
+from dataclasses import dataclass
+from itertools import islice, repeat
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, Sequence, TypeVar
 
 from .errors import DataError
 
 Row = TypeVar("Row")
+
+CHUNK_BYTES = 1 << 17  # larger chunks read no faster, and their cells raise the peak RSS
 
 
 def write_table(path: str | Path, header: Sequence[str], rows: Iterable[Sequence[object]]) -> None:
@@ -29,17 +32,34 @@ def write_table(path: str | Path, header: Sequence[str], rows: Iterable[Sequence
         fh.writelines(line % tuple(row) for row in rows)
 
 
-def read_table(
-    path: str | Path,
-    header: Sequence[str],
-    parse: Callable[[list[str]], Row] = list,
-) -> Iterator[Row]:
-    """Yield parse(cells) for each data row of a file written by write_table.
+@dataclass
+class Chunk:
+    """Consecutive data rows of a table file."""
 
-    A missing file, a header other than the expected one, a row with the
-    wrong number of cells, or a ValueError from parse raises DataError naming
-    the path and line.
-    """
+    path: Path
+    header: list[str]  # the file's header
+    rows: list[str]  # the rows' text
+    lines: list[str]  # the lines the rows came from, blank ones included
+    first_line: int  # the line number of lines[0]
+    dropped: int = 0  # rows of the wrong width left out of rows (error() is then off)
+
+    def columns(self) -> dict[str, list[str]]:
+        """Each header column's cells."""
+        cells = "\t".join(self.rows).split("\t") if self.rows else []
+        return {name: cells[i::len(self.header)] for i, name in enumerate(self.header)}
+
+    def error(self, row: int, text: str) -> DataError:
+        """A DataError at the path and line of rows[row]; it scans the chunk."""
+        line = next(islice((n for n, line in enumerate(self.lines, self.first_line) if line), row, None))
+        return DataError(f"{self.path}:{line}: {text}")
+
+
+def read_chunks(path: str | Path, header: Sequence[str], any_order: bool = False,
+                drop_wrong_width: bool = False) -> Iterator[Chunk]:
+    """Yield a table file's data rows a chunk at a time. A missing file, a
+    wrong header (any_order allows a permutation) or a row of the wrong width
+    raises DataError, the last once the rows before it are yielded; with
+    drop_wrong_width, such rows are left out and counted instead."""
     path = Path(path)
     try:
         fh = path.open(encoding="utf-8")
@@ -47,26 +67,35 @@ def read_table(
         raise DataError(f"{path}: file not found") from None
     with fh:
         got = fh.readline().rstrip("\n").split("\t")
-        if got != list(header):
-            raise DataError(f"{path}:1: bad header, expected {list(header)}, got {got}")
-        width = len(got)
-        for lineno, line in enumerate(fh, start=2):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            cells = line.split("\t")
-            if len(cells) != width:
-                raise DataError(f"{path}:{lineno}: expected {width} cells, got {len(cells)}")
+        if (sorted(got) != sorted(header)) if any_order else (got != list(header)):
+            raise DataError(f"{path}:1: bad header, expected {list(header)}{' in any order' * any_order}, got {got}")
+        tabs, first_line = len(got) - 1, 2
+        while lines := fh.readlines(CHUNK_BYTES):
+            # split at "\n" alone, as file iteration does (str.splitlines() also
+            # splits at "\x1c", "\x85", "\u2028", ...); drop what follows the last
+            lines = "".join(lines).split("\n")[:len(lines)]
+            chunk = Chunk(path, got, list(filter(None, lines)), lines, first_line)
+            first_line += len(lines)
+            # a count per row: over the whole chunk, a long row could hide a short one
+            counts = list(map(str.count, chunk.rows, repeat("\t")))
+            wrong = [i for i, n in enumerate(counts) if n != tabs] if counts.count(tabs) != len(counts) else []
+            if wrong and not drop_wrong_width:
+                if wrong[0]:
+                    yield Chunk(path, got, chunk.rows[:wrong[0]], lines, chunk.first_line)
+                raise chunk.error(wrong[0], f"expected {tabs + 1} cells, got {counts[wrong[0]] + 1}")
+            if wrong:
+                chunk.rows, chunk.dropped = [row for row, n in zip(chunk.rows, counts) if n == tabs], len(wrong)
+            if chunk.rows or chunk.dropped:
+                yield chunk
+
+
+def read_table(path: str | Path, header: Sequence[str], parse: Callable[[list[str]], Row] = list) -> Iterator[Row]:
+    """Yield parse(cells) for each data row of a file written by write_table;
+    a ValueError from parse is a DataError naming the path and line."""
+    for chunk in read_chunks(path, header):
+        for index, row in enumerate(chunk.rows):
             try:
-                row = parse(cells)
+                parsed = parse(row.split("\t"))
             except ValueError as exc:
-                raise DataError(f"{path}:{lineno}: {exc}") from None
-            yield row
-
-
-def row_line(path: str | Path, index: int) -> int:
-    """The line number of a table file's index-th (0-based) data row."""
-    with open(path, encoding="utf-8") as fh:
-        fh.readline()
-        numbers = (lineno for lineno, line in enumerate(fh, start=2) if line.rstrip("\n"))
-        return next(islice(numbers, index, None))
+                raise chunk.error(index, str(exc)) from None
+            yield parsed

@@ -15,6 +15,8 @@ violation checks any l1 fit against the optimality conditions themselves.
 The reference featurizer computes the 27 features one learner-week at a time
 from per-event tuples, in the same floating-point order as the grouped
 reductions of build_feature_matrix, so the two must agree bit for bit.
+The event references check one row at a time, as ingest and load_dump did
+before they checked whole columns, and build a dataset by sorting tuples.
 """
 
 from __future__ import annotations
@@ -25,7 +27,21 @@ from fractions import Fraction
 
 import numpy as np
 
-from stopout.event_store import TABLE_COLLABORATION, TABLE_OBSERVED, TABLE_SUBMISSION, WEEK_SECONDS
+from stopout.event_store import (
+    ASSIGNMENT_KINDS,
+    COLLAB_KINDS,
+    DEFAULT_TAIL,
+    DUMP_COLUMNS,
+    EVENT_COLUMNS,
+    RESOURCE_KINDS,
+    SESSION_CAP,
+    TABLE_CODE,
+    TABLE_COLLABORATION,
+    TABLE_OBSERVED,
+    TABLE_SUBMISSION,
+    WEEK_SECONDS,
+    IngestStats,
+)
 from stopout.errors import DataError
 from stopout.featurizer import FEATURE_INDEX, NUM_FEATURES, FeatureMatrix
 from stopout.logistic_model import RIDGE_LADDER, TrainedModel
@@ -416,3 +432,99 @@ def feature_matrix_reference(dataset) -> tuple[FeatureMatrix, np.ndarray]:
         stopout_week=stopout,
     )
     return matrix, histogram
+
+
+def _parse_int(text: str, reason: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise ValueError(reason) from None
+    if not -(2**63) <= value < 2**63:  # the columns are int64
+        raise ValueError(reason)
+    return value
+
+
+def parse_event_reference(cells, calendar, dump: bool = False) -> tuple:
+    """One event row, cells in EVENT_COLUMNS order (then duration, with
+    dump), as a DUMP_COLUMNS tuple: the table coded, integers parsed, the
+    cells its table does not use blanked, duration -1 unless dump reads it.
+    A row that fails a check raises ValueError naming the reason; dump also
+    needs a submission's problem in the calendar and an observed duration."""
+    table, learner_id, ts, rid, rkind, pid, correct, akind, ckind, length = cells[:10]
+    code = TABLE_CODE.get(table)
+    if code is None:
+        raise ValueError("bad_table")
+    if not learner_id:
+        raise ValueError("missing_learner")
+    timestamp = _parse_int(ts, "bad_timestamp")
+    if timestamp < calendar.course_start:
+        raise ValueError("before_start")
+    if table == TABLE_OBSERVED:
+        if rkind not in RESOURCE_KINDS:
+            raise ValueError("bad_resource_kind")
+        if not rid:
+            raise ValueError("missing_resource")
+        duration = _parse_int(cells[10], "bad_duration") if dump else -1
+        return code, learner_id, timestamp, rid, rkind, "", "", "", "", -1, duration
+    if table == TABLE_SUBMISSION:
+        if not pid:
+            raise ValueError("missing_problem")
+        if correct not in ("0", "1"):
+            raise ValueError("bad_correct_flag")
+        if akind not in ASSIGNMENT_KINDS:
+            raise ValueError("bad_assignment_kind")
+        if dump and pid not in calendar.problem_meta:
+            raise ValueError(f"problem {pid!r} is not in the calendar")
+        return code, learner_id, timestamp, "", "", pid, correct, akind, "", -1, -1
+    if ckind not in COLLAB_KINDS:
+        raise ValueError("bad_collab_kind")
+    text_length = _parse_int(length, "bad_text_length")
+    if text_length < 0:
+        raise ValueError("negative_text_length")
+    return code, learner_id, timestamp, "", "", "", "", "", ckind, text_length, -1
+
+
+def ingest_reference(paths, calendar) -> tuple[IngestStats, dict[str, np.ndarray], dict[str, list[str]]]:
+    """ingest one line at a time: the stats, the events and the vocabularies.
+
+    Rows are sorted as tuples (strings sort as their codes do), each string
+    column is coded by its sorted distinct values, and observed durations
+    come from the gap to the learner's next event, capped, or the tail.
+    """
+    stats, rows = IngestStats(), []
+    for path in paths:
+        with open(path, encoding="utf-8") as fh:
+            header = fh.readline().rstrip("\n").split("\t")
+            if sorted(header) != sorted(EVENT_COLUMNS):
+                raise DataError(f"{path}:1: bad header")
+            for line in fh:
+                line = line.rstrip("\n")
+                if not line:
+                    continue
+                stats.total += 1
+                cells = line.split("\t")
+                if len(cells) != len(header):
+                    stats.reject("bad_columns", 1)
+                    continue
+                try:
+                    row = parse_event_reference([cells[header.index(c)] for c in EVENT_COLUMNS], calendar)
+                except ValueError as exc:
+                    stats.reject(str(exc), 1)
+                    continue
+                stats.accepted += 1
+                stats.clamped += row[2] >= calendar.course_end
+                rows.append(row)
+    unknown = sorted({row[5] for row in rows if row[0] == TABLE_CODE[TABLE_SUBMISSION]} - set(calendar.problem_meta))
+    if unknown:
+        raise DataError(f"submissions reference problems missing from the calendar: {unknown}")
+    rows.sort()
+    observed = [i for i, row in enumerate(rows) if row[0] == TABLE_CODE[TABLE_OBSERVED]]
+    for i, j in zip(observed, observed[1:] + [None]):
+        gap = rows[j][2] - rows[i][2] if j is not None and rows[j][1] == rows[i][1] else None
+        rows[i] = rows[i][:-1] + (DEFAULT_TAIL if gap is None else min(gap, SESSION_CAP),)
+    columns = dict(zip(DUMP_COLUMNS, map(list, zip(*rows)))) if rows else {c: [] for c in DUMP_COLUMNS}
+    ints = ("table", "timestamp", "text_length", "duration")
+    vocab = {c: sorted(set(values)) for c, values in columns.items() if c not in ints}
+    events = {c: np.array([vocab[c].index(v) for v in values] if c in vocab else values, dtype=np.int64)
+              for c, values in columns.items()}
+    return stats, events, vocab

@@ -197,6 +197,15 @@ def test_normalize_constant_column_is_centered_only():
     assert train[:, 0].tolist() == [0.0, 0.0]
 
 
+@pytest.mark.parametrize("value,rows", [(0.1, 3), (0.7, 7), (1 / 3, 10), (2.2, 13)])
+def test_normalize_turns_an_inexact_constant_column_into_zeros(value, rows):
+    # the mean of these rows is not exactly the value, and np.std is ~1e-17, not 0
+    X_train = np.column_stack([np.full(rows, value), np.arange(rows, dtype=float)])
+    train, test, means, scales = normalize(X_train, np.full((2, 2), value))
+    assert means[0] == value and scales[0] == 1.0
+    assert np.array_equal(train[:, 0], np.zeros(rows)) and np.array_equal(test[:, 0], np.zeros(2))
+
+
 def test_normalize_statistics_come_from_train_only():
     rng = np.random.default_rng(5)
     X_train = rng.normal(size=(30, 4))

@@ -10,9 +10,12 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from oracles import ingest_reference, parse_event_reference
+from stopout import tsv
 from stopout.errors import DataError
 from stopout.event_store import (
     DEFAULT_TAIL,
+    DUMP_COLUMNS,
     EVENT_COLUMNS,
     SESSION_CAP,
     TABLE_COLLABORATION,
@@ -268,6 +271,93 @@ def test_load_dump_rejects_other_files(tmp_path, fixture_dataset):
     path.write_text("nope\n", encoding="utf-8")
     with pytest.raises(DataError, match="bad header"):
         load_dump(path, fixture_dataset.calendar)
+
+
+# ---------------------------------------------------------------------------
+# the columnar checks against the row-by-row reference
+
+# cells of every kind ingest accepts or rejects, int() edge forms (spaces,
+# signs, underscores, other digits, past int64) and separators that are not
+# line ends inside cells
+CELLS = {
+    "table": ["observed", "submission", "collaboration", "grading", ""],
+    "learner_id": ["a", "b", "c\x1cd", "e\u2028f", "g\x85", ""],
+    "timestamp": [str(START + 5), f" {START + 7}", f"+{START + 9}", "1_600_000_100", "١٦٠٠٠٠٠٠١٠",
+                  str(START + 2 * WEEK_SECONDS + 3), str(START - 1), str(2**63), "-1", "12x", ""],
+    "resource_id": ["r1", "r2", "r\u2028", ""],
+    "resource_kind": ["lecture", "book", "movie", ""],
+    "problem_id": ["p1", "p2", "p1", "p2", "", "zz"],
+    "correct": ["0", "1", "yes", " 1", ""],
+    "assignment_kind": ["homework", "lab", "quiz", ""],
+    "collab_kind": ["forum_post", "wiki_edit", "chat", ""],
+    "text_length": ["10", "0", "-3", "long", " 7", "+2", "1_0", "٣", str(2**63), ""],
+}
+PROBLEMS = (("p1", "homework", 1, START + 600000), ("p2", "lab", 2, START + 700000))
+
+event_cells = st.fixed_dictionaries({column: st.sampled_from(words) for column, words in CELLS.items()})
+# a row, a row one cell long or short, or a blank line
+event_line = st.tuples(event_cells, st.sampled_from(["", "", "", "", "\textra", "cut", "blank"]))
+
+
+def event_file(path: Path, header, lines) -> Path:
+    text = ["\t".join(header)]
+    for cells, change in lines:
+        line = "\t".join(cells[column] for column in header)
+        text.append("" if change == "blank" else line.rsplit("\t", 1)[0] if change == "cut" else line + change)
+    path.write_text("\n".join(text) + "\n", encoding="utf-8")
+    return path
+
+
+@given(
+    st.lists(st.tuples(st.permutations(EVENT_COLUMNS), st.lists(event_line, max_size=30)), min_size=1, max_size=2),
+    st.sampled_from([1, 80, 1 << 20]),
+)
+def test_ingest_matches_the_row_reference(tmp_path_factory, files, chunk_bytes):
+    root = tmp_path_factory.mktemp("ingest")
+    calendar_path = make_calendar(root, PROBLEMS)
+    paths = [event_file(root / f"events{i}.tsv", header, lines) for i, (header, lines) in enumerate(files)]
+    saved, tsv.CHUNK_BYTES = tsv.CHUNK_BYTES, chunk_bytes
+    try:
+        try:
+            stats, events, vocab = ingest_reference(paths, load_calendar(calendar_path))
+        except DataError as exc:
+            with pytest.raises(DataError) as got:
+                ingest(paths, calendar_path)
+            assert str(got.value) == str(exc)
+            return
+        dataset = ingest(paths, calendar_path)
+    finally:
+        tsv.CHUNK_BYTES = saved
+    assert dataset.stats == stats
+    assert dataset.vocab == vocab
+    assert dataset.events.keys() == events.keys()
+    for column in events:
+        assert np.array_equal(dataset.events[column], events[column]), column
+
+
+@given(st.data(), st.sampled_from([1, 300, 1 << 20]))
+def test_load_dump_names_a_corrupt_row_and_its_reason(tmp_path_factory, fixture_dataset, data, chunk_bytes):
+    path = tmp_path_factory.mktemp("dump") / "dataset.tsv"
+    dump_dataset(fixture_dataset, path)
+    header, *rows = path.read_text(encoding="utf-8").splitlines()
+    row = data.draw(st.integers(0, len(rows) - 1))
+    cells = rows[row].split("\t")
+    column = data.draw(st.integers(0, len(DUMP_COLUMNS) - 1))
+    name = DUMP_COLUMNS[column]
+    cells[column] = data.draw(st.sampled_from(CELLS.get(name, ["60", "-4", "6o", " 9", ""])))
+    rows[row] = "\t".join(cells)
+    path.write_text("\n".join([header, *rows]) + "\n", encoding="utf-8")
+    saved, tsv.CHUNK_BYTES = tsv.CHUNK_BYTES, chunk_bytes
+    try:
+        parse_event_reference(cells, fixture_dataset.calendar, dump=True)
+    except ValueError as exc:
+        with pytest.raises(DataError) as got:
+            load_dump(path, fixture_dataset.calendar)
+        assert str(got.value) == f"{path}:{row + 2}: {exc}"
+    else:
+        load_dump(path, fixture_dataset.calendar)
+    finally:
+        tsv.CHUNK_BYTES = saved
 
 
 # ---------------------------------------------------------------------------

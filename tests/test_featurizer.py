@@ -36,6 +36,7 @@ from stopout.featurizer import (
     peer_percentile,
     stopout_weeks,
 )
+from stopout import tsv
 from stopout.tsv import write_table
 
 START = 1600000000
@@ -224,6 +225,20 @@ def test_random_courses_match_the_reference(course):
         assert_matches_reference(ingest_course(Path(root), *course))
 
 
+def test_x13_matches_one_variance_per_learner_week(tmp_path):
+    # one learner-week of every size 1..300: x13 is computed once per size
+    # over all groups of that size, and must equal np.var of each group's slice
+    rng = np.random.default_rng(3)
+    offsets = {f"L{size:03d}": rng.integers(0, WEEK_SECONDS, size) for size in range(1, 301)}
+    events = [("observed", lid, START + int(o), "r1", "lecture", "", "", "", "", "")
+              for lid, offs in offsets.items() for o in offs]
+    events += [submission(lid, week_ts(2), "p1") for lid in offsets]
+    matrix, _ = build_feature_matrix(ingest_course(tmp_path, 3, [("p1", "homework", 1, week_ts(3))], events))
+    assert matrix.learners == list(offsets)
+    expected = [np.var(np.sort(offs).astype(np.float64)) for offs in offsets.values()]
+    assert np.array_equal(matrix.values[:, 0, FEATURE_INDEX["x13"]], expected)
+
+
 # ---------------------------------------------------------------------------
 # hand-checked fixture values
 
@@ -402,6 +417,15 @@ def test_load_feature_matrix_rejects_week_below_one(tmp_path):
         load_feature_matrix(path)
     path = _features_file(tmp_path / "negative.tsv", [("a", -3), ("a", 1)])
     with pytest.raises(DataError, match=r"negative.tsv:2: week -3 is out of range"):
+        load_feature_matrix(path)
+
+
+def test_a_bad_week_is_reported_before_a_later_bad_row(tmp_path, monkeypatch):
+    # the week check is made a chunk at a time, so it keeps line order
+    monkeypatch.setattr(tsv, "CHUNK_BYTES", 1)
+    path = _features_file(tmp_path / "features.tsv", [("a", 1), ("a", 0), ("a", 2)])
+    path.write_text(path.read_text(encoding="utf-8") + "b\t1\n", encoding="utf-8")
+    with pytest.raises(DataError, match=r"features.tsv:3: week 0 is out of range"):
         load_feature_matrix(path)
 
 
