@@ -48,24 +48,30 @@ from .synth import SynthConfig, generate, write_events, write_truth
 from .tsv import write_table
 from .viz import write_heatmap, write_importance_chart
 
-DEFAULTS = {
-    "seed": "0",
-    "ratio": "0.7",
-    "ridge": "0.0",
-    "folds": "10",
-    "min_rows": "10",
-    "importance_subsamples": "200",
-    "importance_fraction": "0.75",
-    "importance_weight_floor": "0.5",
-    "importance_target_support": "8",
-    "importance_problems": "13,1;3,6;6,4",
-    "synth_learners": "1000",
-    "synth_weeks": "14",
-    "synth_hazard_noise": "0.5",
-    "synth_volume_slope": "-2.0",
-    "synth_timeliness_slope": "-1.0",
-    "synth_grades_slope": "-2.0",
+# config key -> (default text, type, the flag that overrides it or None)
+SETTINGS = {
+    "seed": ("0", int, "seed"),
+    "ratio": ("0.7", float, "ratio"),
+    "ridge": ("0.0", float, "ridge"),
+    "folds": ("10", int, "folds"),
+    "min_rows": ("10", int, None),
+    "importance_subsamples": ("200", int, "subsamples"),
+    "importance_fraction": ("0.75", float, None),
+    "importance_weight_floor": ("0.5", float, None),
+    "importance_target_support": ("8", int, None),
+    "importance_problems": ("13,1;3,6;6,4", str, None),
+    "synth_learners": ("1000", int, "learners"),
+    "synth_weeks": ("14", int, "weeks"),
+    "synth_hazard_noise": ("0.5", float, None),
+    "synth_volume_slope": ("-2.0", float, None),
+    "synth_timeliness_slope": ("-1.0", float, None),
+    "synth_grades_slope": ("-2.0", float, None),
 }
+DEFAULTS = {key: default for key, (default, _, _) in SETTINGS.items()}
+# the settings evaluate_cell and problem_importance take, in the order they are read
+CELL_KEYS = ("seed", "ratio", "ridge", "folds", "min_rows")
+IMPORTANCE_KEYS = ("seed", "importance_subsamples", "importance_fraction", "importance_weight_floor",
+                   "importance_target_support", "min_rows")
 
 
 def load_config(path: str | None) -> dict[str, str]:
@@ -95,17 +101,21 @@ def config_sha256(cfg: dict[str, str]) -> str:
     return hashlib.sha256(canon.encode("utf-8")).hexdigest()
 
 
-def _setting(args, cfg: dict[str, str], key: str, kind: type = int, flag: str | None = None):
-    """The command-line flag named flag (default: key) when given, else the
-    config value of key parsed as kind."""
-    value = getattr(args, flag or key, None)
-    if value is not None:
-        return value
-    try:
-        return kind(cfg[key])
-    except ValueError as exc:
-        expected = "an integer" if kind is int else "a number"
-        raise ConfigError(f"config key {key} must be {expected}, got {cfg[key]!r}") from exc
+def _settings(args, cfg: dict[str, str], *keys: str) -> dict[str, object]:
+    """Each key's flag when given, else its config value parsed by its type;
+    keyed by the key without an importance_ or synth_ prefix."""
+    out = {}
+    for key in keys:
+        _, kind, flag = SETTINGS[key]
+        value = getattr(args, flag, None) if flag else None
+        if value is None:
+            try:
+                value = kind(cfg[key])
+            except ValueError as exc:
+                expected = "an integer" if kind is int else "a number"
+                raise ConfigError(f"config key {key} must be {expected}, got {cfg[key]!r}") from exc
+        out[key.removeprefix("importance_").removeprefix("synth_")] = value
+    return out
 
 
 def parse_filter(clause: str) -> dict[str, object]:
@@ -217,16 +227,9 @@ def print_defaults() -> int:
 
 
 def cmd_synth(args) -> int:
-    cfg = load_config(args.config)
-    config = SynthConfig(
-        num_learners=_setting(args, cfg, "synth_learners", flag="learners"),
-        num_weeks=_setting(args, cfg, "synth_weeks", flag="weeks"),
-        seed=_setting(args, cfg, "seed"),
-        volume_slope=_setting(args, cfg, "synth_volume_slope", float),
-        timeliness_slope=_setting(args, cfg, "synth_timeliness_slope", float),
-        grades_slope=_setting(args, cfg, "synth_grades_slope", float),
-        hazard_noise=_setting(args, cfg, "synth_hazard_noise", float),
-    )
+    settings = _settings(args, load_config(args.config), "synth_learners", "synth_weeks", "seed",
+                         "synth_volume_slope", "synth_timeliness_slope", "synth_grades_slope", "synth_hazard_noise")
+    config = SynthConfig(num_learners=settings.pop("learners"), num_weeks=settings.pop("weeks"), **settings)
     out = _out_dir(args)
     course = generate(config)
     write_events(course, out / "events.tsv")
@@ -313,19 +316,8 @@ def cmd_build(args) -> int:
     return 0
 
 
-def _cell_settings(args, cfg: dict[str, str]) -> dict[str, object]:
-    """evaluate_cell's keyword arguments from the flags and the config."""
-    return {
-        "seed": _setting(args, cfg, "seed"),
-        "ratio": _setting(args, cfg, "ratio", float),
-        "ridge": _setting(args, cfg, "ridge", float),
-        "folds": _setting(args, cfg, "folds"),
-        "min_rows": _setting(args, cfg, "min_rows"),
-    }
-
-
 def cmd_train_eval(args) -> int:
-    settings = _cell_settings(args, load_config(args.config))
+    settings = _settings(args, load_config(args.config), *CELL_KEYS)
     out = _out_dir(args)
     matrix, assignments, spec = _load_problem(args)
     cell, model = evaluate_cell(matrix, spec, assignments, **settings)
@@ -363,18 +355,6 @@ def _cell_task(task: tuple[str, str, int, int]) -> CellResult | importance_mod.P
     return evaluate_cell(_POOL_STATE["matrix"], spec, _POOL_STATE["assignments"], **_POOL_STATE["cell_args"])[0]
 
 
-def _importance_settings(args, cfg: dict[str, str]) -> dict[str, object]:
-    """problem_importance's keyword arguments from the flags and the config."""
-    return {
-        "seed": _setting(args, cfg, "seed"),
-        "subsamples": _setting(args, cfg, "importance_subsamples", flag="subsamples"),
-        "fraction": _setting(args, cfg, "importance_fraction", float),
-        "weight_floor": _setting(args, cfg, "importance_weight_floor", float),
-        "target_support": _setting(args, cfg, "importance_target_support"),
-        "min_rows": _setting(args, cfg, "min_rows"),
-    }
-
-
 def _importance_pairs(cfg: dict[str, str], num_weeks: int) -> list[tuple[int, int]]:
     """The configured (lead, lag) problems that fit the course."""
     pairs = parse_problem_pairs(cfg["importance_problems"])
@@ -405,8 +385,8 @@ def cmd_run_all(args) -> int:
     if args.jobs < 1:
         raise ConfigError(f"--jobs must be >= 1, got {args.jobs}")
     cfg = load_config(args.config)
-    cell_args = {**_cell_settings(args, cfg), "shuffle_labels": args.shuffle_labels}
-    importance_args = None if args.shuffle_labels else _importance_settings(args, cfg)
+    cell_args = {**_settings(args, cfg, *CELL_KEYS), "shuffle_labels": args.shuffle_labels}
+    importance_args = None if args.shuffle_labels else _settings(args, cfg, *IMPORTANCE_KEYS)
     clauses = [parse_filter(c) for c in (args.filter or [])]
     out = _out_dir(args)
 
@@ -478,7 +458,7 @@ def cmd_heatmap(args) -> int:
 
 
 def cmd_importance(args) -> int:
-    settings = _importance_settings(args, load_config(args.config))
+    settings = _settings(args, load_config(args.config), *IMPORTANCE_KEYS)
     out = _out_dir(args)
     specs = [parse_problem(p) for p in args.problem]
     matrix, assignments = _load_inputs(args, specs, "cohort-restricted problems need --cohorts FILE")
@@ -492,6 +472,47 @@ def cmd_importance(args) -> int:
     return 0
 
 
+# argparse keywords by flag name; a setting's flag takes its type from SETTINGS
+FLAGS = {
+    **{flag: {"type": kind} for _, kind, flag in SETTINGS.values() if flag},
+    "out": {"required": True},
+    "config": {},
+    "events": {"action": "append", "required": True},
+    "calendar": {"required": True},
+    "dataset": {"required": True},
+    "features": {"required": True},
+    "lead": {"type": int, "required": True},
+    "lag": {"type": int, "required": True},
+    "cohort": {},
+    "cohorts": {},
+    "grid": {"required": True},
+    "value": {"default": "test_auc"},
+    "problem": {"action": "append", "required": True, "help": "LEAD,LAG[,COHORT]; repeat for several problems"},
+    "filter": {"action": "append",
+               "help": "restrict cells, e.g. lead=1,lag=3,cohort=passive_collaborator; repeatable"},
+    "jobs": {"type": int, "default": 1},
+    "shuffle-labels": {"action": "store_true",
+                       "help": "permute labels per cell before splitting (no-signal control)"},
+}
+
+# (name, function, help, flags in --help order)
+COMMANDS = (
+    ("synth", cmd_synth, "generate a synthetic course with known ground truth", "out config seed learners weeks"),
+    ("ingest", cmd_ingest, "validate raw event files into a canonical dataset", "events calendar out"),
+    ("featurize", cmd_featurize, "weekly features and stopout labels from a dataset", "dataset calendar out"),
+    ("cohorts", cmd_cohorts, "assign collaboration cohorts", "dataset calendar out"),
+    ("build", cmd_build, "flatten one lead/lag problem into a design matrix",
+     "features lead lag cohort cohorts out"),
+    ("train-eval", cmd_train_eval, "train and score one lead/lag problem",
+     "features lead lag cohort cohorts config seed ratio ridge folds out"),
+    ("heatmap", cmd_heatmap, "render a grid export as a matrix file plus SVG", "grid out value"),
+    ("importance", cmd_importance, "stability-selection feature importance",
+     "features cohorts problem config seed subsamples out"),
+    ("run-all", cmd_run_all, "full pipeline: ingest, featurize, cohorts, all grids",
+     "events calendar out config seed filter jobs shuffle-labels"),
+)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="stopout",
@@ -500,85 +521,11 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--defaults", action="store_true",
                         help="print every config key with its default and exit")
     sub = parser.add_subparsers(dest="command")
-
-    p = sub.add_parser("synth", help="generate a synthetic course with known ground truth")
-    p.add_argument("--out", required=True)
-    p.add_argument("--config")
-    p.add_argument("--seed", type=int)
-    p.add_argument("--learners", type=int)
-    p.add_argument("--weeks", type=int)
-    p.set_defaults(func=cmd_synth)
-
-    p = sub.add_parser("ingest", help="validate raw event files into a canonical dataset")
-    p.add_argument("--events", action="append", required=True)
-    p.add_argument("--calendar", required=True)
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_ingest)
-
-    p = sub.add_parser("featurize", help="weekly features and stopout labels from a dataset")
-    p.add_argument("--dataset", required=True)
-    p.add_argument("--calendar", required=True)
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_featurize)
-
-    p = sub.add_parser("cohorts", help="assign collaboration cohorts")
-    p.add_argument("--dataset", required=True)
-    p.add_argument("--calendar", required=True)
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_cohorts)
-
-    p = sub.add_parser("build", help="flatten one lead/lag problem into a design matrix")
-    p.add_argument("--features", required=True)
-    p.add_argument("--lead", type=int, required=True)
-    p.add_argument("--lag", type=int, required=True)
-    p.add_argument("--cohort")
-    p.add_argument("--cohorts")
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_build)
-
-    p = sub.add_parser("train-eval", help="train and score one lead/lag problem")
-    p.add_argument("--features", required=True)
-    p.add_argument("--lead", type=int, required=True)
-    p.add_argument("--lag", type=int, required=True)
-    p.add_argument("--cohort")
-    p.add_argument("--cohorts")
-    p.add_argument("--config")
-    p.add_argument("--seed", type=int)
-    p.add_argument("--ratio", type=float)
-    p.add_argument("--ridge", type=float)
-    p.add_argument("--folds", type=int)
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_train_eval)
-
-    p = sub.add_parser("heatmap", help="render a grid export as a matrix file plus SVG")
-    p.add_argument("--grid", required=True)
-    p.add_argument("--out", required=True)
-    p.add_argument("--value", default="test_auc")
-    p.set_defaults(func=cmd_heatmap)
-
-    p = sub.add_parser("importance", help="stability-selection feature importance")
-    p.add_argument("--features", required=True)
-    p.add_argument("--cohorts")
-    p.add_argument("--problem", action="append", required=True,
-                   help="LEAD,LAG[,COHORT]; repeat for several problems")
-    p.add_argument("--config")
-    p.add_argument("--seed", type=int)
-    p.add_argument("--subsamples", type=int)
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_importance)
-
-    p = sub.add_parser("run-all", help="full pipeline: ingest, featurize, cohorts, all grids")
-    p.add_argument("--events", action="append", required=True)
-    p.add_argument("--calendar", required=True)
-    p.add_argument("--out", required=True)
-    p.add_argument("--config")
-    p.add_argument("--seed", type=int)
-    p.add_argument("--filter", action="append",
-                   help="restrict cells, e.g. lead=1,lag=3,cohort=passive_collaborator; repeatable")
-    p.add_argument("--jobs", type=int, default=1)
-    p.add_argument("--shuffle-labels", action="store_true",
-                   help="permute labels per cell before splitting (no-signal control)")
-    p.set_defaults(func=cmd_run_all)
+    for name, func, text, flags in COMMANDS:
+        p = sub.add_parser(name, help=text)
+        for flag in flags.split():
+            p.add_argument(f"--{flag}", **FLAGS[flag])
+        p.set_defaults(func=func)
     return parser
 
 

@@ -198,7 +198,7 @@ def load_calendar(path: str | Path) -> CourseCalendar:
 
 # The row checks in the order they are made; a row is rejected for the first
 # it fails. The last two are load_dump's alone: a submission's problem must be
-# in the calendar, and an observed row's duration an integer.
+# in the calendar, and an observed row's duration a non-negative integer.
 REASONS = ("bad_table", "missing_learner", "bad_timestamp", "before_start", "bad_resource_kind", "missing_resource",
            "missing_problem", "bad_correct_flag", "bad_assignment_kind", "bad_collab_kind", "bad_text_length",
            "negative_text_length", "problem {!r} is not in the calendar", "bad_duration")
@@ -252,14 +252,14 @@ def _check_events(cells: dict[str, list[str]], coders: dict[str, _Coder],
 
     timestamp, bad_timestamp = _int64(cells["timestamp"], np.ones(observed.size, dtype=bool))
     text_length, bad_text_length = _int64(cells["text_length"], collab)
-    duration, bad_duration = _int64(cells.get("duration", []), observed & dump)
+    duration, _ = _int64(cells.get("duration", []), observed & dump)  # a cell that fails reads -1
     reason = np.select([  # in REASONS order
         code["table"] >= len(TABLE_ORDER), code["learner_id"] == 0, bad_timestamp, timestamp < calendar.course_start,
         observed & ~one_of("resource_kind", RESOURCE_KINDS), observed & (code["resource_id"] == 0),
         submission & (code["problem_id"] == 0), submission & ~one_of("correct", ("0", "1")),
         submission & ~one_of("assignment_kind", ASSIGNMENT_KINDS),
         collab & ~one_of("collab_kind", COLLAB_KINDS), bad_text_length, collab & (text_length < 0),
-        submission & ~one_of("problem_id", calendar.problem_meta) & dump, bad_duration,
+        submission & ~one_of("problem_id", calendar.problem_meta) & dump, observed & dump & (duration < 0),
     ], list(range(len(REASONS))), len(REASONS))
     for rows, names in ((observed, ("resource_id", "resource_kind")), (collab, ("collab_kind",)),
                         (submission, ("problem_id", "correct", "assignment_kind"))):

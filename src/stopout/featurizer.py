@@ -207,10 +207,12 @@ def export_feature_matrix(matrix: FeatureMatrix, path: str | Path) -> None:
 
 
 def _feature_row(cells: list[str]) -> tuple[str, int, int, list[float]]:
-    week = int(cells[1])
-    if week < 1:
+    week, label = int(cells[1]), int(cells[2])
+    if not 1 <= week < 2**63:  # the weeks are int64
         raise ValueError(f"week {week} is out of range, weeks start at 1")
-    return cells[0], week, int(cells[2]), [float(v) for v in cells[3:]]
+    if label not in (0, 1):
+        raise ValueError(f"label {label} is not 0 or 1")
+    return cells[0], week, label, [float(v) for v in cells[3:]]
 
 
 def _read_features(path: str | Path) -> tuple[list[str], np.ndarray, np.ndarray, np.ndarray]:
@@ -226,12 +228,28 @@ def _read_features(path: str | Path) -> tuple[list[str], np.ndarray, np.ndarray,
             weeks.append(np.fromiter(map(int, week), np.int64, len(week)))
             labels.append(np.fromiter(map(int, label), np.int8, len(label)))
             ids.extend(lid)
-            if weeks[-1].min() < 1:
-                raise ValueError("a week is out of range")
+            if weeks[-1].min() < 1 or not np.isin(labels[-1], (0, 1)).all():
+                raise ValueError("a week or a label is out of range")
     except (ValueError, OverflowError):
         ids, weeks, labels, values = zip(*read_table(path, FEATURE_COLUMNS, _feature_row))
         return list(ids), np.array(weeks, np.int64), np.array(labels, np.int8), np.array(values)
     return ids, np.concatenate(weeks), np.concatenate(labels), np.concatenate(values)
+
+
+def _layout_error(ids: list[str], learners: list[str], at: tuple[np.ndarray, np.ndarray],
+                  num_weeks: int) -> tuple[int, str]:
+    """The row and text of the first duplicate learner-week in file order,
+    else of the first row of the first learner missing a week."""
+    learner, week = at
+    order = np.lexsort((week, learner))  # stable: a pair's first row sorts first
+    repeated = (np.diff(learner[order]) == 0) & (np.diff(week[order]) == 0)
+    if repeated.any():
+        row = int(order[1:][repeated].min())
+        return row, f"duplicate row for learner {ids[row]} week {int(week[row]) + 1}"
+    gap = int(np.flatnonzero(np.bincount(learner, minlength=len(learners)) < num_weeks)[0])
+    own = np.sort(week[learner == gap])  # distinct, so the first week missing is the first j != own[j]
+    missing = int(np.flatnonzero(np.append(own != np.arange(own.size), True))[0])
+    return ids.index(learners[gap]), f"learner {learners[gap]} has no row for week {missing + 1}"
 
 
 def load_feature_matrix(path: str | Path) -> FeatureMatrix:
@@ -242,19 +260,10 @@ def load_feature_matrix(path: str | Path) -> FeatureMatrix:
     num_weeks = int(weeks.max(initial=0))
     index = {lid: i for i, lid in enumerate(learners)}
     at = (np.fromiter(map(index.__getitem__, ids), np.int64, len(ids)), weeks - 1)
-    keys = at[0] * num_weeks + at[1]
-    counts = np.bincount(keys, minlength=len(learners) * num_weeks)
-    if counts.size and (counts.max() > 1 or counts.min() == 0):
-        # an error at the first duplicate learner-week, else at the first row of the first learner missing one
-        _, first = np.unique(keys, return_index=True)
-        repeated = np.setdiff1d(np.arange(keys.size), first)
-        if repeated.size:
-            row = int(repeated[0])
-            text = f"duplicate row for learner {ids[row]} week {int(keys[row]) % num_weeks + 1}"
-        else:
-            gap = int(np.flatnonzero(counts == 0)[0])
-            lid = learners[gap // num_weeks]
-            row, text = ids.index(lid), f"learner {lid} has no row for week {gap % num_weeks + 1}"
+    # every learner-week exactly once: as many rows as learner-weeks, checked
+    # first so that a far-off week is reported, not allocated, and no key twice
+    if len(ids) != len(learners) * num_weeks or np.bincount(at[0] * num_weeks + at[1]).max(initial=1) > 1:
+        row, text = _layout_error(ids, learners, at, num_weeks)
         for chunk in read_chunks(path, FEATURE_COLUMNS):  # read again for the row's line
             if row < len(chunk.rows):
                 raise chunk.error(row, text)

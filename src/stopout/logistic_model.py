@@ -158,19 +158,6 @@ def _irls(X1: np.ndarray, y: np.ndarray, ridge: float, tol: float, max_iter: int
     )
 
 
-def _fit_rung(X1: np.ndarray, y: np.ndarray, ridge: float, tol: float, max_iter: int,
-              beta0: np.ndarray | None) -> TrainedModel:
-    """One rung of the ladder: from beta0 if it converges there, else from zeros."""
-    if beta0 is not None:
-        try:
-            model = _irls(X1, y, ridge, tol, max_iter, beta0)
-            if model.converged:
-                return model
-        except _NumericalFailure:
-            pass
-    return _irls(X1, y, ridge, tol, max_iter)
-
-
 def train(
     X: np.ndarray,
     y: np.ndarray,
@@ -196,22 +183,24 @@ def train(
     fitted = np.concatenate(([True], np.any(X != 0.0, axis=0)))
     X1 = add_intercept(X[:, fitted[1:]])
     start = None if beta0 is None else np.asarray(beta0, dtype=np.float64)[fitted]
-    current = ridge
-    if current == 0.0 and not fitted.all():
-        current = RIDGE_LADDER[0]
-    while True:
-        try:
-            model = _fit_rung(X1, y, current, tol, max_iter, start)
-            beta = np.zeros(fitted.size)
-            beta[fitted] = model.beta
-            model.beta = beta
-            model.columns = list(columns) if columns is not None else None
-            return model
-        except _NumericalFailure as exc:
-            steps = [r for r in RIDGE_LADDER if r > current]
-            if not steps:
-                raise DataError(f"logistic training failed at ridge {current}: {exc}") from exc
-            current = steps[0]
+    first = RIDGE_LADDER[0] if ridge == 0.0 and not fitted.all() else ridge
+    starts = (None,) if start is None else (start, None)
+    # each rung from start if it converges there, else from zeros; a
+    # numerical failure from zeros moves on to the next rung
+    for rung in (first, *(r for r in RIDGE_LADDER if r > first)):
+        for beta_start in starts:
+            try:
+                model = _irls(X1, y, rung, tol, max_iter, beta_start)
+            except _NumericalFailure as exc:
+                failure = exc
+                continue
+            if model.converged or beta_start is None:
+                beta = np.zeros(fitted.size)
+                beta[fitted] = model.beta
+                model.beta = beta
+                model.columns = list(columns) if columns is not None else None
+                return model
+    raise DataError(f"logistic training failed at ridge {rung}: {failure}") from failure
 
 
 def predict_proba(model: TrainedModel, X: np.ndarray) -> np.ndarray:

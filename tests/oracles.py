@@ -449,7 +449,7 @@ def parse_event_reference(cells, calendar, dump: bool = False) -> tuple:
     dump), as a DUMP_COLUMNS tuple: the table coded, integers parsed, the
     cells its table does not use blanked, duration -1 unless dump reads it.
     A row that fails a check raises ValueError naming the reason; dump also
-    needs a submission's problem in the calendar and an observed duration."""
+    needs a submission's problem in the calendar and an observed duration >= 0."""
     table, learner_id, ts, rid, rkind, pid, correct, akind, ckind, length = cells[:10]
     code = TABLE_CODE.get(table)
     if code is None:
@@ -465,6 +465,8 @@ def parse_event_reference(cells, calendar, dump: bool = False) -> tuple:
         if not rid:
             raise ValueError("missing_resource")
         duration = _parse_int(cells[10], "bad_duration") if dump else -1
+        if dump and duration < 0:
+            raise ValueError("bad_duration")
         return code, learner_id, timestamp, rid, rkind, "", "", "", "", -1, duration
     if table == TABLE_SUBMISSION:
         if not pid:

@@ -6,6 +6,7 @@ output are observable without spawning subprocesses.
 
 from __future__ import annotations
 
+import argparse
 import os
 import subprocess
 import sys
@@ -18,6 +19,8 @@ import pytest
 import stopout
 from stopout.cli import (
     DEFAULTS,
+    SETTINGS,
+    build_parser,
     config_sha256,
     filter_match,
     load_config,
@@ -167,15 +170,91 @@ def test_bad_config_exits_2(tmp_path, capsys):
     assert "config error:" in capsys.readouterr().err
 
 
+# each numeric config key: a command that reads it, and the kind of value it needs
+NUMERIC_KEYS = {
+    "seed": ("train-eval", "an integer"),
+    "ratio": ("train-eval", "a number"),
+    "ridge": ("train-eval", "a number"),
+    "folds": ("train-eval", "an integer"),
+    "min_rows": ("train-eval", "an integer"),
+    "importance_subsamples": ("importance", "an integer"),
+    "importance_fraction": ("importance", "a number"),
+    "importance_weight_floor": ("importance", "a number"),
+    "importance_target_support": ("importance", "an integer"),
+    "synth_learners": ("synth", "an integer"),
+    "synth_weeks": ("synth", "an integer"),
+    "synth_hazard_noise": ("synth", "a number"),
+    "synth_volume_slope": ("synth", "a number"),
+    "synth_timeliness_slope": ("synth", "a number"),
+    "synth_grades_slope": ("synth", "a number"),
+}
+
+
+def test_numeric_keys_are_every_key_but_the_problem_list():
+    assert set(NUMERIC_KEYS) == set(DEFAULTS) - {"importance_problems"}
+    for key, (_, expected) in NUMERIC_KEYS.items():
+        assert SETTINGS[key][1] is (int if expected == "an integer" else float), key
+
+
 def test_non_numeric_config_value_exits_2(pipeline, tmp_path, capsys):
+    inputs = {
+        "train-eval": ["--features", str(pipeline.features), "--lead", "1", "--lag", "1"],
+        "importance": ["--features", str(pipeline.features), "--problem", "1,1"],
+        "synth": [],
+    }
     path = tmp_path / "bad.cfg"
-    path.write_text("folds=abc\n", encoding="utf-8")
-    rc = main([
-        "train-eval", "--features", str(pipeline.features), "--lead", "1", "--lag", "1",
-        "--config", str(path), "--out", str(tmp_path / "o"),
-    ])
-    assert rc == 2
-    assert "must be an integer" in capsys.readouterr().err
+    for key, (command, expected) in NUMERIC_KEYS.items():
+        path.write_text(f"{key}=abc\n", encoding="utf-8")
+        rc = main([command, *inputs[command], "--config", str(path), "--out", str(tmp_path / "o")])
+        assert rc == 2, key
+        assert f"config error: config key {key} must be {expected}, got 'abc'" in capsys.readouterr().err
+
+
+# every subcommand's options in order: option string, type, required, default, action
+_ = None
+SURFACE = {
+    "synth": [("--out", _, True, _, "store"), ("--config", _, False, _, "store"), ("--seed", int, False, _, "store"),
+              ("--learners", int, False, _, "store"), ("--weeks", int, False, _, "store")],
+    "ingest": [("--events", _, True, _, "append"), ("--calendar", _, True, _, "store"),
+               ("--out", _, True, _, "store")],
+    "featurize": [("--dataset", _, True, _, "store"), ("--calendar", _, True, _, "store"),
+                  ("--out", _, True, _, "store")],
+    "cohorts": [("--dataset", _, True, _, "store"), ("--calendar", _, True, _, "store"),
+                ("--out", _, True, _, "store")],
+    "build": [("--features", _, True, _, "store"), ("--lead", int, True, _, "store"),
+              ("--lag", int, True, _, "store"), ("--cohort", _, False, _, "store"),
+              ("--cohorts", _, False, _, "store"), ("--out", _, True, _, "store")],
+    "train-eval": [("--features", _, True, _, "store"), ("--lead", int, True, _, "store"),
+                   ("--lag", int, True, _, "store"), ("--cohort", _, False, _, "store"),
+                   ("--cohorts", _, False, _, "store"), ("--config", _, False, _, "store"),
+                   ("--seed", int, False, _, "store"), ("--ratio", float, False, _, "store"),
+                   ("--ridge", float, False, _, "store"), ("--folds", int, False, _, "store"),
+                   ("--out", _, True, _, "store")],
+    "heatmap": [("--grid", _, True, _, "store"), ("--out", _, True, _, "store"),
+                ("--value", _, False, "test_auc", "store")],
+    "importance": [("--features", _, True, _, "store"), ("--cohorts", _, False, _, "store"),
+                   ("--problem", _, True, _, "append"), ("--config", _, False, _, "store"),
+                   ("--seed", int, False, _, "store"), ("--subsamples", int, False, _, "store"),
+                   ("--out", _, True, _, "store")],
+    "run-all": [("--events", _, True, _, "append"), ("--calendar", _, True, _, "store"),
+                ("--out", _, True, _, "store"), ("--config", _, False, _, "store"),
+                ("--seed", int, False, _, "store"), ("--filter", _, False, _, "append"),
+                ("--jobs", int, False, 1, "store"), ("--shuffle-labels", _, False, False, "store_true")],
+}
+ACTIONS = {argparse._StoreAction: "store", argparse._AppendAction: "append", argparse._StoreTrueAction: "store_true"}
+
+
+def _options(parser: argparse.ArgumentParser) -> list[tuple]:
+    return [(*a.option_strings, a.type, a.required, a.default, ACTIONS.get(type(a)))
+            for a in parser._actions if not isinstance(a, (argparse._HelpAction, argparse._SubParsersAction))]
+
+
+def test_cli_surface():
+    parser = build_parser()
+    assert _options(parser) == [("--defaults", _, False, False, "store_true")]
+    commands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction)).choices
+    assert list(commands) == list(SURFACE)
+    assert {name: _options(p) for name, p in commands.items()} == SURFACE
 
 
 def test_config_sha256_is_order_insensitive():
@@ -634,6 +713,8 @@ def test_train_eval_row_equals_the_run_all_grid_row(pipeline, runall_dir, tmp_pa
     [
         ("featurize", 2, "12x"),  # dataset.tsv timestamp
         ("train-eval", -1, None),  # features.tsv row one cell short
+        ("train-eval", 2, "300"),  # features.tsv label x1 past int8
+        ("train-eval", 1, "99999999999999999999"),  # features.tsv week past int64
         ("heatmap", -1, "abc"),  # grid folds_used, the last column
     ],
 )
@@ -668,6 +749,7 @@ def test_malformed_intermediate_row_exits_3(pipeline, runall_dir, tmp_path, caps
         ("submission", "problem_id", "nope", "problem 'nope' is not in the calendar"),
         ("observed", "timestamp", None, "before_start"),  # one second before course start
         ("observed", "resource_kind", "podcast", "bad_resource_kind"),
+        ("observed", "duration", "-5", "bad_duration"),
     ],
 )
 def test_invalid_dataset_row_exits_3(pipeline, tmp_path, capsys, table, column, value, message):

@@ -445,6 +445,33 @@ def test_load_feature_matrix_rejects_missing_learner_week(tmp_path):
         load_feature_matrix(path)
 
 
+@pytest.mark.parametrize(
+    "column,value,message",
+    [
+        (2, "5", "label 5 is not 0 or 1"),
+        (2, "-1", "label -1 is not 0 or 1"),
+        (2, "300", "label 300 is not 0 or 1"),  # past int8
+        (1, "99999999999999999999", "week 99999999999999999999 is out of range"),  # past int64
+    ],
+)
+def test_load_feature_matrix_rejects_bad_labels_and_weeks(tmp_path, column, value, message):
+    path = _features_file(tmp_path / "features.tsv", [("a", 1), ("a", 2), ("b", 1), ("b", 2)])
+    lines = path.read_text(encoding="utf-8").splitlines()
+    cells = lines[3].split("\t")
+    cells[column] = value
+    lines[3] = "\t".join(cells)
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    with pytest.raises(DataError, match=rf"features.tsv:4: {message}"):
+        load_feature_matrix(path)
+
+
+def test_a_far_off_week_is_a_missing_week_not_an_allocation(tmp_path):
+    # 2 learners x 2**62 weeks would be far too large an array to count in
+    path = _features_file(tmp_path / "features.tsv", [("a", 1), ("a", 2), ("b", 1), ("b", 2**62)])
+    with pytest.raises(DataError, match=r"features.tsv:2: learner a has no row for week 3"):
+        load_feature_matrix(path)
+
+
 def test_load_feature_matrix_accepts_rows_in_any_order(fixture_matrix, tmp_path):
     path = tmp_path / "features.tsv"
     export_feature_matrix(fixture_matrix, path)
