@@ -48,26 +48,26 @@ from .synth import SynthConfig, generate, write_events, write_truth
 from .tsv import write_table
 from .viz import write_heatmap, write_importance_chart
 
-# config key -> (default text, type, the flag that overrides it or None)
+# config key -> (default text, type, the flag that overrides it or None, strict lower bound or None)
 SETTINGS = {
-    "seed": ("0", int, "seed"),
-    "ratio": ("0.7", float, "ratio"),
-    "ridge": ("0.0", float, "ridge"),
-    "folds": ("10", int, "folds"),
-    "min_rows": ("10", int, None),
-    "importance_subsamples": ("200", int, "subsamples"),
-    "importance_fraction": ("0.75", float, None),
-    "importance_weight_floor": ("0.5", float, None),
-    "importance_target_support": ("8", int, None),
-    "importance_problems": ("13,1;3,6;6,4", str, None),
-    "synth_learners": ("1000", int, "learners"),
-    "synth_weeks": ("14", int, "weeks"),
-    "synth_hazard_noise": ("0.5", float, None),
-    "synth_volume_slope": ("-2.0", float, None),
-    "synth_timeliness_slope": ("-1.0", float, None),
-    "synth_grades_slope": ("-2.0", float, None),
+    "seed": ("0", int, "seed", None),
+    "ratio": ("0.7", float, "ratio", None),
+    "ridge": ("1e-06", float, "ridge", 0.0),
+    "folds": ("10", int, "folds", 1),
+    "min_rows": ("10", int, None, None),
+    "importance_subsamples": ("200", int, "subsamples", 0),
+    "importance_fraction": ("0.75", float, None, None),
+    "importance_weight_floor": ("0.5", float, None, None),
+    "importance_target_support": ("8", int, None, None),
+    "importance_problems": ("13,1;3,6;6,4", str, None, None),
+    "synth_learners": ("1000", int, "learners", None),
+    "synth_weeks": ("14", int, "weeks", None),
+    "synth_hazard_noise": ("0.5", float, None, None),
+    "synth_volume_slope": ("-2.0", float, None, None),
+    "synth_timeliness_slope": ("-1.0", float, None, None),
+    "synth_grades_slope": ("-2.0", float, None, None),
 }
-DEFAULTS = {key: default for key, (default, _, _) in SETTINGS.items()}
+DEFAULTS = {key: default for key, (default, *_) in SETTINGS.items()}
 # the settings evaluate_cell and problem_importance take, in the order they are read
 CELL_KEYS = ("seed", "ratio", "ridge", "folds", "min_rows")
 IMPORTANCE_KEYS = ("seed", "importance_subsamples", "importance_fraction", "importance_weight_floor",
@@ -102,11 +102,11 @@ def config_sha256(cfg: dict[str, str]) -> str:
 
 
 def _settings(args, cfg: dict[str, str], *keys: str) -> dict[str, object]:
-    """Each key's flag when given, else its config value parsed by its type;
-    keyed by the key without an importance_ or synth_ prefix."""
+    """Each key's flag when given, else its config value parsed by its type, then
+    checked against its bound; keyed by the key without an importance_ or synth_ prefix."""
     out = {}
     for key in keys:
-        _, kind, flag = SETTINGS[key]
+        _, kind, flag, above = SETTINGS[key]
         value = getattr(args, flag, None) if flag else None
         if value is None:
             try:
@@ -114,6 +114,8 @@ def _settings(args, cfg: dict[str, str], *keys: str) -> dict[str, object]:
             except ValueError as exc:
                 expected = "an integer" if kind is int else "a number"
                 raise ConfigError(f"config key {key} must be {expected}, got {cfg[key]!r}") from exc
+        if above is not None and not value > above:
+            raise ConfigError(f"{key} must be greater than {above}, got {value}")
         out[key.removeprefix("importance_").removeprefix("synth_")] = value
     return out
 
@@ -474,7 +476,7 @@ def cmd_importance(args) -> int:
 
 # argparse keywords by flag name; a setting's flag takes its type from SETTINGS
 FLAGS = {
-    **{flag: {"type": kind} for _, kind, flag in SETTINGS.values() if flag},
+    **{flag: {"type": kind} for _, kind, flag, _ in SETTINGS.values() if flag},
     "out": {"required": True},
     "config": {},
     "events": {"action": "append", "required": True},

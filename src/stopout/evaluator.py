@@ -107,7 +107,7 @@ def cross_validate(
     y: np.ndarray,
     rng: np.random.Generator,
     folds: int = 10,
-    ridge: float = 0.0,
+    ridge: float = 1e-6,
     beta0: np.ndarray | None = None,
 ) -> list[float]:
     """Stratified k-fold AUCs; k shrinks to the minority count when needed.
@@ -159,7 +159,7 @@ def evaluate_problem(
     y: np.ndarray,
     rng: np.random.Generator,
     ratio: float = 0.7,
-    ridge: float = 0.0,
+    ridge: float = 1e-6,
     folds: int = 10,
     columns: list[str] | None = None,
 ) -> Evaluation:
@@ -227,7 +227,7 @@ def evaluate_cell(
     seed: int = 0,
     min_rows: int = 10,
     ratio: float = 0.7,
-    ridge: float = 0.0,
+    ridge: float = 1e-6,
     folds: int = 10,
     shuffle_labels: bool = False,
 ) -> tuple[CellResult, TrainedModel | None]:

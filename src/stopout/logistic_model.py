@@ -1,16 +1,14 @@
 """Binary logistic regression trained by Newton-Raphson (IRLS), from scratch.
 
 The optimizer maximizes the ridge-penalized log-likelihood; the intercept is
-never penalized. Numerical failures (singular Hessian, non-finite values)
-restart training with the next rung of a small ridge ladder rather than
-surfacing as crashes, since perfectly separable weekly slices are common.
+never penalized. Every fit uses the ridge it is given; a numerical failure
+(singular Hessian, non-finite values) raises DataError.
 
 Exactly-zero (zero-variance) columns are left out of the fit and get
-coefficient 0; with one present ridge 0 is skipped, as its Hessian has an
-exact zero pivot. With a ridge and more columns than rows, each Newton step
-is one n x n Woodbury solve instead of a d x d one. A rung that fails or
-stops short from a warm start (beta0) is rerun from zeros before the ridge
-escalates, so a warm start can only save steps.
+coefficient 0. With a ridge and more columns than rows, each Newton step is
+one n x n Woodbury solve instead of a d x d one. A fit that fails or stops
+short from a warm start (beta0) is rerun from zeros, so a warm start can only
+save steps.
 """
 
 from __future__ import annotations
@@ -22,8 +20,8 @@ import numpy as np
 
 from .errors import DataError, DegenerateLabelsError
 
-RIDGE_LADDER = (1e-6, 1e-4, 1e-2)
 MAX_HALVINGS = 30
+EPS = float(np.finfo(np.float64).eps)
 
 
 class _NumericalFailure(Exception):
@@ -116,8 +114,7 @@ def _irls(X1: np.ndarray, y: np.ndarray, ridge: float, tol: float, max_iter: int
     history = [ll]
     converged = False
     iterations = 0
-    for _ in range(max_iter):
-        iterations += 1
+    for iterations in range(1, max_iter + 1):
         p = sigmoid(X1 @ beta)
         w = p * (1.0 - p)
         grad = X1.T @ (y - p)
@@ -132,9 +129,10 @@ def _irls(X1: np.ndarray, y: np.ndarray, ridge: float, tol: float, max_iter: int
             raise _NumericalFailure("non-finite Newton direction")
 
         # Damped Newton: halve the step until the penalized likelihood stops
-        # getting worse, so overshoot on steep slices cannot diverge. A step
-        # that never improves means the solve produced a junk direction
-        # (numerically singular Hessian), which the ridge ladder handles.
+        # getting worse, so overshoot on steep slices cannot diverge. When no
+        # halving improves, the fit is at its optimum if the predicted gain is
+        # below the rounding error of summing n likelihood terms; otherwise
+        # the solve produced a junk direction (numerically singular Hessian).
         eta = 1.0
         for _ in range(MAX_HALVINGS + 1):
             candidate = beta + eta * direction
@@ -143,6 +141,9 @@ def _irls(X1: np.ndarray, y: np.ndarray, ridge: float, tol: float, max_iter: int
                 break
             eta *= 0.5
         else:
+            if 0.0 <= grad @ direction <= n * EPS * abs(ll):
+                converged = True
+                break
             raise _NumericalFailure("no improving Newton step")
         if not np.all(np.isfinite(candidate)):
             raise _NumericalFailure("non-finite coefficients")
@@ -161,16 +162,17 @@ def _irls(X1: np.ndarray, y: np.ndarray, ridge: float, tol: float, max_iter: int
 def train(
     X: np.ndarray,
     y: np.ndarray,
-    ridge: float = 0.0,
+    ridge: float = 1e-6,
     tol: float = 1e-8,
     max_iter: int = 100,
     columns: list[str] | None = None,
     beta0: np.ndarray | None = None,
 ) -> TrainedModel:
-    """Fit a logistic model; escalate the ridge on numerical failure.
+    """Fit a logistic model at the given ridge.
 
-    beta0 (intercept first, then one entry per column of X) warm-starts each
-    rung. Raises DegenerateLabelsError unless y contains both classes.
+    beta0 (intercept first, then one entry per column of X) is tried as the
+    start before zeros. Raises DegenerateLabelsError unless y contains both
+    classes, and DataError if the fit fails numerically.
     """
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
@@ -183,24 +185,19 @@ def train(
     fitted = np.concatenate(([True], np.any(X != 0.0, axis=0)))
     X1 = add_intercept(X[:, fitted[1:]])
     start = None if beta0 is None else np.asarray(beta0, dtype=np.float64)[fitted]
-    first = RIDGE_LADDER[0] if ridge == 0.0 and not fitted.all() else ridge
-    starts = (None,) if start is None else (start, None)
-    # each rung from start if it converges there, else from zeros; a
-    # numerical failure from zeros moves on to the next rung
-    for rung in (first, *(r for r in RIDGE_LADDER if r > first)):
-        for beta_start in starts:
-            try:
-                model = _irls(X1, y, rung, tol, max_iter, beta_start)
-            except _NumericalFailure as exc:
-                failure = exc
-                continue
-            if model.converged or beta_start is None:
-                beta = np.zeros(fitted.size)
-                beta[fitted] = model.beta
-                model.beta = beta
-                model.columns = list(columns) if columns is not None else None
-                return model
-    raise DataError(f"logistic training failed at ridge {rung}: {failure}") from failure
+    for beta_start in (None,) if start is None else (start, None):
+        try:
+            model = _irls(X1, y, ridge, tol, max_iter, beta_start)
+        except _NumericalFailure as exc:
+            failure = exc
+            continue
+        if model.converged or beta_start is None:
+            beta = np.zeros(fitted.size)
+            beta[fitted] = model.beta
+            model.beta = beta
+            model.columns = list(columns) if columns is not None else None
+            return model
+    raise DataError(f"logistic training failed at ridge {ridge}: {failure}") from failure
 
 
 def predict_proba(model: TrainedModel, X: np.ndarray) -> np.ndarray:

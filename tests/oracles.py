@@ -44,7 +44,7 @@ from stopout.event_store import (
 )
 from stopout.errors import DataError
 from stopout.featurizer import FEATURE_INDEX, NUM_FEATURES, FeatureMatrix
-from stopout.logistic_model import RIDGE_LADDER, TrainedModel
+from stopout.logistic_model import TrainedModel
 
 
 def pairwise_auc(scores, labels) -> Fraction:
@@ -158,45 +158,47 @@ def penalized_gradient(beta: np.ndarray, X1: np.ndarray, y: np.ndarray, ridge: f
     return grad
 
 
-def irls_reference(X: np.ndarray, y: np.ndarray, ridge: float = 0.0,
+def irls_reference(X: np.ndarray, y: np.ndarray, ridge: float = 1e-6,
                    columns: list[str] | None = None, beta0: np.ndarray | None = None) -> TrainedModel:
-    """Plain damped Newton up the same ridge ladder as train, in train's place.
+    """Plain damped Newton at the given ridge, in train's place.
 
-    Every rung starts from zeros and solves the full Hessian (beta0 is
-    accepted and ignored); a singular Hessian or a step that no halving
-    improves moves on to the next rung. Zero columns are fit like any other.
+    It starts from zeros and solves the full Hessian (beta0 is accepted and
+    ignored). When no halving improves, a predicted gain within the rounding
+    of the likelihood sum is convergence; any other such step, or a singular
+    Hessian, is a DataError. Zero columns are fit like any other.
     """
     X1 = np.hstack([np.ones((len(y), 1)), np.asarray(X, dtype=np.float64)])
     sign = 1.0 - 2.0 * np.asarray(y, dtype=np.float64)
-    for rung in (ridge, *(r for r in RIDGE_LADDER if r > ridge)):
-        penalty = np.full(X1.shape[1], rung)
-        penalty[0] = 0.0
+    penalty = np.full(X1.shape[1], ridge)
+    penalty[0] = 0.0
 
-        def objective(beta):
-            return -np.sum(np.logaddexp(0.0, sign * (X1 @ beta))) - 0.5 * rung * np.sum(beta[1:] ** 2)
+    def objective(beta):
+        return -np.sum(np.logaddexp(0.0, sign * (X1 @ beta))) - 0.5 * ridge * np.sum(beta[1:] ** 2)
 
-        beta = np.zeros(X1.shape[1])
-        ll = objective(beta)
-        for iteration in range(1, 101):
-            p = sigmoid_reference(X1 @ beta)
-            hessian = X1.T @ (X1 * (p * (1.0 - p))[:, None]) + np.diag(penalty)
-            try:
-                step = np.linalg.solve(hessian, X1.T @ (y - p) - penalty * beta)
-            except np.linalg.LinAlgError:
+    beta = np.zeros(X1.shape[1])
+    ll = objective(beta)
+    for iteration in range(1, 101):
+        p = sigmoid_reference(X1 @ beta)
+        hessian = X1.T @ (X1 * (p * (1.0 - p))[:, None]) + np.diag(penalty)
+        grad = X1.T @ (y - p) - penalty * beta
+        try:
+            step = np.linalg.solve(hessian, grad)
+        except np.linalg.LinAlgError as exc:
+            raise DataError(f"reference fit failed at ridge {ridge}: singular Hessian") from exc
+        gain = grad @ step
+        for _ in range(31):
+            new_ll = objective(beta + step)
+            if np.isfinite(new_ll) and new_ll >= ll:
                 break
-            for _ in range(31):
-                new_ll = objective(beta + step)
-                if np.isfinite(new_ll) and new_ll >= ll:
-                    break
-                step = step / 2.0
-            else:
-                break
-            beta, ll = beta + step, new_ll
-            if np.max(np.abs(step)) < 1e-8:
-                return TrainedModel(beta, rung, True, iteration, columns=columns)
+            step = step / 2.0
         else:
-            return TrainedModel(beta, rung, False, 100, columns=columns)
-    raise DataError(f"reference fit failed at every rung up to {rung}")
+            if 0.0 <= gain <= len(y) * np.finfo(np.float64).eps * abs(ll):
+                return TrainedModel(beta, ridge, True, iteration, columns=columns)
+            raise DataError(f"reference fit failed at ridge {ridge}: no improving Newton step")
+        beta, ll = beta + step, new_ll
+        if np.max(np.abs(step)) < 1e-8:
+            return TrainedModel(beta, ridge, True, iteration, columns=columns)
+    return TrainedModel(beta, ridge, False, 100, columns=columns)
 
 
 def l1_logistic_reference(

@@ -7,6 +7,7 @@ output are observable without spawning subprocesses.
 from __future__ import annotations
 
 import argparse
+import inspect
 import os
 import subprocess
 import sys
@@ -35,10 +36,10 @@ from stopout.cli import (
 from stopout.cohorts import COHORTS
 from stopout.dataset_builder import ProblemSpec, column_names, enumerate_problems, flatten, stratified_split
 from stopout.errors import ConfigError, DataError
-from stopout.evaluator import ALL_COHORT, cell_seed, load_grid, roc_auc
+from stopout.evaluator import ALL_COHORT, cell_seed, cross_validate, evaluate_cell, evaluate_problem, load_grid, roc_auc
 from stopout.featurizer import FeatureMatrix, export_feature_matrix, load_feature_matrix
 from stopout.importance import PROBLEM_COLUMNS
-from stopout.logistic_model import apply_model, load_model
+from stopout.logistic_model import apply_model, load_model, train
 from stopout.tsv import read_table
 
 
@@ -127,6 +128,7 @@ def test_defaults_flag_prints_every_key(capsys):
     lines = capsys.readouterr().out.splitlines()
     assert lines == [f"{k}={DEFAULTS[k]}" for k in sorted(DEFAULTS)]
     assert "importance_problems=13,1;3,6;6,4" in lines
+    assert "ridge=1e-06" in lines
 
 
 def test_bare_invocation_needs_a_subcommand(capsys):
@@ -208,6 +210,33 @@ def test_non_numeric_config_value_exits_2(pipeline, tmp_path, capsys):
         rc = main([command, *inputs[command], "--config", str(path), "--out", str(tmp_path / "o")])
         assert rc == 2, key
         assert f"config error: config key {key} must be {expected}, got 'abc'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("key,value,flag", [
+    ("folds", "1", "--folds"), ("folds", "0", None),
+    ("importance_subsamples", "0", "--subsamples"), ("importance_subsamples", "-3", None),
+    ("ridge", "-1", "--ridge"), ("ridge", "0", None), ("ridge", "nan", "--ridge"),
+])
+def test_a_value_at_or_below_its_bound_exits_2(pipeline, tmp_path, capsys, key, value, flag):
+    command = "importance" if key == "importance_subsamples" else "train-eval"
+    inputs = {
+        "train-eval": ["--features", str(pipeline.features), "--lead", "1", "--lag", "1"],
+        "importance": ["--features", str(pipeline.features), "--problem", "1,1"],
+    }[command]
+    path = tmp_path / "bounded.cfg"
+    path.write_text(f"{key}={value}\n", encoding="utf-8")
+    given = [flag, value] if flag else ["--config", str(path)]
+    out = tmp_path / "o"
+    assert main([command, *inputs, *given, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert f"config error: {key} must be greater than {SETTINGS[key][3]}, got" in err
+    assert not out.exists()
+
+
+def test_the_library_ridge_default_is_the_config_default():
+    ridge = float(DEFAULTS["ridge"])
+    for func in (train, cross_validate, evaluate_problem, evaluate_cell):
+        assert inspect.signature(func).parameters["ridge"].default == ridge, func.__name__
 
 
 # every subcommand's options in order: option string, type, required, default, action

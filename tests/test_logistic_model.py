@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import math
 
 import numpy as np
@@ -10,9 +11,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import grid_mle_ll, penalized_gradient, penalized_ll_reference, sigmoid_reference
+from stopout import logistic_model
 from stopout.errors import DataError, DegenerateLabelsError
 from stopout.logistic_model import (
-    RIDGE_LADDER,
     TrainedModel,
     _dual_direction,
     add_intercept,
@@ -196,21 +197,21 @@ def test_ll_history_is_monotone(small_course):
     assert np.all(np.diff(model.ll_history) >= -1e-12)
 
 
-def test_separable_data_escalates_ridge():
+@pytest.mark.parametrize("ridge", [1e-6, 1e-4, 1e-2])
+def test_separable_fit_converges_at_the_given_ridge(ridge):
     X = np.array([[-2.0], [-1.0], [1.0], [2.0]])
     y = np.array([0.0, 0.0, 1.0, 1.0])
-    model = train(X, y, ridge=0.0)
-    assert model.ridge in RIDGE_LADDER
+    model = train(X, y, ridge=ridge)
+    assert model.ridge == ridge and model.converged
     assert model.beta[1] > 0
     probs = predict_proba(model, X)
     assert np.all(probs[y == 1] > 0.5) and np.all(probs[y == 0] < 0.5)
 
 
-def test_separable_wide_fit_stays_on_the_first_rung():
+def test_separable_wide_fit_converges_at_1e_6():
     # 16 rows, 36 z-scored count columns: separable, so at ridge 1e-6 every
     # row ends up fit to a wide margin. With y*z - log(1 + e^z) the rounding
-    # noise outgrew the last Newton steps' real gain, no halving improved,
-    # and this fit escalated to ridge 1e-4.
+    # noise outgrew the last Newton steps' real gain and no halving improved.
     rng = np.random.default_rng(38)
     X = rng.poisson(1.0, size=(16, 36)).astype(float)
     y = (np.arange(16) % 2).astype(float)
@@ -246,11 +247,10 @@ def test_zero_columns_are_left_out_and_get_exactly_zero(tmp_path):
     y = (rng.random(40) < 1 / (1 + np.exp(-X[:, 0]))).astype(float)
     padded = np.zeros((40, 5))
     padded[:, [0, 2, 4]] = X
-    model = train(padded, y, ridge=0.0)
-    # ridge 0 is singular with a zero column, so the fit starts at the first rung
-    assert model.ridge == RIDGE_LADDER[0]
+    model = train(padded, y, ridge=1e-6)
+    assert model.ridge == 1e-6
     assert model.beta[2] == 0.0 and model.beta[4] == 0.0
-    alone = train(X, y, ridge=RIDGE_LADDER[0])
+    alone = train(X, y, ridge=1e-6)
     assert np.array_equal(model.beta[[0, 1, 3, 5]], alone.beta)
     assert model.iterations == alone.iterations
     path = tmp_path / "model.txt"
@@ -259,7 +259,7 @@ def test_zero_columns_are_left_out_and_get_exactly_zero(tmp_path):
     assert load_model(path).beta.size == 6
 
 
-def test_a_failed_warm_start_reruns_the_rung_cold():
+def test_a_failed_warm_start_reruns_cold():
     rng = np.random.default_rng(3)
     for n, d in ((60, 4), (20, 45)):  # the primal and the dual step
         X = rng.normal(size=(n, d))
@@ -273,6 +273,57 @@ def test_a_failed_warm_start_reruns_the_rung_cold():
         near = train(X, y, ridge=1e-4, beta0=cold.beta + 1e-3)
         assert near.converged and near.iterations < cold.iterations
         assert near.beta == pytest.approx(cold.beta, abs=1e-7)
+
+
+def _logistic_problem(seed: int, n: int = 60, d: int = 3):
+    rng = np.random.default_rng(seed)
+    X = rng.normal(size=(n, d))
+    return X, (rng.random(n) < 1 / (1 + np.exp(-X[:, 0]))).astype(float)
+
+
+def test_a_step_no_halving_improves_at_the_optimum_has_converged(monkeypatch):
+    X, y = _logistic_problem(21)
+    optimum = train(X, y).beta
+    real_ll = logistic_model.penalized_ll
+
+    def fit_where_no_step_improves(beta0=None):  # every likelihood after the start reads -inf
+        calls = itertools.count()
+        monkeypatch.setattr(logistic_model, "penalized_ll",
+                            lambda *args: real_ll(*args) if next(calls) == 0 else -np.inf)
+        return train(X, y, beta0=beta0)
+
+    # 1e-9 off the optimum the predicted gain is ~3e-17, below n * eps * |ll| ~ 4e-13
+    start = optimum + 1e-9
+    model = fit_where_no_step_improves(start)
+    assert model.converged and model.iterations == 1 and model.ridge == 1e-6
+    assert np.array_equal(model.beta, start)
+    # from zeros the gain is far above the floor, so that step failed
+    with pytest.raises(DataError, match="failed at ridge 1e-06: no improving Newton step"):
+        fit_where_no_step_improves()
+    # 1e-6 off the optimum it is ~3e-11: the warm start fails, and so does the
+    # cold rerun, whose start is no longer the first likelihood read
+    with pytest.raises(DataError, match="failed at ridge 1e-06"):
+        fit_where_no_step_improves(optimum + 1e-6)
+
+
+def test_a_negative_predicted_gain_never_passes_as_converged(monkeypatch):
+    # an uphill direction from near the optimum: its predicted gain is below
+    # the rounding floor in size but negative, so it is a failed fit
+    X, y = _logistic_problem(22)
+    near = train(X, y).beta + 1e-3
+    real_solve = logistic_model._solve
+    monkeypatch.setattr(logistic_model, "_solve", lambda a, b: -real_solve(a, b))
+    with pytest.raises(DataError, match="failed at ridge 1e-06: no improving Newton step"):
+        train(X, y, beta0=near)
+
+
+def test_ridge_0_on_a_collinear_design_fails_naming_ridge_0():
+    # x14 = x3 + x4, as in every week the featurizer builds
+    X, y = _logistic_problem(23)
+    collinear = np.column_stack([X, X[:, 1] + X[:, 2]])
+    with pytest.raises(DataError, match="failed at ridge 0.0"):
+        train(collinear, y, ridge=0.0)
+    assert train(collinear, y).converged
 
 
 def test_rescaling_a_column_preserves_predictions():
