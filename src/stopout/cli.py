@@ -8,7 +8,6 @@ they record per-cell statuses instead.
 from __future__ import annotations
 
 import argparse
-import hashlib
 import os
 import sys
 from multiprocessing import Pool
@@ -48,24 +47,25 @@ from .synth import SynthConfig, generate, write_events, write_truth
 from .tsv import write_table
 from .viz import write_heatmap, write_importance_chart
 
-# config key -> (default text, type, the flag that overrides it or None, strict lower bound or None)
+# config key -> (default text, type, the flag that overrides it or None,
+# strict lower bound or None, upper bound or None)
 SETTINGS = {
-    "seed": ("0", int, "seed", None),
-    "ratio": ("0.7", float, "ratio", None),
-    "ridge": ("1e-06", float, "ridge", 0.0),
-    "folds": ("10", int, "folds", 1),
-    "min_rows": ("10", int, None, None),
-    "importance_subsamples": ("200", int, "subsamples", 0),
-    "importance_fraction": ("0.75", float, None, None),
-    "importance_weight_floor": ("0.5", float, None, None),
-    "importance_target_support": ("8", int, None, None),
-    "importance_problems": ("13,1;3,6;6,4", str, None, None),
-    "synth_learners": ("1000", int, "learners", None),
-    "synth_weeks": ("14", int, "weeks", None),
-    "synth_hazard_noise": ("0.5", float, None, None),
-    "synth_volume_slope": ("-2.0", float, None, None),
-    "synth_timeliness_slope": ("-1.0", float, None, None),
-    "synth_grades_slope": ("-2.0", float, None, None),
+    "seed": ("0", int, "seed", None, None),
+    "ratio": ("0.7", float, "ratio", None, None),
+    "ridge": ("1e-06", float, "ridge", 0.0, None),
+    "folds": ("10", int, "folds", 1, None),
+    "min_rows": ("10", int, None, None, None),
+    "importance_subsamples": ("200", int, "subsamples", 0, None),
+    "importance_fraction": ("0.75", float, None, 0.0, 1.0),
+    "importance_weight_floor": ("0.5", float, None, 0.0, 1.0),
+    "importance_target_support": ("8", int, None, None, None),
+    "importance_problems": ("13,1;3,6;6,4", str, None, None, None),
+    "synth_learners": ("1000", int, "learners", None, None),
+    "synth_weeks": ("14", int, "weeks", None, None),
+    "synth_hazard_noise": ("0.5", float, None, None, None),
+    "synth_volume_slope": ("-2.0", float, None, None, None),
+    "synth_timeliness_slope": ("-1.0", float, None, None, None),
+    "synth_grades_slope": ("-2.0", float, None, None, None),
 }
 DEFAULTS = {key: default for key, (default, *_) in SETTINGS.items()}
 # the settings evaluate_cell and problem_importance take, in the order they are read
@@ -97,16 +97,17 @@ def load_config(path: str | None) -> dict[str, str]:
 
 
 def config_sha256(cfg: dict[str, str]) -> str:
+    import hashlib  # here, not at the top: it loads OpenSSL, which the ETL commands never need
     canon = "\n".join(f"{k}={cfg[k]}" for k in sorted(cfg)) + "\n"
     return hashlib.sha256(canon.encode("utf-8")).hexdigest()
 
 
 def _settings(args, cfg: dict[str, str], *keys: str) -> dict[str, object]:
     """Each key's flag when given, else its config value parsed by its type, then
-    checked against its bound; keyed by the key without an importance_ or synth_ prefix."""
+    checked against its bounds; keyed by the key without an importance_ or synth_ prefix."""
     out = {}
     for key in keys:
-        _, kind, flag, above = SETTINGS[key]
+        _, kind, flag, above, at_most = SETTINGS[key]
         value = getattr(args, flag, None) if flag else None
         if value is None:
             try:
@@ -116,6 +117,8 @@ def _settings(args, cfg: dict[str, str], *keys: str) -> dict[str, object]:
                 raise ConfigError(f"config key {key} must be {expected}, got {cfg[key]!r}") from exc
         if above is not None and not value > above:
             raise ConfigError(f"{key} must be greater than {above}, got {value}")
+        if at_most is not None and not value <= at_most:
+            raise ConfigError(f"{key} must be at most {at_most}, got {value}")
         out[key.removeprefix("importance_").removeprefix("synth_")] = value
     return out
 
@@ -179,6 +182,7 @@ def parse_problem_pairs(text: str) -> list[tuple[int, int]]:
 
 
 def sha256_file(path: Path) -> str:
+    import hashlib  # see config_sha256
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
@@ -476,7 +480,7 @@ def cmd_importance(args) -> int:
 
 # argparse keywords by flag name; a setting's flag takes its type from SETTINGS
 FLAGS = {
-    **{flag: {"type": kind} for _, kind, flag, _ in SETTINGS.values() if flag},
+    **{flag: {"type": kind} for _, kind, flag, *_ in SETTINGS.values() if flag},
     "out": {"required": True},
     "config": {},
     "events": {"action": "append", "required": True},

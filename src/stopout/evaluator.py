@@ -9,7 +9,6 @@ for run-all grids and for train-eval alike.
 
 from __future__ import annotations
 
-import hashlib
 import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -193,6 +192,7 @@ def evaluate_problem(
 
 def cell_seed(master_seed: int, cohort: str, lead: int, lag: int) -> int:
     """Stable per-cell RNG seed, independent of grid iteration order."""
+    import hashlib  # here, not at the top: it loads OpenSSL, which the ETL commands never need
     key = f"{master_seed}|{cohort}|{lead}|{lag}".encode()
     return int.from_bytes(hashlib.sha256(key).digest()[:16], "big")
 

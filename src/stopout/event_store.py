@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import DataError
-from .tsv import read_chunks, write_table
+from .tsv import line_bound, read_chunks, write_table
 
 WEEK_SECONDS = 604800
 
@@ -156,9 +156,11 @@ def derive_durations(learner: np.ndarray, timestamp: np.ndarray) -> np.ndarray:
     Input must be sorted by (learner, timestamp). Every event with a successor
     gets min(gap, SESSION_CAP); each learner's final event gets DEFAULT_TAIL.
     """
-    duration = np.full(len(learner), DEFAULT_TAIL, dtype=np.int64)
-    same = learner[1:] == learner[:-1]
-    duration[:-1][same] = np.minimum(np.diff(timestamp)[same], SESSION_CAP)
+    duration = np.empty(len(learner), dtype=np.int64)
+    np.subtract(timestamp[1:], timestamp[:-1], out=duration[:-1])
+    np.minimum(duration, SESSION_CAP, out=duration)
+    duration[-1:] = DEFAULT_TAIL
+    duration[:-1][learner[1:] != learner[:-1]] = DEFAULT_TAIL
     return duration
 
 
@@ -204,7 +206,7 @@ REASONS = ("bad_table", "missing_learner", "bad_timestamp", "before_start", "bad
            "negative_text_length", "problem {!r} is not in the calendar", "bad_duration")
 
 
-class _Coder(dict):
+class Coder(dict):
     """word -> code; a word not yet coded gets the next free code."""
 
     def __missing__(self, word: str) -> int:
@@ -212,13 +214,13 @@ class _Coder(dict):
         return code
 
 
-def _coders(calendar: CourseCalendar) -> dict[str, _Coder]:
+def _coders(calendar: CourseCalendar) -> dict[str, Coder]:
     """A coder per string column: table's starts as TABLE_CODE, each other's as
     "" (0), then the words its cells may hold if a closed set (1, 2, ...)."""
     closed = {"resource_kind": sorted(RESOURCE_KINDS), "problem_id": sorted(calendar.problem_meta),
               "correct": ["0", "1"], "assignment_kind": sorted(ASSIGNMENT_KINDS), "collab_kind": sorted(COLLAB_KINDS)}
     strings = [name for name in EVENT_COLUMNS if name not in INT_COLUMNS]
-    return {"table": _Coder(TABLE_CODE), **{name: _Coder(zip(["", *closed.get(name, [])], count())) for name in strings}}
+    return {"table": Coder(TABLE_CODE), **{name: Coder(zip(["", *closed.get(name, [])], count())) for name in strings}}
 
 
 def _int64(cells: list[str], rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -237,7 +239,7 @@ def _int64(cells: list[str], rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return values, bad
 
 
-def _check_events(cells: dict[str, list[str]], coders: dict[str, _Coder],
+def _check_events(cells: dict[str, list[str]], coders: dict[str, Coder],
                   calendar: CourseCalendar, dump: bool) -> tuple[np.ndarray, dict[str, np.ndarray]]:
     """Each row's first failing check as an index into REASONS (len(REASONS)
     if none), and the rows' DUMP_COLUMNS arrays with strings coded and the
@@ -268,6 +270,16 @@ def _check_events(cells: dict[str, list[str]], coders: dict[str, _Coder],
     return reason, {**code, "timestamp": timestamp, "text_length": text_length, "duration": duration}
 
 
+def _append(events: dict[str, np.ndarray], filled: int, values: dict[str, np.ndarray]) -> int:
+    """Copy each column of values into the arrays of events after their first
+    filled rows; the rows now filled. The arrays are allocated once, at a
+    bound on the rows, so that the events are never held twice."""
+    end = filled + values["table"].size
+    for name, column in values.items():
+        events[name][filled:end] = column
+    return end
+
+
 def ingest(paths: list[str | Path], calendar_path: str | Path) -> CourseDataset:
     """Parse event files against a calendar into a validated CourseDataset.
 
@@ -275,9 +287,12 @@ def ingest(paths: list[str | Path], calendar_path: str | Path) -> CourseDataset:
     pre-course timestamps are counted and skipped; a submission referencing a
     problem the calendar does not know is a hard error. Events are
     canonically sorted, so the result is independent of input line order.
+    Accepted rows go straight into one array per column, sized by the files'
+    line counts, so the events are held once, plus one chunk.
     """
     calendar = load_calendar(calendar_path)
-    stats, coders, parts = IngestStats(), _coders(calendar), []
+    stats, coders, bound, filled = IngestStats(), _coders(calendar), sum(map(line_bound, paths)), 0
+    events = {name: np.empty(bound, np.int64) for name in DUMP_COLUMNS}
     for path in paths:
         for chunk in read_chunks(path, EVENT_COLUMNS, any_order=True, drop_wrong_width=True):
             stats.total += len(chunk.rows) + chunk.dropped
@@ -286,10 +301,9 @@ def ingest(paths: list[str | Path], calendar_path: str | Path) -> CourseDataset:
             for name, count in zip(REASONS, np.bincount(reason, minlength=len(REASONS)).tolist()):
                 stats.reject(name, count)
             ok = reason == len(REASONS)
-            parts.append({name: column[ok] for name, column in values.items()})
-            stats.accepted += int(ok.sum())
-            stats.clamped += int((parts[-1]["timestamp"] >= calendar.course_end).sum())
-    dataset = _build_dataset(calendar, coders, parts, stats)
+            filled = _append(events, filled, {name: column[ok] for name, column in values.items()})
+    stats.accepted, stats.clamped = filled, int((events["timestamp"][:filled] >= calendar.course_end).sum())
+    dataset = _build_dataset(calendar, coders, events, filled, stats)
     # the problem_id words besides "" are those of accepted submissions
     missing = sorted(set(dataset.vocab["problem_id"]) - calendar.problem_meta.keys() - {""})
     if missing:
@@ -299,12 +313,15 @@ def ingest(paths: list[str | Path], calendar_path: str | Path) -> CourseDataset:
     return dataset
 
 
-def _build_dataset(calendar: CourseCalendar, coders: dict[str, _Coder],
-                   parts: list[dict[str, np.ndarray]], stats: IngestStats) -> CourseDataset:
-    """Join the parts, recode each string column by the sorted words its rows
-    use (learner ids become dense sorted indices), and sort canonically."""
-    events = {name: np.concatenate([part[name] for part in parts] or [np.zeros(0, dtype=np.int64)])
-              for name in DUMP_COLUMNS}
+def _build_dataset(calendar: CourseCalendar, coders: dict[str, Coder], events: dict[str, np.ndarray],
+                   rows: int, stats: IngestStats) -> CourseDataset:
+    """Take the first rows of each column, recode each string column by the
+    sorted words its rows use (learner ids become dense sorted indices), and
+    sort canonically. Each column of events is replaced in place, a column
+    at a time, so one column is held twice at most; the caller hands events
+    over and keeps no other reference to its arrays."""
+    for name in DUMP_COLUMNS:
+        events[name] = events[name][:rows]
     vocab = {}
     for name, words in ((name, list(coder)) for name, coder in coders.items() if name != "table"):
         used = sorted(np.flatnonzero(np.bincount(events[name], minlength=len(words))).tolist(), key=words.__getitem__)
@@ -313,37 +330,51 @@ def _build_dataset(calendar: CourseCalendar, coders: dict[str, _Coder],
         events[name], vocab[name] = rank[events[name]], [words[code] for code in used]
     # lexsort's last key is the primary one; the sort is stable
     order = np.lexsort([events[name] for name in reversed(EVENT_COLUMNS)])
-    events = {name: column[order] for name, column in events.items()}
+    for name in DUMP_COLUMNS:
+        events[name] = events[name][order]
     return CourseDataset(calendar=calendar, events=events, vocab=vocab, stats=stats)
 
 
+# rows dump_dataset turns into cells at a time, so that its memory does not
+# grow with the dataset; larger blocks write no faster
+DUMP_ROWS = 1 << 12
+
+
 def dump_dataset(dataset: CourseDataset, path: str | Path) -> None:
-    """Write the canonical sorted tab-separated export used for golden tests."""
-    cells = {column: values.tolist() for column, values in dataset.events.items()}
-    cells["table"] = [TABLE_ORDER[code] for code in cells["table"]]
-    for column, words in dataset.vocab.items():
-        cells[column] = [words[code] for code in cells[column]]
-    for column in ("text_length", "duration"):
-        cells[column] = ["" if value < 0 else value for value in cells[column]]
-    write_table(path, DUMP_COLUMNS, zip(*(cells[column] for column in DUMP_COLUMNS)))
+    """Write the canonical sorted tab-separated export used for golden tests,
+    DUMP_ROWS rows at a time."""
+    words = {"table": TABLE_ORDER, **dataset.vocab}
+
+    def rows():
+        for start in range(0, dataset.events["table"].size, DUMP_ROWS):
+            cells = {column: values[start:start + DUMP_ROWS].tolist() for column, values in dataset.events.items()}
+            for column, vocab in words.items():
+                cells[column] = [vocab[code] for code in cells[column]]
+            for column in ("text_length", "duration"):
+                cells[column] = ["" if value < 0 else value for value in cells[column]]
+            yield from zip(*(cells[column] for column in DUMP_COLUMNS))
+            del cells  # before the next block's are made
+
+    write_table(path, DUMP_COLUMNS, rows())
 
 
 def load_dump(path: str | Path, calendar: CourseCalendar) -> CourseDataset:
     """Reload a dataset dump produced by dump_dataset (durations included).
 
     Every row must pass ingest's checks and name a calendar problem; the
-    first that does not is a DataError naming its line.
+    first that does not is a DataError naming its line. Rows go straight
+    into one array per column, as in ingest.
     """
-    coders, parts = _coders(calendar), []
+    coders, bound, rows = _coders(calendar), line_bound(path), 0
+    events = {name: np.empty(bound, np.int64) for name in DUMP_COLUMNS}
     for chunk in read_chunks(path, DUMP_COLUMNS):
         cells = chunk.columns()
         reason, values = _check_events(cells, coders, calendar, True)
         bad = np.flatnonzero(reason < len(REASONS))
         if bad.size:
             raise chunk.error(bad[0], REASONS[reason[bad[0]]].format(cells["problem_id"][bad[0]]))
-        parts.append(values)
-    rows = sum(part["table"].size for part in parts)
-    return _build_dataset(calendar, coders, parts, IngestStats(total=rows, accepted=rows))
+        rows = _append(events, rows, values)
+    return _build_dataset(calendar, coders, events, rows, IngestStats(total=rows, accepted=rows))
 
 
 def dump_calendar(calendar: CourseCalendar, path: str | Path) -> None:

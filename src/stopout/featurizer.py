@@ -19,12 +19,13 @@ from .event_store import (
     TABLE_OBSERVED,
     TABLE_SUBMISSION,
     CourseCalendar,
+    Coder,
     CourseDataset,
     ProblemMeta,
     week_of,
     week_start,
 )
-from .tsv import read_chunks, read_table, write_table
+from .tsv import line_bound, read_chunks, read_table, write_table
 
 FEATURE_IDS: tuple[str, ...] = (
     "x2", "x3", "x4", "x5", "x6", "x7", "x8", "x9", "x10", "x11",
@@ -104,6 +105,8 @@ def build_feature_matrix(dataset: CourseDataset) -> tuple[FeatureMatrix, np.ndar
         rows = dataset.table(table)
         row = row_of[rows["learner_id"]]
         kept = row >= 0
+        if kept.all():  # views of the columns, not copies
+            kept = slice(None)
         week = week_of(rows["timestamp"][kept], cal)
         return [rows[column][kept] for column in columns] + [row[kept] * num_weeks + week - 1, week]
 
@@ -116,53 +119,83 @@ def build_feature_matrix(dataset: CourseDataset) -> tuple[FeatureMatrix, np.ndar
     def count(keys: np.ndarray, weights: np.ndarray | None = None) -> np.ndarray:
         return np.bincount(keys, weights, minlength=L * num_weeks)
 
-    timestamp, duration, resource_kind, key, week = grouped(TABLE_OBSERVED, "timestamp", "duration", "resource_kind")
-    feature("x2")[:] = count(key, duration)
-    for fid, kind in (("x16", "lecture"), ("x17", "book"), ("x18", "wiki")):
-        at = resource_kind == dataset.code("resource_kind", kind)
-        feature(fid)[:] = count(key[at], duration[at])
-    groups, starts, sizes = np.unique(key, return_index=True, return_counts=True)
-    feature("x15")[groups] = np.maximum.reduceat(duration, starts)
-    offsets = (timestamp - week_start(week, cal)).astype(np.float64)
-    # one row-wise np.var per group size; a row sums as its 1-D slice does, bit for bit
-    for size in np.unique(sizes[sizes > 1]).tolist():
-        at = np.flatnonzero(sizes == size)
-        feature("x13")[groups[at]] = np.var(offsets[starts[at, None] + np.arange(size)], axis=1)
+    # one function per table, so that a table's temporaries are gone before
+    # the next table's are made
 
-    collab_kind, text_length, key, _ = grouped(TABLE_COLLABORATION, "collab_kind", "text_length")
-    post = collab_kind == dataset.code("collab_kind", "forum_post")
-    feature("x3")[:] = count(key[post])
-    feature("x4")[:] = count(key[collab_kind == dataset.code("collab_kind", "wiki_edit")])
-    feature("x5")[:] = _ratio(count(key[post], text_length[post]), feature("x3"))
-    feature("x14")[:] = feature("x3") + feature("x4")
-    feature("x201")[:] = count(key[collab_kind == dataset.code("collab_kind", "forum_response")])
+    def observed() -> None:
+        timestamp, duration, resource_kind, key, week = grouped(TABLE_OBSERVED, "timestamp", "duration",
+                                                                "resource_kind")
+        feature("x2")[:] = count(key, duration)
+        for fid, kind in (("x16", "lecture"), ("x17", "book"), ("x18", "wiki")):
+            at = resource_kind == dataset.code("resource_kind", kind)
+            feature(fid)[:] = count(key[at], duration[at])
+        starts = np.flatnonzero(np.diff(key, prepend=-1))  # each run of a key; keys are >= 0
+        groups, sizes = key[starts], np.diff(starts, append=key.size)
+        feature("x15")[groups] = np.maximum.reduceat(duration, starts)
+        offsets = (timestamp - week_start(week, cal)).astype(np.float64)
+        # one row-wise np.var per group size; a row sums as its 1-D slice does, bit for bit
+        for size in np.unique(sizes[sizes > 1]).tolist():
+            at = np.flatnonzero(sizes == size)
+            feature("x13")[groups[at]] = np.var(offsets[starts[at, None] + np.arange(size)], axis=1)
 
-    timestamp, problem, correct, key, _ = grouped(TABLE_SUBMISSION, "timestamp", "problem_id", "correct")
-    correct = correct == dataset.code("correct", "1")
-    # calendar facts by problem code; "" (the cell of other tables) gets a placeholder
-    placeholder = ProblemMeta(assignment_kind="", week_assigned=0, due_timestamp=0)
-    meta = [cal.problem_meta.get(pid, placeholder) for pid in dataset.vocab["problem_id"]]
-    due = np.array([m.due_timestamp for m in meta], dtype=np.int64)
-    assigned_week = np.array([m.week_assigned for m in meta], dtype=np.int64)
-    assignment_kind = np.array([m.assignment_kind for m in meta], dtype=str)
-    # (learner-week, problem) pairs: attempted, and solved at least once
-    P = max(len(meta), 1)
-    pair = key * P + problem
-    tried, first, which = np.unique(pair, return_index=True, return_inverse=True)
-    solved = np.unique(pair[correct])
-    feature("x6")[:] = count(tried // P)
-    feature("x7")[:] = count(key)
-    feature("x8")[:] = count(solved // P)
-    feature("x9")[:] = _ratio(feature("x7"), feature("x6"))
-    feature("x10")[:] = _ratio(feature("x2"), feature("x8"))
-    feature("x11")[:] = _ratio(feature("x6"), feature("x8"))
-    # a pair's first row is its earliest submission
-    last = timestamp[first]
-    np.maximum.at(last, which, timestamp)
-    feature("x12")[:] = _ratio(count(tried // P, last - timestamp[first]), feature("x6"))
-    feature("x208")[:] = count(key[correct])
-    feature("x209")[:] = _ratio(feature("x208"), feature("x7"))
-    feature("x210")[:] = _ratio(count(key, due[problem] - timestamp), feature("x7"))
+    def collaboration() -> None:
+        collab_kind, text_length, key, _ = grouped(TABLE_COLLABORATION, "collab_kind", "text_length")
+        post = collab_kind == dataset.code("collab_kind", "forum_post")
+        feature("x3")[:] = count(key[post])
+        feature("x4")[:] = count(key[collab_kind == dataset.code("collab_kind", "wiki_edit")])
+        feature("x5")[:] = _ratio(count(key[post], text_length[post]), feature("x3"))
+        feature("x14")[:] = feature("x3") + feature("x4")
+        feature("x201")[:] = count(key[collab_kind == dataset.code("collab_kind", "forum_response")])
+
+    def submission() -> None:
+        # [:-1] drops the weeks, which are not needed here, before the pairs are made
+        timestamp, problem, correct, key = grouped(TABLE_SUBMISSION, "timestamp", "problem_id", "correct")[:-1]
+        correct = correct == dataset.code("correct", "1")
+        # calendar facts by problem code; "" (the cell of other tables) gets a placeholder
+        placeholder = ProblemMeta(assignment_kind="", week_assigned=0, due_timestamp=0)
+        meta = [cal.problem_meta.get(pid, placeholder) for pid in dataset.vocab["problem_id"]]
+        due = np.array([m.due_timestamp for m in meta], dtype=np.int64)
+        assigned_week = np.array([m.week_assigned for m in meta], dtype=np.int64)
+        assignment_kind = np.array([m.assignment_kind for m in meta], dtype=str)
+        feature("x7")[:] = count(key)
+        feature("x208")[:] = count(key[correct])
+        feature("x210")[:] = _ratio(count(key, due[problem] - timestamp), feature("x7"))
+        # (learner-week, problem) pairs, each a run of the stably sorted pair
+        # codes; a run's first row is the pair's earliest submission
+        P = max(len(meta), 1)
+        pair = key * P + problem
+        del key  # the pairs hold the learner-weeks from here on
+        order = np.argsort(pair, kind="stable")
+        pair = pair[order]
+        starts = np.flatnonzero(np.diff(pair, prepend=-1))
+        tried, first = pair[starts], order[starts]
+        del pair
+        solved = tried[np.logical_or.reduceat(correct[order], starts)]
+        span = np.maximum.reduceat(timestamp[order], starts) - timestamp[first]
+        feature("x6")[:] = count(tried // P)
+        feature("x8")[:] = count(solved // P)
+        feature("x9")[:] = _ratio(feature("x7"), feature("x6"))
+        feature("x10")[:] = _ratio(feature("x2"), feature("x8"))
+        feature("x11")[:] = _ratio(feature("x6"), feature("x8"))
+        feature("x12")[:] = _ratio(count(tried // P, span), feature("x6"))
+        feature("x209")[:] = _ratio(feature("x208"), feature("x7"))
+
+        # a weekly grade is the share of that week's assigned problems of the
+        # kind solved that week; its trend subtracts the mean of earlier grades
+        solved_problem, solved_week = solved % P, solved // P % num_weeks + 1
+        for kind, grade_id, trend_id in (("homework", "x204", "x205"), ("lab", "x206", "x207")):
+            weeks_assigned = [m.week_assigned for m in cal.problem_meta.values() if m.assignment_kind == kind]
+            assigned = np.bincount(np.array(weeks_assigned, dtype=np.int64), minlength=num_weeks + 1)[1:]
+            hit = (assignment_kind[solved_problem] == kind) & (assigned_week[solved_problem] == solved_week)
+            grade = _ratio(count(solved[hit] // P).reshape(L, num_weeks), assigned)
+            past = np.zeros((L, num_weeks))
+            past[:, 1:] = np.cumsum(grade, axis=1)[:, :-1] / np.arange(1, num_weeks)
+            values[..., FEATURE_INDEX[grade_id]] = grade
+            values[..., FEATURE_INDEX[trend_id]] = grade - past
+
+    observed()  # x10 needs x2
+    collaboration()
+    submission()
 
     # Peer aggregates use only learners still active (not yet stopped out)
     # this week; their own x9 values are therefore part of the multiset.
@@ -171,19 +204,6 @@ def build_feature_matrix(dataset: CourseDataset) -> tuple[FeatureMatrix, np.ndar
         peers = np.sort(x9[stopout > w + 1, w])
         values[:, w, FEATURE_INDEX["x202"]] = peer_percentile(x9[:, w], peers)
         values[:, w, FEATURE_INDEX["x203"]] = _ratio(x9[:, w], peers[-1] if peers.size else 0.0)
-
-    # a weekly grade is the share of that week's assigned problems of the
-    # kind solved that week; its trend subtracts the mean of earlier grades
-    solved_problem, solved_week = solved % P, solved // P % num_weeks + 1
-    for kind, grade_id, trend_id in (("homework", "x204", "x205"), ("lab", "x206", "x207")):
-        weeks_assigned = [m.week_assigned for m in cal.problem_meta.values() if m.assignment_kind == kind]
-        assigned = np.bincount(np.array(weeks_assigned, dtype=np.int64), minlength=num_weeks + 1)[1:]
-        hit = (assignment_kind[solved_problem] == kind) & (assigned_week[solved_problem] == solved_week)
-        grade = _ratio(count(solved[hit] // P).reshape(L, num_weeks), assigned)
-        past = np.zeros((L, num_weeks))
-        past[:, 1:] = np.cumsum(grade, axis=1)[:, :-1] / np.arange(1, num_weeks)
-        values[..., FEATURE_INDEX[grade_id]] = grade
-        values[..., FEATURE_INDEX[trend_id]] = grade - past
 
     matrix = FeatureMatrix(
         learners=[dataset.learners[li] for li in participants],
@@ -215,29 +235,36 @@ def _feature_row(cells: list[str]) -> tuple[str, int, int, list[float]]:
     return cells[0], week, label, [float(v) for v in cells[3:]]
 
 
-def _read_features(path: str | Path) -> tuple[list[str], np.ndarray, np.ndarray, np.ndarray]:
-    """The ids, weeks, labels and values of a features.tsv's rows, parsed by
-    column; if that fails, the file is read again row by row with _feature_row."""
-    ids, weeks, labels, values = [], [np.zeros(0, np.int64)], [np.zeros(0, np.int8)], [np.zeros((0, NUM_FEATURES))]
+def _read_features(path: str | Path) -> tuple[list[str], np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The learner ids of a features.tsv in order of appearance, and its rows'
+    codes into them, weeks, labels and values. Rows are parsed by column into
+    arrays sized by the file's line count; if that fails, the file is read
+    again row by row with _feature_row."""
+    coder, bound, rows = Coder(), line_bound(path), 0
+    codes, weeks, labels = np.empty(bound, np.int64), np.empty(bound, np.int64), np.empty(bound, np.int8)
+    values = np.empty((bound, NUM_FEATURES))
     try:
         for chunk in read_chunks(path, FEATURE_COLUMNS):
             lid, week, label, rest = zip(*(row.split("\t", 3) for row in chunk.rows))
             if any(map("".join(rest).__contains__, "\x1c\x1d\x1e\x1f")):
                 raise ValueError("np.loadtxt reads these as spaces, float() does not")
-            values.append(np.loadtxt(rest, delimiter="\t", comments=None, ndmin=2))
-            weeks.append(np.fromiter(map(int, week), np.int64, len(week)))
-            labels.append(np.fromiter(map(int, label), np.int8, len(label)))
-            ids.extend(lid)
-            if weeks[-1].min() < 1 or not np.isin(labels[-1], (0, 1)).all():
+            end = rows + len(lid)
+            values[rows:end] = np.loadtxt(rest, delimiter="\t", comments=None, ndmin=2)
+            weeks[rows:end] = np.fromiter(map(int, week), np.int64, len(week))
+            labels[rows:end] = np.fromiter(map(int, label), np.int8, len(label))
+            codes[rows:end] = np.fromiter(map(coder.__getitem__, lid), np.int64, len(lid))
+            if weeks[rows:end].min() < 1 or not np.isin(labels[rows:end], (0, 1)).all():
                 raise ValueError("a week or a label is out of range")
+            rows = end
     except (ValueError, OverflowError):
+        coder = Coder()
         ids, weeks, labels, values = zip(*read_table(path, FEATURE_COLUMNS, _feature_row))
-        return list(ids), np.array(weeks, np.int64), np.array(labels, np.int8), np.array(values)
-    return ids, np.concatenate(weeks), np.concatenate(labels), np.concatenate(values)
+        codes = np.fromiter(map(coder.__getitem__, ids), np.int64, len(ids))
+        return list(coder), codes, np.array(weeks, np.int64), np.array(labels, np.int8), np.array(values)
+    return list(coder), codes[:rows], weeks[:rows], labels[:rows], values[:rows]
 
 
-def _layout_error(ids: list[str], learners: list[str], at: tuple[np.ndarray, np.ndarray],
-                  num_weeks: int) -> tuple[int, str]:
+def _layout_error(learners: list[str], at: tuple[np.ndarray, np.ndarray], num_weeks: int) -> tuple[int, str]:
     """The row and text of the first duplicate learner-week in file order,
     else of the first row of the first learner missing a week."""
     learner, week = at
@@ -245,33 +272,36 @@ def _layout_error(ids: list[str], learners: list[str], at: tuple[np.ndarray, np.
     repeated = (np.diff(learner[order]) == 0) & (np.diff(week[order]) == 0)
     if repeated.any():
         row = int(order[1:][repeated].min())
-        return row, f"duplicate row for learner {ids[row]} week {int(week[row]) + 1}"
+        return row, f"duplicate row for learner {learners[learner[row]]} week {int(week[row]) + 1}"
     gap = int(np.flatnonzero(np.bincount(learner, minlength=len(learners)) < num_weeks)[0])
     own = np.sort(week[learner == gap])  # distinct, so the first week missing is the first j != own[j]
     missing = int(np.flatnonzero(np.append(own != np.arange(own.size), True))[0])
-    return ids.index(learners[gap]), f"learner {learners[gap]} has no row for week {missing + 1}"
+    return int(np.argmax(learner == gap)), f"learner {learners[gap]} has no row for week {missing + 1}"
 
 
 def load_feature_matrix(path: str | Path) -> FeatureMatrix:
     """Read a features.tsv export; every learner needs exactly one row per
-    week 1..W, where W is the largest week in the file."""
-    ids, weeks, flat_labels, flat_values = _read_features(path)
-    learners = sorted(set(ids))
-    num_weeks = int(weeks.max(initial=0))
+    week 1..W, where W is the largest week in the file. Rows in the order
+    export_feature_matrix writes them are read into the matrix itself; rows
+    in any other order are put in it with one more copy."""
+    words, codes, weeks, labels, values = _read_features(path)
+    learners = sorted(words)
     index = {lid: i for i, lid in enumerate(learners)}
-    at = (np.fromiter(map(index.__getitem__, ids), np.int64, len(ids)), weeks - 1)
+    at = (np.fromiter(map(index.__getitem__, words), np.int64, len(words))[codes], weeks - 1)
+    num_weeks = int(weeks.max(initial=0))
     # every learner-week exactly once: as many rows as learner-weeks, checked
     # first so that a far-off week is reported, not allocated, and no key twice
-    if len(ids) != len(learners) * num_weeks or np.bincount(at[0] * num_weeks + at[1]).max(initial=1) > 1:
-        row, text = _layout_error(ids, learners, at, num_weeks)
+    if weeks.size != len(learners) * num_weeks or np.bincount(at[0] * num_weeks + at[1]).max(initial=1) > 1:
+        row, text = _layout_error(learners, at, num_weeks)
         for chunk in read_chunks(path, FEATURE_COLUMNS):  # read again for the row's line
             if row < len(chunk.rows):
                 raise chunk.error(row, text)
             row -= len(chunk.rows)
-    values = np.zeros((len(learners), num_weeks, NUM_FEATURES))
-    values[at] = flat_values
-    labels = np.zeros((len(learners), num_weeks), dtype=np.int8)
-    labels[at] = flat_labels
+    key = at[0] * num_weeks + at[1]
+    if not (key == np.arange(key.size)).all():
+        labels[key], values[key] = labels.copy(), values.copy()
+    values = values.reshape(len(learners), num_weeks, NUM_FEATURES)
+    labels = labels.reshape(len(learners), num_weeks)
     # stopout week: the first week labelled 0, else num_weeks + 1
     stopout = np.where(labels == 0, np.arange(1, num_weeks + 1), num_weeks + 1).min(axis=1, initial=num_weeks + 1)
     return FeatureMatrix(learners=learners, num_weeks=num_weeks, values=values, labels=labels, stopout_week=stopout)

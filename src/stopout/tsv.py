@@ -54,6 +54,17 @@ class Chunk:
         return DataError(f"{self.path}:{line}: {text}")
 
 
+def line_bound(path: str | Path) -> int:
+    """An upper bound on a text file's lines, so also on its rows: its line
+    ends, each "\\n" or "\\r" (universal newlines read both), plus one; 0 if
+    the file cannot be opened, for read_chunks to report."""
+    try:
+        with open(path, "rb") as fh:
+            return 1 + sum(block.count(b"\n") + block.count(b"\r") for block in iter(lambda: fh.read(1 << 20), b""))
+    except OSError:
+        return 0
+
+
 def read_chunks(path: str | Path, header: Sequence[str], any_order: bool = False,
                 drop_wrong_width: bool = False) -> Iterator[Chunk]:
     """Yield a table file's data rows a chunk at a time. A missing file, a

@@ -17,6 +17,8 @@ from per-event tuples, in the same floating-point order as the grouped
 reductions of build_feature_matrix, so the two must agree bit for bit.
 The event references check one row at a time, as ingest and load_dump did
 before they checked whole columns, and build a dataset by sorting tuples.
+The dump reference writes dataset.tsv from whole columns at once, as
+dump_dataset did before it wrote a block of rows at a time.
 """
 
 from __future__ import annotations
@@ -38,6 +40,7 @@ from stopout.event_store import (
     TABLE_CODE,
     TABLE_COLLABORATION,
     TABLE_OBSERVED,
+    TABLE_ORDER,
     TABLE_SUBMISSION,
     WEEK_SECONDS,
     IngestStats,
@@ -45,6 +48,7 @@ from stopout.event_store import (
 from stopout.errors import DataError
 from stopout.featurizer import FEATURE_INDEX, NUM_FEATURES, FeatureMatrix
 from stopout.logistic_model import TrainedModel
+from stopout.tsv import write_table
 
 
 def pairwise_auc(scores, labels) -> Fraction:
@@ -532,3 +536,14 @@ def ingest_reference(paths, calendar) -> tuple[IngestStats, dict[str, np.ndarray
     events = {c: np.array([vocab[c].index(v) for v in values] if c in vocab else values, dtype=np.int64)
               for c, values in columns.items()}
     return stats, events, vocab
+
+
+def dump_dataset_reference(dataset, path) -> None:
+    """dump_dataset with every column turned into cells at once."""
+    cells = {column: values.tolist() for column, values in dataset.events.items()}
+    cells["table"] = [TABLE_ORDER[code] for code in cells["table"]]
+    for column, words in dataset.vocab.items():
+        cells[column] = [words[code] for code in cells[column]]
+    for column in ("text_length", "duration"):
+        cells[column] = ["" if value < 0 else value for value in cells[column]]
+    write_table(path, DUMP_COLUMNS, zip(*(cells[column] for column in DUMP_COLUMNS)))

@@ -233,6 +233,31 @@ def test_a_value_at_or_below_its_bound_exits_2(pipeline, tmp_path, capsys, key, 
     assert not out.exists()
 
 
+@pytest.mark.parametrize("key,value,message", [
+    ("importance_fraction", "0", "must be greater than 0.0, got 0.0"),
+    ("importance_fraction", "1.5", "must be at most 1.0, got 1.5"),
+    ("importance_fraction", "nan", "must be greater than 0.0, got nan"),
+    ("importance_weight_floor", "-1", "must be greater than 0.0, got -1.0"),
+    ("importance_weight_floor", "0", "must be greater than 0.0, got 0.0"),
+    ("importance_weight_floor", "1.01", "must be at most 1.0, got 1.01"),
+])
+def test_a_value_outside_its_range_exits_2(pipeline, tmp_path, capsys, key, value, message):
+    path = tmp_path / "ranged.cfg"
+    path.write_text(f"importance_subsamples=3\n{key}={value}\n", encoding="utf-8")
+    out = tmp_path / "o"
+    args = ["--features", str(pipeline.features), "--problem", "1,1", "--config", str(path), "--out", str(out)]
+    assert main(["importance", *args]) == 2
+    assert f"config error: {key} {message}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_the_upper_bound_of_a_range_is_allowed(pipeline, tmp_path):
+    path = tmp_path / "ranged.cfg"
+    path.write_text("importance_subsamples=3\nimportance_fraction=1\nimportance_weight_floor=1\n", encoding="utf-8")
+    args = ["--features", str(pipeline.features), "--problem", "1,1", "--config", str(path)]
+    assert main(["importance", *args, "--out", str(tmp_path / "o")]) == 0
+
+
 def test_the_library_ridge_default_is_the_config_default():
     ridge = float(DEFAULTS["ridge"])
     for func in (train, cross_validate, evaluate_problem, evaluate_cell):
@@ -658,6 +683,26 @@ def test_cli_import_defaults_blas_threads_to_one(preset):
     probe = f"import os, stopout.cli; print(*[os.environ[v] for v in {BLAS_THREADS!r}])"
     found = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True)
     assert found.stdout.split() == [preset or "1", "1", "1"]
+
+
+def test_the_etl_commands_never_load_openssl(tmp_path):
+    # hashlib loads OpenSSL (~3.5 MB RSS); only run-all and the cell seeds hash
+    env = dict(os.environ)
+    src = str(Path(stopout.__file__).resolve().parent.parent)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    data = Path(__file__).parent / "data"
+    out = tmp_path / "out"
+    commands = [
+        ["ingest", "--events", str(data / "fixture_events.tsv"), "--calendar", str(data / "fixture_calendar.tsv")],
+        ["featurize", "--dataset", str(out / "dataset.tsv"), "--calendar", str(out / "calendar.tsv")],
+        ["cohorts", "--dataset", str(out / "dataset.tsv"), "--calendar", str(out / "calendar.tsv")],
+    ]
+    probe = (f"import sys; from stopout.cli import main\n"
+             f"for argv in {commands!r}: assert main(argv + ['--out', {str(out)!r}]) == 0, argv\n"
+             f"print(sorted(name for name in sys.modules if 'hashlib' in name))")
+    found = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True)
+    assert (out / "cohorts.tsv").exists()
+    assert found.stdout.splitlines()[-1] == "[]"  # after the three commands' own lines
 
 
 def test_manifest_loader_rejects_noise(tmp_path):

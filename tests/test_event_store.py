@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import dataclasses
 import random
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -10,8 +12,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from oracles import ingest_reference, parse_event_reference
-from stopout import tsv
+from oracles import dump_dataset_reference, ingest_reference, parse_event_reference
+from stopout import event_store, tsv
 from stopout.errors import DataError
 from stopout.event_store import (
     DEFAULT_TAIL,
@@ -271,6 +273,81 @@ def test_load_dump_rejects_other_files(tmp_path, fixture_dataset):
     path.write_text("nope\n", encoding="utf-8")
     with pytest.raises(DataError, match="bad header"):
         load_dump(path, fixture_dataset.calendar)
+
+
+def test_line_ends_of_any_kind_read_alike(tmp_path):
+    cal = make_calendar(tmp_path, DEFAULT_PROBLEMS)
+    rows = [observed_row("a", START + 20), submission_row("a", START + 10), collab_row("b", START + 30)]
+    text = "\n".join(["\t".join(EVENT_COLUMNS), *rows])
+    want = ingest([write_event_file(tmp_path / "lf.tsv", rows)], cal)
+    for name, end in (("crlf", "\r\n"), ("cr", "\r")):
+        path = tmp_path / f"{name}.tsv"
+        path.write_bytes(text.replace("\n", end).encode("utf-8"))  # no line end after the last row
+        assert tsv.line_bound(path) == 3 * len(end) + 1
+        assert_same_events(ingest([path], cal), want)
+
+
+# ---------------------------------------------------------------------------
+# memory: the events are held once, plus a chunk or a block of rows
+
+def traced_peak(func, *args):
+    """func's result, and the most memory it held at once beyond what was held before."""
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        return func(*args), tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.fixture(scope="module")
+def tiled_events(small_course, tmp_path_factory) -> Path:
+    """small_course's events four times over, each copy with learner ids of its own."""
+    header, *rows = small_course.events_path.read_text(encoding="utf-8").splitlines()
+    learner = header.split("\t").index("learner_id")
+    lines = [header]
+    for copy in range(4):
+        for row in rows:
+            cells = row.split("\t")
+            cells[learner] += f"~{copy}"
+            lines.append("\t".join(cells))
+    path = tmp_path_factory.mktemp("tiled") / "events.tsv"
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    return path
+
+
+def test_ingest_and_load_dump_hold_the_events_once(small_course, tiled_events, tmp_path, monkeypatch):
+    # small chunks, so that the columns, not a chunk's cells, set the peak
+    monkeypatch.setattr(tsv, "CHUNK_BYTES", 1 << 12)
+    chunk = 16 * tsv.CHUNK_BYTES  # a chunk's text as cell strings and arrays
+    dataset, peak = traced_peak(ingest, [tiled_events], small_course.calendar_path)
+    columns = sum(values.nbytes for values in dataset.events.values())
+    assert columns > 50 * chunk
+    assert peak <= 1.5 * columns + chunk
+    dump_dataset(dataset, tmp_path / "dataset.tsv")
+    again, peak = traced_peak(load_dump, tmp_path / "dataset.tsv", dataset.calendar)
+    assert_same_events(again, dataset)
+    assert peak <= 1.5 * columns + chunk
+
+
+def test_dump_dataset_memory_does_not_grow_with_the_rows(small_course, tmp_path):
+    dataset = small_course.dataset
+    assert dataset.events["table"].size > event_store.DUMP_ROWS
+    tiled = dataclasses.replace(dataset, events={name: np.tile(values, 4) for name, values in dataset.events.items()})
+    _, peak = traced_peak(dump_dataset, dataset, tmp_path / "one.tsv")
+    _, tiled_peak = traced_peak(dump_dataset, tiled, tmp_path / "four.tsv")
+    assert tiled_peak <= 1.25 * peak
+
+
+@pytest.mark.parametrize("block", ["1", "7", "rows-1", "rows", "rows+1"])
+def test_dump_dataset_matches_the_whole_column_reference(fixture_dataset, small_course, tmp_path, monkeypatch,
+                                                         block):
+    for name, dataset in (("fixture", fixture_dataset), ("small", small_course.dataset)):
+        rows = dataset.events["table"].size
+        monkeypatch.setattr(event_store, "DUMP_ROWS", eval(block, {"rows": rows}))
+        dump_dataset(dataset, tmp_path / f"{name}.tsv")
+        dump_dataset_reference(dataset, tmp_path / f"{name}_reference.tsv")
+        assert (tmp_path / f"{name}.tsv").read_bytes() == (tmp_path / f"{name}_reference.tsv").read_bytes(), name
 
 
 # ---------------------------------------------------------------------------
