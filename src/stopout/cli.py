@@ -43,7 +43,7 @@ from .evaluator import (
 from .event_store import dump_calendar, dump_dataset, ingest, load_calendar, load_dump
 from .featurizer import build_feature_matrix, export_feature_matrix, export_histogram, load_feature_matrix
 from .logistic_model import save_model
-from .synth import SynthConfig, generate, write_events, write_truth
+from .synth import SynthConfig, generate, write_course
 from .tsv import write_table
 from .viz import write_heatmap, write_importance_chart
 
@@ -237,10 +237,7 @@ def cmd_synth(args) -> int:
                          "synth_volume_slope", "synth_timeliness_slope", "synth_grades_slope", "synth_hazard_noise")
     config = SynthConfig(num_learners=settings.pop("learners"), num_weeks=settings.pop("weeks"), **settings)
     out = _out_dir(args)
-    course = generate(config)
-    write_events(course, out / "events.tsv")
-    dump_calendar(course.calendar, out / "calendar.tsv")
-    write_truth(course, out / "truth.tsv")
+    write_course(generate(config), out)
     print(f"synth: {config.num_learners} learners, {config.num_weeks} weeks -> {out}")
     return 0
 

@@ -6,6 +6,9 @@ noise at zero the baseline makes every stopout week from 2 to num_weeks+1
 equally likely, and negative slopes let strong drivers delay stopout. Active
 weeks always contain at least one submission, so the ingested data replays
 the planted stopout week exactly.
+
+Learners are drawn one at a time and written as text as they are drawn, so
+memory stays flat however many learners a course has.
 """
 
 from __future__ import annotations
@@ -13,6 +16,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -26,8 +30,8 @@ from .event_store import (
     WEEK_SECONDS,
     CourseCalendar,
     ProblemMeta,
+    dump_calendar,
 )
-from .tsv import write_table
 
 DUE_OFFSET = 6 * 3600  # assignments close six hours before the week ends
 
@@ -64,8 +68,14 @@ class SynthConfig:
             raise ConfigError("fade multipliers must be in (0, 1]")
         if not 0.0 <= self.fade_prob <= 1.0:
             raise ConfigError(f"fade_prob must be in [0, 1], got {self.fade_prob}")
-        if abs(sum(self.cohort_mix) - 1.0) > 1e-9 or min(self.cohort_mix) < 0.0:
+        # negated, so that a NaN (whose sum is NaN) fails it
+        if not (abs(sum(self.cohort_mix) - 1.0) <= 1e-9 and min(self.cohort_mix) >= 0.0):
             raise ConfigError(f"cohort_mix must be a distribution, got {self.cohort_mix}")
+        for name in ("volume_slope", "timeliness_slope", "grades_slope"):
+            if not math.isfinite(getattr(self, name)):
+                raise ConfigError(f"{name} must be finite, got {getattr(self, name)}")
+        if not 0.0 <= self.hazard_noise < math.inf:
+            raise ConfigError(f"hazard_noise must be finite and >= 0, got {self.hazard_noise}")
 
 
 @dataclass(frozen=True, slots=True)
@@ -80,10 +90,10 @@ class TruthRow:
 
 @dataclass
 class SynthCourse:
-    config: SynthConfig
     calendar: CourseCalendar
-    events: list[tuple[str, ...]]  # raw rows in EVENT_COLUMNS order
-    truth: list[TruthRow]
+    # each learner's truth row and event lines, in learner order; generate()
+    # gives an iterator that draws each learner as it is read
+    learners: Iterable[tuple[TruthRow, list[str]]]
 
 
 def build_calendar(config: SynthConfig) -> CourseCalendar:
@@ -127,22 +137,16 @@ def sample_stopout(
     return W + 1
 
 
-def _obs_row(learner_id: str, ts: int, rid: str, kind: str) -> tuple[str, ...]:
-    return (TABLE_OBSERVED, learner_id, str(ts), rid, kind, "", "", "", "", "")
-
-
-def _sub_row(learner_id: str, ts: int, pid: str, correct: bool, kind: str) -> tuple[str, ...]:
-    return (TABLE_SUBMISSION, learner_id, str(ts), "", "", pid, "1" if correct else "0", kind, "", "")
-
-
-def _collab_row(learner_id: str, ts: int, kind: str, length: int) -> tuple[str, ...]:
-    return (TABLE_COLLABORATION, learner_id, str(ts), "", "", "", "", "", kind, str(length))
-
-
 def generate(config: SynthConfig) -> SynthCourse:
-    """Generate a full course; one RNG stream makes the output reproducible."""
-    rng = np.random.default_rng(config.seed)
+    """A course whose learners are drawn as they are read, from one RNG stream
+    seeded by config.seed, so the course is reproducible. Each event line is in
+    EVENT_COLUMNS order and ends in a newline."""
     calendar = build_calendar(config)
+    return SynthCourse(calendar, _draw_learners(config, calendar))
+
+
+def _draw_learners(config: SynthConfig, calendar: CourseCalendar) -> Iterator[tuple[TruthRow, list[str]]]:
+    rng = np.random.default_rng(config.seed)
     week_problems: dict[int, list[tuple[str, str]]] = {
         w: sorted(
             (pid, m.assignment_kind)
@@ -152,16 +156,18 @@ def generate(config: SynthConfig) -> SynthCourse:
         for w in range(1, config.num_weeks + 1)
     }
     digits = max(5, len(str(config.num_learners)))
-    events: list[tuple[str, ...]] = []
-    truth: list[TruthRow] = []
 
     for i in range(config.num_learners):
         lid = f"L{i:0{digits}d}"
-        volume, timeliness, grades = (float(v) for v in rng.uniform(-1.0, 1.0, size=3))
+        volume, timeliness, grades = rng.uniform(-1.0, 1.0, size=3).tolist()
         cohort = COHORTS[int(rng.choice(4, p=config.cohort_mix))]
         stopout = sample_stopout(config, volume, timeliness, grades, rng)
-        truth.append(TruthRow(lid, cohort, stopout, volume, timeliness, grades))
+        truth = TruthRow(lid, cohort, stopout, volume, timeliness, grades)
         fades = bool(rng.random() < config.fade_prob)
+        sub = f"{TABLE_SUBMISSION}\t{lid}\t"
+        obs = f"{TABLE_OBSERVED}\t{lid}\t"
+        collab = f"{TABLE_COLLABORATION}\t{lid}\t"
+        lines: list[str] = []
 
         for w in range(1, stopout):
             week_s = config.course_start + (w - 1) * WEEK_SECONDS
@@ -181,51 +187,54 @@ def generate(config: SynthConfig) -> SynthCourse:
             p_correct = 1.0 / (1.0 + math.exp(-(0.9 + 1.6 * grades - 1.5 * (1.0 - fade))))
 
             # submissions: count rides the volume driver, earliness rides
-            # timeliness, correctness rides grades
-            k = int(np.clip(round((3.0 + 1.8 * volume) * fade + rng.normal(0.0, 0.6)), 1, len(problems)))
+            # timeliness, correctness rides grades; min(max()) clips a scalar
+            # as np.clip does, at a fraction of its cost
+            k = min(max(round((3.0 + 1.8 * volume) * fade + rng.normal(0.0, 0.6)), 1), len(problems))
             picked = rng.choice(len(problems), size=k, replace=False)
-            for pi in sorted(int(v) for v in picked):
+            for pi in sorted(picked.tolist()):
                 pid, kind = problems[pi]
                 frac = (0.35 + 0.30 * timeliness) * fade * rng.uniform(0.5, 1.0)
-                margin = int(np.clip(frac * max_margin, 60, max_margin - 60))
-                t_final = due - margin
-                correct = bool(rng.random() < p_correct)
+                t_final = due - int(min(max(frac * max_margin, 60), max_margin - 60))
+                correct = int(rng.random() < p_correct)
                 retries = int(rng.poisson(0.5 + 0.4 * max(0.0, -grades)))
                 for r in range(retries, 0, -1):
                     t_retry = max(week_s, t_final - r * int(rng.integers(300, 7200)))
-                    events.append(_sub_row(lid, t_retry, pid, False, kind))
-                events.append(_sub_row(lid, t_final, pid, correct, kind))
+                    lines.append(f"{sub}{t_retry}\t\t\t{pid}\t0\t{kind}\t\t\n")
+                lines.append(f"{sub}{t_final}\t\t\t{pid}\t{correct}\t{kind}\t\t\n")
 
-            n_obs = int(np.clip(round((4.0 + 3.0 * volume) * fade + rng.normal(0.0, 0.8)), 1, 12))
-            ts_list = sorted(int(v) for v in rng.integers(week_s, week_s + WEEK_SECONDS, size=n_obs))
+            n_obs = min(max(round((4.0 + 3.0 * volume) * fade + rng.normal(0.0, 0.8)), 1), 12)
+            ts_list = sorted(rng.integers(week_s, week_s + WEEK_SECONDS, size=n_obs).tolist())
             for j, ts in enumerate(ts_list):
                 kind = ("lecture", "lecture", "book", "wiki", "forum")[int(rng.integers(0, 5))]
-                events.append(_obs_row(lid, ts, f"{kind}_{w:02d}_{j}", kind))
+                lines.append(f"{obs}{ts}\t{kind}_{w:02d}_{j}\t{kind}\t\t\t\t\t\n")
 
             wants_forum = cohort in (FORUM, FULL)
             wants_wiki = cohort in (WIKI, FULL)
             if wants_forum and (w == 1 or rng.random() < 0.3):
                 ts = int(rng.integers(week_s, week_s + WEEK_SECONDS))
-                events.append(_collab_row(lid, ts, "forum_post", int(rng.integers(10, 400))))
+                lines.append(f"{collab}{ts}\t\t\t\t\t\tforum_post\t{int(rng.integers(10, 400))}\n")
                 if rng.random() < 0.4:
-                    ts2 = int(rng.integers(week_s, week_s + WEEK_SECONDS))
-                    events.append(_collab_row(lid, ts2, "forum_response", int(rng.integers(5, 200))))
+                    ts = int(rng.integers(week_s, week_s + WEEK_SECONDS))
+                    lines.append(f"{collab}{ts}\t\t\t\t\t\tforum_response\t{int(rng.integers(5, 200))}\n")
             if wants_wiki and (w == 1 or rng.random() < 0.25):
                 ts = int(rng.integers(week_s, week_s + WEEK_SECONDS))
-                events.append(_collab_row(lid, ts, "wiki_edit", int(rng.integers(20, 800))))
+                lines.append(f"{collab}{ts}\t\t\t\t\t\twiki_edit\t{int(rng.integers(20, 800))}\n")
 
-    return SynthCourse(config=config, calendar=calendar, events=events, truth=truth)
+        yield truth, lines
 
 
 TRUTH_COLUMNS = ("learner_id", "cohort", "stopout_week", "volume", "timeliness", "grades")
 
 
-def write_events(course: SynthCourse, path: str | Path) -> None:
-    write_table(path, EVENT_COLUMNS, course.events)
-
-
-def write_truth(course: SynthCourse, path: str | Path) -> None:
-    write_table(path, TRUTH_COLUMNS, (
-        (t.learner_id, t.cohort, t.stopout_week, t.volume, t.timeliness, t.grades)
-        for t in course.truth
-    ))
+def write_course(course: SynthCourse, out: str | Path) -> None:
+    """Write events.tsv and truth.tsv under out a learner at a time, so a
+    generated course holds one learner's lines at once, then calendar.tsv."""
+    out = Path(out)
+    with open(out / "events.tsv", "w", encoding="utf-8") as events, \
+            open(out / "truth.tsv", "w", encoding="utf-8") as truth:
+        events.write("\t".join(EVENT_COLUMNS) + "\n")
+        truth.write("\t".join(TRUTH_COLUMNS) + "\n")
+        for t, lines in course.learners:
+            events.writelines(lines)
+            truth.write(f"{t.learner_id}\t{t.cohort}\t{t.stopout_week}\t{t.volume}\t{t.timeliness}\t{t.grades}\n")
+    dump_calendar(course.calendar, out / "calendar.tsv")

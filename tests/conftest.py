@@ -10,9 +10,9 @@ import pytest
 from hypothesis import settings
 
 from stopout.cohorts import assign_cohorts
-from stopout.event_store import dump_calendar, ingest
+from stopout.event_store import ingest
 from stopout.featurizer import build_feature_matrix
-from stopout.synth import SynthConfig, generate, write_events, write_truth
+from stopout.synth import SynthConfig, SynthCourse, generate, write_course
 
 DATA_DIR = Path(__file__).parent / "data"
 
@@ -91,15 +91,26 @@ def fixture_cohorts(fixture_dataset):
 # ---------------------------------------------------------------------------
 # generated courses
 
+def drawn(config: SynthConfig) -> SimpleNamespace:
+    """A generated course held in memory: its calendar, its learners as a
+    list, their truth rows and every event line."""
+    course = generate(config)
+    learners = list(course.learners)
+    return SimpleNamespace(
+        course=SynthCourse(course.calendar, learners),
+        calendar=course.calendar,
+        truth=[t for t, _ in learners],
+        events=[line for _, lines in learners for line in lines],
+    )
+
+
 def build_course(root: Path, config: SynthConfig) -> SimpleNamespace:
     """Generate a course, round-trip it through files, and featurize it."""
     events_path = root / "events.tsv"
     calendar_path = root / "calendar.tsv"
     truth_path = root / "truth.tsv"
-    course = generate(config)
-    write_events(course, events_path)
-    dump_calendar(course.calendar, calendar_path)
-    write_truth(course, truth_path)
+    course = drawn(config)
+    write_course(course.course, root)
     dataset = ingest([events_path], calendar_path)
     matrix, histogram = build_feature_matrix(dataset)
     return SimpleNamespace(

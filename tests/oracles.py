@@ -18,7 +18,9 @@ reductions of build_feature_matrix, so the two must agree bit for bit.
 The event references check one row at a time, as ingest and load_dump did
 before they checked whole columns, and build a dataset by sorting tuples.
 The dump reference writes dataset.tsv from whole columns at once, as
-dump_dataset did before it wrote a block of rows at a time.
+dump_dataset did before it wrote a block of rows at a time. The synth
+reference draws a whole course before it writes it, as the generator did
+before it streamed a learner at a time.
 """
 
 from __future__ import annotations
@@ -29,6 +31,7 @@ from fractions import Fraction
 
 import numpy as np
 
+from stopout.cohorts import COHORTS, FORUM, FULL, WIKI
 from stopout.event_store import (
     ASSIGNMENT_KINDS,
     COLLAB_KINDS,
@@ -48,6 +51,7 @@ from stopout.event_store import (
 from stopout.errors import DataError
 from stopout.featurizer import FEATURE_INDEX, NUM_FEATURES, FeatureMatrix
 from stopout.logistic_model import TrainedModel
+from stopout.synth import TRUTH_COLUMNS, SynthConfig, TruthRow, build_calendar, sample_stopout
 from stopout.tsv import write_table
 
 
@@ -547,3 +551,90 @@ def dump_dataset_reference(dataset, path) -> None:
     for column in ("text_length", "duration"):
         cells[column] = ["" if value < 0 else value for value in cells[column]]
     write_table(path, DUMP_COLUMNS, zip(*(cells[column] for column in DUMP_COLUMNS)))
+
+
+def synth_reference(config: SynthConfig, events_path, truth_path) -> None:
+    """The synthetic course generator as it was before it streamed: every event
+    held as a tuple of cells, scalars clipped with np.clip, and both files
+    written with write_table once the whole course is drawn. Same RNG calls in
+    the same order, so the files must match write_course's byte for byte."""
+    rng = np.random.default_rng(config.seed)
+    calendar = build_calendar(config)
+    week_problems: dict[int, list[tuple[str, str]]] = {
+        w: sorted(
+            (pid, m.assignment_kind)
+            for pid, m in calendar.problem_meta.items()
+            if m.week_assigned == w
+        )
+        for w in range(1, config.num_weeks + 1)
+    }
+    digits = max(5, len(str(config.num_learners)))
+    events: list[tuple[str, ...]] = []
+    truth: list[TruthRow] = []
+
+    def obs_row(learner_id, ts, rid, kind):
+        return (TABLE_OBSERVED, learner_id, str(ts), rid, kind, "", "", "", "", "")
+
+    def sub_row(learner_id, ts, pid, correct, kind):
+        return (TABLE_SUBMISSION, learner_id, str(ts), "", "", pid, "1" if correct else "0", kind, "", "")
+
+    def collab_row(learner_id, ts, kind, length):
+        return (TABLE_COLLABORATION, learner_id, str(ts), "", "", "", "", "", kind, str(length))
+
+    for i in range(config.num_learners):
+        lid = f"L{i:0{digits}d}"
+        volume, timeliness, grades = (float(v) for v in rng.uniform(-1.0, 1.0, size=3))
+        cohort = COHORTS[int(rng.choice(4, p=config.cohort_mix))]
+        stopout = sample_stopout(config, volume, timeliness, grades, rng)
+        truth.append(TruthRow(lid, cohort, stopout, volume, timeliness, grades))
+        fades = bool(rng.random() < config.fade_prob)
+
+        for w in range(1, stopout):
+            week_s = config.course_start + (w - 1) * WEEK_SECONDS
+            problems = week_problems[w]
+            due = calendar.problem_meta[problems[0][0]].due_timestamp
+            max_margin = due - week_s
+            fade = 1.0
+            if fades and stopout <= config.num_weeks:
+                if w == stopout - 1:
+                    fade = config.fade_depth
+                elif w == stopout - 2:
+                    fade = config.fade_ramp
+            p_correct = 1.0 / (1.0 + math.exp(-(0.9 + 1.6 * grades - 1.5 * (1.0 - fade))))
+
+            k = int(np.clip(round((3.0 + 1.8 * volume) * fade + rng.normal(0.0, 0.6)), 1, len(problems)))
+            picked = rng.choice(len(problems), size=k, replace=False)
+            for pi in sorted(int(v) for v in picked):
+                pid, kind = problems[pi]
+                frac = (0.35 + 0.30 * timeliness) * fade * rng.uniform(0.5, 1.0)
+                margin = int(np.clip(frac * max_margin, 60, max_margin - 60))
+                t_final = due - margin
+                correct = bool(rng.random() < p_correct)
+                retries = int(rng.poisson(0.5 + 0.4 * max(0.0, -grades)))
+                for r in range(retries, 0, -1):
+                    t_retry = max(week_s, t_final - r * int(rng.integers(300, 7200)))
+                    events.append(sub_row(lid, t_retry, pid, False, kind))
+                events.append(sub_row(lid, t_final, pid, correct, kind))
+
+            n_obs = int(np.clip(round((4.0 + 3.0 * volume) * fade + rng.normal(0.0, 0.8)), 1, 12))
+            ts_list = sorted(int(v) for v in rng.integers(week_s, week_s + WEEK_SECONDS, size=n_obs))
+            for j, ts in enumerate(ts_list):
+                kind = ("lecture", "lecture", "book", "wiki", "forum")[int(rng.integers(0, 5))]
+                events.append(obs_row(lid, ts, f"{kind}_{w:02d}_{j}", kind))
+
+            wants_forum = cohort in (FORUM, FULL)
+            wants_wiki = cohort in (WIKI, FULL)
+            if wants_forum and (w == 1 or rng.random() < 0.3):
+                ts = int(rng.integers(week_s, week_s + WEEK_SECONDS))
+                events.append(collab_row(lid, ts, "forum_post", int(rng.integers(10, 400))))
+                if rng.random() < 0.4:
+                    ts2 = int(rng.integers(week_s, week_s + WEEK_SECONDS))
+                    events.append(collab_row(lid, ts2, "forum_response", int(rng.integers(5, 200))))
+            if wants_wiki and (w == 1 or rng.random() < 0.25):
+                ts = int(rng.integers(week_s, week_s + WEEK_SECONDS))
+                events.append(collab_row(lid, ts, "wiki_edit", int(rng.integers(20, 800))))
+
+    write_table(events_path, EVENT_COLUMNS, events)
+    write_table(truth_path, TRUTH_COLUMNS, (
+        (t.learner_id, t.cohort, t.stopout_week, t.volume, t.timeliness, t.grades) for t in truth
+    ))

@@ -19,11 +19,11 @@ from test_featurizer import ALICE_WEEK1
 from stopout.cli import main, load_manifest
 from stopout.dataset_builder import ProblemSpec, enumerate_problems, flatten
 from stopout.evaluator import roc_auc, roc_points
-from stopout.event_store import ingest, dump_calendar
+from stopout.event_store import ingest
 from stopout.featurizer import FEATURE_INDEX, build_feature_matrix
 from stopout.importance import run_importance
 from stopout.logistic_model import add_intercept, penalized_ll, train
-from stopout.synth import SynthConfig, generate, write_events
+from stopout.synth import SynthConfig, generate, write_course
 
 COLLABORATION_FEATURES = {"x3", "x4", "x5", "x14", "x201"}
 
@@ -37,12 +37,10 @@ def _synth_course_files(root, learners: int, weeks: int, seed: int):
 
 
 def _course_matrix(root, config: SynthConfig):
-    course = generate(config)
-    events = root / f"events_{config.seed}.tsv"
-    calendar = root / f"calendar_{config.seed}.tsv"
-    write_events(course, events)
-    dump_calendar(course.calendar, calendar)
-    matrix, _ = build_feature_matrix(ingest([events], calendar))
+    out = root / f"course_{config.seed}"
+    out.mkdir()
+    write_course(generate(config), out)
+    matrix, _ = build_feature_matrix(ingest([out / "events.tsv"], out / "calendar.tsv"))
     return matrix
 
 

@@ -8,13 +8,23 @@ the feature stage reconstructs from the events.
 from __future__ import annotations
 
 import collections
+import hashlib
+import math
+import tempfile
+import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
+from conftest import drawn
+from hypothesis import given
+from hypothesis import strategies as st
+from oracles import synth_reference
 
+from stopout.cli import main
 from stopout.cohorts import COHORTS, assign_cohorts
 from stopout.errors import ConfigError
-from stopout.event_store import dump_calendar, ingest
+from stopout.event_store import ingest
 from stopout.featurizer import build_feature_matrix
 from stopout.synth import (
     DUE_OFFSET,
@@ -24,8 +34,7 @@ from stopout.synth import (
     build_calendar,
     generate,
     sample_stopout,
-    write_events,
-    write_truth,
+    write_course,
 )
 from stopout.tsv import read_table
 
@@ -57,6 +66,13 @@ def read_truth(path):
         ({"fade_prob": 1.1}, "fade_prob must be in \\[0, 1\\]"),
         ({"cohort_mix": (0.5, 0.4, 0.0, 0.0)}, "cohort_mix must be a distribution"),
         ({"cohort_mix": (1.2, -0.2, 0.0, 0.0)}, "cohort_mix must be a distribution"),
+        ({"cohort_mix": (math.nan, 0.25, 0.1, 0.1)}, "cohort_mix must be a distribution"),
+        ({"volume_slope": math.nan}, "volume_slope must be finite"),
+        ({"timeliness_slope": math.inf}, "timeliness_slope must be finite"),
+        ({"grades_slope": -math.inf}, "grades_slope must be finite"),
+        ({"hazard_noise": -1.0}, "hazard_noise must be finite and >= 0"),
+        ({"hazard_noise": math.inf}, "hazard_noise must be finite and >= 0"),
+        ({"hazard_noise": math.nan}, "hazard_noise must be finite and >= 0"),
     ],
 )
 def test_config_rejects_bad_values(kwargs, message):
@@ -69,6 +85,18 @@ def test_config_rejects_bad_values(kwargs, message):
 def test_config_accepts_boundary_values():
     SynthConfig(num_learners=0, num_weeks=2, fade_depth=1.0, fade_prob=0.0)
     SynthConfig(num_learners=1, num_weeks=2, fade_prob=1.0)
+
+
+@pytest.mark.parametrize("key,value", [
+    ("synth_hazard_noise", "-1"), ("synth_hazard_noise", "inf"), ("synth_volume_slope", "nan"),
+])
+def test_synth_rejects_a_bad_config_value_with_exit_2(tmp_path, capsys, key, value):
+    path = tmp_path / "synth.cfg"
+    path.write_text(f"{key}={value}\n", encoding="utf-8")
+    out = tmp_path / "o"
+    assert main(["synth", "--out", str(out), "--learners", "50", "--weeks", "4", "--config", str(path)]) == 2
+    assert f"config error: {key.removeprefix('synth_')} must be finite" in capsys.readouterr().err
+    assert not out.exists()
 
 
 # ---------------------------------------------------------------------------
@@ -126,14 +154,12 @@ def test_stopout_stays_in_range():
 
 
 def test_zero_learners_yields_header_only_files(tmp_path):
-    course = generate(SynthConfig(num_learners=0, num_weeks=3, seed=1))
+    course = drawn(SynthConfig(num_learners=0, num_weeks=3, seed=1))
     assert course.events == [] and course.truth == []
     events_path = tmp_path / "events.tsv"
     calendar_path = tmp_path / "calendar.tsv"
     truth_path = tmp_path / "truth.tsv"
-    write_events(course, events_path)
-    dump_calendar(course.calendar, calendar_path)
-    write_truth(course, truth_path)
+    write_course(course.course, tmp_path)
     assert len(events_path.read_text(encoding="utf-8").splitlines()) == 1
     assert len(truth_path.read_text(encoding="utf-8").splitlines()) == 1
     # the empty course still flows through ingest and featurization
@@ -149,23 +175,21 @@ def test_zero_learners_yields_header_only_files(tmp_path):
 def test_same_seed_reproduces_files_byte_for_byte(tmp_path):
     paths = []
     for run in ("a", "b"):
-        course = generate(SynthConfig(num_learners=60, num_weeks=4, seed=21))
-        e = tmp_path / f"events_{run}.tsv"
-        t = tmp_path / f"truth_{run}.tsv"
-        write_events(course, e)
-        write_truth(course, t)
-        paths.append((e.read_bytes(), t.read_bytes()))
+        out = tmp_path / run
+        out.mkdir()
+        write_course(generate(SynthConfig(num_learners=60, num_weeks=4, seed=21)), out)
+        paths.append(((out / "events.tsv").read_bytes(), (out / "truth.tsv").read_bytes()))
     assert paths[0] == paths[1]
 
 
 def test_different_seed_changes_output():
-    a = generate(SynthConfig(num_learners=60, num_weeks=4, seed=21))
-    b = generate(SynthConfig(num_learners=60, num_weeks=4, seed=22))
+    a = drawn(SynthConfig(num_learners=60, num_weeks=4, seed=21))
+    b = drawn(SynthConfig(num_learners=60, num_weeks=4, seed=22))
     assert a.events != b.events
 
 
 def test_learner_ids_are_zero_padded_and_distinct():
-    course = generate(SynthConfig(num_learners=30, num_weeks=3, seed=2))
+    course = drawn(SynthConfig(num_learners=30, num_weeks=3, seed=2))
     ids = [t.learner_id for t in course.truth]
     assert len(set(ids)) == 30
     assert all(i.startswith("L") and len(i) == 6 and i[1:].isdigit() for i in ids)
@@ -183,8 +207,8 @@ def test_generated_events_ingest_without_rejects(small_course):
 def test_events_stay_inside_the_course_window(small_course):
     cal = small_course.course.calendar
     end = cal.course_start + cal.num_weeks * WEEK
-    for row in small_course.course.events:
-        assert cal.course_start <= int(row[2]) < end
+    for line in small_course.course.events:
+        assert cal.course_start <= int(line.split("\t")[2]) < end
 
 
 def test_truth_stopout_replays_through_the_pipeline(small_course):
@@ -216,8 +240,84 @@ def test_truth_file_round_trips(small_course):
 
 
 def test_load_truth_skips_blank_lines(tmp_path):
-    course = generate(SynthConfig(num_learners=3, num_weeks=2, seed=5))
+    course = drawn(SynthConfig(num_learners=3, num_weeks=2, seed=5))
     path = tmp_path / "truth.tsv"
-    write_truth(course, path)
+    write_course(course.course, tmp_path)
     path.write_text(path.read_text(encoding="utf-8") + "\n\n", encoding="utf-8")
     assert read_truth(path) == course.truth
+
+
+# ---------------------------------------------------------------------------
+# pinned output bytes
+
+# sha256 of each file `stopout synth` writes, computed with numpy 2.4.6; a
+# numpy release that changes default_rng's streams changes these as well
+GOLDEN = {
+    (400, 6, 7): {
+        "events.tsv": "e4b7ef973409baec2153b998cf720d08f7f107c2e32fd3d2dc1ba37965d25515",
+        "truth.tsv": "cdda158d9646c490f967a068aeeffd8e9d2a5144697d1a7d7eb7121b14d292b0",
+        "calendar.tsv": "0760f319d49b5dbe05d58e2870bcf062b6908ac9a6077a42e2afab8f54b3c354",
+    },
+    (1500, 14, 1): {
+        "events.tsv": "711e765e02c4f8dd004437deda2ce0ba7d12664ef28fdffddb338988b3432ba1",
+        "truth.tsv": "4ca9cc5dc837850e2bcb2c1f0bb029990de896d018085567a8fff5947fddb3ca",
+        "calendar.tsv": "cec22a7171b4c8a1931b2b8893f9e38bcc4a519fcd1946aa4b2d301769fb995a",
+    },
+}
+
+
+@pytest.mark.parametrize("learners,weeks,seed", sorted(GOLDEN))
+def test_synth_files_match_their_pinned_hashes(tmp_path, capsys, learners, weeks, seed):
+    out = tmp_path / "course"
+    assert main(["synth", "--out", str(out), "--learners", str(learners),
+                 "--weeks", str(weeks), "--seed", str(seed)]) == 0
+    assert capsys.readouterr().out == f"synth: {learners} learners, {weeks} weeks -> {out}\n"
+    hashes = {name: hashlib.sha256((out / name).read_bytes()).hexdigest() for name in GOLDEN[learners, weeks, seed]}
+    assert hashes == GOLDEN[learners, weeks, seed]
+
+
+# ---------------------------------------------------------------------------
+# streaming writer against the whole-course reference
+
+
+slopes = st.one_of(st.just(0.0), st.floats(-3.0, 3.0))
+
+
+@given(
+    learners=st.integers(0, 40),
+    weeks=st.integers(2, 6),
+    seed=st.integers(0, 2**64 - 1),
+    hazard_noise=st.one_of(st.just(0.0), st.floats(0.01, 2.0)),
+    fade_prob=st.one_of(st.just(0.0), st.just(1.0), st.floats(0.0, 1.0)),
+    volume_slope=slopes,
+    timeliness_slope=slopes,
+    grades_slope=slopes,
+)
+def test_streamed_course_equals_the_reference(learners, weeks, **kwargs):
+    config = SynthConfig(num_learners=learners, num_weeks=weeks, **kwargs)
+    with tempfile.TemporaryDirectory() as tmp:
+        streamed, reference = Path(tmp, "streamed"), Path(tmp, "reference")
+        streamed.mkdir()
+        reference.mkdir()
+        write_course(generate(config), streamed)
+        synth_reference(config, reference / "events.tsv", reference / "truth.tsv")
+        for name in ("events.tsv", "truth.tsv"):
+            assert (streamed / name).read_bytes() == (reference / name).read_bytes(), name
+
+
+def written_peak(root: Path, learners: int) -> int:
+    """The most memory writing a 2-week course held at once beyond what was held before."""
+    out = root / str(learners)
+    out.mkdir()
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        write_course(generate(SynthConfig(num_learners=learners, num_weeks=2, seed=1)), out)
+        return tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+
+
+def test_writing_a_course_holds_one_learner_at_a_time(tmp_path):
+    written_peak(tmp_path, 5)  # first-call allocations (numpy's, the interpreter's) out of the way
+    assert written_peak(tmp_path, 800) < 1.5 * written_peak(tmp_path, 200)
