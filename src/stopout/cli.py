@@ -48,17 +48,17 @@ from .tsv import write_table
 from .viz import write_heatmap, write_importance_chart
 
 # config key -> (default text, type, the flag that overrides it or None,
-# strict lower bound or None, upper bound or None)
+# strict lower bound or None, upper bound or None); library defaults repeat these
 SETTINGS = {
     "seed": ("0", int, "seed", None, None),
-    "ratio": ("0.7", float, "ratio", None, None),
+    "ratio": ("0.7", float, "ratio", 0.0, 1 - 2**-53),  # (0, 1): at most the float below 1
     "ridge": ("1e-06", float, "ridge", 0.0, None),
     "folds": ("10", int, "folds", 1, None),
-    "min_rows": ("10", int, None, None, None),
+    "min_rows": ("10", int, None, 0, None),
     "importance_subsamples": ("200", int, "subsamples", 0, None),
     "importance_fraction": ("0.75", float, None, 0.0, 1.0),
     "importance_weight_floor": ("0.5", float, None, 0.0, 1.0),
-    "importance_target_support": ("8", int, None, None, None),
+    "importance_target_support": ("8", int, None, -1, None),
     "importance_problems": ("13,1;3,6;6,4", str, None, None, None),
     "synth_learners": ("1000", int, "learners", None, None),
     "synth_weeks": ("14", int, "weeks", None, None),
@@ -466,7 +466,7 @@ def cmd_importance(args) -> int:
     specs = [parse_problem(p) for p in args.problem]
     matrix, assignments = _load_inputs(args, specs, "cohort-restricted problems need --cohorts FILE")
     report = importance_mod.run_importance(matrix, specs, assignments=assignments, **settings)
-    importance_mod.export_importance(report, out / "importance.tsv")
+    importance_mod.export_importance([report], out / "importance.tsv")
     importance_mod.export_problems(report.problems, out / "importance_problems.tsv")
     write_importance_chart(report.base_freq, out / "importance.svg",
                            title=f"{report.cohort} feature stability")

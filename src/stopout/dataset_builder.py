@@ -100,18 +100,14 @@ def stratified_split(
     base = {c: int(ratio * counts[c]) for c in classes}
     leftover = target - sum(base.values())
     # Largest fractional remainder first; break ties toward the bigger class,
-    # then the smaller label, so the allocation is deterministic.
+    # then the smaller label, so the allocation is deterministic. The leftover
+    # is at most the number of classes, and ratio < 1 keeps each floor below its count.
     order = sorted(
         classes,
         key=lambda c: (-(ratio * counts[c] - base[c]), -counts[c], c),
     )
-    k = 0
-    while leftover > 0 and k < 2 * len(order):
-        c = order[k % len(order)]
-        if base[c] < counts[c]:
-            base[c] += 1
-            leftover -= 1
-        k += 1
+    for c in order[:leftover]:
+        base[c] += 1
 
     train_parts, test_parts = [], []
     for c in classes:

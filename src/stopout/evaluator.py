@@ -140,64 +140,6 @@ def cross_validate(
 
 
 @dataclass
-class Evaluation:
-    model: TrainedModel
-    cv_aucs: list[float]
-    train_auc: float
-    test_auc: float
-    n_train: int
-    n_test: int
-
-    @property
-    def cv_mean(self) -> float:
-        return sum(self.cv_aucs) / len(self.cv_aucs)
-
-
-def evaluate_problem(
-    X: np.ndarray,
-    y: np.ndarray,
-    rng: np.random.Generator,
-    ratio: float = 0.7,
-    ridge: float = 1e-6,
-    folds: int = 10,
-    columns: list[str] | None = None,
-) -> Evaluation:
-    """Split, fit on full train and score both sides, then cross-validate.
-
-    The folds start from the full-train fit. rng draws only the split and the
-    folds, so fitting first changes no draw; a cell that cannot
-    cross-validate raises before anything is fit.
-    """
-    train_idx, test_idx = stratified_split(y, ratio, rng)
-    X_train, y_train = X[train_idx], y[train_idx]
-    X_test, y_test = X[test_idx], y[test_idx]
-    _fold_count(y_train, folds)
-    Xtr, Xte, means, scales = normalize(X_train, X_test)
-    model = train(Xtr, y_train, ridge=ridge, columns=columns)
-    model.norm_means = means
-    model.norm_scales = scales
-    train_auc = roc_auc(y_train, predict_proba(model, Xtr))
-    test_auc = roc_auc(y_test, predict_proba(model, Xte))
-    del Xtr, Xte  # not held while the folds allocate their own
-    cv_aucs = cross_validate(X_train, y_train, rng, folds=folds, ridge=ridge, beta0=model.beta)
-    return Evaluation(
-        model=model,
-        cv_aucs=cv_aucs,
-        train_auc=train_auc,
-        test_auc=test_auc,
-        n_train=int(train_idx.size),
-        n_test=int(test_idx.size),
-    )
-
-
-def cell_seed(master_seed: int, cohort: str, lead: int, lag: int) -> int:
-    """Stable per-cell RNG seed, independent of grid iteration order."""
-    import hashlib  # here, not at the top: it loads OpenSSL, which the ETL commands never need
-    key = f"{master_seed}|{cohort}|{lead}|{lag}".encode()
-    return int.from_bytes(hashlib.sha256(key).digest()[:16], "big")
-
-
-@dataclass
 class CellResult:
     cohort: str
     lead: int
@@ -211,6 +153,49 @@ class CellResult:
     train_auc: float | None = None
     test_auc: float | None = None
     folds_used: int = 0  # cross-validation AUCs behind cv_mean
+
+
+def evaluate_problem(
+    X: np.ndarray,
+    y: np.ndarray,
+    rng: np.random.Generator,
+    cell: CellResult,
+    ratio: float = 0.7,
+    ridge: float = 1e-6,
+    folds: int = 10,
+    columns: list[str] | None = None,
+) -> TrainedModel:
+    """Split, fit on full train and score both sides, then cross-validate;
+    write the scores into cell and return the full-train model.
+
+    The folds start from the full-train fit. rng draws only the split and the
+    folds, so fitting first changes no draw; a cell that cannot
+    cross-validate raises before anything is fit, and a raise leaves cell unscored.
+    """
+    train_idx, test_idx = stratified_split(y, ratio, rng)
+    X_train, y_train = X[train_idx], y[train_idx]
+    X_test, y_test = X[test_idx], y[test_idx]
+    _fold_count(y_train, folds)
+    Xtr, Xte, means, scales = normalize(X_train, X_test)
+    model = train(Xtr, y_train, ridge=ridge, columns=columns)
+    model.norm_means = means
+    model.norm_scales = scales
+    train_auc = roc_auc(y_train, predict_proba(model, Xtr))
+    test_auc = roc_auc(y_test, predict_proba(model, Xte))
+    del Xtr, Xte  # not held while the folds allocate their own
+    cv_aucs = cross_validate(X_train, y_train, rng, folds=folds, ridge=ridge, beta0=model.beta)
+    cell.n_train, cell.n_test = int(train_idx.size), int(test_idx.size)
+    cell.cv_mean = sum(cv_aucs) / len(cv_aucs)
+    cell.train_auc, cell.test_auc = train_auc, test_auc
+    cell.folds_used = len(cv_aucs)
+    return model
+
+
+def cell_seed(master_seed: int, cohort: str, lead: int, lag: int) -> int:
+    """Stable per-cell RNG seed, independent of grid iteration order."""
+    import hashlib  # here, not at the top: it loads OpenSSL, which the ETL commands never need
+    key = f"{master_seed}|{cohort}|{lead}|{lag}".encode()
+    return int.from_bytes(hashlib.sha256(key).digest()[:16], "big")
 
 
 @dataclass
@@ -255,17 +240,11 @@ def evaluate_cell(
     if shuffle_labels:
         y = y[rng.permutation(y.size)]
     try:
-        ev = evaluate_problem(X, y, rng, ratio=ratio, ridge=ridge, folds=folds, columns=columns)
+        model = evaluate_problem(X, y, rng, cell, ratio=ratio, ridge=ridge, folds=folds, columns=columns)
     except DegenerateLabelsError:
         cell.status = STATUS_DEGENERATE
         return cell, None
-    cell.n_train = ev.n_train
-    cell.n_test = ev.n_test
-    cell.cv_mean = ev.cv_mean
-    cell.train_auc = ev.train_auc
-    cell.test_auc = ev.test_auc
-    cell.folds_used = len(ev.cv_aucs)
-    return cell, ev.model
+    return cell, model
 
 
 GRID_COLUMNS = (

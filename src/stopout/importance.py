@@ -22,11 +22,8 @@ from .featurizer import FEATURE_IDS, FeatureMatrix
 from .logistic_model import sigmoid
 from .tsv import write_table
 
-SELECT_EPS = 1e-6
-DEFAULT_SUBSAMPLES = 200
-DEFAULT_FRACTION = 0.75
-DEFAULT_WEIGHT_FLOOR = 0.5
-DEFAULT_TARGET_SUPPORT = 8
+SELECT_EPS = 1e-6  # a coefficient counts as selected when its magnitude clears this
+CALIBRATION_STEPS = 25
 
 
 def soft_threshold(v: np.ndarray, tau: np.ndarray) -> np.ndarray:
@@ -95,10 +92,10 @@ def _base_id(column: str) -> str:
     return column.split("_", 1)[1]
 
 
-def _support_size(beta: np.ndarray, columns: list[str], eps: float) -> int:
+def _support_size(beta: np.ndarray, columns: list[str]) -> int:
     selected = set()
     for j, col in enumerate(columns):
-        if abs(beta[j + 1]) > eps:
+        if abs(beta[j + 1]) > SELECT_EPS:
             selected.add(_base_id(col))
     return len(selected)
 
@@ -113,16 +110,14 @@ def calibrate_lambda(
     X: np.ndarray,
     y: np.ndarray,
     columns: list[str],
-    target_support: int = DEFAULT_TARGET_SUPPORT,
-    eps: float = SELECT_EPS,
-    steps: int = 25,
+    target_support: int = 8,
 ) -> Calibration:
     """Pick the l1 strength whose full-data support is closest to the target.
 
-    Support counts base features, not columns. Geometric bisection between a
-    tiny penalty and the smallest all-zero penalty; ties prefer the sparser
-    (larger) lambda. Each step starts from the previous step's solution,
-    whose lambda is an endpoint of the current interval.
+    Support counts base features, not columns. CALIBRATION_STEPS of geometric
+    bisection between a tiny penalty and the smallest all-zero penalty; ties
+    prefer the sparser (larger) lambda. Each step starts from the previous
+    step's solution, whose lambda is an endpoint of the current interval.
     """
     n = X.shape[0]
     resid = y - float(np.mean(y))
@@ -132,11 +127,11 @@ def calibrate_lambda(
     lo, hi = lam_max * 1e-4, lam_max
     best_lam, best_diff, best_fit = hi, abs(0 - target_support), None
     fits: list[L1Fit] = []
-    for _ in range(steps):
+    for _ in range(CALIBRATION_STEPS):
         mid = float(np.sqrt(lo * hi))
         fit = l1_logistic(X, y, mid, init=fits[-1].beta if fits else None)
         fits.append(fit)
-        support = _support_size(fit.beta, columns, eps)
+        support = _support_size(fit.beta, columns)
         diff = abs(support - target_support)
         if diff < best_diff or (diff == best_diff and mid > best_lam):
             best_lam, best_diff, best_fit = mid, diff, fit
@@ -174,19 +169,18 @@ def stability_select(
     y: np.ndarray,
     columns: list[str],
     rng: np.random.Generator,
-    subsamples: int = DEFAULT_SUBSAMPLES,
-    fraction: float = DEFAULT_FRACTION,
-    weight_floor: float = DEFAULT_WEIGHT_FLOOR,
-    target_support: int = DEFAULT_TARGET_SUPPORT,
+    subsamples: int = 200,
+    fraction: float = 0.75,
+    weight_floor: float = 0.5,
+    target_support: int = 8,
     lam: float | None = None,
-    eps: float = SELECT_EPS,
 ) -> StabilityResult:
     """Selection frequencies from repeated randomized-l1 fits.
 
     Each round draws a stratified row subsample and fresh per-column penalty
     weights uniform on [weight_floor, 1]; a column counts as selected when its
-    coefficient magnitude clears eps. Base-feature scores take the max over
-    that feature's weekly copies. Every round starts from the full-data
+    coefficient magnitude clears SELECT_EPS. Base-feature scores take the max
+    over that feature's weekly copies. Every round starts from the full-data
     solution at lam: the calibration's own fit, or one fit when lam is given.
     """
     X = np.asarray(X, dtype=np.float64)
@@ -199,7 +193,7 @@ def stability_select(
     y = y[order]
     Xn, _, _, _ = normalize(X)
     if lam is None:
-        lam, full, fits = calibrate_lambda(Xn, y, columns, target_support=target_support, eps=eps)
+        lam, full, fits = calibrate_lambda(Xn, y, columns, target_support=target_support)
     else:
         full = l1_logistic(Xn, y, lam)
         fits = [full]
@@ -209,7 +203,7 @@ def stability_select(
         idx = _stratified_subsample(y, fraction, rng)
         fit = l1_logistic(Xn[idx], y[idx], lam, weights=weights, init=full.beta)
         fits.append(fit)
-        hits += (np.abs(fit.beta[1:]) > eps).astype(np.float64)
+        hits += (np.abs(fit.beta[1:]) > SELECT_EPS).astype(np.float64)
     freq = hits / subsamples
     base: dict[str, float] = {}
     for j, col in enumerate(columns):
@@ -241,10 +235,10 @@ def problem_importance(
     spec: ProblemSpec,
     assignments: dict[str, str] | None = None,
     seed: int = 0,
-    subsamples: int = DEFAULT_SUBSAMPLES,
-    fraction: float = DEFAULT_FRACTION,
-    weight_floor: float = DEFAULT_WEIGHT_FLOOR,
-    target_support: int = DEFAULT_TARGET_SUPPORT,
+    subsamples: int = 200,
+    fraction: float = 0.75,
+    weight_floor: float = 0.5,
+    target_support: int = 8,
     min_rows: int = 10,
 ) -> ProblemImportance:
     """Stability selection on one problem, seeded by the problem alone.
@@ -325,9 +319,7 @@ IMPORTANCE_COLUMNS = ("cohort", "feature_id", "frequency")
 PROBLEM_COLUMNS = ("cohort", "lead", "lag", "status", "lam", "l1_fits", "l1_iterations", "l1_unconverged")
 
 
-def export_importance(reports: ImportanceReport | list[ImportanceReport], path: str | Path) -> None:
-    if isinstance(reports, ImportanceReport):
-        reports = [reports]
+def export_importance(reports: list[ImportanceReport], path: str | Path) -> None:
     write_table(path, IMPORTANCE_COLUMNS, (
         (report.cohort, fid, freq) for report in reports for fid, freq in report.ranked()
     ))

@@ -35,42 +35,33 @@ from .event_store import (
 
 DUE_OFFSET = 6 * 3600  # assignments close six hours before the week ends
 
+# The course design every synthetic course shares. A fading stopout's last
+# two active weeks scale engagement by FADE_RAMP, then FADE_DEPTH; persisters
+# never fade, and a 1-FADE_PROB share of stopouts quit with no warning at all.
+COURSE_START = 1_600_000_000
+HW_PER_WEEK = 4
+LABS_PER_WEEK = 2
+FADE_DEPTH = 0.5
+FADE_RAMP = 0.8
+FADE_PROB = 0.7
+COHORT_MIX = (0.55, 0.25, 0.10, 0.10)  # passive, forum, wiki, fully-collaborative shares
+
 
 @dataclass(frozen=True)
 class SynthConfig:
     num_learners: int = 1000
     num_weeks: int = 14
     seed: int = 0
-    course_start: int = 1_600_000_000
-    hw_per_week: int = 4
-    labs_per_week: int = 2
     volume_slope: float = -2.0
     timeliness_slope: float = -1.0
     grades_slope: float = -2.0
     hazard_noise: float = 0.5
-    # engagement multipliers for the last and second-to-last active week of
-    # learners who actually stop out; persisters never fade, and a 1-fade_prob
-    # share of stopouts quit abruptly with no warning at all
-    fade_depth: float = 0.5
-    fade_ramp: float = 0.8
-    fade_prob: float = 0.7
-    # passive, forum, wiki, fully-collaborative shares; must sum to 1
-    cohort_mix: tuple[float, float, float, float] = (0.55, 0.25, 0.10, 0.10)
 
     def __post_init__(self) -> None:
         if self.num_learners < 0:
             raise ConfigError(f"num_learners must be >= 0, got {self.num_learners}")
         if self.num_weeks < 2:
             raise ConfigError(f"num_weeks must be >= 2, got {self.num_weeks}")
-        if self.hw_per_week < 1 or self.labs_per_week < 1:
-            raise ConfigError("need at least one homework and one lab per week")
-        if not (0.0 < self.fade_depth <= 1.0 and 0.0 < self.fade_ramp <= 1.0):
-            raise ConfigError("fade multipliers must be in (0, 1]")
-        if not 0.0 <= self.fade_prob <= 1.0:
-            raise ConfigError(f"fade_prob must be in [0, 1], got {self.fade_prob}")
-        # negated, so that a NaN (whose sum is NaN) fails it
-        if not (abs(sum(self.cohort_mix) - 1.0) <= 1e-9 and min(self.cohort_mix) >= 0.0):
-            raise ConfigError(f"cohort_mix must be a distribution, got {self.cohort_mix}")
         for name in ("volume_slope", "timeliness_slope", "grades_slope"):
             if not math.isfinite(getattr(self, name)):
                 raise ConfigError(f"{name} must be finite, got {getattr(self, name)}")
@@ -99,14 +90,12 @@ class SynthCourse:
 def build_calendar(config: SynthConfig) -> CourseCalendar:
     meta: dict[str, ProblemMeta] = {}
     for w in range(1, config.num_weeks + 1):
-        due = config.course_start + w * WEEK_SECONDS - DUE_OFFSET
-        for j in range(1, config.hw_per_week + 1):
+        due = COURSE_START + w * WEEK_SECONDS - DUE_OFFSET
+        for j in range(1, HW_PER_WEEK + 1):
             meta[f"w{w:02d}_hw{j}"] = ProblemMeta("homework", w, due)
-        for j in range(1, config.labs_per_week + 1):
+        for j in range(1, LABS_PER_WEEK + 1):
             meta[f"w{w:02d}_lab{j}"] = ProblemMeta("lab", w, due)
-    return CourseCalendar(
-        course_start=config.course_start, num_weeks=config.num_weeks, problem_meta=meta
-    )
+    return CourseCalendar(course_start=COURSE_START, num_weeks=config.num_weeks, problem_meta=meta)
 
 
 def _logit(q: float) -> float:
@@ -160,17 +149,17 @@ def _draw_learners(config: SynthConfig, calendar: CourseCalendar) -> Iterator[tu
     for i in range(config.num_learners):
         lid = f"L{i:0{digits}d}"
         volume, timeliness, grades = rng.uniform(-1.0, 1.0, size=3).tolist()
-        cohort = COHORTS[int(rng.choice(4, p=config.cohort_mix))]
+        cohort = COHORTS[int(rng.choice(4, p=COHORT_MIX))]
         stopout = sample_stopout(config, volume, timeliness, grades, rng)
         truth = TruthRow(lid, cohort, stopout, volume, timeliness, grades)
-        fades = bool(rng.random() < config.fade_prob)
+        fades = bool(rng.random() < FADE_PROB)
         sub = f"{TABLE_SUBMISSION}\t{lid}\t"
         obs = f"{TABLE_OBSERVED}\t{lid}\t"
         collab = f"{TABLE_COLLABORATION}\t{lid}\t"
         lines: list[str] = []
 
         for w in range(1, stopout):
-            week_s = config.course_start + (w - 1) * WEEK_SECONDS
+            week_s = COURSE_START + (w - 1) * WEEK_SECONDS
             problems = week_problems[w]
             due = calendar.problem_meta[problems[0][0]].due_timestamp
             max_margin = due - week_s
@@ -181,9 +170,9 @@ def _draw_learners(config: SynthConfig, calendar: CourseCalendar) -> Iterator[tu
             fade = 1.0
             if fades and stopout <= config.num_weeks:
                 if w == stopout - 1:
-                    fade = config.fade_depth
+                    fade = FADE_DEPTH
                 elif w == stopout - 2:
-                    fade = config.fade_ramp
+                    fade = FADE_RAMP
             p_correct = 1.0 / (1.0 + math.exp(-(0.9 + 1.6 * grades - 1.5 * (1.0 - fade))))
 
             # submissions: count rides the volume driver, earliness rides

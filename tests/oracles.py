@@ -51,7 +51,18 @@ from stopout.event_store import (
 from stopout.errors import DataError
 from stopout.featurizer import FEATURE_INDEX, NUM_FEATURES, FeatureMatrix
 from stopout.logistic_model import TrainedModel
-from stopout.synth import TRUTH_COLUMNS, SynthConfig, TruthRow, build_calendar, sample_stopout
+from stopout.synth import (
+    COHORT_MIX,
+    COURSE_START,
+    FADE_DEPTH,
+    FADE_PROB,
+    FADE_RAMP,
+    TRUTH_COLUMNS,
+    SynthConfig,
+    TruthRow,
+    build_calendar,
+    sample_stopout,
+)
 from stopout.tsv import write_table
 
 
@@ -584,22 +595,22 @@ def synth_reference(config: SynthConfig, events_path, truth_path) -> None:
     for i in range(config.num_learners):
         lid = f"L{i:0{digits}d}"
         volume, timeliness, grades = (float(v) for v in rng.uniform(-1.0, 1.0, size=3))
-        cohort = COHORTS[int(rng.choice(4, p=config.cohort_mix))]
+        cohort = COHORTS[int(rng.choice(4, p=COHORT_MIX))]
         stopout = sample_stopout(config, volume, timeliness, grades, rng)
         truth.append(TruthRow(lid, cohort, stopout, volume, timeliness, grades))
-        fades = bool(rng.random() < config.fade_prob)
+        fades = bool(rng.random() < FADE_PROB)
 
         for w in range(1, stopout):
-            week_s = config.course_start + (w - 1) * WEEK_SECONDS
+            week_s = COURSE_START + (w - 1) * WEEK_SECONDS
             problems = week_problems[w]
             due = calendar.problem_meta[problems[0][0]].due_timestamp
             max_margin = due - week_s
             fade = 1.0
             if fades and stopout <= config.num_weeks:
                 if w == stopout - 1:
-                    fade = config.fade_depth
+                    fade = FADE_DEPTH
                 elif w == stopout - 2:
-                    fade = config.fade_ramp
+                    fade = FADE_RAMP
             p_correct = 1.0 / (1.0 + math.exp(-(0.9 + 1.6 * grades - 1.5 * (1.0 - fade))))
 
             k = int(np.clip(round((3.0 + 1.8 * volume) * fade + rng.normal(0.0, 0.6)), 1, len(problems)))

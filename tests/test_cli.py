@@ -38,8 +38,9 @@ from stopout.dataset_builder import ProblemSpec, column_names, enumerate_problem
 from stopout.errors import ConfigError, DataError
 from stopout.evaluator import ALL_COHORT, cell_seed, cross_validate, evaluate_cell, evaluate_problem, load_grid, roc_auc
 from stopout.featurizer import FeatureMatrix, export_feature_matrix, load_feature_matrix
-from stopout.importance import PROBLEM_COLUMNS
+from stopout.importance import PROBLEM_COLUMNS, calibrate_lambda, problem_importance, stability_select
 from stopout.logistic_model import apply_model, load_model, train
+from stopout.synth import SynthConfig
 from stopout.tsv import read_table
 
 
@@ -216,9 +217,11 @@ def test_non_numeric_config_value_exits_2(pipeline, tmp_path, capsys):
     ("folds", "1", "--folds"), ("folds", "0", None),
     ("importance_subsamples", "0", "--subsamples"), ("importance_subsamples", "-3", None),
     ("ridge", "-1", "--ridge"), ("ridge", "0", None), ("ridge", "nan", "--ridge"),
+    ("min_rows", "0", None), ("min_rows", "-5", None),
+    ("importance_target_support", "-1", None), ("importance_target_support", "-2", None),
 ])
 def test_a_value_at_or_below_its_bound_exits_2(pipeline, tmp_path, capsys, key, value, flag):
-    command = "importance" if key == "importance_subsamples" else "train-eval"
+    command = "importance" if key.startswith("importance_") else "train-eval"
     inputs = {
         "train-eval": ["--features", str(pipeline.features), "--lead", "1", "--lag", "1"],
         "importance": ["--features", str(pipeline.features), "--problem", "1,1"],
@@ -240,15 +243,27 @@ def test_a_value_at_or_below_its_bound_exits_2(pipeline, tmp_path, capsys, key, 
     ("importance_weight_floor", "-1", "must be greater than 0.0, got -1.0"),
     ("importance_weight_floor", "0", "must be greater than 0.0, got 0.0"),
     ("importance_weight_floor", "1.01", "must be at most 1.0, got 1.01"),
+    ("ratio", "0", "must be greater than 0.0, got 0.0"),
+    ("ratio", "1", "must be at most 0.9999999999999999, got 1.0"),
+    ("ratio", "1.5", "must be at most 0.9999999999999999, got 1.5"),
+    ("ratio", "nan", "must be greater than 0.0, got nan"),
 ])
 def test_a_value_outside_its_range_exits_2(pipeline, tmp_path, capsys, key, value, message):
     path = tmp_path / "ranged.cfg"
     path.write_text(f"importance_subsamples=3\n{key}={value}\n", encoding="utf-8")
+    # ratio is read by train-eval and run-all, the importance_ keys by importance
+    commands = [["importance", "--features", str(pipeline.features), "--problem", "1,1"]]
+    if key == "ratio":
+        commands = [
+            ["train-eval", "--features", str(pipeline.features), "--lead", "1", "--lag", "1"],
+            ["train-eval", "--features", str(pipeline.features), "--lead", "1", "--lag", "1", "--ratio", value],
+            ["run-all", "--events", str(pipeline.events), "--calendar", str(pipeline.calendar)],
+        ]
     out = tmp_path / "o"
-    args = ["--features", str(pipeline.features), "--problem", "1,1", "--config", str(path), "--out", str(out)]
-    assert main(["importance", *args]) == 2
-    assert f"config error: {key} {message}" in capsys.readouterr().err
-    assert not out.exists()
+    for command in commands:
+        assert main([*command, "--config", str(path), "--out", str(out)]) == 2, command
+        assert f"config error: {key} {message}" in capsys.readouterr().err
+        assert not out.exists()
 
 
 def test_the_upper_bound_of_a_range_is_allowed(pipeline, tmp_path):
@@ -258,10 +273,35 @@ def test_the_upper_bound_of_a_range_is_allowed(pipeline, tmp_path):
     assert main(["importance", *args, "--out", str(tmp_path / "o")]) == 0
 
 
+# every library parameter a config key sets, by key: (function, parameter);
+# each default there repeats the key's default in SETTINGS
+LIBRARY_DEFAULTS = {
+    "seed": [(evaluate_cell, "seed"), (problem_importance, "seed"), (SynthConfig, "seed")],
+    "ratio": [(evaluate_problem, "ratio"), (evaluate_cell, "ratio")],
+    "ridge": [(train, "ridge"), (cross_validate, "ridge"), (evaluate_problem, "ridge"), (evaluate_cell, "ridge")],
+    "folds": [(cross_validate, "folds"), (evaluate_problem, "folds"), (evaluate_cell, "folds")],
+    "min_rows": [(evaluate_cell, "min_rows"), (problem_importance, "min_rows")],
+    "importance_subsamples": [(stability_select, "subsamples"), (problem_importance, "subsamples")],
+    "importance_fraction": [(stability_select, "fraction"), (problem_importance, "fraction")],
+    "importance_weight_floor": [(stability_select, "weight_floor"), (problem_importance, "weight_floor")],
+    "importance_target_support": [(calibrate_lambda, "target_support"), (stability_select, "target_support"),
+                                  (problem_importance, "target_support")],
+    "synth_learners": [(SynthConfig, "num_learners")],
+    "synth_weeks": [(SynthConfig, "num_weeks")],
+    "synth_hazard_noise": [(SynthConfig, "hazard_noise")],
+    "synth_volume_slope": [(SynthConfig, "volume_slope")],
+    "synth_timeliness_slope": [(SynthConfig, "timeliness_slope")],
+    "synth_grades_slope": [(SynthConfig, "grades_slope")],
+}
+
+
 def test_the_library_ridge_default_is_the_config_default():
-    ridge = float(DEFAULTS["ridge"])
-    for func in (train, cross_validate, evaluate_problem, evaluate_cell):
-        assert inspect.signature(func).parameters["ridge"].default == ridge, func.__name__
+    """Ridge, and every other key a library parameter takes: the defaults agree."""
+    assert set(LIBRARY_DEFAULTS) == set(SETTINGS) - {"importance_problems"}  # the problem list is the CLI's own
+    for key, params in LIBRARY_DEFAULTS.items():
+        default = SETTINGS[key][1](DEFAULTS[key])
+        for func, name in params:
+            assert inspect.signature(func).parameters[name].default == default, (key, func.__name__, name)
 
 
 # every subcommand's options in order: option string, type, required, default, action

@@ -169,6 +169,10 @@ def balanced_problem(n: int, seed: int = 0) -> tuple[np.ndarray, np.ndarray]:
     return X, y
 
 
+def blank_cell() -> CellResult:
+    return CellResult(cohort=ALL_COHORT, lead=1, lag=1, predicted_week=2, status=STATUS_OK, n_rows=0)
+
+
 def test_cv_returns_one_auc_per_fold():
     X, y = balanced_problem(100)
     aucs = cross_validate(X, y, np.random.default_rng(0), folds=10)
@@ -212,9 +216,9 @@ def test_folds_start_from_the_full_train_fit(monkeypatch):
         return model
 
     monkeypatch.setattr(evaluator, "train", spy)
-    ev = evaluate_problem(X, y, np.random.default_rng(3), folds=5)
-    assert calls[0][1] is ev.model and calls[0][0] is None
-    assert len(calls) == 6 and all(beta0 is ev.model.beta for beta0, _ in calls[1:])
+    model = evaluate_problem(X, y, np.random.default_rng(3), blank_cell(), folds=5)
+    assert calls[0][1] is model and calls[0][0] is None
+    assert len(calls) == 6 and all(beta0 is model.beta for beta0, _ in calls[1:])
 
 
 def test_a_cell_that_cannot_cross_validate_fits_nothing(monkeypatch):
@@ -226,8 +230,23 @@ def test_a_cell_that_cannot_cross_validate_fits_nothing(monkeypatch):
         raise AssertionError("train called")
 
     monkeypatch.setattr(evaluator, "train", fail)
+    cell = blank_cell()
     with pytest.raises(DegenerateLabelsError, match="cross-validation"):
-        evaluate_problem(X, y, np.random.default_rng(0), folds=10)
+        evaluate_problem(X, y, np.random.default_rng(0), cell, folds=10)
+    assert cell == blank_cell()
+
+
+def test_a_cell_whose_folds_fail_keeps_no_scores(monkeypatch):
+    X, y = balanced_problem(80, seed=4)
+
+    def fail(*args, **kwargs):
+        raise DegenerateLabelsError("a fold lost a class")
+
+    monkeypatch.setattr(evaluator, "cross_validate", fail)
+    cell = blank_cell()
+    with pytest.raises(DegenerateLabelsError, match="a fold lost a class"):
+        evaluate_problem(X, y, np.random.default_rng(3), cell, folds=5)
+    assert cell == blank_cell()  # the train and test AUCs were computed, not kept
 
 
 def test_grid_scores_equal_the_reference_fitter(small_course, monkeypatch):
@@ -247,11 +266,12 @@ def test_grid_scores_equal_the_reference_fitter(small_course, monkeypatch):
 
 def test_cv_tracks_heldout_auc_on_planted_cell(planted_course):
     X, y, _, cols = flatten(planted_course.matrix, ProblemSpec(lead=1, lag=3))
-    ev = evaluate_problem(X, y, np.random.default_rng(11), folds=10, columns=cols)
-    assert abs(ev.cv_mean - ev.test_auc) < 0.05
-    assert ev.n_train + ev.n_test == y.size
-    assert ev.model.norm_means is not None and ev.model.norm_means.size == X.shape[1]
-    assert ev.model.columns == cols
+    cell = blank_cell()
+    model = evaluate_problem(X, y, np.random.default_rng(11), cell, folds=10, columns=cols)
+    assert abs(cell.cv_mean - cell.test_auc) < 0.05
+    assert cell.n_train + cell.n_test == y.size and cell.folds_used == 10
+    assert model.norm_means is not None and model.norm_means.size == X.shape[1]
+    assert model.columns == cols
 
 
 # ---------------------------------------------------------------------------

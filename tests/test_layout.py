@@ -2,7 +2,9 @@
 
 A top-level function, class or module constant, or a method, that nothing in
 src/stopout refers to outside its own definition is code only the tests run.
-It goes, or it earns a line in ALLOWED saying why it stays.
+It goes, or it earns a line in ALLOWED saying why it stays. Likewise a
+parameter with a default that no call in src/stopout passes is a knob only
+the tests turn: it becomes a constant, or it earns a line in UNPASSED.
 """
 
 from __future__ import annotations
@@ -18,6 +20,20 @@ ALLOWED = {
     "load_manifest": "parses manifest.tsv, the run's own description; kept as the reader of that format",
     "roc_points": "the sweep route's operating points, checked by acceptance 01",
 }
+
+# function.parameter -> why a default no call in the package passes stays settable
+UNPASSED = {
+    "train.tol": "the Newton stopping rule, kept settable beside ridge though no caller or test changes it",
+    "train.max_iter": "the Newton step cap, kept settable beside tol though no caller or test changes it",
+    "l1_logistic.tol": "test hook: the FISTA tests tighten it to compare against a smooth optimum",
+    "l1_logistic.max_iter": "test hook: the FISTA tests raise or cap it",
+    "stability_select.lam": "test hook: a given lambda skips the calibration",
+    "main.argv": "None reads sys.argv, as the stopout console script does; the tests pass a list",
+}
+
+
+def _trees() -> dict[str, ast.Module]:
+    return {path.name: ast.parse(path.read_text(encoding="utf-8")) for path in sorted(SRC.glob("*.py"))}
 
 
 def _definitions(tree: ast.Module):
@@ -45,7 +61,7 @@ def _references(tree: ast.Module):
 
 
 def unreferenced() -> list[str]:
-    trees = {path.name: ast.parse(path.read_text(encoding="utf-8")) for path in sorted(SRC.glob("*.py"))}
+    trees = _trees()
     refs = [(name, attr, path, line) for path, tree in trees.items() for name, attr, line in _references(tree)]
     unused = []
     for path, tree in trees.items():
@@ -67,5 +83,64 @@ def test_every_definition_is_used_by_the_package():
 
 
 def test_allowed_names_are_still_defined():
-    trees = [ast.parse(path.read_text(encoding="utf-8")) for path in SRC.glob("*.py")]
-    assert set(ALLOWED) <= {name for tree in trees for name, _, _ in _definitions(tree)}
+    assert set(ALLOWED) <= {name for tree in _trees().values() for name, _, _ in _definitions(tree)}
+
+
+def _defaulted(func: ast.FunctionDef):
+    """(position or None for keyword-only, name) of each parameter with a default."""
+    positional = func.args.posonlyargs + func.args.args
+    first = len(positional) - len(func.args.defaults)
+    yield from ((i, positional[i].arg) for i in range(first, len(positional)))
+    yield from ((None, a.arg) for a, d in zip(func.args.kwonlyargs, func.args.kw_defaults) if d is not None)
+
+
+def unpassed() -> list[str]:
+    """function.parameter for each default that no call in src/stopout passes.
+
+    A call is matched to a function by name. It passes a parameter by keyword,
+    by position, or through *args (the positional ones) or **kwargs (all).
+    """
+    trees = _trees()
+    calls: dict[str, list[ast.Call]] = {}
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call) and isinstance(node.func, (ast.Name, ast.Attribute)):
+                name = node.func.id if isinstance(node.func, ast.Name) else node.func.attr
+                calls.setdefault(name, []).append(node)
+
+    def passes(call: ast.Call, position: int | None, name: str, bound: bool) -> bool:
+        if any(k.arg is None or k.arg == name for k in call.keywords):
+            return True
+        if position is None:
+            return False
+        if any(isinstance(a, ast.Starred) for a in call.args):
+            return True
+        return position - bound < len(call.args)  # a method call binds self first
+
+    missing = []
+    for tree in trees.values():
+        for func in ast.walk(tree):
+            if not isinstance(func, ast.FunctionDef):
+                continue
+            args = func.args.posonlyargs + func.args.args
+            bound = bool(args) and args[0].arg in ("self", "cls")
+            for position, name in _defaulted(func):
+                key = f"{func.name}.{name}"
+                if key not in UNPASSED and not any(
+                    passes(call, position, name, bound) for call in calls.get(func.name, [])
+                ):
+                    missing.append(key)
+    return missing
+
+
+def test_every_default_is_passed_by_the_package():
+    assert unpassed() == []
+
+
+def test_unpassed_parameters_still_have_defaults():
+    defaulted = {
+        f"{func.name}.{name}"
+        for tree in _trees().values() for func in ast.walk(tree) if isinstance(func, ast.FunctionDef)
+        for _, name in _defaulted(func)
+    }
+    assert set(UNPASSED) <= defaulted

@@ -27,7 +27,11 @@ from stopout.errors import ConfigError
 from stopout.event_store import ingest
 from stopout.featurizer import build_feature_matrix
 from stopout.synth import (
+    COHORT_MIX,
+    COURSE_START,
     DUE_OFFSET,
+    HW_PER_WEEK,
+    LABS_PER_WEEK,
     TRUTH_COLUMNS,
     SynthConfig,
     TruthRow,
@@ -52,27 +56,22 @@ def read_truth(path):
 # configuration validation
 
 
+def _rejected(kwargs, message, index):
+    # an explicit index, so each case keeps its test id when other cases go
+    return pytest.param(kwargs, message, id=f"kwargs{index}-{message}")
+
+
 @pytest.mark.parametrize(
     "kwargs,message",
     [
-        ({"num_learners": -1}, "num_learners must be >= 0"),
-        ({"num_weeks": 1}, "num_weeks must be >= 2"),
-        ({"hw_per_week": 0}, "at least one homework and one lab"),
-        ({"labs_per_week": 0}, "at least one homework and one lab"),
-        ({"fade_depth": 0.0}, "fade multipliers must be in \\(0, 1\\]"),
-        ({"fade_depth": 1.5}, "fade multipliers must be in \\(0, 1\\]"),
-        ({"fade_ramp": -0.2}, "fade multipliers must be in \\(0, 1\\]"),
-        ({"fade_prob": -0.1}, "fade_prob must be in \\[0, 1\\]"),
-        ({"fade_prob": 1.1}, "fade_prob must be in \\[0, 1\\]"),
-        ({"cohort_mix": (0.5, 0.4, 0.0, 0.0)}, "cohort_mix must be a distribution"),
-        ({"cohort_mix": (1.2, -0.2, 0.0, 0.0)}, "cohort_mix must be a distribution"),
-        ({"cohort_mix": (math.nan, 0.25, 0.1, 0.1)}, "cohort_mix must be a distribution"),
-        ({"volume_slope": math.nan}, "volume_slope must be finite"),
-        ({"timeliness_slope": math.inf}, "timeliness_slope must be finite"),
-        ({"grades_slope": -math.inf}, "grades_slope must be finite"),
-        ({"hazard_noise": -1.0}, "hazard_noise must be finite and >= 0"),
-        ({"hazard_noise": math.inf}, "hazard_noise must be finite and >= 0"),
-        ({"hazard_noise": math.nan}, "hazard_noise must be finite and >= 0"),
+        _rejected({"num_learners": -1}, "num_learners must be >= 0", 0),
+        _rejected({"num_weeks": 1}, "num_weeks must be >= 2", 1),
+        _rejected({"volume_slope": math.nan}, "volume_slope must be finite", 12),
+        _rejected({"timeliness_slope": math.inf}, "timeliness_slope must be finite", 13),
+        _rejected({"grades_slope": -math.inf}, "grades_slope must be finite", 14),
+        _rejected({"hazard_noise": -1.0}, "hazard_noise must be finite and >= 0", 15),
+        _rejected({"hazard_noise": math.inf}, "hazard_noise must be finite and >= 0", 16),
+        _rejected({"hazard_noise": math.nan}, "hazard_noise must be finite and >= 0", 17),
     ],
 )
 def test_config_rejects_bad_values(kwargs, message):
@@ -83,8 +82,8 @@ def test_config_rejects_bad_values(kwargs, message):
 
 
 def test_config_accepts_boundary_values():
-    SynthConfig(num_learners=0, num_weeks=2, fade_depth=1.0, fade_prob=0.0)
-    SynthConfig(num_learners=1, num_weeks=2, fade_prob=1.0)
+    SynthConfig(num_learners=0, num_weeks=2, hazard_noise=0.0)
+    SynthConfig(num_learners=1, num_weeks=2)
 
 
 @pytest.mark.parametrize("key,value", [
@@ -104,11 +103,12 @@ def test_synth_rejects_a_bad_config_value_with_exit_2(tmp_path, capsys, key, val
 
 
 def test_calendar_one_due_date_per_week():
-    cfg = SynthConfig(num_learners=1, num_weeks=4, hw_per_week=2, labs_per_week=1)
+    cfg = SynthConfig(num_learners=1, num_weeks=4)
     cal = build_calendar(cfg)
     assert cal.num_weeks == 4
-    assert len(cal.problem_meta) == 4 * 3
-    assert sorted(cal.problem_meta)[:3] == ["w01_hw1", "w01_hw2", "w01_lab1"]
+    assert cal.course_start == COURSE_START
+    assert len(cal.problem_meta) == 4 * (HW_PER_WEEK + LABS_PER_WEEK) == 24
+    assert sorted(cal.problem_meta)[:7] == ["w01_hw1", "w01_hw2", "w01_hw3", "w01_hw4", "w01_lab1", "w01_lab2", "w02_hw1"]
     for pid, meta in cal.problem_meta.items():
         week = int(pid[1:3])
         assert meta.week_assigned == week
@@ -229,7 +229,7 @@ def test_truth_cohorts_replay_through_the_pipeline(small_course):
 def test_cohort_mix_is_respected(small_course):
     counts = collections.Counter(t.cohort for t in small_course.course.truth)
     n = small_course.config.num_learners
-    for cohort, share in zip(COHORTS, small_course.config.cohort_mix):
+    for cohort, share in zip(COHORTS, COHORT_MIX):
         # multinomial draw: allow a generous 4-sigma band around the mean
         sd = (n * share * (1 - share)) ** 0.5
         assert abs(counts.get(cohort, 0) - n * share) < 4 * sd + 1
@@ -288,7 +288,6 @@ slopes = st.one_of(st.just(0.0), st.floats(-3.0, 3.0))
     weeks=st.integers(2, 6),
     seed=st.integers(0, 2**64 - 1),
     hazard_noise=st.one_of(st.just(0.0), st.floats(0.01, 2.0)),
-    fade_prob=st.one_of(st.just(0.0), st.just(1.0), st.floats(0.0, 1.0)),
     volume_slope=slopes,
     timeliness_slope=slopes,
     grades_slope=slopes,
