@@ -48,7 +48,8 @@ from .tsv import write_table
 from .viz import write_heatmap, write_importance_chart
 
 # config key -> (default text, type, the flag that overrides it or None,
-# strict lower bound or None, upper bound or None); library defaults repeat these
+# strict lower bound or None, upper bound or None). These are the only defaults:
+# the library takes every setting as a required keyword argument.
 SETTINGS = {
     "seed": ("0", int, "seed", None, None),
     "ratio": ("0.7", float, "ratio", 0.0, 1 - 2**-53),  # (0, 1): at most the float below 1
@@ -68,10 +69,12 @@ SETTINGS = {
     "synth_grades_slope": ("-2.0", float, None, None, None),
 }
 DEFAULTS = {key: default for key, (default, *_) in SETTINGS.items()}
-# the settings evaluate_cell and problem_importance take, in the order they are read
+# the settings evaluate_cell, problem_importance and SynthConfig take, in the order they are read
 CELL_KEYS = ("seed", "ratio", "ridge", "folds", "min_rows")
 IMPORTANCE_KEYS = ("seed", "importance_subsamples", "importance_fraction", "importance_weight_floor",
                    "importance_target_support", "min_rows")
+SYNTH_KEYS = ("synth_learners", "synth_weeks", "seed", "synth_volume_slope", "synth_timeliness_slope",
+              "synth_grades_slope", "synth_hazard_noise")
 
 
 def load_config(path: str | None) -> dict[str, str]:
@@ -186,18 +189,14 @@ def sha256_file(path: Path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
-def write_manifest(
-    out_dir: Path,
-    meta: dict[str, str] | None = None,
-    cells: list[tuple[str, int, int, str]] | None = None,
-) -> None:
+def write_manifest(out_dir: Path, meta: dict[str, str], cells: list[tuple[str, int, int, str]]) -> None:
     """Declare the whole run: meta rows, per-cell statuses, then one row per
     output file with its hash. No timestamps, so reruns are byte-identical.
     """
     rows = []
-    for key, value in (meta or {}).items():
+    for key, value in meta.items():
         rows.append(f"meta\t{key}\t{value}")
-    for cohort, lead, lag, status in sorted(cells or []):
+    for cohort, lead, lag, status in sorted(cells):
         rows.append(f"cell\t{cohort}\t{lead}\t{lag}\t{status}")
     for p in sorted(out_dir.rglob("*")):
         if p.is_file() and p.name != "manifest.tsv":
@@ -233,8 +232,7 @@ def print_defaults() -> int:
 
 
 def cmd_synth(args) -> int:
-    settings = _settings(args, load_config(args.config), "synth_learners", "synth_weeks", "seed",
-                         "synth_volume_slope", "synth_timeliness_slope", "synth_grades_slope", "synth_hazard_noise")
+    settings = _settings(args, load_config(args.config), *SYNTH_KEYS)
     config = SynthConfig(num_learners=settings.pop("learners"), num_weeks=settings.pop("weeks"), **settings)
     out = _out_dir(args)
     write_course(generate(config), out)

@@ -105,8 +105,9 @@ def cross_validate(
     X: np.ndarray,
     y: np.ndarray,
     rng: np.random.Generator,
-    folds: int = 10,
-    ridge: float = 1e-6,
+    *,
+    folds: int,
+    ridge: float,
     beta0: np.ndarray | None = None,
 ) -> list[float]:
     """Stratified k-fold AUCs; k shrinks to the minority count when needed.
@@ -160,9 +161,10 @@ def evaluate_problem(
     y: np.ndarray,
     rng: np.random.Generator,
     cell: CellResult,
-    ratio: float = 0.7,
-    ridge: float = 1e-6,
-    folds: int = 10,
+    *,
+    ratio: float,
+    ridge: float,
+    folds: int,
     columns: list[str] | None = None,
 ) -> TrainedModel:
     """Split, fit on full train and score both sides, then cross-validate;
@@ -209,11 +211,12 @@ def evaluate_cell(
     matrix: FeatureMatrix,
     spec: ProblemSpec,
     assignments: dict[str, str] | None = None,
-    seed: int = 0,
-    min_rows: int = 10,
-    ratio: float = 0.7,
-    ridge: float = 1e-6,
-    folds: int = 10,
+    *,
+    seed: int,
+    min_rows: int,
+    ratio: float,
+    ridge: float,
+    folds: int,
     shuffle_labels: bool = False,
 ) -> tuple[CellResult, TrainedModel | None]:
     """Evaluate one lead/lag problem: its grid cell and its full-train model.

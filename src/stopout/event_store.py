@@ -170,7 +170,9 @@ def load_calendar(path: str | Path) -> CourseCalendar:
     path = Path(path)
     if not path.exists():
         raise DataError(f"calendar file not found: {path}")
-    lines = [ln for ln in path.read_text(encoding="utf-8").splitlines() if ln]
+    # read_text has already turned \r\n and \r into \n; split there alone, as
+    # tsv.read_chunks does, so a problem id may hold U+2028 or \x85
+    lines = [ln for ln in path.read_text(encoding="utf-8").split("\n") if ln]
     if not lines:
         raise DataError(f"calendar file is empty: {path}")
     head = lines[0].split("\t")

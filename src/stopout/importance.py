@@ -110,7 +110,8 @@ def calibrate_lambda(
     X: np.ndarray,
     y: np.ndarray,
     columns: list[str],
-    target_support: int = 8,
+    *,
+    target_support: int,
 ) -> Calibration:
     """Pick the l1 strength whose full-data support is closest to the target.
 
@@ -169,10 +170,11 @@ def stability_select(
     y: np.ndarray,
     columns: list[str],
     rng: np.random.Generator,
-    subsamples: int = 200,
-    fraction: float = 0.75,
-    weight_floor: float = 0.5,
-    target_support: int = 8,
+    *,
+    subsamples: int,
+    fraction: float,
+    weight_floor: float,
+    target_support: int,
     lam: float | None = None,
 ) -> StabilityResult:
     """Selection frequencies from repeated randomized-l1 fits.
@@ -234,12 +236,13 @@ def problem_importance(
     matrix: FeatureMatrix,
     spec: ProblemSpec,
     assignments: dict[str, str] | None = None,
-    seed: int = 0,
-    subsamples: int = 200,
-    fraction: float = 0.75,
-    weight_floor: float = 0.5,
-    target_support: int = 8,
-    min_rows: int = 10,
+    *,
+    seed: int,
+    subsamples: int,
+    fraction: float,
+    weight_floor: float,
+    target_support: int,
+    min_rows: int,
 ) -> ProblemImportance:
     """Stability selection on one problem, seeded by the problem alone.
 

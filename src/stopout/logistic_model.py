@@ -13,13 +13,15 @@ save steps.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from .errors import DataError, DegenerateLabelsError
 
+TOL = 1e-8  # a Newton step that moves no coefficient by this much ends the fit
+MAX_ITER = 100
 MAX_HALVINGS = 30
 EPS = float(np.finfo(np.float64).eps)
 
@@ -63,7 +65,6 @@ class TrainedModel:
     ridge: float
     converged: bool
     iterations: int
-    ll_history: list[float] = field(default_factory=list)
     columns: list[str] | None = None
     # z-score statistics of the training matrix, so a serialized model can be
     # applied to raw (unnormalized) rows later
@@ -98,8 +99,7 @@ def _dual_direction(Z: np.ndarray, gram: np.ndarray, w: np.ndarray, grad: np.nda
     return np.concatenate(([d0], (gz - back[:, 0]) / ridge - d0 * back[:, 1]))
 
 
-def _irls(X1: np.ndarray, y: np.ndarray, ridge: float, tol: float, max_iter: int,
-          beta0: np.ndarray | None = None) -> TrainedModel:
+def _irls(X1: np.ndarray, y: np.ndarray, ridge: float, beta0: np.ndarray | None) -> TrainedModel:
     n, d = X1.shape
     beta = np.zeros(d) if beta0 is None else beta0.copy()
     penalty = np.zeros(d)
@@ -111,10 +111,9 @@ def _irls(X1: np.ndarray, y: np.ndarray, ridge: float, tol: float, max_iter: int
     ll = penalized_ll(beta, X1, y, ridge)
     if not np.isfinite(ll):
         raise _NumericalFailure("non-finite starting likelihood")
-    history = [ll]
     converged = False
     iterations = 0
-    for iterations in range(1, max_iter + 1):
+    for iterations in range(1, MAX_ITER + 1):
         p = sigmoid(X1 @ beta)
         w = p * (1.0 - p)
         grad = X1.T @ (y - p)
@@ -150,21 +149,17 @@ def _irls(X1: np.ndarray, y: np.ndarray, ridge: float, tol: float, max_iter: int
         step = eta * direction
         beta = candidate
         ll = ll_new
-        history.append(ll)
-        if float(np.max(np.abs(step))) < tol:
+        if float(np.max(np.abs(step))) < TOL:
             converged = True
             break
-    return TrainedModel(
-        beta=beta, ridge=ridge, converged=converged, iterations=iterations, ll_history=history
-    )
+    return TrainedModel(beta=beta, ridge=ridge, converged=converged, iterations=iterations)
 
 
 def train(
     X: np.ndarray,
     y: np.ndarray,
-    ridge: float = 1e-6,
-    tol: float = 1e-8,
-    max_iter: int = 100,
+    *,
+    ridge: float,
     columns: list[str] | None = None,
     beta0: np.ndarray | None = None,
 ) -> TrainedModel:
@@ -187,7 +182,7 @@ def train(
     start = None if beta0 is None else np.asarray(beta0, dtype=np.float64)[fitted]
     for beta_start in (None,) if start is None else (start, None):
         try:
-            model = _irls(X1, y, ridge, tol, max_iter, beta_start)
+            model = _irls(X1, y, ridge, beta_start)
         except _NumericalFailure as exc:
             failure = exc
             continue
@@ -261,7 +256,6 @@ def load_model(path: str | Path) -> TrainedModel:
             ridge=float(fields["ridge"]),
             converged=bool(int(fields["converged"])),
             iterations=int(fields["iterations"]),
-            ll_history=[],
             columns=columns,
             norm_means=_unvec(fields["norm_means"]),
             norm_scales=_unvec(fields["norm_scales"]),

@@ -47,15 +47,15 @@ FADE_PROB = 0.7
 COHORT_MIX = (0.55, 0.25, 0.10, 0.10)  # passive, forum, wiki, fully-collaborative shares
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
 class SynthConfig:
-    num_learners: int = 1000
-    num_weeks: int = 14
-    seed: int = 0
-    volume_slope: float = -2.0
-    timeliness_slope: float = -1.0
-    grades_slope: float = -2.0
-    hazard_noise: float = 0.5
+    num_learners: int
+    num_weeks: int
+    seed: int
+    volume_slope: float
+    timeliness_slope: float
+    grades_slope: float
+    hazard_noise: float
 
     def __post_init__(self) -> None:
         if self.num_learners < 0:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import argparse
 import time
 from pathlib import Path
 from types import SimpleNamespace
@@ -9,6 +10,7 @@ from types import SimpleNamespace
 import pytest
 from hypothesis import settings
 
+from stopout.cli import DEFAULTS, SYNTH_KEYS, _settings
 from stopout.cohorts import assign_cohorts
 from stopout.event_store import ingest
 from stopout.featurizer import build_feature_matrix
@@ -58,6 +60,22 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config) -> None:
     terminalreporter.write_line(f"src/stopout: {lines:,} lines")
     oracles = len(Path(__file__).with_name("oracles.py").read_text(encoding="utf-8").splitlines())
     terminalreporter.write_line(f"tests/oracles.py: {oracles:,} lines")
+
+
+# ---------------------------------------------------------------------------
+# settings: SETTINGS holds the only defaults, and the library has none
+
+def defaults(*keys: str, **overrides) -> dict[str, object]:
+    """The configured default of each SETTINGS key, named as the library
+    parameter that takes it (no importance_ or synth_ prefix), then overrides."""
+    return {**_settings(argparse.Namespace(), DEFAULTS, *keys), **overrides}
+
+
+def synth_config(**overrides) -> SynthConfig:
+    """SynthConfig at the configured defaults, as the synth command builds it."""
+    settings = defaults(*SYNTH_KEYS)
+    return SynthConfig(**{"num_learners": settings.pop("learners"), "num_weeks": settings.pop("weeks"),
+                          **settings, **overrides})
 
 
 # ---------------------------------------------------------------------------
@@ -131,7 +149,7 @@ def build_course(root: Path, config: SynthConfig) -> SimpleNamespace:
 def small_course(tmp_path_factory):
     """300 learners over 8 weeks; big enough for model fits, fast to build."""
     root = tmp_path_factory.mktemp("small_course")
-    return build_course(root, SynthConfig(num_learners=300, num_weeks=8, seed=7))
+    return build_course(root, synth_config(num_learners=300, num_weeks=8, seed=7))
 
 
 @pytest.fixture(scope="session")
@@ -139,6 +157,6 @@ def planted_course(tmp_path_factory):
     """5000 learners over 14 weeks with the default planted signal."""
     root = tmp_path_factory.mktemp("planted_course")
     t0 = time.monotonic()
-    built = build_course(root, SynthConfig(num_learners=5000, num_weeks=14, seed=42))
+    built = build_course(root, synth_config(num_learners=5000, num_weeks=14, seed=42))
     built.build_seconds = time.monotonic() - t0
     return built

@@ -177,7 +177,7 @@ def penalized_gradient(beta: np.ndarray, X1: np.ndarray, y: np.ndarray, ridge: f
     return grad
 
 
-def irls_reference(X: np.ndarray, y: np.ndarray, ridge: float = 1e-6,
+def irls_reference(X: np.ndarray, y: np.ndarray, *, ridge: float,
                    columns: list[str] | None = None, beta0: np.ndarray | None = None) -> TrainedModel:
     """Plain damped Newton at the given ridge, in train's place.
 

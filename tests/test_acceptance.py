@@ -12,11 +12,12 @@ import time
 import numpy as np
 import pytest
 
+from conftest import defaults, synth_config
 from oracles import grid_mle_ll, pairwise_auc, penalized_gradient
 from test_evaluator import run_grid
 from test_featurizer import ALICE_WEEK1
 
-from stopout.cli import main, load_manifest
+from stopout.cli import IMPORTANCE_KEYS, load_manifest, main
 from stopout.dataset_builder import ProblemSpec, enumerate_problems, flatten
 from stopout.evaluator import roc_auc, roc_points
 from stopout.event_store import ingest
@@ -194,10 +195,10 @@ def test_importance_recovers_planted_drivers(tmp_path):
     start = time.monotonic()
     hits = 0
     for master_seed in range(10):
-        matrix = _course_matrix(tmp_path, SynthConfig(num_learners=800, num_weeks=8, seed=master_seed))
+        matrix = _course_matrix(tmp_path, synth_config(num_learners=800, num_weeks=8, seed=master_seed))
         report = run_importance(
-            matrix, [ProblemSpec(lead=1, lag=2)], seed=master_seed,
-            subsamples=200, target_support=8, min_rows=10,
+            matrix, [ProblemSpec(lead=1, lag=2)],
+            **defaults(*IMPORTANCE_KEYS, seed=master_seed, subsamples=200, target_support=8, min_rows=10),
         )
         top3 = {fid for fid, _ in report.ranked()[:3]}
         if not top3 & COLLABORATION_FEATURES:

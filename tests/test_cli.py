@@ -296,12 +296,14 @@ LIBRARY_DEFAULTS = {
 
 
 def test_the_library_ridge_default_is_the_config_default():
-    """Ridge, and every other key a library parameter takes: the defaults agree."""
+    """Ridge, and every other key a library parameter takes: SETTINGS holds the
+    only default, and the library takes the setting by name with none of its own."""
     assert set(LIBRARY_DEFAULTS) == set(SETTINGS) - {"importance_problems"}  # the problem list is the CLI's own
     for key, params in LIBRARY_DEFAULTS.items():
-        default = SETTINGS[key][1](DEFAULTS[key])
         for func, name in params:
-            assert inspect.signature(func).parameters[name].default == default, (key, func.__name__, name)
+            param = inspect.signature(func).parameters[name]
+            assert param.default is inspect.Parameter.empty, (key, func.__name__, name)
+            assert param.kind is inspect.Parameter.KEYWORD_ONLY, (key, func.__name__, name)
 
 
 # every subcommand's options in order: option string, type, required, default, action

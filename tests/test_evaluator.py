@@ -10,8 +10,10 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from conftest import defaults
 from oracles import irls_reference, pairwise_auc
 from stopout import evaluator
+from stopout.cli import CELL_KEYS
 from stopout.cohorts import COHORTS, PASSIVE
 from stopout.dataset_builder import ProblemSpec, enumerate_problems, flatten
 from stopout.errors import DataError, DegenerateLabelsError
@@ -37,10 +39,11 @@ from stopout.tsv import read_table
 
 
 def run_grid(matrix, assignments=None, cohort=None, specs=None, **settings) -> GridResult:
-    """Every lead/lag cell of one population, or just the cells of specs."""
+    """Every lead/lag cell of one population, or just the cells of specs, at
+    the configured settings but for those given."""
     if specs is None:
         specs = enumerate_problems(matrix.num_weeks, cohort=cohort)
-    cells = [evaluate_cell(matrix, spec, assignments, **settings)[0] for spec in specs]
+    cells = [evaluate_cell(matrix, spec, assignments, **defaults(*CELL_KEYS, **settings))[0] for spec in specs]
     return GridResult(cohort=cohort or ALL_COHORT, num_weeks=matrix.num_weeks, cells=cells)
 
 def labelled_scores(max_n: int, score: st.SearchStrategy) -> st.SearchStrategy:
@@ -175,15 +178,15 @@ def blank_cell() -> CellResult:
 
 def test_cv_returns_one_auc_per_fold():
     X, y = balanced_problem(100)
-    aucs = cross_validate(X, y, np.random.default_rng(0), folds=10)
+    aucs = cross_validate(X, y, np.random.default_rng(0), folds=10, **defaults("ridge"))
     assert len(aucs) == 10
     assert all(0.0 <= a <= 1.0 for a in aucs)
 
 
 def test_cv_is_seed_deterministic():
     X, y = balanced_problem(80, seed=3)
-    a = cross_validate(X, y, np.random.default_rng(5), folds=5)
-    b = cross_validate(X, y, np.random.default_rng(5), folds=5)
+    a = cross_validate(X, y, np.random.default_rng(5), folds=5, **defaults("ridge"))
+    b = cross_validate(X, y, np.random.default_rng(5), folds=5, **defaults("ridge"))
     assert a == b
 
 
@@ -193,7 +196,7 @@ def test_cv_reduces_folds_with_warning():
     y = np.zeros(40)
     y[:3] = 1.0
     with pytest.warns(RuntimeWarning, match="reducing cross-validation folds from 10 to 3"):
-        aucs = cross_validate(X, y, np.random.default_rng(0), folds=10)
+        aucs = cross_validate(X, y, np.random.default_rng(0), folds=10, **defaults("ridge"))
     assert len(aucs) == 3
 
 
@@ -203,7 +206,7 @@ def test_cv_floor_is_two_folds():
     y = np.zeros(20)
     y[0] = 1.0
     with pytest.raises(DegenerateLabelsError, match="cross-validation"):
-        cross_validate(X, y, np.random.default_rng(0), folds=10)
+        cross_validate(X, y, np.random.default_rng(0), folds=10, **defaults("ridge"))
 
 
 def test_folds_start_from_the_full_train_fit(monkeypatch):
@@ -216,7 +219,7 @@ def test_folds_start_from_the_full_train_fit(monkeypatch):
         return model
 
     monkeypatch.setattr(evaluator, "train", spy)
-    model = evaluate_problem(X, y, np.random.default_rng(3), blank_cell(), folds=5)
+    model = evaluate_problem(X, y, np.random.default_rng(3), blank_cell(), folds=5, **defaults("ratio", "ridge"))
     assert calls[0][1] is model and calls[0][0] is None
     assert len(calls) == 6 and all(beta0 is model.beta for beta0, _ in calls[1:])
 
@@ -232,7 +235,7 @@ def test_a_cell_that_cannot_cross_validate_fits_nothing(monkeypatch):
     monkeypatch.setattr(evaluator, "train", fail)
     cell = blank_cell()
     with pytest.raises(DegenerateLabelsError, match="cross-validation"):
-        evaluate_problem(X, y, np.random.default_rng(0), cell, folds=10)
+        evaluate_problem(X, y, np.random.default_rng(0), cell, folds=10, **defaults("ratio", "ridge"))
     assert cell == blank_cell()
 
 
@@ -245,7 +248,7 @@ def test_a_cell_whose_folds_fail_keeps_no_scores(monkeypatch):
     monkeypatch.setattr(evaluator, "cross_validate", fail)
     cell = blank_cell()
     with pytest.raises(DegenerateLabelsError, match="a fold lost a class"):
-        evaluate_problem(X, y, np.random.default_rng(3), cell, folds=5)
+        evaluate_problem(X, y, np.random.default_rng(3), cell, folds=5, **defaults("ratio", "ridge"))
     assert cell == blank_cell()  # the train and test AUCs were computed, not kept
 
 
@@ -254,20 +257,24 @@ def test_grid_scores_equal_the_reference_fitter(small_course, monkeypatch):
     specs = [s for cohort in COHORTS for s in enumerate_problems(m.num_weeks, cohort=cohort)]
 
     def scores():
-        cells = [evaluate_cell(m, spec, assignments, seed=4, folds=5)[0] for spec in specs]
-        return [(c.status, c.cv_mean, c.train_auc, c.test_auc, c.folds_used) for c in cells]
+        # the small cohorts' minority classes hold fewer than 5 rows
+        with pytest.warns(RuntimeWarning, match="reducing cross-validation folds from 5") as caught:
+            cells = run_grid(m, assignments, specs=specs, seed=4, folds=5).cells
+        scored = [(c.status, c.cv_mean, c.train_auc, c.test_auc, c.folds_used) for c in cells]
+        return scored, [str(w.message) for w in caught]
 
     ours = scores()
     monkeypatch.setattr(evaluator, "train", irls_reference)
     reference = scores()
-    assert sum(s[0] == STATUS_OK for s in ours) >= len(specs) // 2
+    assert sum(s[0] == STATUS_OK for s in ours[0]) >= len(specs) // 2
     assert ours == reference
 
 
 def test_cv_tracks_heldout_auc_on_planted_cell(planted_course):
     X, y, _, cols = flatten(planted_course.matrix, ProblemSpec(lead=1, lag=3))
     cell = blank_cell()
-    model = evaluate_problem(X, y, np.random.default_rng(11), cell, folds=10, columns=cols)
+    model = evaluate_problem(X, y, np.random.default_rng(11), cell, folds=10, columns=cols,
+                             **defaults("ratio", "ridge"))
     assert abs(cell.cv_mean - cell.test_auc) < 0.05
     assert cell.n_train + cell.n_test == y.size and cell.folds_used == 10
     assert model.norm_means is not None and model.norm_means.size == X.shape[1]
@@ -309,13 +316,13 @@ def test_grid_covers_all_problems(small_course):
 
 def test_cell_records_the_folds_cross_validation_used(small_course):
     m = small_course.matrix
-    full, _ = evaluate_cell(m, ProblemSpec(lead=1, lag=1), seed=4, folds=4)
+    full, _ = evaluate_cell(m, ProblemSpec(lead=1, lag=1), **defaults(*CELL_KEYS, seed=4, folds=4))
     assert full.status == STATUS_OK and full.folds_used == 4
     with pytest.warns(RuntimeWarning, match=r"reducing cross-validation folds from 1000 to (\d+)") as caught:
-        reduced, _ = evaluate_cell(m, ProblemSpec(lead=1, lag=1), seed=4, folds=1000)
+        reduced, _ = evaluate_cell(m, ProblemSpec(lead=1, lag=1), **defaults(*CELL_KEYS, seed=4, folds=1000))
     k = int(re.search(r"to (\d+)", str(caught[0].message)).group(1))
     assert reduced.folds_used == k and 2 <= k < 1000
-    skipped, no_model = evaluate_cell(m, ProblemSpec(lead=1, lag=1), min_rows=10**9)
+    skipped, no_model = evaluate_cell(m, ProblemSpec(lead=1, lag=1), **defaults(*CELL_KEYS, min_rows=10**9))
     assert skipped.status == STATUS_INSUFFICIENT and skipped.folds_used == 0
     assert no_model is None
 

@@ -512,6 +512,22 @@ def test_calendar_round_trip(tmp_path, fixture_dataset):
     assert again == fixture_dataset.calendar
 
 
+def test_problem_ids_may_hold_separators_that_end_no_line(tmp_path):
+    # str.splitlines() splits at these; the calendar, like the event files, splits at "\n" alone
+    ids = ["hw\u2028one", "lab\x85two"]
+    cal = make_calendar(tmp_path, ((ids[0], "homework", 1, START + 600000), (ids[1], "lab", 2, START + 700000)))
+    assert list(load_calendar(cal).problem_meta) == ids
+    events = write_event_file(tmp_path / "events.tsv", [
+        submission_row("a", START + 1, pid=ids[0]),
+        submission_row("a", START + WEEK_SECONDS + 1, pid=ids[1], kind="lab"),
+    ])
+    ds = ingest([events], cal)
+    assert (ds.stats.accepted, ds.stats.rejected) == (2, 0)
+    assert [ds.vocab["problem_id"][code] for code in ds.table(TABLE_SUBMISSION)["problem_id"]] == ids
+    dump_calendar(ds.calendar, tmp_path / "again.tsv")
+    assert load_calendar(tmp_path / "again.tsv") == ds.calendar
+
+
 @pytest.mark.parametrize(
     "text,match",
     [

@@ -7,9 +7,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import defaults
 from oracles import l1_kkt_violation, l1_logistic_reference
 
 from stopout import importance
+from stopout.cli import IMPORTANCE_KEYS
 from stopout.cohorts import WIKI
 from stopout.dataset_builder import ProblemSpec, column_names, normalize
 from stopout.errors import DataError, InsufficientDataError
@@ -35,6 +37,9 @@ from stopout.logistic_model import predict_proba, sigmoid, train
 from stopout.tsv import read_table
 
 LAG1_COLUMNS = column_names(1)
+# the settings stability_select takes
+STABILITY_KEYS = ("importance_subsamples", "importance_fraction", "importance_weight_floor",
+                  "importance_target_support")
 
 # planted stopout hazard never involves the collaboration features
 COLLABORATION_FEATURES = {"x3", "x4", "x5", "x14", "x201"}
@@ -96,7 +101,7 @@ def test_l1_without_penalty_matches_smooth_trainer():
     z = X @ np.array([1.0, -1.5, 0.0])
     y = (rng.random(80) < 1 / (1 + np.exp(-z))).astype(float)
     beta = l1_logistic(X, y, lam=0.0, tol=1e-10, max_iter=20000).beta
-    smooth = train(X, y)
+    smooth = train(X, y, **defaults("ridge"))
     assert smooth.converged
     p_l1 = sigmoid(beta[0] + X @ beta[1:])
     p_irls = predict_proba(smooth, X)
@@ -148,7 +153,7 @@ def test_planted_fits_converge_and_warm_starts_keep_the_support():
     for seed in PLANTED_SEEDS:
         X, y = planted_instance(seed)
         Xn, _, _, _ = normalize(X)
-        cal = calibrate_lambda(Xn, y, LAG1_COLUMNS)
+        cal = calibrate_lambda(Xn, y, LAG1_COLUMNS, **defaults("importance_target_support"))
         assert cal.fit.converged
         assert l1_kkt_violation(cal.fit.beta, Xn, y, cal.lam) <= 1e-5
         rng = np.random.default_rng(seed)
@@ -182,7 +187,7 @@ def test_warm_started_calibration_picks_the_cold_start_lambda():
                 lo = mid
             else:
                 hi = mid
-        cal = calibrate_lambda(Xn, y, LAG1_COLUMNS)
+        cal = calibrate_lambda(Xn, y, LAG1_COLUMNS, target_support=8)
         assert cal.lam == best_lam, seed
         assert len(cal.fits) == 25 and any(f is cal.fit for f in cal.fits)
 
@@ -191,7 +196,7 @@ def test_calibrated_lambda_hits_target_support():
     for seed in (4000, 4001):
         X, y = planted_instance(seed)
         Xn, _, _, _ = normalize(X)
-        lam = calibrate_lambda(Xn, y, LAG1_COLUMNS).lam
+        lam = calibrate_lambda(Xn, y, LAG1_COLUMNS, target_support=8).lam
         beta = l1_logistic(Xn, y, lam).beta
         support = {
             col.split("_", 1)[1]
@@ -214,7 +219,8 @@ def test_calibration_without_a_better_midpoint_fits_lam_max():
 def test_calibrate_lambda_rejects_constant_labels():
     X, _ = planted_instance(2)
     with pytest.raises(DataError, match="constant labels"):
-        calibrate_lambda(normalize(X)[0], np.ones(X.shape[0]), LAG1_COLUMNS)
+        calibrate_lambda(normalize(X)[0], np.ones(X.shape[0]), LAG1_COLUMNS,
+                         **defaults("importance_target_support"))
 
 
 # ---------------------------------------------------------------------------
@@ -225,7 +231,7 @@ def test_degenerate_parameters_reduce_to_single_fit():
     lam = 0.03
     res = stability_select(
         X, y, LAG1_COLUMNS, np.random.default_rng(0),
-        subsamples=1, fraction=1.0, weight_floor=1.0, lam=lam,
+        lam=lam, **defaults(*STABILITY_KEYS, subsamples=1, fraction=1.0, weight_floor=1.0),
     )
     order = np.lexsort(np.vstack([X.T, y[None, :]]))  # the canonical row order
     Xn, _, _, _ = normalize(X[order])
@@ -236,9 +242,10 @@ def test_degenerate_parameters_reduce_to_single_fit():
 
 def test_frequencies_ignore_row_order():
     X, y = planted_instance(3, n=120)
-    a = stability_select(X, y, LAG1_COLUMNS, np.random.default_rng(9), subsamples=40)
+    settings = defaults(*STABILITY_KEYS, subsamples=40)
+    a = stability_select(X, y, LAG1_COLUMNS, np.random.default_rng(9), **settings)
     perm = np.random.default_rng(1).permutation(y.size)
-    b = stability_select(X[perm], y[perm], LAG1_COLUMNS, np.random.default_rng(9), subsamples=40)
+    b = stability_select(X[perm], y[perm], LAG1_COLUMNS, np.random.default_rng(9), **settings)
     assert np.array_equal(a.column_freq, b.column_freq)
     assert a.base_freq == b.base_freq
     assert a.lam == b.lam
@@ -251,13 +258,13 @@ def test_duplicating_a_column_leaves_unrelated_features_alone():
     X = rng.normal(size=(200, NUM_FEATURES))
     z = 1.5 * X[:, 0] - 1.2 * X[:, 5]
     y = (rng.random(200) < 1 / (1 + np.exp(-z))).astype(float)
-    base = stability_select(X, y, LAG1_COLUMNS, np.random.default_rng(0), subsamples=200)
+    base = stability_select(X, y, LAG1_COLUMNS, np.random.default_rng(0), **defaults(*STABILITY_KEYS, subsamples=200))
     dup = stability_select(
         np.hstack([X, X[:, [0]]]),
         y,
         LAG1_COLUMNS + ["w2_x2"],
         np.random.default_rng(0),
-        subsamples=200,
+        **defaults(*STABILITY_KEYS, subsamples=200),
     )
     for fid in base.base_freq:
         if fid != "x2":
@@ -268,7 +275,7 @@ def test_base_score_is_max_over_lag_copies():
     X, y = planted_instance(6, n=90)
     doubled = np.hstack([X, np.zeros_like(X)])  # week-2 copies carry nothing
     cols = column_names(2)
-    res = stability_select(doubled, y, cols, np.random.default_rng(2), subsamples=20)
+    res = stability_select(doubled, y, cols, np.random.default_rng(2), **defaults(*STABILITY_KEYS, subsamples=20))
     for j, col in enumerate(cols):
         fid = col.split("_", 1)[1]
         assert res.base_freq[fid] >= res.column_freq[j]
@@ -277,10 +284,10 @@ def test_base_score_is_max_over_lag_copies():
 
 def test_stability_select_counts_every_l1_fit():
     X, y = planted_instance(6, n=90)
-    calibrated = stability_select(X, y, LAG1_COLUMNS, np.random.default_rng(2), subsamples=12)
+    settings = defaults(*STABILITY_KEYS, subsamples=12)
+    calibrated = stability_select(X, y, LAG1_COLUMNS, np.random.default_rng(2), **settings)
     assert calibrated.l1_fits == 25 + 12  # the bisection's fits, then one per subsample
-    given = stability_select(X, y, LAG1_COLUMNS, np.random.default_rng(2), subsamples=12,
-                             lam=calibrated.lam)
+    given = stability_select(X, y, LAG1_COLUMNS, np.random.default_rng(2), lam=calibrated.lam, **settings)
     assert given.l1_fits == 1 + 12  # one cold full-data fit instead of the bisection
     assert np.array_equal(given.column_freq, calibrated.column_freq)
     for res in (calibrated, given):
@@ -299,7 +306,7 @@ def test_each_fit_starts_from_its_nearest_solved_neighbour(monkeypatch):
 
     monkeypatch.setattr(importance, "l1_logistic", spy)
     X, y = planted_instance(6, n=90)
-    stability_select(X, y, LAG1_COLUMNS, np.random.default_rng(2), subsamples=5)
+    stability_select(X, y, LAG1_COLUMNS, np.random.default_rng(2), **defaults(*STABILITY_KEYS, subsamples=5))
     bisection, rounds = calls[:25], calls[25:]
     assert len(rounds) == 5 and bisection[0][0] is None
     for (init, _), (_, previous) in zip(bisection[1:], bisection):
@@ -313,7 +320,7 @@ def test_each_fit_starts_from_its_nearest_solved_neighbour(monkeypatch):
 
 def test_planted_course_puts_driver_features_on_top(small_course):
     report = run_importance(
-        small_course.matrix, [ProblemSpec(lead=1, lag=2)], seed=5, subsamples=200
+        small_course.matrix, [ProblemSpec(lead=1, lag=2)], **defaults(*IMPORTANCE_KEYS, seed=5, subsamples=200)
     )
     top3 = [fid for fid, _ in report.ranked()[:3]]
     assert set(top3) & COLLABORATION_FEATURES == set()
@@ -325,13 +332,13 @@ def test_pure_noise_frequencies_stay_diluted():
     # [0.79, 0.93]; this fixed seed lands at 0.863 and reruns bit-identically.
     matrix = noise_feature_matrix(2000)
     trio = [ProblemSpec(13, 1), ProblemSpec(3, 6), ProblemSpec(6, 4)]
-    report = run_importance(matrix, trio, seed=0, subsamples=200)
+    report = run_importance(matrix, trio, **defaults(*IMPORTANCE_KEYS, seed=0, subsamples=200))
     assert max(report.base_freq.values()) <= 0.9
 
 
 def test_report_covers_all_features_within_bounds(small_course):
     report = run_importance(
-        small_course.matrix, [ProblemSpec(lead=1, lag=1)], seed=3, subsamples=25
+        small_course.matrix, [ProblemSpec(lead=1, lag=1)], **defaults(*IMPORTANCE_KEYS, seed=3, subsamples=25)
     )
     assert set(report.base_freq) == set(FEATURE_IDS)
     assert all(0.0 <= v <= 1.0 for v in report.base_freq.values())
@@ -340,8 +347,8 @@ def test_report_covers_all_features_within_bounds(small_course):
 
 
 def test_run_importance_is_seed_deterministic(small_course):
-    a = run_importance(small_course.matrix, [ProblemSpec(1, 1)], seed=6, subsamples=20)
-    b = run_importance(small_course.matrix, [ProblemSpec(1, 1)], seed=6, subsamples=20)
+    a = run_importance(small_course.matrix, [ProblemSpec(1, 1)], **defaults(*IMPORTANCE_KEYS, seed=6, subsamples=20))
+    b = run_importance(small_course.matrix, [ProblemSpec(1, 1)], **defaults(*IMPORTANCE_KEYS, seed=6, subsamples=20))
     assert a.base_freq == b.base_freq and lams(a) == lams(b)
 
 
@@ -365,8 +372,7 @@ def test_statuses_are_typed_per_problem():
         matrix,
         [ProblemSpec(1, 1), ProblemSpec(2, 1), ProblemSpec(1, 1, cohort=WIKI)],
         assignments=assignments,
-        seed=0,
-        subsamples=10,
+        **defaults(*IMPORTANCE_KEYS, seed=0, subsamples=10),
     )
     assert statuses(report) == [
         ("all", 1, 1, STATUS_DEGENERATE),
@@ -387,7 +393,7 @@ def test_run_importance_is_its_problems_combined_in_spec_order(small_course, ord
     # each problem seeds itself from its own key, so one computed alone (as a
     # run-all pool task is) is the same as one computed within a list
     specs = order[:k]
-    kwargs = {"seed": seed, "subsamples": 4, "min_rows": 10}
+    kwargs = defaults(*IMPORTANCE_KEYS, seed=seed, subsamples=4, min_rows=10)
     matrix, assignments = small_course.matrix, small_course.assignments
     parts = [problem_importance(matrix, spec, assignments, **kwargs) for spec in specs]
     if not any(p.status == STATUS_OK for p in parts):
@@ -411,9 +417,9 @@ def test_combine_averages_only_the_problems_that_ran():
 
 
 def test_problems_carry_their_solver_counts(small_course):
-    ran = problem_importance(small_course.matrix, ProblemSpec(1, 1), seed=1, subsamples=6)
-    skipped = problem_importance(small_course.matrix, ProblemSpec(1, 1), seed=1, subsamples=6,
-                                 min_rows=10**9)
+    ran = problem_importance(small_course.matrix, ProblemSpec(1, 1), **defaults(*IMPORTANCE_KEYS, seed=1, subsamples=6))
+    skipped = problem_importance(small_course.matrix, ProblemSpec(1, 1),
+                                 **defaults(*IMPORTANCE_KEYS, seed=1, subsamples=6, min_rows=10**9))
     assert ran.status == STATUS_OK and ran.l1_fits == 25 + 6 and ran.l1_iterations >= ran.l1_fits
     assert skipped.status == STATUS_INSUFFICIENT and skipped.lam is None
     assert (skipped.l1_fits, skipped.l1_iterations, skipped.l1_unconverged) == (0, 0, 0)
@@ -421,7 +427,7 @@ def test_problems_carry_their_solver_counts(small_course):
 
 def test_no_usable_problem_raises(fixture_matrix):
     with pytest.raises(InsufficientDataError, match="enough usable rows"):
-        run_importance(fixture_matrix, [ProblemSpec(1, 1)], seed=0)
+        run_importance(fixture_matrix, [ProblemSpec(1, 1)], **defaults(*IMPORTANCE_KEYS))
 
 
 # ---------------------------------------------------------------------------

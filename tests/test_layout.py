@@ -4,7 +4,9 @@ A top-level function, class or module constant, or a method, that nothing in
 src/stopout refers to outside its own definition is code only the tests run.
 It goes, or it earns a line in ALLOWED saying why it stays. Likewise a
 parameter with a default that no call in src/stopout passes is a knob only
-the tests turn: it becomes a constant, or it earns a line in UNPASSED.
+the tests turn: it becomes a constant, or it earns a line in UNPASSED. And a
+dataclass field that no code in src/stopout reads is state only the tests
+look at: it goes, or it earns a line in UNREAD.
 """
 
 from __future__ import annotations
@@ -23,12 +25,15 @@ ALLOWED = {
 
 # function.parameter -> why a default no call in the package passes stays settable
 UNPASSED = {
-    "train.tol": "the Newton stopping rule, kept settable beside ridge though no caller or test changes it",
-    "train.max_iter": "the Newton step cap, kept settable beside tol though no caller or test changes it",
     "l1_logistic.tol": "test hook: the FISTA tests tighten it to compare against a smooth optimum",
     "l1_logistic.max_iter": "test hook: the FISTA tests raise or cap it",
     "stability_select.lam": "test hook: a given lambda skips the calibration",
     "main.argv": "None reads sys.argv, as the stopout console script does; the tests pass a list",
+}
+
+# Class.field -> why a dataclass field no code in the package reads stays
+UNREAD = {
+    "StabilityResult.column_freq": "per-column frequencies behind base_freq; the stability tests compare them",
 }
 
 
@@ -144,3 +149,44 @@ def test_unpassed_parameters_still_have_defaults():
         for _, name in _defaulted(func)
     }
     assert set(UNPASSED) <= defaulted
+
+
+def _decorator_name(node: ast.expr) -> str | None:
+    """dataclass for both @dataclass and @dataclass(...)."""
+    node = node.func if isinstance(node, ast.Call) else node
+    return node.id if isinstance(node, ast.Name) else None
+
+
+def _dataclass_fields(tree: ast.Module):
+    """(class, field, line) for each annotated field of a @dataclass class."""
+    for node in tree.body:
+        if isinstance(node, ast.ClassDef) and "dataclass" in map(_decorator_name, node.decorator_list):
+            for item in node.body:
+                if isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name):
+                    yield node.name, item.target.id, item.lineno
+
+
+def unread_fields() -> list[str]:
+    """Class.field for each dataclass field no attribute read in src/stopout takes.
+
+    A read is matched to a field by name alone, as calls are matched above.
+    """
+    trees = _trees()
+    read = {
+        node.attr for tree in trees.values() for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+    }
+    return [
+        f"{path}:{line} {cls}.{name}"
+        for path, tree in trees.items() for cls, name, line in _dataclass_fields(tree)
+        if name not in read and f"{cls}.{name}" not in UNREAD
+    ]
+
+
+def test_every_dataclass_field_is_read_by_the_package():
+    assert unread_fields() == []
+
+
+def test_unread_fields_are_still_fields():
+    fields = {f"{cls}.{name}" for tree in _trees().values() for cls, name, _ in _dataclass_fields(tree)}
+    assert set(UNREAD) <= fields

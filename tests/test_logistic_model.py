@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import defaults
 from oracles import grid_mle_ll, penalized_gradient, penalized_ll_reference, sigmoid_reference
 from stopout import logistic_model
 from stopout.errors import DataError, DegenerateLabelsError
@@ -161,40 +162,54 @@ def test_train_toy_separable_matches_grid_search():
 def test_train_rejects_single_class():
     X = np.zeros((3, 1))
     with pytest.raises(DegenerateLabelsError):
-        train(X, np.ones(3))
+        train(X, np.ones(3), **defaults("ridge"))
     with pytest.raises(DegenerateLabelsError):
-        train(X, np.zeros(3))
+        train(X, np.zeros(3), **defaults("ridge"))
 
 
 def test_train_rejects_bad_inputs():
     with pytest.raises(DataError, match="shape"):
-        train(np.zeros((3, 1)), np.array([0.0, 1.0]))
+        train(np.zeros((3, 1)), np.array([0.0, 1.0]), **defaults("ridge"))
     with pytest.raises(DataError, match="0 or 1"):
-        train(np.zeros((2, 1)), np.array([0.0, 2.0]))
+        train(np.zeros((2, 1)), np.array([0.0, 2.0]), **defaults("ridge"))
 
 
 def test_train_without_covariates_fits_base_rate():
     X = np.zeros((6, 0))
     y = np.array([0.0, 0.0, 0.0, 1.0, 1.0, 1.0])
-    model = train(X, y)
+    model = train(X, y, **defaults("ridge"))
     assert model.beta.size == 1
     assert model.beta[0] == pytest.approx(0.0, abs=1e-9)
     assert predict_proba(model, X) == pytest.approx(0.5)
 
     y_skewed = np.array([1.0, 1.0, 1.0, 0.0])
-    skewed = train(np.zeros((4, 0)), y_skewed)
+    skewed = train(np.zeros((4, 0)), y_skewed, **defaults("ridge"))
     assert skewed.beta[0] == pytest.approx(np.log(3.0), rel=1e-6)
 
 
-def test_ll_history_is_monotone(small_course):
+def test_accepted_likelihoods_are_monotone(monkeypatch):
     rng = np.random.default_rng(1)
     X = rng.normal(size=(60, 4))
     z = X @ np.array([1.0, -2.0, 0.5, 0.0])
     y = (rng.random(60) < 1 / (1 + np.exp(-z))).astype(float)
+    real_ll = logistic_model.penalized_ll
+    seen = []
+
+    def recorder(*args):
+        seen.append(real_ll(*args))
+        return seen[-1]
+
+    monkeypatch.setattr(logistic_model, "penalized_ll", recorder)
     model = train(X, y, ridge=1e-4)
     assert model.converged
-    assert len(model.ll_history) == model.iterations + 1  # starting value included
-    assert np.all(np.diff(model.ll_history) >= -1e-12)
+    # the start, then each step's likelihood once a halving stops it getting worse
+    path = seen[:1]
+    for ll in seen[1:]:
+        if ll >= path[-1]:
+            path.append(ll)
+    assert len(path) == model.iterations + 1
+    assert np.all(np.diff(path) >= 0.0)
+    assert path[-1] == real_ll(model.beta, add_intercept(X), y, 1e-4)
 
 
 @pytest.mark.parametrize("ridge", [1e-6, 1e-4, 1e-2])
@@ -283,14 +298,14 @@ def _logistic_problem(seed: int, n: int = 60, d: int = 3):
 
 def test_a_step_no_halving_improves_at_the_optimum_has_converged(monkeypatch):
     X, y = _logistic_problem(21)
-    optimum = train(X, y).beta
+    optimum = train(X, y, ridge=1e-6).beta
     real_ll = logistic_model.penalized_ll
 
     def fit_where_no_step_improves(beta0=None):  # every likelihood after the start reads -inf
         calls = itertools.count()
         monkeypatch.setattr(logistic_model, "penalized_ll",
                             lambda *args: real_ll(*args) if next(calls) == 0 else -np.inf)
-        return train(X, y, beta0=beta0)
+        return train(X, y, ridge=1e-6, beta0=beta0)
 
     # 1e-9 off the optimum the predicted gain is ~3e-17, below n * eps * |ll| ~ 4e-13
     start = optimum + 1e-9
@@ -310,11 +325,11 @@ def test_a_negative_predicted_gain_never_passes_as_converged(monkeypatch):
     # an uphill direction from near the optimum: its predicted gain is below
     # the rounding floor in size but negative, so it is a failed fit
     X, y = _logistic_problem(22)
-    near = train(X, y).beta + 1e-3
+    near = train(X, y, ridge=1e-6).beta + 1e-3
     real_solve = logistic_model._solve
     monkeypatch.setattr(logistic_model, "_solve", lambda a, b: -real_solve(a, b))
     with pytest.raises(DataError, match="failed at ridge 1e-06: no improving Newton step"):
-        train(X, y, beta0=near)
+        train(X, y, ridge=1e-6, beta0=near)
 
 
 def test_ridge_0_on_a_collinear_design_fails_naming_ridge_0():
@@ -323,7 +338,7 @@ def test_ridge_0_on_a_collinear_design_fails_naming_ridge_0():
     collinear = np.column_stack([X, X[:, 1] + X[:, 2]])
     with pytest.raises(DataError, match="failed at ridge 0.0"):
         train(collinear, y, ridge=0.0)
-    assert train(collinear, y).converged
+    assert train(collinear, y, **defaults("ridge")).converged
 
 
 def test_rescaling_a_column_preserves_predictions():

@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from conftest import drawn
+from conftest import drawn, synth_config
 from hypothesis import given
 from hypothesis import strategies as st
 from oracles import synth_reference
@@ -33,7 +33,6 @@ from stopout.synth import (
     HW_PER_WEEK,
     LABS_PER_WEEK,
     TRUTH_COLUMNS,
-    SynthConfig,
     TruthRow,
     build_calendar,
     generate,
@@ -78,12 +77,12 @@ def test_config_rejects_bad_values(kwargs, message):
     base = {"num_learners": 10, "num_weeks": 4}
     base.update(kwargs)
     with pytest.raises(ConfigError, match=message):
-        SynthConfig(**base)
+        synth_config(**base)
 
 
 def test_config_accepts_boundary_values():
-    SynthConfig(num_learners=0, num_weeks=2, hazard_noise=0.0)
-    SynthConfig(num_learners=1, num_weeks=2)
+    synth_config(num_learners=0, num_weeks=2, hazard_noise=0.0)
+    synth_config(num_learners=1, num_weeks=2)
 
 
 @pytest.mark.parametrize("key,value", [
@@ -103,7 +102,7 @@ def test_synth_rejects_a_bad_config_value_with_exit_2(tmp_path, capsys, key, val
 
 
 def test_calendar_one_due_date_per_week():
-    cfg = SynthConfig(num_learners=1, num_weeks=4)
+    cfg = synth_config(num_learners=1, num_weeks=4)
     cal = build_calendar(cfg)
     assert cal.num_weeks == 4
     assert cal.course_start == COURSE_START
@@ -124,7 +123,7 @@ def test_calendar_one_due_date_per_week():
 def test_zero_slope_stopout_is_uniform():
     # with flat drivers and no hazard noise the chain reduces to a uniform
     # draw over weeks 2..W+1; check a 6000-draw histogram at W=6
-    cfg = SynthConfig(
+    cfg = synth_config(
         num_learners=1,
         num_weeks=6,
         volume_slope=0.0,
@@ -142,7 +141,7 @@ def test_zero_slope_stopout_is_uniform():
 
 
 def test_stopout_stays_in_range():
-    cfg = SynthConfig(num_learners=1, num_weeks=5)
+    cfg = synth_config(num_learners=1, num_weeks=5)
     rng = np.random.default_rng(3)
     for _ in range(500):
         s = sample_stopout(cfg, *rng.uniform(-1.0, 1.0, size=3), rng)
@@ -154,7 +153,7 @@ def test_stopout_stays_in_range():
 
 
 def test_zero_learners_yields_header_only_files(tmp_path):
-    course = drawn(SynthConfig(num_learners=0, num_weeks=3, seed=1))
+    course = drawn(synth_config(num_learners=0, num_weeks=3, seed=1))
     assert course.events == [] and course.truth == []
     events_path = tmp_path / "events.tsv"
     calendar_path = tmp_path / "calendar.tsv"
@@ -177,19 +176,19 @@ def test_same_seed_reproduces_files_byte_for_byte(tmp_path):
     for run in ("a", "b"):
         out = tmp_path / run
         out.mkdir()
-        write_course(generate(SynthConfig(num_learners=60, num_weeks=4, seed=21)), out)
+        write_course(generate(synth_config(num_learners=60, num_weeks=4, seed=21)), out)
         paths.append(((out / "events.tsv").read_bytes(), (out / "truth.tsv").read_bytes()))
     assert paths[0] == paths[1]
 
 
 def test_different_seed_changes_output():
-    a = drawn(SynthConfig(num_learners=60, num_weeks=4, seed=21))
-    b = drawn(SynthConfig(num_learners=60, num_weeks=4, seed=22))
+    a = drawn(synth_config(num_learners=60, num_weeks=4, seed=21))
+    b = drawn(synth_config(num_learners=60, num_weeks=4, seed=22))
     assert a.events != b.events
 
 
 def test_learner_ids_are_zero_padded_and_distinct():
-    course = drawn(SynthConfig(num_learners=30, num_weeks=3, seed=2))
+    course = drawn(synth_config(num_learners=30, num_weeks=3, seed=2))
     ids = [t.learner_id for t in course.truth]
     assert len(set(ids)) == 30
     assert all(i.startswith("L") and len(i) == 6 and i[1:].isdigit() for i in ids)
@@ -240,7 +239,7 @@ def test_truth_file_round_trips(small_course):
 
 
 def test_load_truth_skips_blank_lines(tmp_path):
-    course = drawn(SynthConfig(num_learners=3, num_weeks=2, seed=5))
+    course = drawn(synth_config(num_learners=3, num_weeks=2, seed=5))
     path = tmp_path / "truth.tsv"
     write_course(course.course, tmp_path)
     path.write_text(path.read_text(encoding="utf-8") + "\n\n", encoding="utf-8")
@@ -293,7 +292,7 @@ slopes = st.one_of(st.just(0.0), st.floats(-3.0, 3.0))
     grades_slope=slopes,
 )
 def test_streamed_course_equals_the_reference(learners, weeks, **kwargs):
-    config = SynthConfig(num_learners=learners, num_weeks=weeks, **kwargs)
+    config = synth_config(num_learners=learners, num_weeks=weeks, **kwargs)
     with tempfile.TemporaryDirectory() as tmp:
         streamed, reference = Path(tmp, "streamed"), Path(tmp, "reference")
         streamed.mkdir()
@@ -311,7 +310,7 @@ def written_peak(root: Path, learners: int) -> int:
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
-        write_course(generate(SynthConfig(num_learners=learners, num_weeks=2, seed=1)), out)
+        write_course(generate(synth_config(num_learners=learners, num_weeks=2, seed=1)), out)
         return tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()
