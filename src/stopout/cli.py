@@ -85,7 +85,8 @@ def load_config(path: str | None) -> dict[str, str]:
     p = Path(path)
     if not p.exists():
         raise ConfigError(f"config file not found: {p}")
-    for lineno, raw in enumerate(p.read_text(encoding="utf-8").splitlines(), start=1):
+    # read_text has turned \r\n and \r into \n; split there alone, as tsv does
+    for lineno, raw in enumerate(p.read_text(encoding="utf-8").split("\n"), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
@@ -209,7 +210,7 @@ def load_manifest(path: str | Path) -> dict[str, list[tuple[str, ...]]]:
     if not path.exists():
         raise DataError(f"manifest not found: {path}")
     out: dict[str, list[tuple[str, ...]]] = {"meta": [], "cell": [], "file": []}
-    for ln in path.read_text(encoding="utf-8").splitlines():
+    for ln in path.read_text(encoding="utf-8").split("\n"):  # at "\n" alone, as tsv splits
         if not ln:
             continue
         kind, _, rest = ln.partition("\t")

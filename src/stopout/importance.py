@@ -8,7 +8,6 @@ score is the max over its copies, then averaged across prediction problems.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import NamedTuple
@@ -19,11 +18,14 @@ from .dataset_builder import ProblemSpec, flatten, normalize
 from .errors import DataError, InsufficientDataError
 from .evaluator import ALL_COHORT, STATUS_DEGENERATE, STATUS_INSUFFICIENT, STATUS_OK, cell_seed
 from .featurizer import FEATURE_IDS, FeatureMatrix
-from .logistic_model import sigmoid
+from .logistic_model import add_intercept, sigmoid
 from .tsv import write_table
 
 SELECT_EPS = 1e-6  # a coefficient counts as selected when its magnitude clears this
 CALIBRATION_STEPS = 25
+# Cap on the rows of one stack of subsample fits. On a 1k-learner course,
+# stacks of 1 to 16 MiB fit at the same speed; a larger cap only costs memory.
+STACK_BYTES = 4 << 20
 
 
 def soft_threshold(v: np.ndarray, tau: np.ndarray) -> np.ndarray:
@@ -39,53 +41,72 @@ class L1Fit(NamedTuple):
     converged: bool
 
 
+def lipschitz_steps(X1: np.ndarray) -> np.ndarray:
+    """FISTA step of each member of an (S, n, d + 1) stack: one over the mean
+    logistic loss's exact Lipschitz bound ||X1[s]||_2^2 / 4n."""
+    n = X1.shape[1]
+    # squared one float64 scalar at a time: a scalar's ** is C pow, which can
+    # differ in the last bit from an array's ** 2, a plain multiply
+    return np.array([1.0 / (norm ** 2 / (4.0 * n)) for norm in np.linalg.norm(X1, ord=2, axis=(1, 2))])
+
+
 def l1_logistic(
-    X: np.ndarray,
+    X1: np.ndarray,
     y: np.ndarray,
-    lam: float,
-    weights: np.ndarray | None = None,
+    penalty: np.ndarray,
+    step: np.ndarray | None = None,
+    init: np.ndarray | None = None,
     tol: float = 1e-7,
     max_iter: int = 1000,
-    init: np.ndarray | None = None,
-) -> L1Fit:
-    """l1-penalized logistic fit by FISTA with adaptive restart.
+) -> list[L1Fit]:
+    """l1-penalized logistic fits of a stack of problems by FISTA with adaptive restart.
 
-    Minimizes mean logistic loss plus lam * sum_j weights_j * |beta_j| over
-    the non-intercept coordinates, starting from init (zeros when None). The
-    step size comes from the loss's exact Lipschitz bound, so no line search
-    is needed. Momentum restarts whenever the proximal step points against
-    it (O'Donoghue & Candes 2015, gradient scheme). The fit has converged when
-    a step moves no coordinate by tol or more.
+    Member s has the rows X1[s], intercept column first, and the labels y[s].
+    It minimizes mean logistic loss plus sum_j penalty[s, j] * |beta_j| over
+    the non-intercept coordinates at step size step[s] (lipschitz_steps of X1
+    when None), so no line search is needed. Every member starts from init
+    (zeros when None). Momentum restarts whenever the proximal step points
+    against it (O'Donoghue & Candes 2015, gradient scheme). A member has
+    converged when a step moves none of its coordinates by tol or more; it
+    then leaves the stack. X1 is compacted in place when some members finish
+    before others, so a stack of more than one is scratch once this returns.
+    Each product is one BLAS call per member, as in a fit of that member
+    alone, so every member's fit is bitwise the one it would get alone.
     """
-    X = np.asarray(X, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
-    n, d = X.shape
-    X1 = np.hstack([np.ones((n, 1)), X])
-    if weights is None:
-        weights = np.ones(d)
-    tau = np.zeros(d + 1)
-    tau[1:] = lam * weights
-
-    lipschitz = np.linalg.norm(X1, ord=2) ** 2 / (4.0 * n)
-    step = 1.0 / lipschitz
-    step_tau = step * tau
-    beta = np.zeros(d + 1) if init is None else np.array(init, dtype=np.float64)
+    S, n, d1 = X1.shape
+    step = (lipschitz_steps(X1) if step is None else step)[:, None]
+    step_tau = np.zeros((S, d1))
+    step_tau[:, 1:] = step * penalty
+    beta = np.zeros((S, d1)) if init is None else np.tile(np.asarray(init, dtype=np.float64), (S, 1))
     look = beta
-    t = 1.0
+    t = np.ones((S, 1))
+    members = np.arange(S)  # the member at each stack position
+    fits: list[L1Fit] = [None] * S
     for iteration in range(1, max_iter + 1):
-        p = sigmoid(X1 @ look)
-        grad = X1.T @ (p - y) / n
+        p = sigmoid(X1 @ look[:, :, None])[:, :, 0]
+        grad = (X1.transpose(0, 2, 1) @ (p - y)[:, :, None])[:, :, 0] / n
         new_beta = soft_threshold(look - step * grad, step_tau)
         moved = new_beta - beta
-        if np.dot(look - new_beta, moved) > 0.0:
-            t = 1.0  # restart: this step takes no momentum
-        t_new = (1.0 + math.sqrt(1.0 + 4.0 * t * t)) / 2.0
+        # restart: this step takes no momentum; a (1, d) @ (d, 1) product is one dot
+        t = np.where(((look - new_beta)[:, None, :] @ moved[:, :, None])[:, 0] > 0.0, 1.0, t)
+        t_new = (1.0 + np.sqrt(1.0 + 4.0 * t * t)) / 2.0
         look = new_beta + ((t - 1.0) / t_new) * moved
         beta = new_beta
         t = t_new
-        if float(np.max(np.abs(moved))) < tol:
-            return L1Fit(beta, iteration, True)
-    return L1Fit(beta, max_iter, False)
+        converged = np.abs(moved).max(axis=1) < tol
+        done = converged | (iteration == max_iter)
+        if done.any():
+            for k in np.flatnonzero(done):
+                fits[members[k]] = L1Fit(beta[k].copy(), iteration, bool(converged[k]))
+            if done.all():
+                break
+            keep = np.flatnonzero(~done)
+            for i, k in enumerate(keep):  # compact X1 in place: slots below i are final, k >= i
+                if k > i:
+                    X1[i] = X1[k]
+            X1 = X1[:keep.size]
+            members, y, step, step_tau, beta, look, t = (a[keep] for a in (members, y, step, step_tau, beta, look, t))
+    return fits
 
 
 def _base_id(column: str) -> str:
@@ -118,30 +139,37 @@ def calibrate_lambda(
     Support counts base features, not columns. CALIBRATION_STEPS of geometric
     bisection between a tiny penalty and the smallest all-zero penalty; ties
     prefer the sparser (larger) lambda. Each step starts from the previous
-    step's solution, whose lambda is an endpoint of the current interval.
+    step's solution, whose lambda is an endpoint of the current interval. The
+    bisection stops at the first midpoint whose support is the target: every
+    later midpoint is smaller, and a tie keeps the larger lambda, so none of
+    them could replace it.
     """
-    n = X.shape[0]
+    n, d = X.shape
     resid = y - float(np.mean(y))
     lam_max = float(np.max(np.abs(X.T @ resid))) / n
     if lam_max <= 0.0:
         raise DataError("cannot calibrate l1 strength on constant labels")
+    X1, y1 = add_intercept(X)[None], y[None]  # a stack of one, built once
+    step = lipschitz_steps(X1)
     lo, hi = lam_max * 1e-4, lam_max
     best_lam, best_diff, best_fit = hi, abs(0 - target_support), None
     fits: list[L1Fit] = []
     for _ in range(CALIBRATION_STEPS):
         mid = float(np.sqrt(lo * hi))
-        fit = l1_logistic(X, y, mid, init=fits[-1].beta if fits else None)
+        [fit] = l1_logistic(X1, y1, np.full((1, d), mid), step, init=fits[-1].beta if fits else None)
         fits.append(fit)
         support = _support_size(fit.beta, columns)
         diff = abs(support - target_support)
         if diff < best_diff or (diff == best_diff and mid > best_lam):
             best_lam, best_diff, best_fit = mid, diff, fit
+        if support == target_support:
+            break
         if support > target_support:
             lo = mid
         else:
             hi = mid
     if best_fit is None:  # no midpoint beat the all-zero lam_max
-        best_fit = l1_logistic(X, y, best_lam)
+        [best_fit] = l1_logistic(X1, y1, np.full((1, d), best_lam), step)
         fits.append(best_fit)
     return Calibration(best_lam, best_fit, fits)
 
@@ -179,11 +207,13 @@ def stability_select(
 ) -> StabilityResult:
     """Selection frequencies from repeated randomized-l1 fits.
 
-    Each round draws a stratified row subsample and fresh per-column penalty
-    weights uniform on [weight_floor, 1]; a column counts as selected when its
-    coefficient magnitude clears SELECT_EPS. Base-feature scores take the max
-    over that feature's weekly copies. Every round starts from the full-data
-    solution at lam: the calibration's own fit, or one fit when lam is given.
+    Each round draws fresh per-column penalty weights uniform on
+    [weight_floor, 1] and a stratified row subsample; a column counts as
+    selected when its coefficient magnitude clears SELECT_EPS. Base-feature
+    scores take the max over that feature's weekly copies. Every round starts
+    from the full-data solution at lam: the calibration's own fit, or one fit
+    when lam is given. All rounds are drawn first, in round order, then fit
+    as stacks of at most STACK_BYTES of rows.
     """
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
@@ -194,19 +224,23 @@ def stability_select(
     X = X[order]
     y = y[order]
     Xn, _, _, _ = normalize(X)
+    X1 = add_intercept(Xn)
+    d = len(columns)
     if lam is None:
         lam, full, fits = calibrate_lambda(Xn, y, columns, target_support=target_support)
     else:
-        full = l1_logistic(Xn, y, lam)
+        [full] = l1_logistic(X1[None], y[None], np.full((1, d), lam))
         fits = [full]
-    hits = np.zeros(len(columns))
-    for _ in range(subsamples):
-        weights = rng.uniform(weight_floor, 1.0, size=len(columns))
-        idx = _stratified_subsample(y, fraction, rng)
-        fit = l1_logistic(Xn[idx], y[idx], lam, weights=weights, init=full.beta)
-        fits.append(fit)
-        hits += (np.abs(fit.beta[1:]) > SELECT_EPS).astype(np.float64)
-    freq = hits / subsamples
+    rounds = [(rng.uniform(weight_floor, 1.0, size=d), _stratified_subsample(y, fraction, rng))
+              for _ in range(subsamples)]
+    weights = np.array([w for w, _ in rounds])
+    rows = np.array([r for _, r in rounds])  # one length: every round keeps as many of each class
+    block = max(1, STACK_BYTES // (rows.shape[1] * X1.shape[1] * X1.itemsize))
+    for start in range(0, subsamples, block):
+        idx = rows[start:start + block]
+        fits += l1_logistic(X1[idx], y[idx], lam * weights[start:start + block], init=full.beta)
+    betas = np.array([fit.beta for fit in fits[-subsamples:]])
+    freq = np.count_nonzero(np.abs(betas[:, 1:]) > SELECT_EPS, axis=0) / subsamples
     base: dict[str, float] = {}
     for j, col in enumerate(columns):
         fid = _base_id(col)

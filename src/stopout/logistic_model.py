@@ -241,8 +241,8 @@ def load_model(path: str | Path) -> TrainedModel:
     path = Path(path)
     if not path.exists():
         raise DataError(f"model file not found: {path}")
-    lines = path.read_text(encoding="utf-8").splitlines()
-    if not lines or lines[0] != MODEL_FORMAT:
+    lines = path.read_text(encoding="utf-8").split("\n")  # at "\n" alone, as tsv splits
+    if lines[0] != MODEL_FORMAT:
         raise DataError(f"{path}: unknown model format")
     fields = {}
     for ln in lines[1:]:

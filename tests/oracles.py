@@ -10,8 +10,10 @@ dropped zero columns, no dual step), so a grid scored with it in train's
 place must give the same AUCs. The sigmoid and FISTA references are the
 plain forms of the production kernels (two masked exps; every product
 recomputed inside the loop), kept so the lean kernels can be checked bit for
-bit against them. The l1 KKT
-violation checks any l1 fit against the optimality conditions themselves.
+bit against them. The calibration reference runs all 25 bisection steps,
+where calibrate_lambda stops once no later step can change its answer. The
+l1 KKT violation checks any l1 fit against the optimality conditions
+themselves.
 The reference featurizer computes the 27 features one learner-week at a time
 from per-event tuples, in the same floating-point order as the grouped
 reductions of build_feature_matrix, so the two must agree bit for bit.
@@ -264,6 +266,38 @@ def l1_logistic_reference(
         if delta < tol:
             return beta, k + 1, True
     return beta, max_iter, False
+
+
+def calibrate_lambda_reference(
+    X: np.ndarray, y: np.ndarray, columns: list[str], target_support: int,
+) -> tuple[float, tuple[np.ndarray, int, bool]]:
+    """The full 25-step warm-started bisection for the l1 strength whose
+    support (distinct base features, the part of a column name after its
+    first "_") is closest to target_support, ties to the larger lambda.
+
+    Returns (lambda, its fit as l1_logistic_reference returns it). When no
+    midpoint beats the all-zero lam_max, the fit is a cold one at lam_max.
+    """
+    n = X.shape[0]
+    lam_max = float(np.max(np.abs(X.T @ (y - float(np.mean(y)))))) / n
+    lo, hi = lam_max * 1e-4, lam_max
+    best_lam, best_diff, best_fit = hi, target_support, None
+    init = None
+    for _ in range(25):
+        mid = float(np.sqrt(lo * hi))
+        fit = l1_logistic_reference(X, y, mid, init=init)
+        init = fit[0]
+        support = len({col.split("_", 1)[1] for col, b in zip(columns, fit[0][1:]) if abs(b) > 1e-6})
+        diff = abs(support - target_support)
+        if diff < best_diff or (diff == best_diff and mid > best_lam):
+            best_lam, best_diff, best_fit = mid, diff, fit
+        if support > target_support:
+            lo = mid
+        else:
+            hi = mid
+    if best_fit is None:
+        best_fit = l1_logistic_reference(X, y, best_lam)
+    return best_lam, best_fit
 
 
 def l1_kkt_violation(

@@ -4,11 +4,11 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import defaults
-from oracles import l1_kkt_violation, l1_logistic_reference
+from oracles import calibrate_lambda_reference, l1_kkt_violation, l1_logistic_reference
 
 from stopout import importance
 from stopout.cli import IMPORTANCE_KEYS
@@ -18,9 +18,11 @@ from stopout.errors import DataError, InsufficientDataError
 from stopout.evaluator import STATUS_DEGENERATE, STATUS_INSUFFICIENT, STATUS_OK
 from stopout.featurizer import FEATURE_IDS, NUM_FEATURES, FeatureMatrix
 from stopout.importance import (
+    CALIBRATION_STEPS,
     IMPORTANCE_COLUMNS,
     PROBLEM_COLUMNS,
     ImportanceReport,
+    L1Fit,
     ProblemImportance,
     _stratified_subsample,
     calibrate_lambda,
@@ -33,7 +35,7 @@ from stopout.importance import (
     soft_threshold,
     stability_select,
 )
-from stopout.logistic_model import predict_proba, sigmoid, train
+from stopout.logistic_model import add_intercept, predict_proba, sigmoid, train
 from stopout.tsv import read_table
 
 LAG1_COLUMNS = column_names(1)
@@ -78,6 +80,21 @@ def noise_feature_matrix(seed: int, num_learners: int = 500, num_weeks: int = 14
     )
 
 
+def fit_one(X, y, lam, weights=None, **kwargs) -> L1Fit:
+    """One l1 fit at lam * weights (lam alone when None): a stack of one."""
+    X = np.asarray(X, dtype=np.float64)
+    penalty = lam * (np.ones(X.shape[1]) if weights is None else weights)
+    [fit] = l1_logistic(add_intercept(X)[None], np.asarray(y, dtype=np.float64)[None], penalty[None], **kwargs)
+    return fit
+
+
+def blas_versions() -> str:
+    """numpy and BLAS versions, for a bitwise failure that a numpy or BLAS
+    change in how a stacked matmul is dispatched would cause."""
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    return f"numpy {np.__version__}, BLAS {blas.get('name')} {blas.get('version')}"
+
+
 # ---------------------------------------------------------------------------
 # l1 pieces
 
@@ -90,7 +107,7 @@ def test_soft_threshold():
 
 def test_l1_heavy_penalty_keeps_only_intercept():
     X, y = planted_instance(1)
-    beta = l1_logistic(X, y, lam=10.0).beta
+    beta = fit_one(X, y, 10.0).beta
     assert np.all(beta[1:] == 0.0)
     assert sigmoid(np.array([beta[0]]))[0] == pytest.approx(y.mean(), abs=1e-4)
 
@@ -100,7 +117,7 @@ def test_l1_without_penalty_matches_smooth_trainer():
     X = rng.normal(size=(80, 3))
     z = X @ np.array([1.0, -1.5, 0.0])
     y = (rng.random(80) < 1 / (1 + np.exp(-z))).astype(float)
-    beta = l1_logistic(X, y, lam=0.0, tol=1e-10, max_iter=20000).beta
+    beta = fit_one(X, y, 0.0, tol=1e-10, max_iter=20000).beta
     smooth = train(X, y, **defaults("ridge"))
     assert smooth.converged
     p_l1 = sigmoid(beta[0] + X @ beta[1:])
@@ -119,11 +136,36 @@ def test_l1_logistic_is_bitwise_the_reference(seed, weighted, warm):
     weights = rng.uniform(0.5, 1.0, size=d) if weighted else None
     max_iter = int(rng.integers(1, 400))
     init = rng.normal(size=d + 1) if warm else None
-    ours = l1_logistic(X, y, lam, weights=weights, max_iter=max_iter, init=init)
+    ours = fit_one(X, y, lam, weights=weights, max_iter=max_iter, init=init)
     beta, iterations, converged = l1_logistic_reference(
         X, y, lam, weights=weights, max_iter=max_iter, init=init)
     assert np.array_equal(ours.beta, beta)
     assert (ours.iterations, ours.converged) == (iterations, converged)
+
+
+@settings(max_examples=60)
+@given(st.integers(0, 2**32 - 1), st.integers(1, 8), st.booleans())
+@example(seed=4, size=4, warm=False)  # a member whose squared norm is 1 ulp off when squared as an array
+def test_each_stacked_member_is_bitwise_its_reference_fit(seed, size, warm):
+    # members share n and d but differ in rows, labels and penalty; the cap is
+    # the median member's own iteration count, so in most stacks some members
+    # converge early and leave while others run into the cap
+    rng = np.random.default_rng(seed)
+    n, d = int(rng.integers(4, 40)), int(rng.integers(1, 7))
+    X = rng.normal(size=(size, n, d)) * rng.uniform(0.1, 4.0, size=(size, 1, d))
+    y = (rng.random((size, n)) < rng.uniform(0.1, 0.9, size=(size, 1))).astype(float)
+    penalty = 10.0 ** rng.uniform(-4.0, 0.0, size=(size, 1)) * rng.uniform(0.5, 1.0, size=(size, d))
+    init = rng.normal(size=d + 1) if warm else None
+    uncapped = [l1_logistic_reference(X[s], y[s], 1.0, weights=penalty[s], init=init)[1] for s in range(size)]
+    max_iter = sorted(uncapped)[size // 2]
+    X1 = np.stack([add_intercept(X[s]) for s in range(size)])
+    fits = l1_logistic(X1, y, penalty, init=init, max_iter=max_iter)
+    assert len(fits) == size
+    for s, fit in enumerate(fits):
+        beta, iterations, converged = l1_logistic_reference(
+            X[s], y[s], 1.0, weights=penalty[s], max_iter=max_iter, init=init)
+        assert np.array_equal(fit.beta, beta), (s, blas_versions())
+        assert (fit.iterations, fit.converged) == (iterations, converged), (s, blas_versions())
 
 
 # planted problems the solver oracles run on
@@ -142,7 +184,7 @@ def test_converged_fits_meet_the_kkt_conditions_on_random_problems():
         y = (rng.random(n) < rng.uniform(0.2, 0.8)).astype(float)
         lam = float(10.0 ** rng.uniform(-3.0, -0.5))
         weights = rng.uniform(0.5, 1.0, size=d)
-        fit = l1_logistic(X, y, lam, weights=weights)
+        fit = fit_one(X, y, lam, weights=weights)
         assert fit.converged and 1 <= fit.iterations < 1000, seed
         assert l1_kkt_violation(fit.beta, X, y, lam, weights) <= 1e-5, seed
 
@@ -160,8 +202,8 @@ def test_planted_fits_converge_and_warm_starts_keep_the_support():
         for _ in range(10):
             weights = rng.uniform(0.5, 1.0, size=Xn.shape[1])
             idx = _stratified_subsample(y, 0.75, rng)
-            cold = l1_logistic(Xn[idx], y[idx], cal.lam, weights=weights)
-            warm = l1_logistic(Xn[idx], y[idx], cal.lam, weights=weights, init=cal.fit.beta)
+            cold = fit_one(Xn[idx], y[idx], cal.lam, weights=weights)
+            warm = fit_one(Xn[idx], y[idx], cal.lam, weights=weights, init=cal.fit.beta)
             assert cold.converged and warm.converged
             assert l1_kkt_violation(warm.beta, Xn[idx], y[idx], cal.lam, weights) <= 1e-5
             assert np.array_equal(_support(warm.beta), _support(cold.beta)), seed
@@ -178,7 +220,7 @@ def test_warm_started_calibration_picks_the_cold_start_lambda():
         best_lam, best_diff = hi, 8
         for _ in range(25):
             mid = float(np.sqrt(lo * hi))
-            beta = l1_logistic(Xn, y, mid).beta
+            beta = fit_one(Xn, y, mid).beta
             support = len({col.split("_", 1)[1] for col, on in zip(LAG1_COLUMNS, _support(beta)) if on})
             diff = abs(support - 8)
             if diff < best_diff or (diff == best_diff and mid > best_lam):
@@ -189,7 +231,21 @@ def test_warm_started_calibration_picks_the_cold_start_lambda():
                 hi = mid
         cal = calibrate_lambda(Xn, y, LAG1_COLUMNS, target_support=8)
         assert cal.lam == best_lam, seed
-        assert len(cal.fits) == 25 and any(f is cal.fit for f in cal.fits)
+        # all steps ran, or the bisection stopped at the fit it returns
+        assert len(cal.fits) == CALIBRATION_STEPS or cal.fit is cal.fits[-1]
+
+
+@pytest.mark.parametrize("target", [0, 1, 3, 8, 20, len(FEATURE_IDS)])
+def test_calibration_stopping_early_returns_the_full_bisection(target):
+    for seed in PLANTED_SEEDS:
+        X, y = planted_instance(seed)
+        Xn, _, _, _ = normalize(X)
+        lam, (beta, iterations, converged) = calibrate_lambda_reference(Xn, y, LAG1_COLUMNS, target)
+        cal = calibrate_lambda(Xn, y, LAG1_COLUMNS, target_support=target)
+        assert cal.lam == lam, (seed, target)
+        assert np.array_equal(cal.fit.beta, beta), (seed, target)
+        assert (cal.fit.iterations, cal.fit.converged) == (iterations, converged)
+        assert len(cal.fits) <= CALIBRATION_STEPS + 1
 
 
 def test_calibrated_lambda_hits_target_support():
@@ -197,7 +253,7 @@ def test_calibrated_lambda_hits_target_support():
         X, y = planted_instance(seed)
         Xn, _, _, _ = normalize(X)
         lam = calibrate_lambda(Xn, y, LAG1_COLUMNS, target_support=8).lam
-        beta = l1_logistic(Xn, y, lam).beta
+        beta = fit_one(Xn, y, lam).beta
         support = {
             col.split("_", 1)[1]
             for j, col in enumerate(LAG1_COLUMNS)
@@ -212,7 +268,10 @@ def test_calibration_without_a_better_midpoint_fits_lam_max():
     Xn, _, _, _ = normalize(X)
     cal = calibrate_lambda(Xn, y, LAG1_COLUMNS, target_support=0)
     assert cal.lam == float(np.max(np.abs(Xn.T @ (y - y.mean())))) / y.size
-    assert len(cal.fits) == 26 and cal.fit is cal.fits[-1]
+    # the bisection stops at its first all-zero midpoint, then fits lam_max
+    *kept, last, _ = cal.fits
+    assert all(_support(f.beta).any() for f in kept) and not _support(last.beta).any()
+    assert cal.fit is cal.fits[-1]
     assert cal.fit.converged and not _support(cal.fit.beta).any()
 
 
@@ -235,7 +294,7 @@ def test_degenerate_parameters_reduce_to_single_fit():
     )
     order = np.lexsort(np.vstack([X.T, y[None, :]]))  # the canonical row order
     Xn, _, _, _ = normalize(X[order])
-    beta = l1_logistic(Xn, y[order], lam).beta
+    beta = fit_one(Xn, y[order], lam).beta
     assert np.array_equal(res.column_freq, (np.abs(beta[1:]) > 1e-6).astype(float))
     assert res.lam == lam and res.l1_fits == 1 + 1  # the full fit at lam, then one subsample
 
@@ -286,7 +345,10 @@ def test_stability_select_counts_every_l1_fit():
     X, y = planted_instance(6, n=90)
     settings = defaults(*STABILITY_KEYS, subsamples=12)
     calibrated = stability_select(X, y, LAG1_COLUMNS, np.random.default_rng(2), **settings)
-    assert calibrated.l1_fits == 25 + 12  # the bisection's fits, then one per subsample
+    order = np.lexsort(np.vstack([X.T, y[None, :]]))  # the canonical row order
+    cal = calibrate_lambda(normalize(X[order])[0], y[order], LAG1_COLUMNS, target_support=settings["target_support"])
+    assert calibrated.lam == cal.lam
+    assert calibrated.l1_fits == len(cal.fits) + 12  # the bisection's fits, then one per subsample
     given = stability_select(X, y, LAG1_COLUMNS, np.random.default_rng(2), lam=calibrated.lam, **settings)
     assert given.l1_fits == 1 + 12  # one cold full-data fit instead of the bisection
     assert np.array_equal(given.column_freq, calibrated.column_freq)
@@ -299,20 +361,41 @@ def test_each_fit_starts_from_its_nearest_solved_neighbour(monkeypatch):
     calls = []
     real = importance.l1_logistic
 
-    def spy(X, y, lam, **kwargs):
-        fit = real(X, y, lam, **kwargs)
-        calls.append((kwargs.get("init"), fit))
-        return fit
+    def spy(X1, y, penalty, step=None, init=None, **kwargs):
+        fits = real(X1, y, penalty, step, init, **kwargs)
+        calls.append((init, fits))
+        return fits
 
     monkeypatch.setattr(importance, "l1_logistic", spy)
     X, y = planted_instance(6, n=90)
     stability_select(X, y, LAG1_COLUMNS, np.random.default_rng(2), **defaults(*STABILITY_KEYS, subsamples=5))
-    bisection, rounds = calls[:25], calls[25:]
-    assert len(rounds) == 5 and bisection[0][0] is None
-    for (init, _), (_, previous) in zip(bisection[1:], bisection):
+    *bisection, (rounds_init, rounds) = calls  # the five rounds make one stack
+    assert len(rounds) == 5 and all(len(fits) == 1 for _, fits in bisection)
+    assert bisection[0][0] is None
+    for (init, _), (_, [previous]) in zip(bisection[1:], bisection):
         assert init is previous.beta  # the previous midpoint
-    assert all(init is rounds[0][0] for init, _ in rounds)
-    assert any(rounds[0][0] is fit.beta for _, fit in bisection)  # the calibration's own fit
+    assert any(rounds_init is fit.beta for _, [fit] in bisection)  # the calibration's own fit
+
+
+def test_rounds_are_stacked_in_blocks_of_at_most_stack_bytes(monkeypatch):
+    X, y = planted_instance(6, n=90)
+    settings = defaults(*STABILITY_KEYS, subsamples=7)
+    whole = stability_select(X, y, LAG1_COLUMNS, np.random.default_rng(2), **settings)
+    sizes = []
+    real = importance.l1_logistic
+
+    def spy(X1, *args, **kwargs):
+        sizes.append(X1.shape[0])
+        assert X1.nbytes <= importance.STACK_BYTES or X1.shape[0] == 1
+        return real(X1, *args, **kwargs)
+
+    monkeypatch.setattr(importance, "l1_logistic", spy)
+    member = 68 * (len(LAG1_COLUMNS) + 1) * 8  # a 0.75 subsample of 90 rows keeps 68
+    monkeypatch.setattr(importance, "STACK_BYTES", 3 * member)
+    blocked = stability_select(X, y, LAG1_COLUMNS, np.random.default_rng(2), **settings)
+    assert sizes[-3:] == [3, 3, 1]
+    assert np.array_equal(blocked.column_freq, whole.column_freq)
+    assert (blocked.lam, blocked.l1_fits, blocked.l1_iterations) == (whole.lam, whole.l1_fits, whole.l1_iterations)
 
 
 # ---------------------------------------------------------------------------
@@ -420,7 +503,8 @@ def test_problems_carry_their_solver_counts(small_course):
     ran = problem_importance(small_course.matrix, ProblemSpec(1, 1), **defaults(*IMPORTANCE_KEYS, seed=1, subsamples=6))
     skipped = problem_importance(small_course.matrix, ProblemSpec(1, 1),
                                  **defaults(*IMPORTANCE_KEYS, seed=1, subsamples=6, min_rows=10**9))
-    assert ran.status == STATUS_OK and ran.l1_fits == 25 + 6 and ran.l1_iterations >= ran.l1_fits
+    assert ran.status == STATUS_OK and ran.l1_iterations >= ran.l1_fits
+    assert 6 < ran.l1_fits <= CALIBRATION_STEPS + 1 + 6  # the bisection's fits, then one per subsample
     assert skipped.status == STATUS_INSUFFICIENT and skipped.lam is None
     assert (skipped.l1_fits, skipped.l1_iterations, skipped.l1_unconverged) == (0, 0, 0)
 

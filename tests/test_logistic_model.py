@@ -429,6 +429,16 @@ def test_save_load_handles_absent_optionals(tmp_path):
     assert again.converged is False
 
 
+def test_model_file_lines_end_at_newline_alone(tmp_path):
+    # str.splitlines() would cut the columns line at U+2028 and lose the rest
+    columns = ["w1_a\u2028b", "w1_c\x85d", "w1_e\x1cf"]
+    model = TrainedModel(beta=np.array([0.5, 1.0, -1.0, 2.0]), ridge=1e-6, converged=True, iterations=3,
+                         columns=columns)
+    path = tmp_path / "model.txt"
+    save_model(model, path)
+    assert load_model(path).columns == columns
+
+
 def test_load_model_rejects_other_files(tmp_path):
     junk = tmp_path / "model.txt"
     junk.write_text("hello\n", encoding="utf-8")
