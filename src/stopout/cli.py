@@ -44,7 +44,7 @@ from .event_store import dump_calendar, dump_dataset, ingest, load_calendar, loa
 from .featurizer import build_feature_matrix, export_feature_matrix, export_histogram, load_feature_matrix
 from .logistic_model import save_model
 from .synth import SynthConfig, generate, write_course
-from .tsv import write_table
+from .tsv import read_lines, write_table
 from .viz import write_heatmap, write_importance_chart
 
 # config key -> (default text, type, the flag that overrides it or None,
@@ -82,20 +82,16 @@ def load_config(path: str | None) -> dict[str, str]:
     merged = dict(DEFAULTS)
     if path is None:
         return merged
-    p = Path(path)
-    if not p.exists():
-        raise ConfigError(f"config file not found: {p}")
-    # read_text has turned \r\n and \r into \n; split there alone, as tsv does
-    for lineno, raw in enumerate(p.read_text(encoding="utf-8").split("\n"), start=1):
+    for lineno, raw in enumerate(read_lines(path, error=ConfigError), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
         key, sep, value = line.partition("=")
         key, value = key.strip(), value.strip()
         if not sep or not key:
-            raise ConfigError(f"{p}:{lineno}: expected key=value, got {raw!r}")
+            raise ConfigError(f"{path}:{lineno}: expected key=value, got {raw!r}")
         if key not in DEFAULTS:
-            raise ConfigError(f"{p}:{lineno}: unknown config key {key!r}")
+            raise ConfigError(f"{path}:{lineno}: unknown config key {key!r}")
         merged[key] = value
     return merged
 
@@ -190,27 +186,24 @@ def sha256_file(path: Path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
-def write_manifest(out_dir: Path, meta: dict[str, str], cells: list[tuple[str, int, int, str]]) -> None:
-    """Declare the whole run: meta rows, per-cell statuses, then one row per
-    output file with its hash. No timestamps, so reruns are byte-identical.
-    """
+def write_manifest(out_dir: Path, meta: dict[str, str], cells: list[tuple[str, int, int, str]],
+                   files: list[Path]) -> None:
+    """Declare the whole run: meta rows, per-cell statuses, then one row per file
+    this run wrote (files, under out_dir; not what an earlier run left there) with
+    its hash. No timestamps, so reruns are byte-identical."""
     rows = []
     for key, value in meta.items():
         rows.append(f"meta\t{key}\t{value}")
     for cohort, lead, lag, status in sorted(cells):
         rows.append(f"cell\t{cohort}\t{lead}\t{lag}\t{status}")
-    for p in sorted(out_dir.rglob("*")):
-        if p.is_file() and p.name != "manifest.tsv":
-            rows.append(f"file\t{p.relative_to(out_dir).as_posix()}\t{sha256_file(p)}\t{p.stat().st_size}")
+    for p in sorted(files):
+        rows.append(f"file\t{p.relative_to(out_dir).as_posix()}\t{sha256_file(p)}\t{p.stat().st_size}")
     (out_dir / "manifest.tsv").write_text("\n".join(rows) + "\n", encoding="utf-8")
 
 
 def load_manifest(path: str | Path) -> dict[str, list[tuple[str, ...]]]:
-    path = Path(path)
-    if not path.exists():
-        raise DataError(f"manifest not found: {path}")
     out: dict[str, list[tuple[str, ...]]] = {"meta": [], "cell": [], "file": []}
-    for ln in path.read_text(encoding="utf-8").split("\n"):  # at "\n" alone, as tsv splits
+    for ln in read_lines(path):
         if not ln:
             continue
         kind, _, rest = ln.partition("\t")
@@ -222,7 +215,10 @@ def load_manifest(path: str | Path) -> dict[str, list[tuple[str, ...]]]:
 
 def _out_dir(args) -> Path:
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:  # e.g. --out names an existing file
+        raise ConfigError(f"--out {out}: cannot make the output directory: {exc.strerror}") from None
     return out
 
 
@@ -242,48 +238,48 @@ def cmd_synth(args) -> int:
 
 
 # The stages shared by the single-stage commands and run-all; each writes its
-# outputs under out and returns what the next stage needs.
+# outputs to at(name), a path in the output directory, and returns what the next stage needs.
 
-def _ingest_stage(args, out: Path):
+def _ingest_stage(args, at):
     dataset = ingest(args.events, args.calendar)
-    dump_dataset(dataset, out / "dataset.tsv")
-    dump_calendar(dataset.calendar, out / "calendar.tsv")
+    dump_dataset(dataset, at("dataset.tsv"))
+    dump_calendar(dataset.calendar, at("calendar.tsv"))
     s = dataset.stats
     counts = {"total": s.total, "accepted": s.accepted, "rejected": s.rejected, "clamped": s.clamped}
     counts.update((f"reject:{reason}", n) for reason, n in sorted(s.reject_reasons.items()))
-    write_table(out / "ingest_stats.tsv", ("key", "value"), counts.items())
+    write_table(at("ingest_stats.tsv"), ("key", "value"), counts.items())
     return dataset
 
 
-def _featurize_stage(dataset, out: Path):
+def _featurize_stage(dataset, at):
     matrix, histogram = build_feature_matrix(dataset)
-    export_feature_matrix(matrix, out / "features.tsv")
-    export_histogram(histogram, out / "stopout_histogram.tsv")
+    export_feature_matrix(matrix, at("features.tsv"))
+    export_histogram(histogram, at("stopout_histogram.tsv"))
     return matrix
 
 
-def _cohorts_stage(dataset, out: Path) -> dict[str, str]:
+def _cohorts_stage(dataset, at) -> dict[str, str]:
     assignments = cohorts_mod.assign_cohorts(dataset)
-    cohorts_mod.export_cohorts(assignments, out / "cohorts.tsv")
+    cohorts_mod.export_cohorts(assignments, at("cohorts.tsv"))
     return assignments
 
 
 def cmd_ingest(args) -> int:
-    s = _ingest_stage(args, _out_dir(args)).stats
+    s = _ingest_stage(args, _out_dir(args).joinpath).stats
     print(f"ingest: {s.accepted}/{s.total} rows accepted, {s.rejected} rejected, {s.clamped} clamped")
     return 0
 
 
 def cmd_featurize(args) -> int:
     out = _out_dir(args)
-    matrix = _featurize_stage(load_dump(args.dataset, load_calendar(args.calendar)), out)
+    matrix = _featurize_stage(load_dump(args.dataset, load_calendar(args.calendar)), out.joinpath)
     print(f"featurize: {matrix.num_learners} participating learners, {matrix.num_weeks} weeks")
     return 0
 
 
 def cmd_cohorts(args) -> int:
     out = _out_dir(args)
-    assignments = _cohorts_stage(load_dump(args.dataset, load_calendar(args.calendar)), out)
+    assignments = _cohorts_stage(load_dump(args.dataset, load_calendar(args.calendar)), out.joinpath)
     counts = cohorts_mod.cohort_counts(assignments)
     print("cohorts: " + ", ".join(f"{name}={counts[name]}" for name in cohorts_mod.COHORTS))
     return 0
@@ -364,10 +360,10 @@ def _importance_pairs(cfg: dict[str, str], num_weeks: int) -> list[tuple[int, in
     return valid or [(1, 1)]  # shortest problem always fits a >= 2 week course
 
 
-def _run_importance_reports(problems: list[importance_mod.ProblemImportance], out: Path) -> None:
+def _run_importance_reports(problems: list[importance_mod.ProblemImportance], at) -> None:
     """Combine each cohort's problems into a report; write charts, importance.tsv
     and importance_problems.tsv."""
-    importance_mod.export_problems(problems, out / "importance_problems.tsv")
+    importance_mod.export_problems(problems, at("importance_problems.tsv"))
     reports = []
     for cohort in cohorts_mod.COHORTS:
         try:
@@ -377,10 +373,10 @@ def _run_importance_reports(problems: list[importance_mod.ProblemImportance], ou
             continue
         reports.append(report)
         write_importance_chart(
-            report.base_freq, out / f"importance_{cohort}.svg",
+            report.base_freq, at(f"importance_{cohort}.svg"),
             title=f"{cohort} feature stability",
         )
-    importance_mod.export_importance(reports, out / "importance.tsv")
+    importance_mod.export_importance(reports, at("importance.tsv"))
 
 
 def cmd_run_all(args) -> int:
@@ -391,10 +387,15 @@ def cmd_run_all(args) -> int:
     importance_args = None if args.shuffle_labels else _settings(args, cfg, *IMPORTANCE_KEYS)
     clauses = [parse_filter(c) for c in (args.filter or [])]
     out = _out_dir(args)
+    written: list[Path] = []  # for the manifest: what this run wrote, not what out holds
 
-    dataset = _ingest_stage(args, out)
-    matrix = _featurize_stage(dataset, out)
-    assignments = _cohorts_stage(dataset, out)
+    def at(name: str) -> Path:
+        written.append(out / name)
+        return written[-1]
+
+    dataset = _ingest_stage(args, at)
+    matrix = _featurize_stage(dataset, at)
+    assignments = _cohorts_stage(dataset, at)
 
     # One task list for one pool: the importance problems first, since they
     # are the longest tasks, then every grid cell. Each task seeds itself
@@ -426,15 +427,15 @@ def cmd_run_all(args) -> int:
         if not own:
             continue
         grid = GridResult(cohort=cohort, num_weeks=matrix.num_weeks, cells=own)
-        export_grid(grid, out / f"grid_{cohort}.tsv")
-        export_heatmap_matrix(grid, out / f"heatmap_{cohort}.tsv")
-        write_heatmap(grid, out / f"heatmap_{cohort}.svg")
+        export_grid(grid, at(f"grid_{cohort}.tsv"))
+        export_heatmap_matrix(grid, at(f"heatmap_{cohort}.tsv"))
+        write_heatmap(grid, at(f"heatmap_{cohort}.svg"))
         ok = sum(1 for c in own if c.status == STATUS_OK)
         print(f"grid {cohort}: {ok}/{len(own)} cells ok")
         manifest_cells.extend((c.cohort, c.lead, c.lag, c.status) for c in own)
 
     if importance_args is not None:
-        _run_importance_reports(results[:first_cell], out)
+        _run_importance_reports(results[:first_cell], at)
 
     meta = {
         "package_version": __version__,
@@ -443,7 +444,7 @@ def cmd_run_all(args) -> int:
         "seed": str(cell_args["seed"]),
         "config_sha256": config_sha256(cfg),
     }
-    write_manifest(out, meta=meta, cells=manifest_cells)
+    write_manifest(out, meta=meta, cells=manifest_cells, files=written)
     print(f"run-all: {len(cells)} cells attempted -> {out}")
     return 0
 

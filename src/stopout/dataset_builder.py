@@ -82,6 +82,13 @@ def flatten(
     return X, y, learners, column_names(spec.lag)
 
 
+def class_shuffles(y: np.ndarray, rng: np.random.Generator) -> list[np.ndarray]:
+    """Each class's row indices, classes in ascending order, each reordered by
+    one rng.permutation: the one draw behind every stratified sample (the
+    split, the cross-validation folds, the stability subsamples)."""
+    return [members[rng.permutation(members.size)] for members in (np.flatnonzero(y == c) for c in np.unique(y))]
+
+
 def stratified_split(
     y: np.ndarray, ratio: float, rng: np.random.Generator
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -93,32 +100,19 @@ def stratified_split(
     """
     if not 0.0 < ratio < 1.0:
         raise ConfigError(f"split ratio must be in (0, 1), got {ratio}")
-    n = y.size
-    target = int(round(ratio * n))
-    classes = np.unique(y)
-    counts = {c: int(np.sum(y == c)) for c in classes}
-    base = {c: int(ratio * counts[c]) for c in classes}
-    leftover = target - sum(base.values())
+    shuffles = class_shuffles(y, rng)
+    counts = [members.size for members in shuffles]
+    take = [int(ratio * n) for n in counts]
     # Largest fractional remainder first; break ties toward the bigger class,
     # then the smaller label, so the allocation is deterministic. The leftover
     # is at most the number of classes, and ratio < 1 keeps each floor below its count.
-    order = sorted(
-        classes,
-        key=lambda c: (-(ratio * counts[c] - base[c]), -counts[c], c),
-    )
-    for c in order[:leftover]:
-        base[c] += 1
-
-    train_parts, test_parts = [], []
-    for c in classes:
-        members = np.flatnonzero(y == c)
-        perm = rng.permutation(members.size)
-        shuffled = members[perm]
-        train_parts.append(shuffled[: base[c]])
-        test_parts.append(shuffled[base[c]:])
-    train = np.sort(np.concatenate(train_parts)) if train_parts else np.zeros(0, dtype=np.int64)
-    test = np.sort(np.concatenate(test_parts)) if test_parts else np.zeros(0, dtype=np.int64)
-    return train, test
+    order = sorted(range(len(counts)), key=lambda i: (-(ratio * counts[i] - take[i]), -counts[i], i))
+    for i in order[:int(round(ratio * y.size)) - sum(take)]:
+        take[i] += 1
+    in_train = np.zeros(y.size, dtype=bool)
+    for members, n in zip(shuffles, take):
+        in_train[members[:n]] = True
+    return np.flatnonzero(in_train), np.flatnonzero(~in_train)
 
 
 def normalize(

@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .dataset_builder import ProblemSpec, flatten, normalize, stratified_split
+from .dataset_builder import ProblemSpec, class_shuffles, flatten, normalize, stratified_split
 from .errors import DataError, DegenerateLabelsError
 from .featurizer import FeatureMatrix
 from .logistic_model import TrainedModel, predict_proba, train
@@ -127,10 +127,8 @@ def cross_validate(
             stacklevel=2,
         )
     fold_id = np.empty(y.size, dtype=np.int64)
-    for cls in (0.0, 1.0):
-        members = np.flatnonzero(y == cls)
-        shuffled = members[rng.permutation(members.size)]
-        fold_id[shuffled] = np.arange(shuffled.size) % k
+    for members in class_shuffles(y, rng):
+        fold_id[members] = np.arange(members.size) % k
     aucs = []
     for f in range(k):
         test_mask = fold_id == f
@@ -284,17 +282,23 @@ def export_heatmap_matrix(grid: GridResult, path: str | Path, value: str = "test
     write_table(path, ["lag", *map(str, weeks)], map(row, range(1, grid.num_weeks)))
 
 
-def _grid_cell(cells: list[str]) -> CellResult:
-    cohort, lead, lag, predicted_week, status, n_rows, n_train, n_test, *aucs, folds_used = cells
-    return CellResult(
-        cohort, int(lead), int(lag), int(predicted_week), status,
-        int(n_rows), int(n_train), int(n_test), *(float(v) if v else None for v in aucs),
-        int(folds_used),
-    )
-
-
 def load_grid(path: str | Path) -> GridResult:
-    cells = list(read_table(path, GRID_COLUMNS, _grid_cell))
+    """A grid file's cells; a row of a second cohort, or a second row for one
+    (lead, lag), is a DataError naming its line."""
+    seen: dict[tuple[int, int], str] = {}  # (lead, lag) -> cohort
+
+    def grid_cell(cells: list[str]) -> CellResult:
+        cohort, lead, lag, predicted_week, status, n_rows, n_train, n_test, *aucs, folds_used = cells
+        first = next(iter(seen.values()), cohort)
+        if cohort != first:
+            raise ValueError(f"cohort {cohort} after cohort {first}; a grid file holds one cohort")
+        if (int(lead), int(lag)) in seen:
+            raise ValueError(f"second row for lead {lead} lag {lag}")
+        seen[int(lead), int(lag)] = cohort
+        return CellResult(cohort, int(lead), int(lag), int(predicted_week), status, int(n_rows), int(n_train),
+                          int(n_test), *(float(v) if v else None for v in aucs), int(folds_used))
+
+    cells = list(read_table(path, GRID_COLUMNS, grid_cell))
     return GridResult(
         cohort=cells[-1].cohort if cells else ALL_COHORT,
         num_weeks=max((c.predicted_week for c in cells), default=0),

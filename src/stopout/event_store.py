@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import DataError
-from .tsv import line_bound, read_chunks, write_table
+from .tsv import line_bound, read_chunks, read_lines, write_table
 
 WEEK_SECONDS = 604800
 
@@ -167,12 +167,7 @@ def derive_durations(learner: np.ndarray, timestamp: np.ndarray) -> np.ndarray:
 def load_calendar(path: str | Path) -> CourseCalendar:
     """Parse a calendar file: line 1 is course_start<TAB>num_weeks, each later
     line is problem_id<TAB>assignment_kind<TAB>week_assigned<TAB>due_timestamp."""
-    path = Path(path)
-    if not path.exists():
-        raise DataError(f"calendar file not found: {path}")
-    # read_text has already turned \r\n and \r into \n; split there alone, as
-    # tsv.read_chunks does, so a problem id may hold U+2028 or \x85
-    lines = [ln for ln in path.read_text(encoding="utf-8").split("\n") if ln]
+    lines = [ln for ln in read_lines(path) if ln]
     if not lines:
         raise DataError(f"calendar file is empty: {path}")
     head = lines[0].split("\t")

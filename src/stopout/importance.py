@@ -14,7 +14,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .dataset_builder import ProblemSpec, flatten, normalize
+from .dataset_builder import ProblemSpec, class_shuffles, flatten, normalize
 from .errors import DataError, InsufficientDataError
 from .evaluator import ALL_COHORT, STATUS_DEGENERATE, STATUS_INSUFFICIENT, STATUS_OK, cell_seed
 from .featurizer import FEATURE_IDS, FeatureMatrix
@@ -175,12 +175,7 @@ def calibrate_lambda(
 
 
 def _stratified_subsample(y: np.ndarray, fraction: float, rng: np.random.Generator) -> np.ndarray:
-    parts = []
-    for cls in (0.0, 1.0):
-        members = np.flatnonzero(y == cls)
-        take = max(1, int(round(fraction * members.size)))
-        parts.append(members[rng.permutation(members.size)][:take])
-    return np.sort(np.concatenate(parts))
+    return np.sort(np.concatenate([m[:max(1, int(round(fraction * m.size)))] for m in class_shuffles(y, rng)]))
 
 
 @dataclass

@@ -19,6 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import DataError, DegenerateLabelsError
+from .tsv import read_lines
 
 TOL = 1e-8  # a Newton step that moves no coefficient by this much ends the fit
 MAX_ITER = 100
@@ -238,10 +239,7 @@ def _unvec(text: str) -> np.ndarray | None:
 
 
 def load_model(path: str | Path) -> TrainedModel:
-    path = Path(path)
-    if not path.exists():
-        raise DataError(f"model file not found: {path}")
-    lines = path.read_text(encoding="utf-8").split("\n")  # at "\n" alone, as tsv splits
+    lines = read_lines(path)
     if lines[0] != MODEL_FORMAT:
         raise DataError(f"{path}: unknown model format")
     fields = {}

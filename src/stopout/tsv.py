@@ -12,9 +12,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import islice, repeat
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, Sequence, TypeVar
+from typing import Callable, Iterable, Iterator, Sequence, TextIO, TypeVar
 
-from .errors import DataError
+from .errors import DataError, PipelineError
 
 Row = TypeVar("Row")
 
@@ -54,6 +54,22 @@ class Chunk:
         return DataError(f"{self.path}:{line}: {text}")
 
 
+def _open(path: str | Path, error: type[PipelineError]) -> TextIO:
+    """A text file opened for reading; one that is missing or cannot be opened raises error."""
+    try:
+        return open(path, encoding="utf-8")
+    except OSError as exc:
+        missing = isinstance(exc, FileNotFoundError)
+        raise error(f"{path}: " + ("file not found" if missing else f"cannot read: {exc.strerror}")) from None
+
+
+def read_lines(path: str | Path, error: type[PipelineError] = DataError) -> list[str]:
+    """A plain text file's lines, split at "\\n" alone as file iteration does (not also at "\\x85",
+    "\\u2028", ... as str.splitlines() does); a file that cannot be read raises error."""
+    with _open(path, error) as fh:
+        return fh.read().split("\n")
+
+
 def line_bound(path: str | Path) -> int:
     """An upper bound on a text file's lines, so also on its rows: its line
     ends, each "\\n" or "\\r" (universal newlines read both), plus one; 0 if
@@ -67,23 +83,18 @@ def line_bound(path: str | Path) -> int:
 
 def read_chunks(path: str | Path, header: Sequence[str], any_order: bool = False,
                 drop_wrong_width: bool = False) -> Iterator[Chunk]:
-    """Yield a table file's data rows a chunk at a time. A missing file, a
+    """Yield a table file's data rows a chunk at a time. An unreadable file, a
     wrong header (any_order allows a permutation) or a row of the wrong width
     raises DataError, the last once the rows before it are yielded; with
     drop_wrong_width, such rows are left out and counted instead."""
     path = Path(path)
-    try:
-        fh = path.open(encoding="utf-8")
-    except FileNotFoundError:
-        raise DataError(f"{path}: file not found") from None
-    with fh:
+    with _open(path, DataError) as fh:
         got = fh.readline().rstrip("\n").split("\t")
         if (sorted(got) != sorted(header)) if any_order else (got != list(header)):
             raise DataError(f"{path}:1: bad header, expected {list(header)}{' in any order' * any_order}, got {got}")
         tabs, first_line = len(got) - 1, 2
         while lines := fh.readlines(CHUNK_BYTES):
-            # split at "\n" alone, as file iteration does (str.splitlines() also
-            # splits at "\x1c", "\x85", "\u2028", ...); drop what follows the last
+            # split at "\n" alone, as read_lines does; drop what follows the last
             lines = "".join(lines).split("\n")[:len(lines)]
             chunk = Chunk(path, got, list(filter(None, lines)), lines, first_line)
             first_line += len(lines)

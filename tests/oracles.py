@@ -22,7 +22,10 @@ before they checked whole columns, and build a dataset by sorting tuples.
 The dump reference writes dataset.tsv from whole columns at once, as
 dump_dataset did before it wrote a block of rows at a time. The synth
 reference draws a whole course before it writes it, as the generator did
-before it streamed a learner at a time.
+before it streamed a learner at a time. The three sampler references are the
+split, the fold assignment and the stability subsample as each wrote its own
+per-class shuffle, before all three took class_shuffles; the new draws must
+return the same indices and leave the generator in the same state.
 """
 
 from __future__ import annotations
@@ -683,3 +686,43 @@ def synth_reference(config: SynthConfig, events_path, truth_path) -> None:
     write_table(truth_path, TRUTH_COLUMNS, (
         (t.learner_id, t.cohort, t.stopout_week, t.volume, t.timeliness, t.grades) for t in truth
     ))
+
+
+def stratified_split_reference(y: np.ndarray, ratio: float, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
+    n = y.size
+    target = int(round(ratio * n))
+    classes = np.unique(y)
+    counts = {c: int(np.sum(y == c)) for c in classes}
+    base = {c: int(ratio * counts[c]) for c in classes}
+    leftover = target - sum(base.values())
+    order = sorted(classes, key=lambda c: (-(ratio * counts[c] - base[c]), -counts[c], c))
+    for c in order[:leftover]:
+        base[c] += 1
+    train_parts, test_parts = [], []
+    for c in classes:
+        members = np.flatnonzero(y == c)
+        shuffled = members[rng.permutation(members.size)]
+        train_parts.append(shuffled[: base[c]])
+        test_parts.append(shuffled[base[c]:])
+    train = np.sort(np.concatenate(train_parts)) if train_parts else np.zeros(0, dtype=np.int64)
+    test = np.sort(np.concatenate(test_parts)) if test_parts else np.zeros(0, dtype=np.int64)
+    return train, test
+
+
+def fold_ids_reference(y: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
+    """cross_validate's fold of each row of a 0/1 label vector, for k folds."""
+    fold_id = np.empty(y.size, dtype=np.int64)
+    for cls in (0.0, 1.0):
+        members = np.flatnonzero(y == cls)
+        shuffled = members[rng.permutation(members.size)]
+        fold_id[shuffled] = np.arange(shuffled.size) % k
+    return fold_id
+
+
+def stratified_subsample_reference(y: np.ndarray, fraction: float, rng: np.random.Generator) -> np.ndarray:
+    parts = []
+    for cls in (0.0, 1.0):
+        members = np.flatnonzero(y == cls)
+        take = max(1, int(round(fraction * members.size)))
+        parts.append(members[rng.permutation(members.size)][:take])
+    return np.sort(np.concatenate(parts))

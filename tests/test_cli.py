@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import inspect
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -181,7 +182,7 @@ def test_config_lines_end_at_newline_alone(tmp_path, separator):
 
 
 def test_missing_config_file_is_a_config_error(tmp_path):
-    with pytest.raises(ConfigError, match="config file not found"):
+    with pytest.raises(ConfigError, match=r"nope\.cfg: file not found"):
         load_config(str(tmp_path / "nope.cfg"))
 
 
@@ -607,6 +608,32 @@ def test_heatmap_missing_grid_exits_3(tmp_path, capsys):
     assert "data error:" in err and "absent.tsv" in err
 
 
+@pytest.mark.parametrize("flag, code", [
+    ("config", 2), ("events", 3), ("calendar", 3), ("dataset", 3), ("features", 3), ("cohorts", 3), ("grid", 3),
+    ("out", 2),
+])
+def test_an_unreadable_input_or_a_file_as_out_is_one_typed_line(pipeline, tmp_path, capsys, flag, code):
+    """A directory given for the input file flag, or an existing file given as --out."""
+    p, bad = pipeline, tmp_path / "bad"
+    bad.write_text("x\n", encoding="utf-8") if flag == "out" else bad.mkdir()
+    problem = ["--lead", "1", "--lag", "1"]
+    argv = {
+        "config": ["train-eval", "--features", p.features, *problem, "--config", bad],
+        "events": ["ingest", "--events", bad, "--calendar", p.calendar],
+        "calendar": ["ingest", "--events", p.events, "--calendar", bad],
+        "dataset": ["featurize", "--dataset", bad, "--calendar", p.ing_calendar],
+        "features": ["build", "--features", bad, *problem],
+        "cohorts": ["build", "--features", p.features, *problem, "--cohorts", bad],
+        "grid": ["heatmap", "--grid", bad],
+        "out": ["featurize", "--dataset", p.dataset, "--calendar", p.ing_calendar],
+    }[flag]
+    out = bad if flag == "out" else tmp_path / "o"
+    assert main([*map(str, argv), "--out", str(out)]) == code
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "Traceback" not in err
+    assert str(bad) in err
+
+
 def test_heatmap_unknown_value_exits_2(runall_dir, tmp_path, capsys):
     grid = runall_dir / "grid_passive_collaborator.tsv"
     rc = main(["heatmap", "--grid", str(grid), "--out", str(tmp_path / "o"), "--value", "magic"])
@@ -676,6 +703,29 @@ def test_run_all_manifest_declares_every_file(runall_dir):
         path = runall_dir / rel
         assert sha256_file(path) == digest
         assert path.stat().st_size == int(size)
+
+
+def test_manifest_lists_only_what_the_rerun_wrote(pipeline, runall_dir, tmp_path):
+    out = tmp_path / "rerun"
+    shutil.copytree(runall_dir, out)
+    rc = main([
+        "run-all", "--events", str(pipeline.events), "--calendar", str(pipeline.calendar),
+        "--out", str(out), "--config", str(pipeline.config),
+        "--shuffle-labels", "--filter", "cohort=wiki_contributor",
+    ])
+    assert rc == 0
+    man = load_manifest(out / "manifest.tsv")
+    assert {row[0] for row in man["cell"]} == {"wiki_contributor"}
+    declared = {row[0] for row in man["file"]}
+    assert declared == {
+        "dataset.tsv", "calendar.tsv", "ingest_stats.tsv", "features.tsv", "stopout_histogram.tsv", "cohorts.tsv",
+        "grid_wiki_contributor.tsv", "heatmap_wiki_contributor.tsv", "heatmap_wiki_contributor.svg",
+    }
+    assert not any(name.startswith("importance") for name in declared)
+    for rel, digest, size in man["file"]:
+        assert sha256_file(out / rel) == digest and (out / rel).stat().st_size == int(size)
+    # the first run's files are still there, only undeclared
+    assert {p.name for p in runall_dir.iterdir()} == {p.name for p in out.iterdir()}
 
 
 def test_run_all_writes_grid_artifacts_per_cohort(runall_dir):
@@ -774,7 +824,7 @@ def test_manifest_loader_rejects_noise(tmp_path):
     path.write_text("weird\tstuff\n", encoding="utf-8")
     with pytest.raises(DataError, match="unknown manifest row type"):
         load_manifest(path)
-    with pytest.raises(DataError, match="manifest not found"):
+    with pytest.raises(DataError, match=r"absent\.tsv: file not found"):
         load_manifest(tmp_path / "absent.tsv")
 
 
@@ -783,7 +833,7 @@ def test_manifest_rows_end_at_newline_alone(tmp_path):
     out.mkdir()
     (out / "note\u2028one.txt").write_text("a", encoding="utf-8")
     (out / "note\x85two.txt").write_text("bc", encoding="utf-8")
-    write_manifest(out, {"seed": "1"}, [])
+    write_manifest(out, {"seed": "1"}, [], sorted(out.iterdir()))
     files = {row[0]: row[2] for row in load_manifest(out / "manifest.tsv")["file"]}
     assert files == {"note\u2028one.txt": "1", "note\x85two.txt": "2"}
 

@@ -2,14 +2,19 @@
 
 from __future__ import annotations
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from oracles import fold_ids_reference, stratified_split_reference, stratified_subsample_reference
+from stopout import evaluator
 from stopout.cohorts import WIKI
 from stopout.dataset_builder import (
     ProblemSpec,
+    class_shuffles,
     column_names,
     enumerate_problems,
     flatten,
@@ -17,7 +22,9 @@ from stopout.dataset_builder import (
     stratified_split,
 )
 from stopout.errors import ConfigError
+from stopout.evaluator import cross_validate
 from stopout.featurizer import FEATURE_IDS, NUM_FEATURES, FeatureMatrix
+from stopout.importance import _stratified_subsample
 
 
 # ---------------------------------------------------------------------------
@@ -176,6 +183,61 @@ def test_split_is_stratified(labels, ratio, seed):
         n_cls = int(np.sum(y == cls))
         got = int(np.sum(y[train] == cls))
         assert got in (int(ratio * n_cls), int(ratio * n_cls) + 1)
+
+
+def fold_test_rows(y: np.ndarray, folds: int, rng: np.random.Generator) -> list[np.ndarray]:
+    """The test rows of each fold cross_validate runs, read off the rows it
+    normalizes; every fit and score is stubbed out, so rng draws only the folds."""
+    seen = []
+
+    def spy(X_train, X_test):
+        seen.append(X_test[:, 0].astype(np.int64))
+        return X_train, X_test, None, None
+
+    with pytest.MonkeyPatch.context() as mp, warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)  # fewer folds than asked for
+        mp.setattr(evaluator, "normalize", spy)
+        mp.setattr(evaluator, "train", lambda X, y, **kw: None)
+        mp.setattr(evaluator, "predict_proba", lambda model, X: np.zeros(len(X)))
+        mp.setattr(evaluator, "roc_auc", lambda y, scores: 0.5)
+        cross_validate(np.arange(y.size, dtype=float)[:, None], y, rng, folds=folds, ridge=1.0)
+    return seen
+
+
+def same(got: np.ndarray, want: np.ndarray) -> bool:
+    return got.dtype == want.dtype and np.array_equal(got, want)
+
+
+@given(
+    st.lists(st.integers(0, 1), min_size=1, max_size=60),  # stability_select never sees an empty problem
+    st.lists(st.integers(0, 2), max_size=60),
+    st.one_of(st.floats(0.05, 0.95), st.sampled_from([1e-9, 1 - 2**-53])),
+    st.one_of(st.floats(0.01, 1.0), st.sampled_from([1e-9, 1.0])),
+    st.integers(2, 12),
+    st.integers(0, 2**31),
+)
+def test_stratified_draws_match_the_samplers_they_replace(labels, split_labels, ratio, fraction, folds, seed):
+    """Same indices, and the generator left in the same state: the next draw is equal."""
+    y, y3 = np.array(labels, dtype=float), np.array(split_labels, dtype=float)
+    shuffles = class_shuffles(y3, np.random.default_rng(seed))
+    assert [np.sort(s).tolist() for s in shuffles] == [np.flatnonzero(y3 == c).tolist() for c in np.unique(y3)]
+
+    new, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+    got, want = stratified_split(y3, ratio, new), stratified_split_reference(y3, ratio, ref)
+    assert same(got[0], want[0]) and same(got[1], want[1])
+    assert new.random() == ref.random()
+
+    new, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+    assert same(_stratified_subsample(y, fraction, new), stratified_subsample_reference(y, fraction, ref))
+    assert new.random() == ref.random()
+
+    k = min(folds, labels.count(0), labels.count(1))
+    if k >= 2:  # else cross_validate raises before it draws
+        new, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+        fold_id = fold_ids_reference(y, k, ref)
+        got = fold_test_rows(y, folds, new)
+        assert len(got) == k and all(same(g, np.flatnonzero(fold_id == f)) for f, g in enumerate(got))
+        assert new.random() == ref.random()
 
 
 # ---------------------------------------------------------------------------

@@ -462,6 +462,30 @@ def test_heatmap_matrix_leaves_invalid_cells_empty(tmp_path):
     assert row_lag1 == ["1", "0.85", ""]
 
 
+def test_load_grid_rejects_a_second_row_for_one_cell(tmp_path):
+    # two heatmaps of this grid would differ: the matrix keeps the ok cell, the SVG the last one
+    grid = GridResult(cohort="all", num_weeks=3, cells=[
+        CellResult(cohort="all", lead=1, lag=1, predicted_week=2, status=STATUS_OK, n_rows=50,
+                   n_train=35, n_test=15, cv_mean=0.8, train_auc=0.9, test_auc=0.85, folds_used=3),
+        CellResult(cohort="all", lead=1, lag=1, predicted_week=2, status=STATUS_INSUFFICIENT, n_rows=3),
+    ])
+    path = tmp_path / "grid.tsv"
+    export_grid(grid, path)
+    with pytest.raises(DataError, match=r"grid\.tsv:3: second row for lead 1 lag 1$"):
+        load_grid(path)
+
+
+def test_load_grid_rejects_rows_of_a_second_cohort(tmp_path):
+    grid = GridResult(cohort="all", num_weeks=3, cells=[
+        CellResult(cohort="all", lead=1, lag=1, predicted_week=2, status=STATUS_INSUFFICIENT, n_rows=3),
+        CellResult(cohort=PASSIVE, lead=2, lag=1, predicted_week=3, status=STATUS_INSUFFICIENT, n_rows=3),
+    ])
+    path = tmp_path / "grid.tsv"
+    export_grid(grid, path)
+    with pytest.raises(DataError, match=rf"grid\.tsv:3: cohort {PASSIVE} after cohort all; a grid file holds one cohort"):
+        load_grid(path)
+
+
 def test_loaders_reject_junk(tmp_path):
     junk = tmp_path / "junk.tsv"
     junk.write_text("nope\n", encoding="utf-8")

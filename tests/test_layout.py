@@ -6,7 +6,9 @@ It goes, or it earns a line in ALLOWED saying why it stays. Likewise a
 parameter with a default that no call in src/stopout passes is a knob only
 the tests turn: it becomes a constant, or it earns a line in UNPASSED. And a
 dataclass field that no code in src/stopout reads is state only the tests
-look at: it goes, or it earns a line in UNREAD.
+look at: it goes, or it earns a line in UNREAD. Finally, only tsv.py reads a
+file, so there is one home for how a file's lines end; a function elsewhere
+that reads one earns a line in READERS.
 """
 
 from __future__ import annotations
@@ -190,3 +192,35 @@ def test_every_dataclass_field_is_read_by_the_package():
 def test_unread_fields_are_still_fields():
     fields = {f"{cls}.{name}" for tree in _trees().values() for cls, name, _ in _dataclass_fields(tree)}
     assert set(UNREAD) <= fields
+
+
+# file:function -> why a function outside tsv.py reads a file
+READERS = {
+    "cli.py:sha256_file": "hashes the run's own output files, by name, for the manifest; it parses no text",
+}
+
+
+def _reads(call: ast.Call) -> bool:
+    """read_text, read_bytes, or open / Path.open without a write mode."""
+    func = call.func
+    name = func.id if isinstance(func, ast.Name) else func.attr if isinstance(func, ast.Attribute) else None
+    if name in ("read_text", "read_bytes"):
+        return True
+    if name != "open":
+        return False
+    # the mode is open's second argument and Path.open's first
+    modes = [k.value for k in call.keywords if k.arg == "mode"] + call.args[isinstance(func, ast.Name):][:1]
+    return not any(isinstance(m, ast.Constant) and set(str(m.value)) & set("wax") for m in modes)
+
+
+def file_readers() -> set[str]:
+    """file:function (or file:<module>) for each top-level definition outside tsv.py that reads a file."""
+    return {
+        f"{path}:{getattr(node, 'name', '<module>')}"
+        for path, tree in _trees().items() if path != "tsv.py"
+        for node in tree.body for call in ast.walk(node) if isinstance(call, ast.Call) and _reads(call)
+    }
+
+
+def test_only_tsv_reads_files():
+    assert file_readers() == set(READERS)
