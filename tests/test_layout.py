@@ -208,8 +208,8 @@ def _reads(call: ast.Call) -> bool:
         return True
     if name != "open":
         return False
-    # the mode is open's second argument and Path.open's first
-    modes = [k.value for k in call.keywords if k.arg == "mode"] + call.args[isinstance(func, ast.Name):][:1]
+    positional = call.args[1:2] if isinstance(func, ast.Name) else call.args[:1]  # open(path, mode), Path.open(mode)
+    modes = [k.value for k in call.keywords if k.arg == "mode"] + positional
     return not any(isinstance(m, ast.Constant) and set(str(m.value)) & set("wax") for m in modes)
 
 
