@@ -372,10 +372,7 @@ def _run_importance_reports(problems: list[importance_mod.ProblemImportance], at
             print(f"importance {cohort}: no problem had enough rows, skipped")
             continue
         reports.append(report)
-        write_importance_chart(
-            report.base_freq, at(f"importance_{cohort}.svg"),
-            title=f"{cohort} feature stability",
-        )
+        write_importance_chart(report.ranked(), at(f"importance_{cohort}.svg"), title=f"{cohort} feature stability")
     importance_mod.export_importance(reports, at("importance.tsv"))
 
 
@@ -468,9 +465,9 @@ def cmd_importance(args) -> int:
     report = importance_mod.run_importance(matrix, specs, assignments=assignments, **settings)
     importance_mod.export_importance([report], out / "importance.tsv")
     importance_mod.export_problems(report.problems, out / "importance_problems.tsv")
-    write_importance_chart(report.base_freq, out / "importance.svg",
-                           title=f"{report.cohort} feature stability")
-    top = ", ".join(f"{fid}={freq:.3f}" for fid, freq in report.ranked()[:5])
+    ranked = report.ranked()
+    write_importance_chart(ranked, out / "importance.svg", title=f"{report.cohort} feature stability")
+    top = ", ".join(f"{fid}={freq:.3f}" for fid, freq in ranked[:5])
     print(f"importance: top features {top}")
     return 0
 

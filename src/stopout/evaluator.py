@@ -266,20 +266,21 @@ def export_grid(grid: GridResult, path: str | Path) -> None:
     ))
 
 
-def export_heatmap_matrix(grid: GridResult, path: str | Path, value: str = "test_auc") -> None:
-    """Lag-by-predicted-week matrix view; empty cells for anything not ok.
-
-    Rows are lag 1..num_weeks-1, columns predicted week 2..num_weeks. Cells
-    outside the triangle (predicted week <= lag) are empty strings too.
+def heatmap_rows(grid: GridResult, value: str) -> list[list[float | None]]:
+    """The lag-by-predicted-week matrix of a grid's value: rows are lag
+    1..num_weeks-1, columns predicted week 2..num_weeks. A cell that is not
+    ok, has no value, or lies outside the triangle (predicted week <= lag)
+    is None.
     """
-    weeks = range(2, grid.num_weeks + 1)
-    by_pos = {(c.lag, c.predicted_week): c for c in grid.cells if c.status == STATUS_OK}
+    by_pos = {(c.lag, c.predicted_week): getattr(c, value) for c in grid.cells if c.status == STATUS_OK}
+    return [[by_pos.get((lag, pw)) for pw in range(2, grid.num_weeks + 1)] for lag in range(1, grid.num_weeks)]
 
-    def row(lag: int) -> list:
-        cells = [by_pos.get((lag, pw)) for pw in weeks]
-        return [lag] + [_fmt(None if c is None else getattr(c, value)) for c in cells]
 
-    write_table(path, ["lag", *map(str, weeks)], map(row, range(1, grid.num_weeks)))
+def export_heatmap_matrix(grid: GridResult, path: str | Path, value: str = "test_auc") -> None:
+    """heatmap_rows as a table: a lag column, then one column per predicted
+    week; None cells are empty strings."""
+    rows = ([lag, *map(_fmt, row)] for lag, row in enumerate(heatmap_rows(grid, value), 1))
+    write_table(path, ["lag", *map(str, range(2, grid.num_weeks + 1))], rows)
 
 
 def load_grid(path: str | Path) -> GridResult:

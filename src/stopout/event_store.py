@@ -72,11 +72,6 @@ class CourseCalendar:
     def __post_init__(self) -> None:
         if self.num_weeks < 2:
             raise DataError(f"calendar needs at least 2 weeks, got {self.num_weeks}")
-        for pid, meta in self.problem_meta.items():
-            if meta.due_timestamp < self.course_start:
-                raise DataError(f"problem {pid} due before course start")
-            if not 1 <= meta.week_assigned <= self.num_weeks:
-                raise DataError(f"problem {pid} assigned to week {meta.week_assigned}, outside 1..{self.num_weeks}")
 
     @property
     def course_end(self) -> int:
@@ -167,32 +162,40 @@ def derive_durations(learner: np.ndarray, timestamp: np.ndarray) -> np.ndarray:
 def load_calendar(path: str | Path) -> CourseCalendar:
     """Parse a calendar file: line 1 is course_start<TAB>num_weeks, each later
     line is problem_id<TAB>assignment_kind<TAB>week_assigned<TAB>due_timestamp."""
-    lines = [ln for ln in read_lines(path) if ln]
+    lines = [(number, ln) for number, ln in enumerate(read_lines(path), 1) if ln]
     if not lines:
         raise DataError(f"calendar file is empty: {path}")
-    head = lines[0].split("\t")
+    (first, head_line), *rows = lines
+    head = head_line.split("\t")
     if len(head) != 2:
-        raise DataError(f"calendar line 1 must be course_start<TAB>num_weeks, got {lines[0]!r}")
+        raise DataError(f"{path}:{first}: calendar line 1 must be course_start<TAB>num_weeks, got {head_line!r}")
     try:
-        course_start, num_weeks = int(head[0]), int(head[1])
+        calendar = CourseCalendar(course_start=int(head[0]), num_weeks=int(head[1]), problem_meta={})
     except ValueError as exc:
-        raise DataError(f"calendar line 1 not integers: {lines[0]!r}") from exc
-    meta: dict[str, ProblemMeta] = {}
-    for ln in lines[1:]:
+        raise DataError(f"{path}:{first}: calendar line 1 not integers: {head_line!r}") from exc
+    except DataError as exc:  # too few weeks
+        raise DataError(f"{path}:{first}: {exc}") from None
+    meta = calendar.problem_meta
+    for number, ln in rows:
+        where = f"{path}:{number}:"
         parts = ln.split("\t")
         if len(parts) != 4:
-            raise DataError(f"calendar problem row needs 4 fields, got {ln!r}")
+            raise DataError(f"{where} calendar problem row needs 4 fields, got {ln!r}")
         pid, kind, week_s, due_s = parts
         if kind not in ASSIGNMENT_KINDS:
-            raise DataError(f"unknown assignment kind {kind!r} for problem {pid}")
+            raise DataError(f"{where} unknown assignment kind {kind!r} for problem {pid}")
         try:
             week, due = int(week_s), int(due_s)
         except ValueError as exc:
-            raise DataError(f"calendar problem row not integers: {ln!r}") from exc
+            raise DataError(f"{where} calendar problem row not integers: {ln!r}") from exc
         if pid in meta:
-            raise DataError(f"duplicate calendar entry for problem {pid}")
+            raise DataError(f"{where} duplicate calendar entry for problem {pid}")
+        if due < calendar.course_start:
+            raise DataError(f"{where} problem {pid} due before course start")
+        if not 1 <= week <= calendar.num_weeks:
+            raise DataError(f"{where} problem {pid} assigned to week {week}, outside 1..{calendar.num_weeks}")
         meta[pid] = ProblemMeta(assignment_kind=kind, week_assigned=week, due_timestamp=due)
-    return CourseCalendar(course_start=course_start, num_weeks=num_weeks, problem_meta=meta)
+    return calendar
 
 
 # The row checks in the order they are made; a row is rejected for the first

@@ -22,6 +22,8 @@ from .logistic_model import add_intercept, sigmoid
 from .tsv import write_table
 
 SELECT_EPS = 1e-6  # a coefficient counts as selected when its magnitude clears this
+TOL = 1e-7  # a FISTA step that moves no coordinate by this much ends the fit
+MAX_ITER = 1000
 CALIBRATION_STEPS = 25
 # Cap on the rows of one stack of subsample fits. On a 1k-learner course,
 # stacks of 1 to 16 MiB fit at the same speed; a larger cap only costs memory.
@@ -34,7 +36,7 @@ def soft_threshold(v: np.ndarray, tau: np.ndarray) -> np.ndarray:
 
 class L1Fit(NamedTuple):
     """One l1 fit: beta with intercept first, the FISTA iterations it ran,
-    and whether it stopped by meeting tol rather than at max_iter."""
+    and whether it stopped by meeting TOL rather than at MAX_ITER."""
 
     beta: np.ndarray
     iterations: int
@@ -56,8 +58,6 @@ def l1_logistic(
     penalty: np.ndarray,
     step: np.ndarray | None = None,
     init: np.ndarray | None = None,
-    tol: float = 1e-7,
-    max_iter: int = 1000,
 ) -> list[L1Fit]:
     """l1-penalized logistic fits of a stack of problems by FISTA with adaptive restart.
 
@@ -67,11 +67,12 @@ def l1_logistic(
     when None), so no line search is needed. Every member starts from init
     (zeros when None). Momentum restarts whenever the proximal step points
     against it (O'Donoghue & Candes 2015, gradient scheme). A member has
-    converged when a step moves none of its coordinates by tol or more; it
-    then leaves the stack. X1 is compacted in place when some members finish
-    before others, so a stack of more than one is scratch once this returns.
-    Each product is one BLAS call per member, as in a fit of that member
-    alone, so every member's fit is bitwise the one it would get alone.
+    converged when a step moves none of its coordinates by TOL or more; it
+    then leaves the stack, as it does after MAX_ITER steps. X1 is compacted
+    in place when some members finish before others, so a stack of more than
+    one is scratch once this returns. Each product is one BLAS call per
+    member, as in a fit of that member alone, so every member's fit is
+    bitwise the one it would get alone.
     """
     S, n, d1 = X1.shape
     step = (lipschitz_steps(X1) if step is None else step)[:, None]
@@ -82,7 +83,7 @@ def l1_logistic(
     t = np.ones((S, 1))
     members = np.arange(S)  # the member at each stack position
     fits: list[L1Fit] = [None] * S
-    for iteration in range(1, max_iter + 1):
+    for iteration in range(1, MAX_ITER + 1):
         p = sigmoid(X1 @ look[:, :, None])[:, :, 0]
         grad = (X1.transpose(0, 2, 1) @ (p - y)[:, :, None])[:, :, 0] / n
         new_beta = soft_threshold(look - step * grad, step_tau)
@@ -93,8 +94,8 @@ def l1_logistic(
         look = new_beta + ((t - 1.0) / t_new) * moved
         beta = new_beta
         t = t_new
-        converged = np.abs(moved).max(axis=1) < tol
-        done = converged | (iteration == max_iter)
+        converged = np.abs(moved).max(axis=1) < TOL
+        done = converged | (iteration == MAX_ITER)
         if done.any():
             for k in np.flatnonzero(done):
                 fits[members[k]] = L1Fit(beta[k].copy(), iteration, bool(converged[k]))
@@ -178,16 +179,6 @@ def _stratified_subsample(y: np.ndarray, fraction: float, rng: np.random.Generat
     return np.sort(np.concatenate([m[:max(1, int(round(fraction * m.size)))] for m in class_shuffles(y, rng)]))
 
 
-@dataclass
-class StabilityResult:
-    column_freq: np.ndarray
-    base_freq: dict[str, float]
-    lam: float
-    l1_fits: int  # every l1 fit run, calibration included
-    l1_iterations: int
-    l1_unconverged: int
-
-
 def stability_select(
     X: np.ndarray,
     y: np.ndarray,
@@ -198,17 +189,17 @@ def stability_select(
     fraction: float,
     weight_floor: float,
     target_support: int,
-    lam: float | None = None,
-) -> StabilityResult:
-    """Selection frequencies from repeated randomized-l1 fits.
+) -> tuple[float, dict[str, float], list[L1Fit]]:
+    """Selection frequencies from repeated randomized-l1 fits: the calibrated
+    lambda, each base feature's frequency, and every l1 fit run, the
+    calibration's first and then one per round.
 
     Each round draws fresh per-column penalty weights uniform on
     [weight_floor, 1] and a stratified row subsample; a column counts as
     selected when its coefficient magnitude clears SELECT_EPS. Base-feature
     scores take the max over that feature's weekly copies. Every round starts
-    from the full-data solution at lam: the calibration's own fit, or one fit
-    when lam is given. All rounds are drawn first, in round order, then fit
-    as stacks of at most STACK_BYTES of rows.
+    from the calibration's full-data solution. All rounds are drawn first, in
+    round order, then fit as stacks of at most STACK_BYTES of rows.
     """
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
@@ -221,11 +212,7 @@ def stability_select(
     Xn, _, _, _ = normalize(X)
     X1 = add_intercept(Xn)
     d = len(columns)
-    if lam is None:
-        lam, full, fits = calibrate_lambda(Xn, y, columns, target_support=target_support)
-    else:
-        [full] = l1_logistic(X1[None], y[None], np.full((1, d), lam))
-        fits = [full]
+    lam, full, fits = calibrate_lambda(Xn, y, columns, target_support=target_support)
     rounds = [(rng.uniform(weight_floor, 1.0, size=d), _stratified_subsample(y, fraction, rng))
               for _ in range(subsamples)]
     weights = np.array([w for w, _ in rounds])
@@ -240,10 +227,7 @@ def stability_select(
     for j, col in enumerate(columns):
         fid = _base_id(col)
         base[fid] = max(base.get(fid, 0.0), float(freq[j]))
-    return StabilityResult(
-        column_freq=freq, base_freq=base, lam=lam, l1_fits=len(fits),
-        l1_iterations=sum(f.iterations for f in fits), l1_unconverged=sum(not f.converged for f in fits),
-    )
+    return lam, base, fits
 
 
 @dataclass
@@ -279,26 +263,20 @@ def problem_importance(
     a class is skipped with a typed status instead of raising.
     """
     label = spec.cohort if spec.cohort is not None else ALL_COHORT
-    result = ProblemImportance(cohort=label, lead=spec.lead, lag=spec.lag, status=STATUS_OK)
     X, y, _, columns = flatten(matrix, spec, assignments)
     pos = int(np.sum(y == 1))
-    if y.size < min_rows:
-        result.status = STATUS_INSUFFICIENT
-    elif min(pos, y.size - pos) < 2:
-        result.status = STATUS_DEGENERATE
-    else:
-        rng = np.random.default_rng(cell_seed(seed, f"importance|{label}", spec.lead, spec.lag))
-        selection = stability_select(
-            X, y, columns, rng,
-            subsamples=subsamples, fraction=fraction,
-            weight_floor=weight_floor, target_support=target_support,
-        )
-        result.lam = selection.lam
-        result.base_freq = selection.base_freq
-        result.l1_fits = selection.l1_fits
-        result.l1_iterations = selection.l1_iterations
-        result.l1_unconverged = selection.l1_unconverged
-    return result
+    if y.size < min_rows or min(pos, y.size - pos) < 2:
+        status = STATUS_INSUFFICIENT if y.size < min_rows else STATUS_DEGENERATE
+        return ProblemImportance(label, spec.lead, spec.lag, status)
+    rng = np.random.default_rng(cell_seed(seed, f"importance|{label}", spec.lead, spec.lag))
+    lam, base_freq, fits = stability_select(
+        X, y, columns, rng,
+        subsamples=subsamples, fraction=fraction,
+        weight_floor=weight_floor, target_support=target_support,
+    )
+    return ProblemImportance(label, spec.lead, spec.lag, STATUS_OK, lam, base_freq, l1_fits=len(fits),
+                             l1_iterations=sum(f.iterations for f in fits),
+                             l1_unconverged=sum(not f.converged for f in fits))
 
 
 @dataclass

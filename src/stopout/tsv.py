@@ -9,6 +9,7 @@ whole lines at a time, and hold no more than one chunk as text.
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import dataclass
 from itertools import islice, repeat
 from pathlib import Path
@@ -54,19 +55,27 @@ class Chunk:
         return DataError(f"{self.path}:{line}: {text}")
 
 
-def _open(path: str | Path, error: type[PipelineError]) -> TextIO:
-    """A text file opened for reading; one that is missing or cannot be opened raises error."""
+@contextmanager
+def _reading(path: str | Path, error: type[PipelineError]) -> Iterator[TextIO]:
+    """A text file open for reading; one that is missing, unreadable or not
+    valid UTF-8 raises error, the last naming its first bad line."""
     try:
-        return open(path, encoding="utf-8")
+        with open(path, encoding="utf-8") as fh:
+            yield fh
     except OSError as exc:
         missing = isinstance(exc, FileNotFoundError)
         raise error(f"{path}: " + ("file not found" if missing else f"cannot read: {exc.strerror}")) from None
+    except UnicodeDecodeError:
+        # read again, each bad byte a lone surrogate: no valid UTF-8 decodes to one, and it encodes only lossily
+        with open(path, encoding="utf-8", errors="surrogateescape") as fh:
+            line = next(n for n, text in enumerate(fh, 1) if text.encode("utf-8", "replace").decode() != text)
+        raise error(f"{path}:{line}: not valid UTF-8") from None
 
 
 def read_lines(path: str | Path, error: type[PipelineError] = DataError) -> list[str]:
     """A plain text file's lines, split at "\\n" alone as file iteration does (not also at "\\x85",
     "\\u2028", ... as str.splitlines() does); a file that cannot be read raises error."""
-    with _open(path, error) as fh:
+    with _reading(path, error) as fh:
         return fh.read().split("\n")
 
 
@@ -88,7 +97,7 @@ def read_chunks(path: str | Path, header: Sequence[str], any_order: bool = False
     raises DataError, the last once the rows before it are yielded; with
     drop_wrong_width, such rows are left out and counted instead."""
     path = Path(path)
-    with _open(path, DataError) as fh:
+    with _reading(path, DataError) as fh:
         got = fh.readline().rstrip("\n").split("\t")
         if (sorted(got) != sorted(header)) if any_order else (got != list(header)):
             raise DataError(f"{path}:1: bad header, expected {list(header)}{' in any order' * any_order}, got {got}")

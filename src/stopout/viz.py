@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from pathlib import Path
 
-from .evaluator import STATUS_OK, GridResult
+from .evaluator import GridResult, heatmap_rows
 
 RAMP_LOW = (0xFF, 0xFF, 0xCC)
 RAMP_HIGH = (0xBD, 0x00, 0x26)
@@ -32,16 +32,15 @@ def _esc(text: str) -> str:
 
 
 def heatmap_svg(grid: GridResult, value: str = "test_auc") -> str:
-    """Predicted week on the x axis, lag on the y axis, one square per cell.
+    """Predicted week on the x axis, lag on the y axis, one square per cell
+    of heatmap_rows that holds a value.
 
     Cells that failed (too few rows, one-class labels) are left blank, same
     as positions outside the lead/lag triangle.
     """
-    W = grid.num_weeks
-    max_lag = max(1, W - 1)
-    weeks = list(range(2, W + 1)) or [2]
-    width = PAD_LEFT + len(weeks) * CELL + 20
-    height = PAD_TOP + max_lag * CELL + PAD_BOTTOM
+    rows = heatmap_rows(grid, value)
+    width = PAD_LEFT + len(rows) * CELL + 20  # one column per predicted week 2..num_weeks, as many as lags
+    height = PAD_TOP + len(rows) * CELL + PAD_BOTTOM
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
         f'font-family="monospace" font-size="11">',
@@ -49,19 +48,16 @@ def heatmap_svg(grid: GridResult, value: str = "test_auc") -> str:
         f'<text x="{PAD_LEFT}" y="20" font-size="14">{_esc(grid.cohort)} cohort, {_esc(value)}</text>',
         f'<text x="{PAD_LEFT}" y="38" fill="#555">columns: predicted week, rows: lag, blank: no result</text>',
     ]
-    for i, pw in enumerate(weeks):
+    for i in range(len(rows)):
         x = PAD_LEFT + i * CELL + CELL // 2
-        parts.append(f'<text x="{x}" y="{PAD_TOP - 6}" text-anchor="middle">{pw}</text>')
-    for lag in range(1, max_lag + 1):
+        parts.append(f'<text x="{x}" y="{PAD_TOP - 6}" text-anchor="middle">{i + 2}</text>')
+    for lag in range(1, len(rows) + 1):
         y = PAD_TOP + (lag - 1) * CELL + CELL // 2 + 4
         parts.append(f'<text x="{PAD_LEFT - 8}" y="{y}" text-anchor="end">lag {lag}</text>')
-    by_pos = {(c.lag, c.predicted_week): c for c in grid.cells}
-    for lag in range(1, max_lag + 1):
-        for i, pw in enumerate(weeks):
-            cell = by_pos.get((lag, pw))
-            if cell is None or cell.status != STATUS_OK or getattr(cell, value) is None:
+    for lag, row in enumerate(rows, 1):
+        for i, v in enumerate(row):
+            if v is None:
                 continue
-            v = float(getattr(cell, value))
             x = PAD_LEFT + i * CELL
             y = PAD_TOP + (lag - 1) * CELL
             parts.append(
@@ -72,7 +68,7 @@ def heatmap_svg(grid: GridResult, value: str = "test_auc") -> str:
                 f'<text x="{x + (CELL - 2) // 2}" y="{y + CELL // 2 + 4}" '
                 f'text-anchor="middle" font-size="10">{v:.2f}</text>'
             )
-    y_legend = PAD_TOP + max_lag * CELL + 16
+    y_legend = PAD_TOP + len(rows) * CELL + 16
     parts.append(
         f'<text x="{PAD_LEFT}" y="{y_legend}" fill="#555">'
         f'color: {auc_color(AUC_LO)} = AUC {AUC_LO} .. {auc_color(AUC_HI)} = AUC {AUC_HI}</text>'
@@ -85,19 +81,19 @@ def write_heatmap(grid: GridResult, path: str | Path, value: str = "test_auc") -
     Path(path).write_text(heatmap_svg(grid, value), encoding="utf-8")
 
 
-def importance_svg(base_freq: dict[str, float], title: str = "feature stability") -> str:
-    """Horizontal bars, most stable feature on top."""
-    rows = sorted(base_freq.items(), key=lambda kv: (-kv[1], kv[0]))
+def importance_svg(ranked: list[tuple[str, float]], title: str = "feature stability") -> str:
+    """Horizontal bars, one per (feature, frequency) pair, top to bottom in
+    the order given: ImportanceReport.ranked(), as importance.tsv lists them."""
     bar_h, gap, label_w, scale = 16, 6, 60, 360
     width = label_w + scale + 90
-    height = 40 + len(rows) * (bar_h + gap) + 10
+    height = 40 + len(ranked) * (bar_h + gap) + 10
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
         f'font-family="monospace" font-size="11">',
         f'<rect width="{width}" height="{height}" fill="white"/>',
         f'<text x="10" y="20" font-size="14">{_esc(title)}</text>',
     ]
-    for i, (fid, freq) in enumerate(rows):
+    for i, (fid, freq) in enumerate(ranked):
         y = 36 + i * (bar_h + gap)
         w = max(0.0, min(1.0, freq)) * scale
         parts.append(f'<text x="{label_w - 6}" y="{y + 12}" text-anchor="end">{_esc(fid)}</text>')
@@ -109,5 +105,5 @@ def importance_svg(base_freq: dict[str, float], title: str = "feature stability"
     return "\n".join(parts) + "\n"
 
 
-def write_importance_chart(base_freq: dict[str, float], path: str | Path, title: str = "feature stability") -> None:
-    Path(path).write_text(importance_svg(base_freq, title), encoding="utf-8")
+def write_importance_chart(ranked: list[tuple[str, float]], path: str | Path, title: str = "feature stability") -> None:
+    Path(path).write_text(importance_svg(ranked, title), encoding="utf-8")

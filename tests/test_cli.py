@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import inspect
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -43,6 +44,7 @@ from stopout.evaluator import ALL_COHORT, cell_seed, cross_validate, evaluate_ce
 from stopout.featurizer import FeatureMatrix, export_feature_matrix, load_feature_matrix
 from stopout.importance import (
     CALIBRATION_STEPS,
+    IMPORTANCE_COLUMNS,
     PROBLEM_COLUMNS,
     calibrate_lambda,
     problem_importance,
@@ -51,6 +53,7 @@ from stopout.importance import (
 from stopout.logistic_model import apply_model, load_model, train
 from stopout.synth import SynthConfig
 from stopout.tsv import read_table
+from stopout.viz import CELL, PAD_LEFT, PAD_TOP
 
 
 @pytest.fixture(scope="module")
@@ -608,30 +611,53 @@ def test_heatmap_missing_grid_exits_3(tmp_path, capsys):
     assert "data error:" in err and "absent.tsv" in err
 
 
+def reading(p: SimpleNamespace, flag: str, path: Path) -> list[str]:
+    """A command that reads path as its input file for flag (for "out", one that writes a directory)."""
+    problem = ["--lead", "1", "--lag", "1"]
+    return [*map(str, {
+        "config": ["train-eval", "--features", p.features, *problem, "--config", path],
+        "events": ["ingest", "--events", path, "--calendar", p.calendar],
+        "calendar": ["ingest", "--events", p.events, "--calendar", path],
+        "dataset": ["featurize", "--dataset", path, "--calendar", p.ing_calendar],
+        "features": ["build", "--features", path, *problem],
+        "cohorts": ["build", "--features", p.features, *problem, "--cohorts", path],
+        "grid": ["heatmap", "--grid", path],
+        "out": ["featurize", "--dataset", p.dataset, "--calendar", p.ing_calendar],
+    }[flag])]
+
+
 @pytest.mark.parametrize("flag, code", [
     ("config", 2), ("events", 3), ("calendar", 3), ("dataset", 3), ("features", 3), ("cohorts", 3), ("grid", 3),
     ("out", 2),
 ])
 def test_an_unreadable_input_or_a_file_as_out_is_one_typed_line(pipeline, tmp_path, capsys, flag, code):
     """A directory given for the input file flag, or an existing file given as --out."""
-    p, bad = pipeline, tmp_path / "bad"
+    bad = tmp_path / "bad"
     bad.write_text("x\n", encoding="utf-8") if flag == "out" else bad.mkdir()
-    problem = ["--lead", "1", "--lag", "1"]
-    argv = {
-        "config": ["train-eval", "--features", p.features, *problem, "--config", bad],
-        "events": ["ingest", "--events", bad, "--calendar", p.calendar],
-        "calendar": ["ingest", "--events", p.events, "--calendar", bad],
-        "dataset": ["featurize", "--dataset", bad, "--calendar", p.ing_calendar],
-        "features": ["build", "--features", bad, *problem],
-        "cohorts": ["build", "--features", p.features, *problem, "--cohorts", bad],
-        "grid": ["heatmap", "--grid", bad],
-        "out": ["featurize", "--dataset", p.dataset, "--calendar", p.ing_calendar],
-    }[flag]
     out = bad if flag == "out" else tmp_path / "o"
-    assert main([*map(str, argv), "--out", str(out)]) == code
+    assert main([*reading(pipeline, flag, bad), "--out", str(out)]) == code
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and "Traceback" not in err
     assert str(bad) in err
+
+
+@pytest.mark.parametrize("flag, code", [
+    ("config", 2), ("events", 3), ("calendar", 3), ("dataset", 3), ("features", 3), ("cohorts", 3), ("grid", 3),
+])
+@pytest.mark.parametrize("where", ["middle", "end"])
+def test_an_input_that_is_not_utf8_is_one_typed_line_naming_its_line(
+        pipeline, runall_dir, tmp_path, capsys, flag, code, where):
+    """One byte that starts no UTF-8 character, in the middle of a valid input's second line or after its last."""
+    good = runall_dir / "grid_passive_collaborator.tsv" if flag == "grid" else getattr(pipeline, flag)
+    data = good.read_bytes()
+    at = data.index(b"\n") + 2 if where == "middle" else len(data)
+    bad = tmp_path / good.name
+    bad.write_bytes(data[:at] + b"\xff" + data[at:])
+    line = data.count(b"\n", 0, at) + 1
+    assert main([*reading(pipeline, flag, bad), "--out", str(tmp_path / "o")]) == code
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "Traceback" not in err
+    assert f"{bad}:{line}: not valid UTF-8" in err
 
 
 def test_heatmap_unknown_value_exits_2(runall_dir, tmp_path, capsys):
@@ -754,6 +780,27 @@ def test_run_all_reports_every_importance_problem(runall_dir):
     assert any(row[3] == "ok" for row in rows)
     man = load_manifest(runall_dir / "manifest.tsv")
     assert "importance_problems.tsv" in {row[0] for row in man["file"]}
+
+
+def test_run_all_charts_draw_the_rows_their_tables_hold(runall_dir):
+    ranked = list(read_table(runall_dir / "importance.tsv", IMPORTANCE_COLUMNS))
+    charts = sorted(runall_dir.glob("importance_*.svg"))
+    assert charts
+    for chart in charts:
+        cohort = chart.stem.removeprefix("importance_")
+        svg = chart.read_text(encoding="utf-8")
+        assert re.findall(r'text-anchor="end">([^<]*)</text>', svg) == [fid for c, fid, _ in ranked if c == cohort]
+    drawn = 0
+    for cohort in COHORTS:
+        header, *rows = (line.split("\t") for line in (runall_dir / f"heatmap_{cohort}.tsv").read_text().splitlines())
+        cells = {(int(row[0]), int(week), f"{float(v):.2f}")
+                 for row in rows for week, v in zip(header[1:], row[1:]) if v}
+        svg = (runall_dir / f"heatmap_{cohort}.svg").read_text(encoding="utf-8")
+        squares = re.findall(r'<rect x="(\d+)" y="(\d+)" width[^>]*stroke[^>]*/>\n<text [^>]*>([^<]*)</text>', svg)
+        assert {((int(y) - PAD_TOP) // CELL + 1, (int(x) - PAD_LEFT) // CELL + 2, v) for x, y, v in squares} == cells
+        assert len(squares) == svg.count("stroke=")
+        drawn += len(squares)
+    assert drawn
 
 
 def test_shuffled_runs_skip_importance(jobs_pair):

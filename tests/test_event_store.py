@@ -541,13 +541,18 @@ def test_problem_ids_may_hold_separators_that_end_no_line(tmp_path):
         ("1600000000\t2\np1\thomework\t3\t1600000500\n", "outside"),
         ("1600000000\t2\np1\thomework\t1\t1599999999\n", "due before course start"),
         ("1600000000\t2\np1\thomework\t1\t1600000500\np1\thomework\t2\t1600700000\n", "duplicate"),
+        ("\n\n1600000000\n", "line 1"),  # line 1 is the first line that is not blank
+        ("1600000000\t2\n\n\np1\thomework\t1\n", "4 fields"),
     ],
 )
 def test_calendar_validation(tmp_path, text, match):
     path = tmp_path / "cal.tsv"
     path.write_text(text, encoding="utf-8")
-    with pytest.raises(DataError, match=match):
+    with pytest.raises(DataError, match=match) as raised:
         load_calendar(path)
+    if text:  # each error is at the file's last line, blank ones counted
+        line = text.rstrip("\n").count("\n") + 1
+        assert str(raised.value).startswith(f"{path}:{line}: ")
 
 
 def test_missing_calendar_file(tmp_path):

@@ -80,12 +80,19 @@ def noise_feature_matrix(seed: int, num_learners: int = 500, num_weeks: int = 14
     )
 
 
-def fit_one(X, y, lam, weights=None, **kwargs) -> L1Fit:
+def fit_one(X, y, lam, weights=None, init=None) -> L1Fit:
     """One l1 fit at lam * weights (lam alone when None): a stack of one."""
     X = np.asarray(X, dtype=np.float64)
     penalty = lam * (np.ones(X.shape[1]) if weights is None else weights)
-    [fit] = l1_logistic(add_intercept(X)[None], np.asarray(y, dtype=np.float64)[None], penalty[None], **kwargs)
+    [fit] = l1_logistic(add_intercept(X)[None], np.asarray(y, dtype=np.float64)[None], penalty[None], init=init)
     return fit
+
+
+def column_freq(fits: list[L1Fit], subsamples: int) -> np.ndarray:
+    """Each column's selection frequency over the last subsamples fits, the
+    rounds stability_select returns after its calibration's fits."""
+    betas = np.array([fit.beta for fit in fits[-subsamples:]])
+    return np.count_nonzero(np.abs(betas[:, 1:]) > 1e-6, axis=0) / subsamples
 
 
 def blas_versions() -> str:
@@ -112,12 +119,14 @@ def test_l1_heavy_penalty_keeps_only_intercept():
     assert sigmoid(np.array([beta[0]]))[0] == pytest.approx(y.mean(), abs=1e-4)
 
 
-def test_l1_without_penalty_matches_smooth_trainer():
+def test_l1_without_penalty_matches_smooth_trainer(monkeypatch):
     rng = np.random.default_rng(8)
     X = rng.normal(size=(80, 3))
     z = X @ np.array([1.0, -1.5, 0.0])
     y = (rng.random(80) < 1 / (1 + np.exp(-z))).astype(float)
-    beta = fit_one(X, y, 0.0, tol=1e-10, max_iter=20000).beta
+    monkeypatch.setattr(importance, "TOL", 1e-10)
+    monkeypatch.setattr(importance, "MAX_ITER", 20000)
+    beta = fit_one(X, y, 0.0).beta
     smooth = train(X, y, **defaults("ridge"))
     assert smooth.converged
     p_l1 = sigmoid(beta[0] + X @ beta[1:])
@@ -136,7 +145,9 @@ def test_l1_logistic_is_bitwise_the_reference(seed, weighted, warm):
     weights = rng.uniform(0.5, 1.0, size=d) if weighted else None
     max_iter = int(rng.integers(1, 400))
     init = rng.normal(size=d + 1) if warm else None
-    ours = fit_one(X, y, lam, weights=weights, max_iter=max_iter, init=init)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(importance, "MAX_ITER", max_iter)
+        ours = fit_one(X, y, lam, weights=weights, init=init)
     beta, iterations, converged = l1_logistic_reference(
         X, y, lam, weights=weights, max_iter=max_iter, init=init)
     assert np.array_equal(ours.beta, beta)
@@ -159,7 +170,9 @@ def test_each_stacked_member_is_bitwise_its_reference_fit(seed, size, warm):
     uncapped = [l1_logistic_reference(X[s], y[s], 1.0, weights=penalty[s], init=init)[1] for s in range(size)]
     max_iter = sorted(uncapped)[size // 2]
     X1 = np.stack([add_intercept(X[s]) for s in range(size)])
-    fits = l1_logistic(X1, y, penalty, init=init, max_iter=max_iter)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(importance, "MAX_ITER", max_iter)
+        fits = l1_logistic(X1, y, penalty, init=init)
     assert len(fits) == size
     for s, fit in enumerate(fits):
         beta, iterations, converged = l1_logistic_reference(
@@ -286,28 +299,28 @@ def test_calibrate_lambda_rejects_constant_labels():
 # stability selection
 
 def test_degenerate_parameters_reduce_to_single_fit():
+    # one round of every row at unit weights refits the calibrated problem from its own solution
     X, y = planted_instance(77, n=60)
-    lam = 0.03
-    res = stability_select(
-        X, y, LAG1_COLUMNS, np.random.default_rng(0),
-        lam=lam, **defaults(*STABILITY_KEYS, subsamples=1, fraction=1.0, weight_floor=1.0),
-    )
+    settings = defaults(*STABILITY_KEYS, subsamples=1, fraction=1.0, weight_floor=1.0)
+    lam, _, fits = stability_select(X, y, LAG1_COLUMNS, np.random.default_rng(0), **settings)
     order = np.lexsort(np.vstack([X.T, y[None, :]]))  # the canonical row order
     Xn, _, _, _ = normalize(X[order])
-    beta = fit_one(Xn, y[order], lam).beta
-    assert np.array_equal(res.column_freq, (np.abs(beta[1:]) > 1e-6).astype(float))
-    assert res.lam == lam and res.l1_fits == 1 + 1  # the full fit at lam, then one subsample
+    cal = calibrate_lambda(Xn, y[order], LAG1_COLUMNS, target_support=settings["target_support"])
+    beta = fit_one(Xn, y[order], cal.lam, init=cal.fit.beta).beta
+    assert lam == cal.lam and len(fits) == len(cal.fits) + 1  # the calibration's fits, then one subsample
+    assert np.array_equal(fits[-1].beta, beta)
+    assert np.array_equal(column_freq(fits, 1), (np.abs(beta[1:]) > 1e-6).astype(float))
 
 
 def test_frequencies_ignore_row_order():
     X, y = planted_instance(3, n=120)
     settings = defaults(*STABILITY_KEYS, subsamples=40)
-    a = stability_select(X, y, LAG1_COLUMNS, np.random.default_rng(9), **settings)
+    a_lam, a_base, a_fits = stability_select(X, y, LAG1_COLUMNS, np.random.default_rng(9), **settings)
     perm = np.random.default_rng(1).permutation(y.size)
-    b = stability_select(X[perm], y[perm], LAG1_COLUMNS, np.random.default_rng(9), **settings)
-    assert np.array_equal(a.column_freq, b.column_freq)
-    assert a.base_freq == b.base_freq
-    assert a.lam == b.lam
+    b_lam, b_base, b_fits = stability_select(X[perm], y[perm], LAG1_COLUMNS, np.random.default_rng(9), **settings)
+    assert np.array_equal(column_freq(a_fits, 40), column_freq(b_fits, 40))
+    assert a_base == b_base
+    assert a_lam == b_lam
 
 
 def test_duplicating_a_column_leaves_unrelated_features_alone():
@@ -317,44 +330,42 @@ def test_duplicating_a_column_leaves_unrelated_features_alone():
     X = rng.normal(size=(200, NUM_FEATURES))
     z = 1.5 * X[:, 0] - 1.2 * X[:, 5]
     y = (rng.random(200) < 1 / (1 + np.exp(-z))).astype(float)
-    base = stability_select(X, y, LAG1_COLUMNS, np.random.default_rng(0), **defaults(*STABILITY_KEYS, subsamples=200))
-    dup = stability_select(
+    _, base, _ = stability_select(
+        X, y, LAG1_COLUMNS, np.random.default_rng(0), **defaults(*STABILITY_KEYS, subsamples=200))
+    _, dup, _ = stability_select(
         np.hstack([X, X[:, [0]]]),
         y,
         LAG1_COLUMNS + ["w2_x2"],
         np.random.default_rng(0),
         **defaults(*STABILITY_KEYS, subsamples=200),
     )
-    for fid in base.base_freq:
+    for fid in base:
         if fid != "x2":
-            assert dup.base_freq[fid] - base.base_freq[fid] <= 0.2, fid
+            assert dup[fid] - base[fid] <= 0.2, fid
 
 
 def test_base_score_is_max_over_lag_copies():
     X, y = planted_instance(6, n=90)
     doubled = np.hstack([X, np.zeros_like(X)])  # week-2 copies carry nothing
     cols = column_names(2)
-    res = stability_select(doubled, y, cols, np.random.default_rng(2), **defaults(*STABILITY_KEYS, subsamples=20))
-    for j, col in enumerate(cols):
-        fid = col.split("_", 1)[1]
-        assert res.base_freq[fid] >= res.column_freq[j]
-    assert set(res.base_freq) == set(FEATURE_IDS)
+    _, base, fits = stability_select(doubled, y, cols, np.random.default_rng(2),
+                                     **defaults(*STABILITY_KEYS, subsamples=20))
+    freq = column_freq(fits, 20)
+    assert set(base) == set(FEATURE_IDS)
+    for fid in FEATURE_IDS:
+        assert base[fid] == max(f for col, f in zip(cols, freq) if col.split("_", 1)[1] == fid)
 
 
 def test_stability_select_counts_every_l1_fit():
     X, y = planted_instance(6, n=90)
     settings = defaults(*STABILITY_KEYS, subsamples=12)
-    calibrated = stability_select(X, y, LAG1_COLUMNS, np.random.default_rng(2), **settings)
+    lam, _, fits = stability_select(X, y, LAG1_COLUMNS, np.random.default_rng(2), **settings)
     order = np.lexsort(np.vstack([X.T, y[None, :]]))  # the canonical row order
     cal = calibrate_lambda(normalize(X[order])[0], y[order], LAG1_COLUMNS, target_support=settings["target_support"])
-    assert calibrated.lam == cal.lam
-    assert calibrated.l1_fits == len(cal.fits) + 12  # the bisection's fits, then one per subsample
-    given = stability_select(X, y, LAG1_COLUMNS, np.random.default_rng(2), lam=calibrated.lam, **settings)
-    assert given.l1_fits == 1 + 12  # one cold full-data fit instead of the bisection
-    assert np.array_equal(given.column_freq, calibrated.column_freq)
-    for res in (calibrated, given):
-        assert res.l1_fits <= res.l1_iterations <= 1000 * res.l1_fits
-        assert 0 <= res.l1_unconverged <= res.l1_fits
+    assert lam == cal.lam
+    assert len(fits) == len(cal.fits) + 12  # the bisection's fits, then one per subsample
+    assert all(np.array_equal(ours.beta, theirs.beta) for ours, theirs in zip(fits, cal.fits))
+    assert all(1 <= fit.iterations <= importance.MAX_ITER for fit in fits)
 
 
 def test_each_fit_starts_from_its_nearest_solved_neighbour(monkeypatch):
@@ -380,7 +391,7 @@ def test_each_fit_starts_from_its_nearest_solved_neighbour(monkeypatch):
 def test_rounds_are_stacked_in_blocks_of_at_most_stack_bytes(monkeypatch):
     X, y = planted_instance(6, n=90)
     settings = defaults(*STABILITY_KEYS, subsamples=7)
-    whole = stability_select(X, y, LAG1_COLUMNS, np.random.default_rng(2), **settings)
+    whole_lam, _, whole = stability_select(X, y, LAG1_COLUMNS, np.random.default_rng(2), **settings)
     sizes = []
     real = importance.l1_logistic
 
@@ -392,10 +403,10 @@ def test_rounds_are_stacked_in_blocks_of_at_most_stack_bytes(monkeypatch):
     monkeypatch.setattr(importance, "l1_logistic", spy)
     member = 68 * (len(LAG1_COLUMNS) + 1) * 8  # a 0.75 subsample of 90 rows keeps 68
     monkeypatch.setattr(importance, "STACK_BYTES", 3 * member)
-    blocked = stability_select(X, y, LAG1_COLUMNS, np.random.default_rng(2), **settings)
+    blocked_lam, _, blocked = stability_select(X, y, LAG1_COLUMNS, np.random.default_rng(2), **settings)
     assert sizes[-3:] == [3, 3, 1]
-    assert np.array_equal(blocked.column_freq, whole.column_freq)
-    assert (blocked.lam, blocked.l1_fits, blocked.l1_iterations) == (whole.lam, whole.l1_fits, whole.l1_iterations)
+    assert blocked_lam == whole_lam and len(blocked) == len(whole)
+    assert all(np.array_equal(a.beta, b.beta) and a[1:] == b[1:] for a, b in zip(blocked, whole))
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,8 @@ It goes, or it earns a line in ALLOWED saying why it stays. Likewise a
 parameter with a default that no call in src/stopout passes is a knob only
 the tests turn: it becomes a constant, or it earns a line in UNPASSED. And a
 dataclass field that no code in src/stopout reads is state only the tests
-look at: it goes, or it earns a line in UNREAD. Finally, only tsv.py reads a
+look at: it goes, or it earns a line in UNREAD. An entry in any of the three
+lists must still be needed, or it goes too. Finally, only tsv.py reads a
 file, so there is one home for how a file's lines end; a function elsewhere
 that reads one earns a line in READERS.
 """
@@ -27,16 +28,11 @@ ALLOWED = {
 
 # function.parameter -> why a default no call in the package passes stays settable
 UNPASSED = {
-    "l1_logistic.tol": "test hook: the FISTA tests tighten it to compare against a smooth optimum",
-    "l1_logistic.max_iter": "test hook: the FISTA tests raise or cap it",
-    "stability_select.lam": "test hook: a given lambda skips the calibration",
     "main.argv": "None reads sys.argv, as the stopout console script does; the tests pass a list",
 }
 
 # Class.field -> why a dataclass field no code in the package reads stays
-UNREAD = {
-    "StabilityResult.column_freq": "per-column frequencies behind base_freq; the stability tests compare them",
-}
+UNREAD: dict[str, str] = {}
 
 
 def _trees() -> dict[str, ast.Module]:
@@ -67,13 +63,13 @@ def _references(tree: ast.Module):
             yield node.name, False, node.lineno
 
 
-def unreferenced() -> list[str]:
+def unreferenced(allowed: dict[str, str] = ALLOWED) -> list[str]:
     trees = _trees()
     refs = [(name, attr, path, line) for path, tree in trees.items() for name, attr, line in _references(tree)]
     unused = []
     for path, tree in trees.items():
         for name, is_method, node in _definitions(tree):
-            if name.startswith("__") or name in ALLOWED:
+            if name.startswith("__") or name in allowed:
                 continue
             used = any(
                 ref == name and (attr or not is_method)
@@ -90,7 +86,8 @@ def test_every_definition_is_used_by_the_package():
 
 
 def test_allowed_names_are_still_defined():
-    assert set(ALLOWED) <= {name for tree in _trees().values() for name, _, _ in _definitions(tree)}
+    # and still unreferenced: once the package uses a name, its entry is stale
+    assert set(ALLOWED) <= {entry.split()[-1] for entry in unreferenced(allowed={})}
 
 
 def _defaulted(func: ast.FunctionDef):
@@ -101,7 +98,7 @@ def _defaulted(func: ast.FunctionDef):
     yield from ((None, a.arg) for a, d in zip(func.args.kwonlyargs, func.args.kw_defaults) if d is not None)
 
 
-def unpassed() -> list[str]:
+def unpassed(allowed: dict[str, str] = UNPASSED) -> list[str]:
     """function.parameter for each default that no call in src/stopout passes.
 
     A call is matched to a function by name. It passes a parameter by keyword,
@@ -133,7 +130,7 @@ def unpassed() -> list[str]:
             bound = bool(args) and args[0].arg in ("self", "cls")
             for position, name in _defaulted(func):
                 key = f"{func.name}.{name}"
-                if key not in UNPASSED and not any(
+                if key not in allowed and not any(
                     passes(call, position, name, bound) for call in calls.get(func.name, [])
                 ):
                     missing.append(key)
@@ -145,12 +142,8 @@ def test_every_default_is_passed_by_the_package():
 
 
 def test_unpassed_parameters_still_have_defaults():
-    defaulted = {
-        f"{func.name}.{name}"
-        for tree in _trees().values() for func in ast.walk(tree) if isinstance(func, ast.FunctionDef)
-        for _, name in _defaulted(func)
-    }
-    assert set(UNPASSED) <= defaulted
+    # and still unpassed: once a call in the package passes one, its entry is stale
+    assert set(UNPASSED) <= set(unpassed(allowed={}))
 
 
 def _decorator_name(node: ast.expr) -> str | None:
@@ -168,7 +161,7 @@ def _dataclass_fields(tree: ast.Module):
                     yield node.name, item.target.id, item.lineno
 
 
-def unread_fields() -> list[str]:
+def unread_fields(allowed: dict[str, str] = UNREAD) -> list[str]:
     """Class.field for each dataclass field no attribute read in src/stopout takes.
 
     A read is matched to a field by name alone, as calls are matched above.
@@ -181,7 +174,7 @@ def unread_fields() -> list[str]:
     return [
         f"{path}:{line} {cls}.{name}"
         for path, tree in trees.items() for cls, name, line in _dataclass_fields(tree)
-        if name not in read and f"{cls}.{name}" not in UNREAD
+        if name not in read and f"{cls}.{name}" not in allowed
     ]
 
 
@@ -190,8 +183,8 @@ def test_every_dataclass_field_is_read_by_the_package():
 
 
 def test_unread_fields_are_still_fields():
-    fields = {f"{cls}.{name}" for tree in _trees().values() for cls, name, _ in _dataclass_fields(tree)}
-    assert set(UNREAD) <= fields
+    # and still unread: once the package reads one, its entry is stale
+    assert set(UNREAD) <= {entry.split()[-1] for entry in unread_fields(allowed={})}
 
 
 # file:function -> why a function outside tsv.py reads a file

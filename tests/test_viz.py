@@ -112,9 +112,10 @@ def test_write_heatmap_round_trip(tmp_path):
 # importance bars
 
 
-def test_bars_sorted_by_frequency_then_name():
-    svg = importance_svg({"x2": 0.5, "x9": 0.5, "x210": 0.9})
-    order = [svg.index(f">{fid}</text>") for fid in ("x210", "x2", "x9")]
+def test_bars_follow_the_given_order():
+    # drawn as given, not re-sorted: ImportanceReport.ranked() sets the order, as in importance.tsv
+    svg = importance_svg([("x2", 0.5), ("x210", 0.9), ("x10", 0.5)])
+    order = [svg.index(f">{fid}</text>") for fid in ("x2", "x210", "x10")]
     assert order == sorted(order)
     assert 'width="324.0"' in svg  # 0.9 of the 360px scale
     assert svg.count('width="180.0"') == 2
@@ -122,24 +123,24 @@ def test_bars_sorted_by_frequency_then_name():
 
 
 def test_bar_widths_clamp_to_the_scale():
-    svg = importance_svg({"xa": 1.2, "xb": -0.3})
+    svg = importance_svg([("xa", 1.2), ("xb", -0.3)])
     assert 'width="360.0"' in svg
     assert 'width="0.0"' in svg
 
 
 def test_title_is_escaped():
-    svg = importance_svg({"x2": 0.1}, title="fits & <misfits>")
+    svg = importance_svg([("x2", 0.1)], title="fits & <misfits>")
     assert "fits &amp; &lt;misfits&gt;" in svg
 
 
 def test_empty_chart_is_still_valid_svg():
-    svg = importance_svg({})
+    svg = importance_svg([])
     assert svg.startswith("<svg ") and svg.endswith("</svg>\n")
     assert svg.count("<rect") == 1
 
 
 def test_write_importance_chart_round_trip(tmp_path):
-    freq = {"x2": 0.25, "x15": 0.75}
+    ranked = [("x15", 0.75), ("x2", 0.25)]
     path = tmp_path / "bars.svg"
-    write_importance_chart(freq, path, title="planted course")
-    assert path.read_text(encoding="utf-8") == importance_svg(freq, title="planted course")
+    write_importance_chart(ranked, path, title="planted course")
+    assert path.read_text(encoding="utf-8") == importance_svg(ranked, title="planted course")
