@@ -201,18 +201,6 @@ def write_manifest(out_dir: Path, meta: dict[str, str], cells: list[tuple[str, i
     (out_dir / "manifest.tsv").write_text("\n".join(rows) + "\n", encoding="utf-8")
 
 
-def load_manifest(path: str | Path) -> dict[str, list[tuple[str, ...]]]:
-    out: dict[str, list[tuple[str, ...]]] = {"meta": [], "cell": [], "file": []}
-    for ln in read_lines(path):
-        if not ln:
-            continue
-        kind, _, rest = ln.partition("\t")
-        if kind not in out:
-            raise DataError(f"{path}: unknown manifest row type {kind!r}")
-        out[kind].append(tuple(rest.split("\t")))
-    return out
-
-
 def _out_dir(args) -> Path:
     out = Path(args.out)
     try:

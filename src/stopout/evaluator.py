@@ -68,12 +68,6 @@ def _sweep_rates(pos_g: np.ndarray, neg_g: np.ndarray, pos: int, neg: int) -> tu
     return fpr, tpr
 
 
-def roc_points(y_true: np.ndarray, scores: np.ndarray) -> list[tuple[float, float]]:
-    """ROC operating points from (0,0) to (1,1), one per distinct threshold."""
-    fpr, tpr = _sweep_rates(*_roc_counts(y_true, scores))
-    return list(zip(fpr.tolist(), tpr.tolist()))
-
-
 def roc_auc(y_true: np.ndarray, scores: np.ndarray) -> float:
     """Area under the ROC curve; ties earn half credit.
 

@@ -19,7 +19,6 @@ from pathlib import Path
 import numpy as np
 
 from .errors import DataError, DegenerateLabelsError
-from .tsv import read_lines
 
 TOL = 1e-8  # a Newton step that moves no coefficient by this much ends the fit
 MAX_ITER = 100
@@ -205,14 +204,6 @@ def predict_proba(model: TrainedModel, X: np.ndarray) -> np.ndarray:
     return sigmoid(model.beta[0] + X @ model.beta[1:])
 
 
-def apply_model(model: TrainedModel, X_raw: np.ndarray) -> np.ndarray:
-    """Predict from raw rows, replaying the model's stored normalization."""
-    X_raw = np.asarray(X_raw, dtype=np.float64)
-    if model.norm_means is None or model.norm_scales is None:
-        return predict_proba(model, X_raw)
-    return predict_proba(model, (X_raw - model.norm_means) / model.norm_scales)
-
-
 MODEL_FORMAT = "stopout-model-v1"
 
 
@@ -232,31 +223,3 @@ def save_model(model: TrainedModel, path: str | Path) -> None:
         "beta=" + ",".join(repr(float(b)) for b in model.beta),
     ]
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
-
-
-def _unvec(text: str) -> np.ndarray | None:
-    return None if not text else np.array([float(v) for v in text.split(",")])
-
-
-def load_model(path: str | Path) -> TrainedModel:
-    lines = read_lines(path)
-    if lines[0] != MODEL_FORMAT:
-        raise DataError(f"{path}: unknown model format")
-    fields = {}
-    for ln in lines[1:]:
-        if ln:
-            key, _, value = ln.partition("=")
-            fields[key] = value
-    try:
-        columns = fields["columns"].split(",") if fields["columns"] else None
-        return TrainedModel(
-            beta=np.array([float(v) for v in fields["beta"].split(",")]),
-            ridge=float(fields["ridge"]),
-            converged=bool(int(fields["converged"])),
-            iterations=int(fields["iterations"]),
-            columns=columns,
-            norm_means=_unvec(fields["norm_means"]),
-            norm_scales=_unvec(fields["norm_scales"]),
-        )
-    except (KeyError, ValueError) as exc:
-        raise DataError(f"{path}: malformed model file: {exc}") from exc

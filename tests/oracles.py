@@ -25,7 +25,8 @@ reference draws a whole course before it writes it, as the generator did
 before it streamed a learner at a time. The three sampler references are the
 split, the fold assignment and the stability subsample as each wrote its own
 per-class shuffle, before all three took class_shuffles; the new draws must
-return the same indices and leave the generator in the same state.
+return the same indices and leave the generator in the same state. The model
+and manifest readers parse those files from README's spec with str and float.
 """
 
 from __future__ import annotations
@@ -726,3 +727,32 @@ def stratified_subsample_reference(y: np.ndarray, fraction: float, rng: np.rando
         take = max(1, int(round(fraction * members.size)))
         parts.append(members[rng.permutation(members.size)][:take])
     return np.sort(np.concatenate(parts))
+
+
+
+def _lines(path) -> list[str]:
+    with open(path, encoding="utf-8", newline="") as fh:  # newline="": lines end at "\n" alone
+        *lines, last = fh.read().split("\n")
+    assert last == ""  # the last line ends with "\n" too
+    return lines
+
+
+def read_model_reference(path) -> TrainedModel:
+    """model.txt as README specifies it: the format line, then seven key=value lines in order."""
+    first, *lines = _lines(path)
+    fields = dict(line.split("=", 1) for line in lines)
+    assert first == "stopout-model-v1"
+    assert list(fields) == ["ridge", "converged", "iterations", "columns", "norm_means", "norm_scales", "beta"]
+    vectors = {key: np.array([float(v) for v in fields[key].split(",")]) if fields[key] else None
+               for key in ("norm_means", "norm_scales", "beta")}
+    columns = fields["columns"].split(",") if fields["columns"] else None
+    return TrainedModel(ridge=float(fields["ridge"]), converged={"0": False, "1": True}[fields["converged"]],
+                        iterations=int(fields["iterations"]), columns=columns, **vectors)
+
+
+def read_manifest_reference(path) -> dict[str, list[tuple[str, ...]]]:
+    """manifest.tsv's meta, cell and file rows, each as its cells after the first."""
+    rows: dict[str, list[tuple[str, ...]]] = {"meta": [], "cell": [], "file": []}
+    for kind, *cells in (line.split("\t") for line in _lines(path)):
+        rows[kind].append(tuple(cells))  # a row of any other kind is a KeyError
+    return rows

@@ -13,13 +13,13 @@ import numpy as np
 import pytest
 
 from conftest import defaults, synth_config
-from oracles import grid_mle_ll, pairwise_auc, penalized_gradient
+from oracles import grid_mle_ll, pairwise_auc, penalized_gradient, read_manifest_reference
 from test_evaluator import run_grid
 from test_featurizer import ALICE_WEEK1
 
-from stopout.cli import IMPORTANCE_KEYS, load_manifest, main
+from stopout.cli import IMPORTANCE_KEYS, main
 from stopout.dataset_builder import ProblemSpec, enumerate_problems, flatten
-from stopout.evaluator import roc_auc, roc_points
+from stopout.evaluator import _roc_counts, _sweep_rates, roc_auc
 from stopout.event_store import ingest
 from stopout.featurizer import FEATURE_INDEX, build_feature_matrix
 from stopout.importance import run_importance
@@ -71,8 +71,8 @@ def test_auc_three_routes_agree():
         scores = rng.integers(-5, 6, size=n).astype(np.float64)
         rank = roc_auc(y, scores)
         exact = pairwise_auc(scores, y)
-        pts = roc_points(y, scores)
-        sweep = float(np.trapezoid([p[1] for p in pts], [p[0] for p in pts]))
+        fpr, tpr = _sweep_rates(*_roc_counts(y, scores))
+        sweep = float(np.trapezoid(tpr, fpr))
         assert abs(rank - float(exact)) <= 1e-9
         assert abs(sweep - float(exact)) <= 1e-9
     assert time.monotonic() - start < 10.0
@@ -143,7 +143,7 @@ def test_full_run_attempts_every_cell(tmp_path, fast_config):
     events, calendar = _synth_course_files(tmp_path, 120, 14, 11)
     out = tmp_path / "full"
     assert _run_all(events, calendar, out, fast_config) == 0
-    man = load_manifest(out / "manifest.tsv")
+    man = read_manifest_reference(out / "manifest.tsv")
     assert len(man["cell"]) == 364
     assert {row[0] for row in man["cell"]} == {
         "passive_collaborator", "forum_contributor", "wiki_contributor", "fully_collaborative",
@@ -225,7 +225,7 @@ def test_tiny_course_never_crashes(tmp_path, fast_config):
     events, calendar = _synth_course_files(tmp_path, 50, 14, 23)
     out = tmp_path / "tiny"
     assert _run_all(events, calendar, out, fast_config) == 0
-    man = load_manifest(out / "manifest.tsv")
+    man = read_manifest_reference(out / "manifest.tsv")
     assert len(man["cell"]) == 364
     statuses = {row[3] for row in man["cell"]}
     assert statuses <= {"ok", "insufficient_data", "degenerate_labels"}

@@ -20,6 +20,7 @@ import numpy as np
 import pytest
 
 import stopout
+from oracles import read_manifest_reference, read_model_reference
 from stopout.cli import (
     DEFAULTS,
     SETTINGS,
@@ -27,7 +28,6 @@ from stopout.cli import (
     config_sha256,
     filter_match,
     load_config,
-    load_manifest,
     main,
     parse_cohort,
     parse_filter,
@@ -50,7 +50,7 @@ from stopout.importance import (
     problem_importance,
     stability_select,
 )
-from stopout.logistic_model import apply_model, load_model, train
+from stopout.logistic_model import sigmoid, train
 from stopout.synth import SynthConfig
 from stopout.tsv import read_table
 from stopout.viz import CELL, PAD_LEFT, PAD_TOP
@@ -705,7 +705,7 @@ def test_importance_rejects_bad_problem_text(pipeline, tmp_path, capsys):
 
 
 def test_run_all_attempts_the_full_grid(runall_dir, pipeline):
-    man = load_manifest(runall_dir / "manifest.tsv")
+    man = read_manifest_reference(runall_dir / "manifest.tsv")
     # 4 weeks -> 6 lead/lag problems per cohort
     assert len(man["cell"]) == 4 * 6
     statuses = {row[3] for row in man["cell"]}
@@ -717,7 +717,7 @@ def test_run_all_attempts_the_full_grid(runall_dir, pipeline):
 
 
 def test_run_all_manifest_declares_every_file(runall_dir):
-    man = load_manifest(runall_dir / "manifest.tsv")
+    man = read_manifest_reference(runall_dir / "manifest.tsv")
     declared = {row[0] for row in man["file"]}
     actual = {
         p.relative_to(runall_dir).as_posix()
@@ -740,7 +740,7 @@ def test_manifest_lists_only_what_the_rerun_wrote(pipeline, runall_dir, tmp_path
         "--shuffle-labels", "--filter", "cohort=wiki_contributor",
     ])
     assert rc == 0
-    man = load_manifest(out / "manifest.tsv")
+    man = read_manifest_reference(out / "manifest.tsv")
     assert {row[0] for row in man["cell"]} == {"wiki_contributor"}
     declared = {row[0] for row in man["file"]}
     assert declared == {
@@ -778,7 +778,7 @@ def test_run_all_reports_every_importance_problem(runall_dir):
         else:
             assert (lam, fits, iterations, unconverged) == ("", "0", "0", "0")
     assert any(row[3] == "ok" for row in rows)
-    man = load_manifest(runall_dir / "manifest.tsv")
+    man = read_manifest_reference(runall_dir / "manifest.tsv")
     assert "importance_problems.tsv" in {row[0] for row in man["file"]}
 
 
@@ -807,7 +807,7 @@ def test_shuffled_runs_skip_importance(jobs_pair):
     for out in jobs_pair:
         assert not (out / "importance.tsv").exists()
         assert not list(out.rglob("importance_*.svg"))
-        man = load_manifest(out / "manifest.tsv")
+        man = read_manifest_reference(out / "manifest.tsv")
         assert man["cell"]
 
 
@@ -866,22 +866,13 @@ def test_the_etl_commands_never_load_openssl(tmp_path):
     assert found.stdout.splitlines()[-1] == "[]"  # after the three commands' own lines
 
 
-def test_manifest_loader_rejects_noise(tmp_path):
-    path = tmp_path / "manifest.tsv"
-    path.write_text("weird\tstuff\n", encoding="utf-8")
-    with pytest.raises(DataError, match="unknown manifest row type"):
-        load_manifest(path)
-    with pytest.raises(DataError, match=r"absent\.tsv: file not found"):
-        load_manifest(tmp_path / "absent.tsv")
-
-
 def test_manifest_rows_end_at_newline_alone(tmp_path):
     out = tmp_path / "run"
     out.mkdir()
     (out / "note\u2028one.txt").write_text("a", encoding="utf-8")
     (out / "note\x85two.txt").write_text("bc", encoding="utf-8")
     write_manifest(out, {"seed": "1"}, [], sorted(out.iterdir()))
-    files = {row[0]: row[2] for row in load_manifest(out / "manifest.tsv")["file"]}
+    files = {row[0]: row[2] for row in read_manifest_reference(out / "manifest.tsv")["file"]}
     assert files == {"note\u2028one.txt": "1", "note\x85two.txt": "2"}
 
 
@@ -1027,7 +1018,9 @@ def test_model_file_replays_the_held_out_auc(pipeline, tmp_path):
     X, y, _, _ = flatten(load_feature_matrix(pipeline.features), ProblemSpec(lead=lead, lag=lag))
     rng = np.random.default_rng(cell_seed(seed, ALL_COHORT, lead, lag))
     _, test_idx = stratified_split(y, float(DEFAULTS["ratio"]), rng)
-    auc = roc_auc(y[test_idx], apply_model(load_model(out / "model.txt"), X[test_idx]))
+    model = read_model_reference(out / "model.txt")
+    beta, means, scales = model.beta, model.norm_means, model.norm_scales
+    auc = roc_auc(y[test_idx], sigmoid(beta[0] + ((X[test_idx] - means) / scales) @ beta[1:]))
     header, row = (out / "eval.tsv").read_text(encoding="utf-8").splitlines()
     written = dict(zip(header.split("\t"), row.split("\t")))
     assert float(written["test_auc"]) == auc  # floats are written with repr: bit for bit

@@ -31,8 +31,9 @@ from stopout.evaluator import (
     export_grid,
     export_heatmap_matrix,
     load_grid,
+    _roc_counts,
+    _sweep_rates,
     roc_auc,
-    roc_points,
 )
 from stopout.logistic_model import train
 from stopout.tsv import read_table
@@ -110,7 +111,12 @@ def test_auc_invariant_under_monotone_transform(case):
 
 
 # ---------------------------------------------------------------------------
-# roc_points
+# ROC points: the sweep route roc_auc integrates
+
+def roc_points(y_true, scores) -> list[tuple[float, float]]:
+    fpr, tpr = _sweep_rates(*_roc_counts(y_true, scores))
+    return list(zip(fpr.tolist(), tpr.tolist()))
+
 
 def test_roc_points_shape_and_area():
     y = np.array([1, 0, 1, 0, 1])

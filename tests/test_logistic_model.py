@@ -11,15 +11,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import defaults
-from oracles import grid_mle_ll, penalized_gradient, penalized_ll_reference, sigmoid_reference
+from oracles import grid_mle_ll, penalized_gradient, penalized_ll_reference, read_model_reference, sigmoid_reference
 from stopout import logistic_model
 from stopout.errors import DataError, DegenerateLabelsError
 from stopout.logistic_model import (
     TrainedModel,
     _dual_direction,
     add_intercept,
-    apply_model,
-    load_model,
     penalized_ll,
     predict_proba,
     save_model,
@@ -270,8 +268,8 @@ def test_zero_columns_are_left_out_and_get_exactly_zero(tmp_path):
     assert model.iterations == alone.iterations
     path = tmp_path / "model.txt"
     save_model(model, path)
-    assert np.array_equal(load_model(path).beta, model.beta)
-    assert load_model(path).beta.size == 6
+    assert np.array_equal(read_model_reference(path).beta, model.beta)
+    assert read_model_reference(path).beta.size == 6
 
 
 def test_a_failed_warm_start_reruns_cold():
@@ -378,24 +376,6 @@ def test_predict_proba_checks_width():
         predict_proba(model, np.zeros((2, 3)))
 
 
-def test_apply_model_replays_normalization():
-    model = TrainedModel(
-        beta=np.array([0.0, 1.0]),
-        ridge=0.0,
-        converged=True,
-        iterations=1,
-        norm_means=np.array([10.0]),
-        norm_scales=np.array([2.0]),
-    )
-    raw = np.array([[14.0], [10.0]])
-    probs = apply_model(model, raw)
-    assert probs[0] == sigmoid(np.array([2.0]))[0]
-    assert probs[1] == 0.5
-    # without stored statistics, rows pass through untouched
-    bare = TrainedModel(beta=np.array([0.0, 1.0]), ridge=0.0, converged=True, iterations=1)
-    assert apply_model(bare, raw)[1] == sigmoid(np.array([10.0]))[0]
-
-
 # ---------------------------------------------------------------------------
 # persistence
 
@@ -408,7 +388,7 @@ def test_save_load_round_trip(tmp_path):
     model.norm_scales = X.std(axis=0)
     path = tmp_path / "model.txt"
     save_model(model, path)
-    again = load_model(path)
+    again = read_model_reference(path)
     assert np.array_equal(again.beta, model.beta)
     assert again.ridge == model.ridge
     assert again.converged == model.converged
@@ -422,7 +402,7 @@ def test_save_load_handles_absent_optionals(tmp_path):
     model = TrainedModel(beta=np.array([1.5]), ridge=0.0, converged=False, iterations=7)
     path = tmp_path / "model.txt"
     save_model(model, path)
-    again = load_model(path)
+    again = read_model_reference(path)
     assert np.array_equal(again.beta, model.beta)
     assert again.columns is None
     assert again.norm_means is None and again.norm_scales is None
@@ -430,19 +410,10 @@ def test_save_load_handles_absent_optionals(tmp_path):
 
 
 def test_model_file_lines_end_at_newline_alone(tmp_path):
-    # str.splitlines() would cut the columns line at U+2028 and lose the rest
+    # lines end at \n alone, so a column name may hold U+2028, U+0085 or \x1c
     columns = ["w1_a\u2028b", "w1_c\x85d", "w1_e\x1cf"]
     model = TrainedModel(beta=np.array([0.5, 1.0, -1.0, 2.0]), ridge=1e-6, converged=True, iterations=3,
                          columns=columns)
     path = tmp_path / "model.txt"
     save_model(model, path)
-    assert load_model(path).columns == columns
-
-
-def test_load_model_rejects_other_files(tmp_path):
-    junk = tmp_path / "model.txt"
-    junk.write_text("hello\n", encoding="utf-8")
-    with pytest.raises(DataError):
-        load_model(junk)
-    with pytest.raises(DataError, match="not found"):
-        load_model(tmp_path / "absent.txt")
+    assert read_model_reference(path).columns == columns
