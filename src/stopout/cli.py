@@ -435,9 +435,9 @@ def cmd_run_all(args) -> int:
 
 
 def cmd_heatmap(args) -> int:
-    grid = load_grid(args.grid)
     if args.value not in ("test_auc", "train_auc", "cv_mean"):
         raise ConfigError(f"unknown heatmap value {args.value!r}")
+    grid = load_grid(args.grid)
     out = _out_dir(args)
     export_heatmap_matrix(grid, out / "heatmap.tsv", value=args.value)
     write_heatmap(grid, out / "heatmap.svg", value=args.value)

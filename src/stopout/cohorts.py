@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 
 from .event_store import TABLE_COLLABORATION, TABLE_SUBMISSION, CourseDataset
-from .tsv import read_table, write_table
+from .tsv import read_chunks, write_table
 
 PASSIVE = "passive_collaborator"
 FORUM = "forum_contributor"
@@ -51,11 +51,13 @@ def export_cohorts(assignments: dict[str, str], path: str | Path) -> None:
     write_table(path, COHORT_COLUMNS, sorted(assignments.items()))
 
 
-def _cohort_row(cells: list[str]) -> tuple[str, str]:
-    if cells[1] not in COHORTS:
-        raise ValueError(f"bad cohort row: unknown cohort {cells[1]!r}")
-    return cells[0], cells[1]
-
-
 def load_cohorts(path: str | Path) -> dict[str, str]:
-    return dict(read_table(path, COHORT_COLUMNS, _cohort_row))
+    assignments: dict[str, str] = {}
+    for chunk in read_chunks(path, COHORT_COLUMNS):
+        for row, (learner, cohort) in enumerate(line.split("\t") for line in chunk.rows):
+            if cohort not in COHORTS:
+                raise chunk.error(row, f"bad cohort row: unknown cohort {cohort!r}")
+            if learner in assignments:
+                raise chunk.error(row, f"second row for learner {learner}")
+            assignments[learner] = cohort
+    return assignments

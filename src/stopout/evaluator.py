@@ -278,8 +278,8 @@ def export_heatmap_matrix(grid: GridResult, path: str | Path, value: str = "test
 
 
 def load_grid(path: str | Path) -> GridResult:
-    """A grid file's cells; a row of a second cohort, or a second row for one
-    (lead, lag), is a DataError naming its line."""
+    """A grid file's cells; a row of a second cohort, a second row for one
+    (lead, lag) or an AUC not in [0, 1] is a DataError naming its line."""
     seen: dict[tuple[int, int], str] = {}  # (lead, lag) -> cohort
 
     def grid_cell(cells: list[str]) -> CellResult:
@@ -290,6 +290,8 @@ def load_grid(path: str | Path) -> GridResult:
         if (int(lead), int(lag)) in seen:
             raise ValueError(f"second row for lead {lead} lag {lag}")
         seen[int(lead), int(lag)] = cohort
+        if bad := [f"{name} {v}" for name, v in zip(GRID_COLUMNS[8:-1], aucs) if v and not 0.0 <= float(v) <= 1.0]:
+            raise ValueError(f"{bad[0]} is not an AUC in [0, 1]")  # nan fails the range test too
         return CellResult(cohort, int(lead), int(lag), int(predicted_week), status, int(n_rows), int(n_train),
                           int(n_test), *(float(v) if v else None for v in aucs), int(folds_used))
 

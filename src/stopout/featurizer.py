@@ -279,6 +279,13 @@ def _layout_error(learners: list[str], at: tuple[np.ndarray, np.ndarray], num_we
     return int(np.argmax(learner == gap)), f"learner {learners[gap]} has no row for week {missing + 1}"
 
 
+def _raise_at(path: str | Path, row: int, text: str) -> None:
+    for chunk in read_chunks(path, FEATURE_COLUMNS):  # read again for the line of the row-th data row
+        if row < len(chunk.rows):
+            raise chunk.error(row, text)
+        row -= len(chunk.rows)
+
+
 def load_feature_matrix(path: str | Path) -> FeatureMatrix:
     """Read a features.tsv export; every learner needs exactly one row per
     week 1..W, where W is the largest week in the file. Rows in the order
@@ -292,16 +299,16 @@ def load_feature_matrix(path: str | Path) -> FeatureMatrix:
     # every learner-week exactly once: as many rows as learner-weeks, checked
     # first so that a far-off week is reported, not allocated, and no key twice
     if weeks.size != len(learners) * num_weeks or np.bincount(at[0] * num_weeks + at[1]).max(initial=1) > 1:
-        row, text = _layout_error(learners, at, num_weeks)
-        for chunk in read_chunks(path, FEATURE_COLUMNS):  # read again for the row's line
-            if row < len(chunk.rows):
-                raise chunk.error(row, text)
-            row -= len(chunk.rows)
+        _raise_at(path, *_layout_error(learners, at, num_weeks))
     key = at[0] * num_weeks + at[1]
     if not (key == np.arange(key.size)).all():
         labels[key], values[key] = labels.copy(), values.copy()
     values = values.reshape(len(learners), num_weeks, NUM_FEATURES)
     labels = labels.reshape(len(learners), num_weeks)
+    # a learner who stops out stays out: the first file row labelled 1 after a 0 is an error
+    if (back := np.flatnonzero(np.diff(labels, axis=1, prepend=1).ravel()[key] > 0)).size:
+        learner, week = divmod(int(key[back[0]]), num_weeks)
+        _raise_at(path, int(back[0]), f"learner {learners[learner]} week {week + 1}: label 1 after label 0")
     # stopout week: the first week labelled 0, else num_weeks + 1
     stopout = np.where(labels == 0, np.arange(1, num_weeks + 1), num_weeks + 1).min(axis=1, initial=num_weeks + 1)
     return FeatureMatrix(learners=learners, num_weeks=num_weeks, values=values, labels=labels, stopout_week=stopout)

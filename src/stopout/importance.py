@@ -28,6 +28,7 @@ CALIBRATION_STEPS = 25
 # Cap on the rows of one stack of subsample fits. On a 1k-learner course,
 # stacks of 1 to 16 MiB fit at the same speed; a larger cap only costs memory.
 STACK_BYTES = 4 << 20
+STATUS_CONSTANT = "constant_features"  # no column varies, so no l1 strength can be calibrated
 
 
 def soft_threshold(v: np.ndarray, tau: np.ndarray) -> np.ndarray:
@@ -259,14 +260,15 @@ def problem_importance(
 ) -> ProblemImportance:
     """Stability selection on one problem, seeded by the problem alone.
 
-    A problem without enough usable rows or with fewer than two examples of
-    a class is skipped with a typed status instead of raising.
+    A problem with too few usable rows, fewer than two examples of a class
+    or no column that varies is skipped with a typed status, not raised.
     """
     label = spec.cohort if spec.cohort is not None else ALL_COHORT
     X, y, _, columns = flatten(matrix, spec, assignments)
     pos = int(np.sum(y == 1))
-    if y.size < min_rows or min(pos, y.size - pos) < 2:
-        status = STATUS_INSUFFICIENT if y.size < min_rows else STATUS_DEGENERATE
+    status = (STATUS_INSUFFICIENT if y.size < min_rows else STATUS_DEGENERATE if min(pos, y.size - pos) < 2
+              else STATUS_CONSTANT if (X == X[0]).all() else STATUS_OK)
+    if status != STATUS_OK:
         return ProblemImportance(label, spec.lead, spec.lag, status)
     rng = np.random.default_rng(cell_seed(seed, f"importance|{label}", spec.lead, spec.lag))
     lam, base_freq, fits = stability_select(

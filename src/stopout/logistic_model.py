@@ -204,16 +204,13 @@ def predict_proba(model: TrainedModel, X: np.ndarray) -> np.ndarray:
     return sigmoid(model.beta[0] + X @ model.beta[1:])
 
 
-MODEL_FORMAT = "stopout-model-v1"
-
-
 def _vec(values: np.ndarray | None) -> str:
     return "" if values is None else ",".join(repr(float(v)) for v in values)
 
 
 def save_model(model: TrainedModel, path: str | Path) -> None:
     lines = [
-        MODEL_FORMAT,
+        "stopout-model-v1",
         f"ridge={model.ridge!r}",
         f"converged={int(model.converged)}",
         f"iterations={model.iterations}",

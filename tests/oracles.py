@@ -25,8 +25,7 @@ reference draws a whole course before it writes it, as the generator did
 before it streamed a learner at a time. The three sampler references are the
 split, the fold assignment and the stability subsample as each wrote its own
 per-class shuffle, before all three took class_shuffles; the new draws must
-return the same indices and leave the generator in the same state. The model
-and manifest readers parse those files from README's spec with str and float.
+return the same indices and leave the generator in the same state.
 """
 
 from __future__ import annotations
@@ -34,6 +33,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_left, bisect_right
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 
@@ -729,30 +729,20 @@ def stratified_subsample_reference(y: np.ndarray, fraction: float, rng: np.rando
     return np.sort(np.concatenate(parts))
 
 
-
-def _lines(path) -> list[str]:
-    with open(path, encoding="utf-8", newline="") as fh:  # newline="": lines end at "\n" alone
-        *lines, last = fh.read().split("\n")
-    assert last == ""  # the last line ends with "\n" too
-    return lines
-
-
 def read_model_reference(path) -> TrainedModel:
-    """model.txt as README specifies it: the format line, then seven key=value lines in order."""
-    first, *lines = _lines(path)
-    fields = dict(line.split("=", 1) for line in lines)
-    assert first == "stopout-model-v1"
-    assert list(fields) == ["ridge", "converged", "iterations", "columns", "norm_means", "norm_scales", "beta"]
-    vectors = {key: np.array([float(v) for v in fields[key].split(",")]) if fields[key] else None
-               for key in ("norm_means", "norm_scales", "beta")}
-    columns = fields["columns"].split(",") if fields["columns"] else None
-    return TrainedModel(ridge=float(fields["ridge"]), converged={"0": False, "1": True}[fields["converged"]],
-                        iterations=int(fields["iterations"]), columns=columns, **vectors)
+    """model.txt by README's spec: the format line, then seven key=value lines in order, each ended by "\\n" alone."""
+    first, *lines, last = Path(path).read_bytes().decode("utf-8").split("\n")
+    keys, (ridge, converged, iterations, columns, *vectors) = zip(*(line.split("=", 1) for line in lines))
+    assert (first, last) == ("stopout-model-v1", "")
+    assert keys == ("ridge", "converged", "iterations", "columns", "norm_means", "norm_scales", "beta")
+    means, scales, beta = (np.array([float(v) for v in text.split(",")]) if text else None for text in vectors)
+    return TrainedModel(beta, float(ridge), {"0": False, "1": True}[converged], int(iterations),
+                        columns.split(",") if columns else None, means, scales)
 
 
 def read_manifest_reference(path) -> dict[str, list[tuple[str, ...]]]:
-    """manifest.tsv's meta, cell and file rows, each as its cells after the first."""
+    """manifest.tsv's meta, cell and file rows, each as its cells after the first; lines end at "\\n" alone."""
     rows: dict[str, list[tuple[str, ...]]] = {"meta": [], "cell": [], "file": []}
-    for kind, *cells in (line.split("\t") for line in _lines(path)):
+    for kind, *cells in (line.split("\t") for line in Path(path).read_bytes().decode("utf-8").split("\n")[:-1]):
         rows[kind].append(tuple(cells))  # a row of any other kind is a KeyError
     return rows

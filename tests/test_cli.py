@@ -39,7 +39,7 @@ from stopout.cli import (
 )
 from stopout.cohorts import COHORTS
 from stopout.dataset_builder import ProblemSpec, column_names, enumerate_problems, flatten, stratified_split
-from stopout.errors import ConfigError, DataError
+from stopout.errors import ConfigError
 from stopout.evaluator import ALL_COHORT, cell_seed, cross_validate, evaluate_cell, evaluate_problem, load_grid, roc_auc
 from stopout.featurizer import FeatureMatrix, export_feature_matrix, load_feature_matrix
 from stopout.importance import (
@@ -665,6 +665,27 @@ def test_heatmap_unknown_value_exits_2(runall_dir, tmp_path, capsys):
     rc = main(["heatmap", "--grid", str(grid), "--out", str(tmp_path / "o"), "--value", "magic"])
     assert rc == 2
     assert "unknown heatmap value" in capsys.readouterr().err
+
+
+def test_heatmap_checks_the_value_before_it_reads_the_grid(tmp_path, capsys):
+    rc = main(["heatmap", "--grid", str(tmp_path / "missing.tsv"), "--out", str(tmp_path / "o"), "--value", "bogus"])
+    assert rc == 2
+    assert "unknown heatmap value 'bogus'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-0.1", "7.5"])
+def test_heatmap_rejects_an_auc_that_is_not_in_zero_to_one(runall_dir, tmp_path, capsys, value):
+    # nan was a ValueError traceback from the colour ramp, and 7.5 was drawn as if it were 1
+    source = runall_dir / "grid_passive_collaborator.tsv"
+    header, *rows = source.read_text(encoding="utf-8").splitlines()
+    at = next(i for i, row in enumerate(rows) if row.split("\t")[4] == "ok")
+    cells = rows[at].split("\t")
+    cells[header.split("\t").index("test_auc")] = value
+    rows[at] = "\t".join(cells)
+    bad = tmp_path / source.name
+    bad.write_text("\n".join([header, *rows]) + "\n", encoding="utf-8")
+    assert main(["heatmap", "--grid", str(bad), "--out", str(tmp_path / "o")]) == 3
+    assert f"data error: {bad}:{at + 2}: test_auc {value} is not an AUC in [0, 1]\n" == capsys.readouterr().err
 
 
 def test_importance_command_writes_report_and_chart(pipeline, tmp_path, capsys):

@@ -67,6 +67,14 @@ def test_load_rejects_unknown_cohort(tmp_path):
         load_cohorts(path)
 
 
+def test_load_rejects_a_second_row_for_one_learner(tmp_path):
+    # the last row used to win, so the learner's cohort depended on row order
+    path = tmp_path / "cohorts.tsv"
+    path.write_text(f"learner_id\tcohort\nL00000\t{PASSIVE}\nL00001\t{WIKI}\nL00000\t{FORUM}\n", encoding="utf-8")
+    with pytest.raises(DataError, match=r"cohorts\.tsv:4: second row for learner L00000$"):
+        load_cohorts(path)
+
+
 def test_load_rejects_bad_header_and_missing_file(tmp_path):
     path = tmp_path / "cohorts.tsv"
     path.write_text("who\twhat\n", encoding="utf-8")

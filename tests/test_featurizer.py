@@ -435,6 +435,18 @@ def test_load_feature_matrix_rejects_duplicate_learner_week(tmp_path):
         load_feature_matrix(path)
 
 
+@pytest.mark.parametrize("reverse, line", [(False, 4), (True, 7)])
+def test_load_feature_matrix_rejects_a_label_back_to_one_after_zero(tmp_path, reverse, line):
+    # a's labels 1, 0, 1, 1 made stopout week 2, yet flatten(lead=2, lag=1) kept a with y = 1;
+    # the error names the first offending row in file order (week 3: week 4 follows a 1)
+    rows = [[lid, week, label] + [0.5] * NUM_FEATURES
+            for lid, labels in (("a", (1, 0, 1, 1)), ("b", (1, 1, 0, 0))) for week, label in enumerate(labels, 1)]
+    path = tmp_path / "features.tsv"
+    write_table(path, FEATURE_COLUMNS, rows[::-1] if reverse else rows)
+    with pytest.raises(DataError, match=rf"features.tsv:{line}: learner a week 3: label 1 after label 0$"):
+        load_feature_matrix(path)
+
+
 def test_load_feature_matrix_rejects_missing_learner_week(tmp_path):
     # b lacks week 2; the error points at b's first row, after a blank line
     path = tmp_path / "features.tsv"

@@ -21,6 +21,7 @@ from stopout.importance import (
     CALIBRATION_STEPS,
     IMPORTANCE_COLUMNS,
     PROBLEM_COLUMNS,
+    STATUS_CONSTANT,
     ImportanceReport,
     L1Fit,
     ProblemImportance,
@@ -476,6 +477,24 @@ def test_statuses_are_typed_per_problem():
     assert report.cohort == "mixed"
     assert len(lams(report)) == 1
 
+
+
+def test_a_problem_with_no_varying_column_is_skipped(tmp_path):
+    # both classes at week 2 in each cohort, but every feature cell of the wiki learners is 0.5;
+    # calibrating lam on them used to raise "constant labels", and run-all with it
+    stopout = np.tile([2, 3, 4], 10)
+    labels = (np.arange(1, 4) < stopout[:, None]).astype(np.int8)
+    values = np.random.default_rng(8).normal(size=(30, 3, NUM_FEATURES))
+    values[:10] = 0.5
+    matrix = FeatureMatrix(learners=[f"L{i:02d}" for i in range(30)], num_weeks=3, values=values,
+                           labels=labels, stopout_week=stopout)
+    specs = [ProblemSpec(1, 1), ProblemSpec(1, 1, cohort=WIKI)]
+    assignments = {lid: WIKI for lid in matrix.learners[:10]}
+    report = run_importance(matrix, specs, assignments, **defaults(*IMPORTANCE_KEYS, seed=0, subsamples=5))
+    assert statuses(report) == [("all", 1, 1, STATUS_OK), (WIKI, 1, 1, STATUS_CONSTANT)]
+    export_problems(report.problems, tmp_path / "problems.tsv")
+    assert list(read_table(tmp_path / "problems.tsv", PROBLEM_COLUMNS))[1] == [
+        WIKI, "1", "1", "constant_features", "", "0", "0", "0"]
 
 PROBLEMS = [ProblemSpec(1, 1), ProblemSpec(2, 1), ProblemSpec(1, 2), ProblemSpec(1, 1, cohort=WIKI),
             ProblemSpec(7, 1)]
