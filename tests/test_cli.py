@@ -1045,3 +1045,52 @@ def test_model_file_replays_the_held_out_auc(pipeline, tmp_path):
     header, row = (out / "eval.tsv").read_text(encoding="utf-8").splitlines()
     written = dict(zip(header.split("\t"), row.split("\t")))
     assert float(written["test_auc"]) == auc  # floats are written with repr: bit for bit
+
+
+# ---------------------------------------------------------------------------
+# pinned run-all outputs
+
+# (path, sha256, size) of every file `run-all --jobs 2 --seed 0` writes for
+# synth 400x6 seed 7 with importance_subsamples=10, computed with numpy 2.4.6
+# and OpenBLAS at one thread, as GOLDEN in test_synth.py is. A change that
+# moves any of these bytes updates the table in its own diff and names the
+# files that moved.
+RUNALL_400_FILES = {
+    ("calendar.tsv", "0760f319d49b5dbe05d58e2870bcf062b6908ac9a6077a42e2afab8f54b3c354", "1045"),
+    ("cohorts.tsv", "6cc3a3b86c80e0b5eadb80dc938ae1ef6f57cbc17df9c3a2000836eaec86e79c", "10691"),
+    ("dataset.tsv", "fe7391a34827c3db332994849135fdc2acb873600344c42bf3aee200a9a684ad", "694360"),
+    ("features.tsv", "4956c18f4e968ce62fc7cb7b4fd0f1052f82a4d8bf57b116dc6873b258407f8f", "394154"),
+    ("grid_forum_contributor.tsv", "e2bbb37345d6138423ad9061ed9a4b604735c0b9d0f55129215aa68412a75fc4", "1264"),
+    ("grid_fully_collaborative.tsv", "96dc8a801703bf8cc7c27d9afab841239613ecf8b1baa8ef3aaf80c31b8cc678", "1052"),
+    ("grid_passive_collaborator.tsv", "00d8c6d1afbac034a434e552e5b48d15daacba7f7b181491948d344b288964b4", "1445"),
+    ("grid_wiki_contributor.tsv", "941979212510706f452405356a54a8e207d57cfaaf602cc1eff342960e05e189", "1062"),
+    ("heatmap_forum_contributor.svg", "799f87197be436a351dc5fab52e3025b0d6aafd3a2b7fd0b54c781f42585e54f", "3100"),
+    ("heatmap_forum_contributor.tsv", "4cd7eff2c54431347e359eb1f4656e4571159213822152dcce9de2cc05cd8586", "293"),
+    ("heatmap_fully_collaborative.svg", "1455f45ab75f125e8cbf550184bbc64c17747a8763022a47445b4cfd8c9e3d90", "2957"),
+    ("heatmap_fully_collaborative.tsv", "083319116833d16d8bcb52c811cee34edf59d23b8f1dec386b3b7c834da6df94", "199"),
+    ("heatmap_passive_collaborator.svg", "012c6f5a2b8d22a12444e9d1bd1b09cd9ec131983bb0d73c567316b4eb25bdd6", "3103"),
+    ("heatmap_passive_collaborator.tsv", "e07d21e787e9489221eacea8fa81b60992e76cdbb835de7bf580bf32450beebe", "304"),
+    ("heatmap_wiki_contributor.svg", "a4f69b64410fb6d002f6b3c42c0f67d30bbb9f33070fc9dfb8774ff6ebcfe69a", "3099"),
+    ("heatmap_wiki_contributor.tsv", "3e590776e4e7397a5d5042ad173920be7348afa1335379ad1539bffed67cdc6d", "227"),
+    ("importance.tsv", "30b562c6c7cd088e477cd176637d575c5cc16ea413c3f26446a67c2b998851d2", "2952"),
+    ("importance_forum_contributor.svg", "f868012ac39ea5767c0aa2302d24bd68c904323047774967fcafa85ff7f7e980", "4227"),
+    ("importance_fully_collaborative.svg", "4e67cfa8a08603f5c722d98c7a59232256c6aa8812e4142057ba17c10ca61a22", "4229"),
+    ("importance_passive_collaborator.svg", "c57aa47f7115034b50d77c136e8d47e61989ef34f74294c493d2c739ce933f8b", "4233"),
+    ("importance_problems.tsv", "ba7023d5539fead758b062cce10ddaf40aaab282d29d9b1348a3a08d1d0ff800", "291"),
+    ("importance_wiki_contributor.svg", "d8f016445b70f7656e6bee6f8f115a769fe0f2e36a5692277b22bd9092d3f75b", "4221"),
+    ("ingest_stats.tsv", "1e42c4996947feb3f1e43c34fbcbca9c6c6586269ac64828262614df2efb0ca2", "58"),
+    ("stopout_histogram.tsv", "fbd7101c6a05bd0bcbcdedc838591e325ce4a7841dc30d54e1295f35ae9e80bd", "47"),
+}
+
+
+def test_run_all_files_match_their_pinned_hashes(tmp_path):
+    course, out, cfg = tmp_path / "course", tmp_path / "out", tmp_path / "run.cfg"
+    assert main(["synth", "--out", str(course), "--learners", "400", "--weeks", "6", "--seed", "7"]) == 0
+    cfg.write_text("importance_subsamples=10\n", encoding="utf-8")
+    assert main(["run-all", "--events", str(course / "events.tsv"), "--calendar", str(course / "calendar.tsv"),
+                 "--out", str(out), "--seed", "0", "--jobs", "2", "--config", str(cfg)]) == 0
+    actual = {row[0]: row[1:] for row in read_manifest_reference(out / "manifest.tsv")["file"]}
+    pinned = {path: (digest, size) for path, digest, size in RUNALL_400_FILES}
+    moved = [f"{path}: pinned {pinned.get(path, ('absent',))[0]}, actual {actual.get(path, ('absent',))[0]}"
+             for path in sorted(pinned.keys() | actual.keys()) if pinned.get(path) != actual.get(path)]
+    assert not moved, "run-all files moved:\n" + "\n".join(moved)
