@@ -25,10 +25,9 @@ import numpy as np
 from . import __version__
 from . import cohorts as cohorts_mod
 from . import importance as importance_mod
-from .dataset_builder import ProblemSpec, enumerate_problems, flatten
+from .dataset_builder import ALL_COHORT, ProblemSpec, enumerate_problems, flatten
 from .errors import ConfigError, DataError, DegenerateLabelsError, InsufficientDataError
 from .evaluator import (
-    ALL_COHORT,
     STATUS_DEGENERATE,
     STATUS_INSUFFICIENT,
     STATUS_OK,
@@ -137,8 +136,7 @@ def parse_filter(clause: str) -> dict[str, object]:
             except ValueError as exc:
                 raise ConfigError(f"filter {key} must be an integer, got {value!r}") from exc
         elif key == "cohort":
-            cohort = parse_cohort(value)
-            if cohort is not None:  # 'all' or '' restricts no cohort
+            if (cohort := parse_cohort(value)) != ALL_COHORT:  # 'all' or '' restricts no cohort
                 out[key] = cohort
         else:
             raise ConfigError(f"unknown filter key {key!r}")
@@ -152,10 +150,10 @@ def filter_match(clauses: list[dict[str, object]], cohort: str, lead: int, lag: 
     return any(all(facts[k] == v for k, v in c.items()) for c in clauses)
 
 
-def parse_cohort(name: str | None) -> str | None:
-    """None (the whole population) for no name, '' or 'all'; else a known cohort."""
+def parse_cohort(name: str | None) -> str:
+    """ALL_COHORT (the whole population) for no name, '' or 'all'; else a known cohort."""
     if not name or name == ALL_COHORT:
-        return None
+        return ALL_COHORT
     if name not in cohorts_mod.COHORTS:
         raise ConfigError(f"unknown cohort {name!r}")
     return name
@@ -170,7 +168,7 @@ def parse_problem(text: str, with_cohort: bool = True) -> ProblemSpec:
         lead, lag = int(parts[0]), int(parts[1])
     except ValueError as exc:
         raise ConfigError(f"bad problem {text!r}: lead and lag must be integers") from exc
-    return ProblemSpec(lead=lead, lag=lag, cohort=parse_cohort(parts[2]) if len(parts) == 3 else None)
+    return ProblemSpec(lead=lead, lag=lag, cohort=parse_cohort(parts[2] if len(parts) == 3 else None))
 
 
 def parse_problem_pairs(text: str) -> list[tuple[int, int]]:
@@ -274,26 +272,27 @@ def cmd_cohorts(args) -> int:
 
 
 def _load_inputs(args, specs: list[ProblemSpec], missing: str):
-    """The feature matrix and the cohort assignments; missing is the error for no --cohorts."""
+    """The feature matrix, joined with --cohorts when given; missing is the error for no --cohorts."""
     matrix = load_feature_matrix(args.features)
-    assignments = cohorts_mod.load_cohorts(args.cohorts) if args.cohorts else None
-    if assignments is None and any(s.cohort is not None for s in specs):
+    if args.cohorts:
+        return cohorts_mod.join_cohorts(matrix, cohorts_mod.load_cohorts(args.cohorts))
+    if any(s.cohort != ALL_COHORT for s in specs):
         raise ConfigError(missing)
-    return matrix, assignments
+    return matrix
 
 
 def _load_problem(args):
-    """The feature matrix, the cohort assignments and the problem the flags name."""
+    """The feature matrix and the problem the flags name."""
     spec = ProblemSpec(lead=args.lead, lag=args.lag, cohort=parse_cohort(args.cohort))
-    return *_load_inputs(args, [spec], "--cohort requires --cohorts FILE"), spec
+    return _load_inputs(args, [spec], "--cohort requires --cohorts FILE"), spec
 
 
 def cmd_build(args) -> int:
     out = _out_dir(args)
-    matrix, assignments, spec = _load_problem(args)
-    X, y, learners, columns = flatten(matrix, spec, assignments)
+    matrix, spec = _load_problem(args)
+    X, y, learners, columns = flatten(matrix, spec)
     if y.size == 0:
-        cohort = f" cohort={spec.cohort}" if spec.cohort else ""
+        cohort = f" cohort={spec.cohort}" if spec.cohort != ALL_COHORT else ""
         raise InsufficientDataError(f"no eligible learners for lead={spec.lead} lag={spec.lag}{cohort}")
     write_table(out / "design.tsv", ["learner_id", "label"] + columns, (
         [lid, int(label), *row] for lid, label, row in zip(learners, y.tolist(), X.tolist())
@@ -305,8 +304,8 @@ def cmd_build(args) -> int:
 def cmd_train_eval(args) -> int:
     settings = _settings(args, load_config(args.config), *CELL_KEYS)
     out = _out_dir(args)
-    matrix, assignments, spec = _load_problem(args)
-    cell, model = evaluate_cell(matrix, spec, assignments, **settings)
+    matrix, spec = _load_problem(args)
+    cell, model = evaluate_cell(matrix, spec, **settings)
     where = f"lead={cell.lead} lag={cell.lag}"
     if cell.status == STATUS_INSUFFICIENT:
         raise InsufficientDataError(f"{cell.n_rows} eligible learners for {where}, need {settings['min_rows']}")
@@ -326,9 +325,8 @@ IMPORTANCE_TASK = "importance"
 CELL_TASK = "cell"
 
 
-def _pool_init(matrix, assignments, cell_args, importance_args) -> None:
-    _POOL_STATE.update(matrix=matrix, assignments=assignments, cell_args=cell_args,
-                       importance_args=importance_args)
+def _pool_init(matrix, cell_args, importance_args) -> None:
+    _POOL_STATE.update(matrix=matrix, cell_args=cell_args, importance_args=importance_args)
 
 
 def _cell_task(task: tuple[str, str, int, int]) -> CellResult | importance_mod.ProblemImportance:
@@ -336,9 +334,8 @@ def _cell_task(task: tuple[str, str, int, int]) -> CellResult | importance_mod.P
     kind, cohort, lead, lag = task
     spec = ProblemSpec(lead=lead, lag=lag, cohort=cohort)
     if kind == IMPORTANCE_TASK:
-        return importance_mod.problem_importance(
-            _POOL_STATE["matrix"], spec, _POOL_STATE["assignments"], **_POOL_STATE["importance_args"])
-    return evaluate_cell(_POOL_STATE["matrix"], spec, _POOL_STATE["assignments"], **_POOL_STATE["cell_args"])[0]
+        return importance_mod.problem_importance(_POOL_STATE["matrix"], spec, **_POOL_STATE["importance_args"])
+    return evaluate_cell(_POOL_STATE["matrix"], spec, **_POOL_STATE["cell_args"])[0]
 
 
 def _importance_pairs(cfg: dict[str, str], num_weeks: int) -> list[tuple[int, int]]:
@@ -379,8 +376,7 @@ def cmd_run_all(args) -> int:
         return written[-1]
 
     dataset = _ingest_stage(args, at)
-    matrix = _featurize_stage(dataset, at)
-    assignments = _cohorts_stage(dataset, at)
+    matrix = cohorts_mod.join_cohorts(_featurize_stage(dataset, at), _cohorts_stage(dataset, at))
 
     # One task list for one pool: the importance problems first, since they
     # are the longest tasks, then every grid cell. Each task seeds itself
@@ -396,7 +392,7 @@ def cmd_run_all(args) -> int:
         for s in enumerate_problems(matrix.num_weeks, cohort=cohort)
         if filter_match(clauses, cohort, s.lead, s.lag)
     ]
-    init_args = (matrix, assignments, cell_args, importance_args)
+    init_args = (matrix, cell_args, importance_args)
     if args.jobs > 1 and len(tasks) > 1:
         with Pool(processes=min(args.jobs, len(tasks)), initializer=_pool_init,
                   initargs=init_args) as pool:
@@ -449,8 +445,8 @@ def cmd_importance(args) -> int:
     settings = _settings(args, load_config(args.config), *IMPORTANCE_KEYS)
     out = _out_dir(args)
     specs = [parse_problem(p) for p in args.problem]
-    matrix, assignments = _load_inputs(args, specs, "cohort-restricted problems need --cohorts FILE")
-    report = importance_mod.run_importance(matrix, specs, assignments=assignments, **settings)
+    matrix = _load_inputs(args, specs, "cohort-restricted problems need --cohorts FILE")
+    report = importance_mod.run_importance(matrix, specs, **settings)
     importance_mod.export_importance([report], out / "importance.tsv")
     importance_mod.export_problems(report.problems, out / "importance_problems.tsv")
     ranked = report.ranked()

@@ -8,11 +8,13 @@ populations. Learners who never submitted get no cohort.
 
 from __future__ import annotations
 
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 
 from .event_store import TABLE_COLLABORATION, TABLE_SUBMISSION, CourseDataset
+from .featurizer import FeatureMatrix
 from .tsv import read_chunks, write_table
 
 PASSIVE = "passive_collaborator"
@@ -42,6 +44,12 @@ def cohort_counts(assignments: dict[str, str]) -> dict[str, int]:
     for cohort in assignments.values():
         counts[cohort] += 1
     return counts
+
+
+def join_cohorts(matrix: FeatureMatrix, assignments: dict[str, str]) -> FeatureMatrix:
+    """The matrix with each learner's cohort; a learner assignments does not
+    list gets "", which is no cohort."""
+    return replace(matrix, cohort=np.array([assignments.get(lid, "") for lid in matrix.learners], dtype=str))
 
 
 COHORT_COLUMNS = ("learner_id", "cohort")

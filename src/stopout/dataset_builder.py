@@ -15,12 +15,14 @@ import numpy as np
 from .errors import ConfigError
 from .featurizer import FEATURE_IDS, FeatureMatrix
 
+ALL_COHORT = "all"  # the label of a problem over the whole population
+
 
 @dataclass(frozen=True, slots=True)
 class ProblemSpec:
     lead: int
     lag: int
-    cohort: str | None = None
+    cohort: str = ALL_COHORT
 
     def __post_init__(self) -> None:
         if self.lead < 1 or self.lag < 1:
@@ -31,7 +33,7 @@ class ProblemSpec:
         return self.lead + self.lag
 
 
-def enumerate_problems(num_weeks: int, cohort: str | None = None) -> list[ProblemSpec]:
+def enumerate_problems(num_weeks: int, cohort: str = ALL_COHORT) -> list[ProblemSpec]:
     """All (lead, lag) pairs whose predicted week fits inside the course.
 
     The final week's label is constant by construction (nobody can stop out
@@ -48,15 +50,12 @@ def column_names(lag: int) -> list[str]:
     return [f"w{w}_{fid}" for w in range(1, lag + 1) for fid in FEATURE_IDS]
 
 
-def flatten(
-    matrix: FeatureMatrix,
-    spec: ProblemSpec,
-    assignments: dict[str, str] | None = None,
-) -> tuple[np.ndarray, np.ndarray, list[str], list[str]]:
+def flatten(matrix: FeatureMatrix, spec: ProblemSpec) -> tuple[np.ndarray, np.ndarray, list[str], list[str]]:
     """Build (X, y, learner_ids, column_names) for one prediction problem.
 
     Rows keep only learners still active after the lag window (stopout week
-    strictly beyond lag) and, when the spec names a cohort, only that cohort.
+    strictly beyond lag) and, when the spec names a cohort, only the
+    learners the matrix's cohort column puts in it.
     X stacks weeks 1..lag left to right, each week in feature-id order.
     """
     pw = spec.predicted_week
@@ -64,15 +63,11 @@ def flatten(
         raise ConfigError(
             f"predicted week {pw} exceeds course length {matrix.num_weeks}"
         )
-    if spec.cohort is not None and assignments is None:
-        raise ConfigError("cohort-restricted problem needs cohort assignments")
-
     keep = matrix.stopout_week > spec.lag
-    if spec.cohort is not None:
-        in_cohort = np.array(
-            [assignments.get(lid) == spec.cohort for lid in matrix.learners]
-        )
-        keep = keep & in_cohort
+    if spec.cohort != ALL_COHORT:
+        if matrix.cohort is None:
+            raise ConfigError("cohort-restricted problem needs cohort assignments")
+        keep &= matrix.cohort == spec.cohort
 
     idx = np.flatnonzero(keep)
     # explicit width: reshape(-1) cannot infer columns when no row survives

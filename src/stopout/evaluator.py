@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .dataset_builder import ProblemSpec, class_shuffles, flatten, normalize, stratified_split
+from .dataset_builder import ALL_COHORT, ProblemSpec, class_shuffles, flatten, normalize, stratified_split
 from .errors import DataError, DegenerateLabelsError
 from .featurizer import FeatureMatrix
 from .logistic_model import TrainedModel, predict_proba, train
@@ -24,7 +24,6 @@ from .tsv import read_table, write_table
 STATUS_OK = "ok"
 STATUS_INSUFFICIENT = "insufficient_data"
 STATUS_DEGENERATE = "degenerate_labels"
-ALL_COHORT = "all"
 AUC_ROUTE_TOL = 1e-9
 
 
@@ -202,7 +201,6 @@ class GridResult:
 def evaluate_cell(
     matrix: FeatureMatrix,
     spec: ProblemSpec,
-    assignments: dict[str, str] | None = None,
     *,
     seed: int,
     min_rows: int,
@@ -218,10 +216,9 @@ def evaluate_cell(
     vector somewhere in the pipeline. shuffle_labels permutes y before
     splitting, as a no-signal control.
     """
-    label = spec.cohort if spec.cohort is not None else ALL_COHORT
-    X, y, _, columns = flatten(matrix, spec, assignments)
+    X, y, _, columns = flatten(matrix, spec)
     cell = CellResult(
-        cohort=label,
+        cohort=spec.cohort,
         lead=spec.lead,
         lag=spec.lag,
         predicted_week=spec.predicted_week,
@@ -231,7 +228,7 @@ def evaluate_cell(
     if y.size < min_rows:
         cell.status = STATUS_INSUFFICIENT
         return cell, None
-    rng = np.random.default_rng(cell_seed(seed, label, spec.lead, spec.lag))
+    rng = np.random.default_rng(cell_seed(seed, spec.cohort, spec.lead, spec.lag))
     if shuffle_labels:
         y = y[rng.permutation(y.size)]
     try:

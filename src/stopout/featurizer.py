@@ -43,6 +43,7 @@ class FeatureMatrix:
     values: np.ndarray         # (L, W, 27) float64, FEATURE_IDS order
     labels: np.ndarray         # (L, W) int8; labels[i, w-1] is x1 for week w
     stopout_week: np.ndarray   # (L,) int
+    cohort: np.ndarray | None = None  # (L,) str, "" for no cohort; None when no cohorts were joined
 
     @property
     def num_learners(self) -> int:

@@ -16,7 +16,7 @@ import numpy as np
 
 from .dataset_builder import ProblemSpec, class_shuffles, flatten, normalize
 from .errors import DataError, InsufficientDataError
-from .evaluator import ALL_COHORT, STATUS_DEGENERATE, STATUS_INSUFFICIENT, STATUS_OK, cell_seed
+from .evaluator import STATUS_DEGENERATE, STATUS_INSUFFICIENT, STATUS_OK, cell_seed
 from .featurizer import FEATURE_IDS, FeatureMatrix
 from .logistic_model import add_intercept, sigmoid
 from .tsv import write_table
@@ -249,7 +249,6 @@ class ProblemImportance:
 def problem_importance(
     matrix: FeatureMatrix,
     spec: ProblemSpec,
-    assignments: dict[str, str] | None = None,
     *,
     seed: int,
     subsamples: int,
@@ -263,20 +262,19 @@ def problem_importance(
     A problem with too few usable rows, fewer than two examples of a class
     or no column that varies is skipped with a typed status, not raised.
     """
-    label = spec.cohort if spec.cohort is not None else ALL_COHORT
-    X, y, _, columns = flatten(matrix, spec, assignments)
+    X, y, _, columns = flatten(matrix, spec)
     pos = int(np.sum(y == 1))
     status = (STATUS_INSUFFICIENT if y.size < min_rows else STATUS_DEGENERATE if min(pos, y.size - pos) < 2
               else STATUS_CONSTANT if (X == X[0]).all() else STATUS_OK)
     if status != STATUS_OK:
-        return ProblemImportance(label, spec.lead, spec.lag, status)
-    rng = np.random.default_rng(cell_seed(seed, f"importance|{label}", spec.lead, spec.lag))
+        return ProblemImportance(spec.cohort, spec.lead, spec.lag, status)
+    rng = np.random.default_rng(cell_seed(seed, f"importance|{spec.cohort}", spec.lead, spec.lag))
     lam, base_freq, fits = stability_select(
         X, y, columns, rng,
         subsamples=subsamples, fraction=fraction,
         weight_floor=weight_floor, target_support=target_support,
     )
-    return ProblemImportance(label, spec.lead, spec.lag, STATUS_OK, lam, base_freq, l1_fits=len(fits),
+    return ProblemImportance(spec.cohort, spec.lead, spec.lag, STATUS_OK, lam, base_freq, l1_fits=len(fits),
                              l1_iterations=sum(f.iterations for f in fits),
                              l1_unconverged=sum(not f.converged for f in fits))
 
@@ -312,19 +310,14 @@ def combine_problems(problems: list[ProblemImportance]) -> ImportanceReport:
     )
 
 
-def run_importance(
-    matrix: FeatureMatrix,
-    specs: list[ProblemSpec],
-    assignments: dict[str, str] | None = None,
-    **settings,
-) -> ImportanceReport:
+def run_importance(matrix: FeatureMatrix, specs: list[ProblemSpec], **settings) -> ImportanceReport:
     """Stability selection over a set of problems, averaged per base feature.
 
     settings are problem_importance's keyword arguments. Problems that cannot
     run keep a recorded status; at least one must run or
     InsufficientDataError is raised.
     """
-    return combine_problems([problem_importance(matrix, spec, assignments, **settings) for spec in specs])
+    return combine_problems([problem_importance(matrix, spec, **settings) for spec in specs])
 
 
 IMPORTANCE_COLUMNS = ("cohort", "feature_id", "frequency")

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import settings
 
 from stopout.cli import DEFAULTS, SYNTH_KEYS, _settings
-from stopout.cohorts import assign_cohorts
+from stopout.cohorts import assign_cohorts, join_cohorts
 from stopout.event_store import ingest
 from stopout.featurizer import build_feature_matrix
 from stopout.synth import SynthConfig, SynthCourse, generate, write_course
@@ -131,13 +131,14 @@ def build_course(root: Path, config: SynthConfig) -> SimpleNamespace:
     write_course(course.course, root)
     dataset = ingest([events_path], calendar_path)
     matrix, histogram = build_feature_matrix(dataset)
+    assignments = assign_cohorts(dataset)
     return SimpleNamespace(
         config=config,
         course=course,
         dataset=dataset,
-        matrix=matrix,
+        matrix=join_cohorts(matrix, assignments),  # as run-all joins them
         histogram=histogram,
-        assignments=assign_cohorts(dataset),
+        assignments=assignments,
         events_path=events_path,
         calendar_path=calendar_path,
         truth_path=truth_path,

@@ -38,9 +38,9 @@ from stopout.cli import (
     write_manifest,
 )
 from stopout.cohorts import COHORTS
-from stopout.dataset_builder import ProblemSpec, column_names, enumerate_problems, flatten, stratified_split
+from stopout.dataset_builder import ALL_COHORT, ProblemSpec, column_names, enumerate_problems, flatten, stratified_split
 from stopout.errors import ConfigError
-from stopout.evaluator import ALL_COHORT, cell_seed, cross_validate, evaluate_cell, evaluate_problem, load_grid, roc_auc
+from stopout.evaluator import cell_seed, cross_validate, evaluate_cell, evaluate_problem, load_grid, roc_auc
 from stopout.featurizer import FeatureMatrix, export_feature_matrix, load_feature_matrix
 from stopout.importance import (
     CALIBRATION_STEPS,
@@ -429,7 +429,7 @@ def test_one_problem_grammar():
     assert parse_problem("3,6") == ProblemSpec(lead=3, lag=6)
     assert parse_problem("3,6,all") == parse_problem("3,6,") == ProblemSpec(lead=3, lag=6)
     assert parse_problem("3,6,wiki_contributor") == ProblemSpec(lead=3, lag=6, cohort="wiki_contributor")
-    assert parse_cohort(None) is parse_cohort("") is parse_cohort("all") is None
+    assert parse_cohort(None) == parse_cohort("") == parse_cohort("all") == ALL_COHORT == "all"
     with pytest.raises(ConfigError, match="unknown cohort 'lurker'"):
         parse_problem("3,6,lurker")
     with pytest.raises(ConfigError, match=r"expected LEAD,LAG\[,COHORT\]"):

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from oracles import fold_ids_reference, stratified_split_reference, stratified_subsample_reference
 from stopout import evaluator
-from stopout.cohorts import WIKI
+from stopout.cohorts import WIKI, join_cohorts
 from stopout.dataset_builder import (
     ProblemSpec,
     class_shuffles,
@@ -104,9 +104,7 @@ def test_flatten_excludes_learners_alive_only_during_lag(small_course):
 
 
 def test_flatten_cohort_restriction(fixture_matrix, fixture_cohorts):
-    X, y, learners, _ = flatten(
-        fixture_matrix, ProblemSpec(lead=1, lag=1, cohort=WIKI), fixture_cohorts
-    )
+    X, y, learners, _ = flatten(join_cohorts(fixture_matrix, fixture_cohorts), ProblemSpec(lead=1, lag=1, cohort=WIKI))
     assert learners == ["dave"]
     assert y.tolist() == [1.0]
 

@@ -15,10 +15,9 @@ from oracles import irls_reference, pairwise_auc
 from stopout import evaluator
 from stopout.cli import CELL_KEYS
 from stopout.cohorts import COHORTS, PASSIVE
-from stopout.dataset_builder import ProblemSpec, enumerate_problems, flatten
+from stopout.dataset_builder import ALL_COHORT, ProblemSpec, enumerate_problems, flatten
 from stopout.errors import DataError, DegenerateLabelsError
 from stopout.evaluator import (
-    ALL_COHORT,
     STATUS_DEGENERATE,
     STATUS_INSUFFICIENT,
     STATUS_OK,
@@ -39,13 +38,13 @@ from stopout.logistic_model import train
 from stopout.tsv import read_table
 
 
-def run_grid(matrix, assignments=None, cohort=None, specs=None, **settings) -> GridResult:
+def run_grid(matrix, cohort=ALL_COHORT, specs=None, **settings) -> GridResult:
     """Every lead/lag cell of one population, or just the cells of specs, at
     the configured settings but for those given."""
     if specs is None:
         specs = enumerate_problems(matrix.num_weeks, cohort=cohort)
-    cells = [evaluate_cell(matrix, spec, assignments, **defaults(*CELL_KEYS, **settings))[0] for spec in specs]
-    return GridResult(cohort=cohort or ALL_COHORT, num_weeks=matrix.num_weeks, cells=cells)
+    cells = [evaluate_cell(matrix, spec, **defaults(*CELL_KEYS, **settings))[0] for spec in specs]
+    return GridResult(cohort=cohort, num_weeks=matrix.num_weeks, cells=cells)
 
 def labelled_scores(max_n: int, score: st.SearchStrategy) -> st.SearchStrategy:
     """Labels with both classes present, then one score per label."""
@@ -259,13 +258,13 @@ def test_a_cell_whose_folds_fail_keeps_no_scores(monkeypatch):
 
 
 def test_grid_scores_equal_the_reference_fitter(small_course, monkeypatch):
-    m, assignments = small_course.matrix, small_course.assignments
+    m = small_course.matrix
     specs = [s for cohort in COHORTS for s in enumerate_problems(m.num_weeks, cohort=cohort)]
 
     def scores():
         # the small cohorts' minority classes hold fewer than 5 rows
         with pytest.warns(RuntimeWarning, match="reducing cross-validation folds from 5") as caught:
-            cells = run_grid(m, assignments, specs=specs, seed=4, folds=5).cells
+            cells = run_grid(m, specs=specs, seed=4, folds=5).cells
         scored = [(c.status, c.cv_mean, c.train_auc, c.test_auc, c.folds_used) for c in cells]
         return scored, [str(w.message) for w in caught]
 
@@ -356,7 +355,6 @@ def test_grid_label_shuffle_is_deterministic_and_destroys_signal(small_course):
 def test_grid_cohort_restriction(small_course):
     grid = run_grid(
         small_course.matrix,
-        assignments=small_course.assignments,
         cohort=PASSIVE,
         seed=1,
         folds=4,

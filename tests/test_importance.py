@@ -12,7 +12,7 @@ from oracles import calibrate_lambda_reference, l1_kkt_violation, l1_logistic_re
 
 from stopout import importance
 from stopout.cli import IMPORTANCE_KEYS
-from stopout.cohorts import WIKI
+from stopout.cohorts import WIKI, join_cohorts
 from stopout.dataset_builder import ProblemSpec, column_names, normalize
 from stopout.errors import DataError, InsufficientDataError
 from stopout.evaluator import STATUS_DEGENERATE, STATUS_INSUFFICIENT, STATUS_OK
@@ -462,11 +462,9 @@ def test_statuses_are_typed_per_problem():
         labels=labels,
         stopout_week=stopout,
     )
-    assignments = {lid: WIKI for lid in matrix.learners[:3]}
     report = run_importance(
-        matrix,
+        join_cohorts(matrix, {lid: WIKI for lid in matrix.learners[:3]}),
         [ProblemSpec(1, 1), ProblemSpec(2, 1), ProblemSpec(1, 1, cohort=WIKI)],
-        assignments=assignments,
         **defaults(*IMPORTANCE_KEYS, seed=0, subsamples=10),
     )
     assert statuses(report) == [
@@ -489,8 +487,8 @@ def test_a_problem_with_no_varying_column_is_skipped(tmp_path):
     matrix = FeatureMatrix(learners=[f"L{i:02d}" for i in range(30)], num_weeks=3, values=values,
                            labels=labels, stopout_week=stopout)
     specs = [ProblemSpec(1, 1), ProblemSpec(1, 1, cohort=WIKI)]
-    assignments = {lid: WIKI for lid in matrix.learners[:10]}
-    report = run_importance(matrix, specs, assignments, **defaults(*IMPORTANCE_KEYS, seed=0, subsamples=5))
+    matrix = join_cohorts(matrix, {lid: WIKI for lid in matrix.learners[:10]})
+    report = run_importance(matrix, specs, **defaults(*IMPORTANCE_KEYS, seed=0, subsamples=5))
     assert statuses(report) == [("all", 1, 1, STATUS_OK), (WIKI, 1, 1, STATUS_CONSTANT)]
     export_problems(report.problems, tmp_path / "problems.tsv")
     assert list(read_table(tmp_path / "problems.tsv", PROBLEM_COLUMNS))[1] == [
@@ -507,13 +505,13 @@ def test_run_importance_is_its_problems_combined_in_spec_order(small_course, ord
     # run-all pool task is) is the same as one computed within a list
     specs = order[:k]
     kwargs = defaults(*IMPORTANCE_KEYS, seed=seed, subsamples=4, min_rows=10)
-    matrix, assignments = small_course.matrix, small_course.assignments
-    parts = [problem_importance(matrix, spec, assignments, **kwargs) for spec in specs]
+    matrix = small_course.matrix
+    parts = [problem_importance(matrix, spec, **kwargs) for spec in specs]
     if not any(p.status == STATUS_OK for p in parts):
         with pytest.raises(InsufficientDataError):
-            run_importance(matrix, specs, assignments, **kwargs)
+            run_importance(matrix, specs, **kwargs)
         return
-    report = run_importance(matrix, specs, assignments, **kwargs)
+    report = run_importance(matrix, specs, **kwargs)
     assert report == combine_problems(parts)
     assert statuses(report) == [(p.cohort, p.lead, p.lag, p.status) for p in parts]
 
