@@ -351,9 +351,8 @@ def _run_importance_reports(problems: list[importance_mod.ProblemImportance], at
     importance_mod.export_problems(problems, at("importance_problems.tsv"))
     reports = []
     for cohort in cohorts_mod.COHORTS:
-        try:
-            report = importance_mod.combine_problems([p for p in problems if p.cohort == cohort])
-        except InsufficientDataError:
+        report = importance_mod.combine_problems([p for p in problems if p.cohort == cohort])
+        if not report.base_freq:
             print(f"importance {cohort}: no problem had enough rows, skipped")
             continue
         reports.append(report)
@@ -447,8 +446,11 @@ def cmd_importance(args) -> int:
     specs = [parse_problem(p) for p in args.problem]
     matrix = _load_inputs(args, specs, "cohort-restricted problems need --cohorts FILE")
     report = importance_mod.run_importance(matrix, specs, **settings)
-    importance_mod.export_importance([report], out / "importance.tsv")
     importance_mod.export_problems(report.problems, out / "importance_problems.tsv")
+    if not report.base_freq:
+        raise InsufficientDataError("no prediction problem ran: " + ", ".join(
+            f"{p.lead},{p.lag},{p.cohort} {p.status}" for p in report.problems))
+    importance_mod.export_importance([report], out / "importance.tsv")
     ranked = report.ranked()
     write_importance_chart(ranked, out / "importance.svg", title=f"{report.cohort} feature stability")
     top = ", ".join(f"{fid}={freq:.3f}" for fid, freq in ranked[:5])

@@ -14,6 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .errors import DataError
 from .event_store import (
     TABLE_COLLABORATION,
     TABLE_OBSERVED,
@@ -293,6 +294,8 @@ def load_feature_matrix(path: str | Path) -> FeatureMatrix:
     export_feature_matrix writes them are read into the matrix itself; rows
     in any other order are put in it with one more copy."""
     words, codes, weeks, labels, values = _read_features(path)
+    if not weeks.size:
+        raise DataError(f"{path}: no data rows")
     learners = sorted(words)
     index = {lid: i for i, lid in enumerate(learners)}
     at = (np.fromiter(map(index.__getitem__, words), np.int64, len(words))[codes], weeks - 1)

@@ -15,7 +15,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .dataset_builder import ProblemSpec, class_shuffles, flatten, normalize
-from .errors import DataError, InsufficientDataError
+from .errors import DataError
 from .evaluator import STATUS_DEGENERATE, STATUS_INSUFFICIENT, STATUS_OK, cell_seed
 from .featurizer import FEATURE_IDS, FeatureMatrix
 from .logistic_model import add_intercept, sigmoid
@@ -291,13 +291,9 @@ class ImportanceReport:
 
 
 def combine_problems(problems: list[ProblemImportance]) -> ImportanceReport:
-    """Average base-feature frequencies over the problems that ran, in order.
-
-    Raises InsufficientDataError unless at least one problem ran.
-    """
+    """Average base-feature frequencies over the problems that ran, in order;
+    base_freq is empty when none ran."""
     used = [p for p in problems if p.status == STATUS_OK]
-    if not used:
-        raise InsufficientDataError("no prediction problem had enough usable rows")
     sums = dict.fromkeys(FEATURE_IDS, 0.0)
     for p in used:
         for fid in FEATURE_IDS:
@@ -306,7 +302,7 @@ def combine_problems(problems: list[ProblemImportance]) -> ImportanceReport:
     return ImportanceReport(
         cohort=labels.pop() if len(labels) == 1 else "mixed",
         problems=list(problems),
-        base_freq={fid: sums[fid] / len(used) for fid in FEATURE_IDS},
+        base_freq={fid: sums[fid] / len(used) for fid in FEATURE_IDS} if used else {},
     )
 
 
@@ -314,8 +310,7 @@ def run_importance(matrix: FeatureMatrix, specs: list[ProblemSpec], **settings) 
     """Stability selection over a set of problems, averaged per base feature.
 
     settings are problem_importance's keyword arguments. Problems that cannot
-    run keep a recorded status; at least one must run or
-    InsufficientDataError is raised.
+    run keep a recorded status.
     """
     return combine_problems([problem_importance(matrix, spec, **settings) for spec in specs])
 

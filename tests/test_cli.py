@@ -41,7 +41,7 @@ from stopout.cohorts import COHORTS
 from stopout.dataset_builder import ALL_COHORT, ProblemSpec, column_names, enumerate_problems, flatten, stratified_split
 from stopout.errors import ConfigError
 from stopout.evaluator import cell_seed, cross_validate, evaluate_cell, evaluate_problem, load_grid, roc_auc
-from stopout.featurizer import FeatureMatrix, export_feature_matrix, load_feature_matrix
+from stopout.featurizer import FEATURE_COLUMNS, FeatureMatrix, export_feature_matrix, load_feature_matrix
 from stopout.importance import (
     CALIBRATION_STEPS,
     IMPORTANCE_COLUMNS,
@@ -703,6 +703,32 @@ def test_importance_command_writes_report_and_chart(pipeline, tmp_path, capsys):
     assert 1 <= int(rows[0][5]) - 10 <= CALIBRATION_STEPS + 1
 
 
+def test_an_all_skipped_importance_keeps_its_statuses(pipeline, tmp_path, capsys):
+    # both classes in (1,1), but every feature cell is 0.5; the wiki cohort is 4 learners
+    header, *rows = pipeline.features.read_text(encoding="utf-8").splitlines()
+    flat = tmp_path / "features.tsv"
+    flat.write_text("\n".join([header, *("\t".join(r.split("\t")[:3] + ["0.5"] * 27) for r in rows)]) + "\n")
+    out = tmp_path / "imp"
+    rc = main(["importance", "--features", str(flat), "--cohorts", str(pipeline.cohorts), "--problem", "1,1",
+               "--problem", "1,1,wiki_contributor", "--subsamples", "3", "--out", str(out)])
+    assert rc == 3
+    assert capsys.readouterr().err == ("insufficient data: no prediction problem ran: "
+                                       "1,1,all constant_features, 1,1,wiki_contributor insufficient_data\n")
+    rows = list(read_table(out / "importance_problems.tsv", PROBLEM_COLUMNS))
+    assert [row[:4] for row in rows] == [["all", "1", "1", "constant_features"],
+                                        ["wiki_contributor", "1", "1", "insufficient_data"]]
+    assert not (out / "importance.tsv").exists()
+
+
+@pytest.mark.parametrize("command", ["build", "train-eval", "importance"])
+def test_a_header_only_features_file_is_a_data_error(tmp_path, capsys, command):
+    features = tmp_path / "features.tsv"
+    features.write_text("\t".join(FEATURE_COLUMNS) + "\n", encoding="utf-8")
+    problem = ["--problem", "1,1"] if command == "importance" else ["--lead", "1", "--lag", "1"]
+    assert main([command, "--features", str(features), *problem, "--out", str(tmp_path / "o")]) == 3
+    assert capsys.readouterr().err == f"data error: {features}: no data rows\n"
+
+
 def test_importance_cohort_problem_needs_cohorts_file(pipeline, tmp_path, capsys):
     rc = main([
         "importance", "--features", str(pipeline.features),
@@ -1094,3 +1120,46 @@ def test_run_all_files_match_their_pinned_hashes(tmp_path):
     moved = [f"{path}: pinned {pinned.get(path, ('absent',))[0]}, actual {actual.get(path, ('absent',))[0]}"
              for path in sorted(pinned.keys() | actual.keys()) if pinned.get(path) != actual.get(path)]
     assert not moved, "run-all files moved:\n" + "\n".join(moved)
+
+
+# ---------------------------------------------------------------------------
+# degenerate courses
+
+# each keeps the rows of the pipeline course that pass it, given the row's
+# cells and its learner's (cohort, stopout_week) truth; the course is 4 weeks
+DEGENERATE_COURSES = {
+    "no rows": lambda row, truth: False,
+    "no submissions": lambda row, truth: row[0] == "observed",
+    "one learner": lambda row, truth: row[1] == "L00000",
+    "one cohort empty": lambda row, truth: truth[row[1]][0] != "fully_collaborative",
+    "nobody stops out": lambda row, truth: truth[row[1]][1] == "5",
+}
+
+
+def _degenerate_course(pipeline, root: Path, name: str) -> tuple[Path, Path]:
+    if name == "2 weeks":
+        assert main(["synth", "--out", str(root), "--learners", "40", "--weeks", "2", "--seed", "3"]) == 0
+        return root / "events.tsv", root / "calendar.tsv"
+    header, *lines = pipeline.events.read_text(encoding="utf-8").splitlines()
+    truth = {lid: rest for lid, *rest in (line.split("\t")[:3] for line in pipeline.truth.read_text().splitlines()[1:])}
+    kept = [line for line in lines if DEGENERATE_COURSES[name](line.split("\t"), truth)]
+    events = root / "events.tsv"
+    events.write_text("\n".join([header, *kept]) + "\n", encoding="utf-8")
+    return events, pipeline.calendar
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+@pytest.mark.parametrize("name", [*DEGENERATE_COURSES, "2 weeks"])
+def test_run_all_on_a_degenerate_course_ends_typed(pipeline, tmp_path, capsys, name, jobs):
+    events, calendar = _degenerate_course(pipeline, tmp_path, name)
+    capsys.readouterr()
+    cfg, out = tmp_path / "run.cfg", tmp_path / "out"
+    cfg.write_text("importance_subsamples = 3\n", encoding="utf-8")
+    rc = main(["run-all", "--events", str(events), "--calendar", str(calendar), "--out", str(out),
+               "--config", str(cfg), "--jobs", jobs])  # a Traceback would raise out of main
+    err = capsys.readouterr().err
+    assert rc in (0, 3, 4)
+    if rc:
+        assert len(err.splitlines()) == 1, err
+    else:
+        assert (out / "manifest.tsv").is_file()

@@ -14,7 +14,7 @@ from stopout import importance
 from stopout.cli import IMPORTANCE_KEYS
 from stopout.cohorts import WIKI, join_cohorts
 from stopout.dataset_builder import ProblemSpec, column_names, normalize
-from stopout.errors import DataError, InsufficientDataError
+from stopout.errors import DataError
 from stopout.evaluator import STATUS_DEGENERATE, STATUS_INSUFFICIENT, STATUS_OK
 from stopout.featurizer import FEATURE_IDS, NUM_FEATURES, FeatureMatrix
 from stopout.importance import (
@@ -507,13 +507,10 @@ def test_run_importance_is_its_problems_combined_in_spec_order(small_course, ord
     kwargs = defaults(*IMPORTANCE_KEYS, seed=seed, subsamples=4, min_rows=10)
     matrix = small_course.matrix
     parts = [problem_importance(matrix, spec, **kwargs) for spec in specs]
-    if not any(p.status == STATUS_OK for p in parts):
-        with pytest.raises(InsufficientDataError):
-            run_importance(matrix, specs, **kwargs)
-        return
     report = run_importance(matrix, specs, **kwargs)
     assert report == combine_problems(parts)
     assert statuses(report) == [(p.cohort, p.lead, p.lag, p.status) for p in parts]
+    assert bool(report.base_freq) == any(p.status == STATUS_OK for p in parts)
 
 
 def test_combine_averages_only_the_problems_that_ran():
@@ -537,9 +534,10 @@ def test_problems_carry_their_solver_counts(small_course):
     assert (skipped.l1_fits, skipped.l1_iterations, skipped.l1_unconverged) == (0, 0, 0)
 
 
-def test_no_usable_problem_raises(fixture_matrix):
-    with pytest.raises(InsufficientDataError, match="enough usable rows"):
-        run_importance(fixture_matrix, [ProblemSpec(1, 1)], **defaults(*IMPORTANCE_KEYS))
+def test_no_usable_problem_leaves_the_report_empty(fixture_matrix):
+    report = run_importance(fixture_matrix, [ProblemSpec(1, 1)], **defaults(*IMPORTANCE_KEYS))
+    assert report.base_freq == {} and report.ranked() == []
+    assert statuses(report) == [("all", 1, 1, STATUS_INSUFFICIENT)]
 
 
 # ---------------------------------------------------------------------------
