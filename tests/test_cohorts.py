@@ -13,8 +13,10 @@ from stopout.cohorts import (
     assign_cohorts,
     cohort_counts,
     export_cohorts,
+    join_cohorts,
     load_cohorts,
 )
+from stopout.dataset_builder import ProblemSpec, flatten
 from stopout.errors import DataError
 from stopout.event_store import TABLE_SUBMISSION
 
@@ -49,6 +51,15 @@ def test_generated_course_is_partitioned(small_course):
     assert set(assignments.values()) <= set(COHORTS)
     counts = cohort_counts(assignments)
     assert sum(counts.values()) == small_course.matrix.num_learners
+
+
+def test_a_learner_the_assignments_do_not_list_is_in_no_cohort(fixture_matrix, fixture_cohorts):
+    joined = join_cohorts(fixture_matrix, {lid: c for lid, c in fixture_cohorts.items() if lid != "dave"})
+    assert fixture_matrix.cohort is None
+    assert joined.learners == ["alice", "bob", "dave", "eve"]
+    assert joined.cohort.tolist() == [FULL, PASSIVE, "", FORUM]
+    assert flatten(joined, ProblemSpec(1, 1, cohort=WIKI))[2] == []
+    assert flatten(join_cohorts(fixture_matrix, {}), ProblemSpec(1, 1, cohort=WIKI))[0].shape == (0, 27)
 
 
 def test_export_round_trip(fixture_cohorts, tmp_path):
