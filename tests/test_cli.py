@@ -1116,10 +1116,54 @@ def test_run_all_files_match_their_pinned_hashes(tmp_path):
     assert main(["run-all", "--events", str(course / "events.tsv"), "--calendar", str(course / "calendar.tsv"),
                  "--out", str(out), "--seed", "0", "--jobs", "2", "--config", str(cfg)]) == 0
     actual = {row[0]: row[1:] for row in read_manifest_reference(out / "manifest.tsv")["file"]}
-    pinned = {path: (digest, size) for path, digest, size in RUNALL_400_FILES}
-    moved = [f"{path}: pinned {pinned.get(path, ('absent',))[0]}, actual {actual.get(path, ('absent',))[0]}"
-             for path in sorted(pinned.keys() | actual.keys()) if pinned.get(path) != actual.get(path)]
-    assert not moved, "run-all files moved:\n" + "\n".join(moved)
+    assert not (moved := _moved(RUNALL_400_FILES, actual)), "run-all files moved:\n" + "\n".join(moved)
+
+
+def _moved(table: set[tuple[str, str, str]], actual: dict[str, tuple[str, str]]) -> list[str]:
+    """A line with both hashes for each path whose (sha256, size) differs from its pin, or that only one side has."""
+    pinned = {path: (digest, size) for path, digest, size in table}
+    return [f"{path}: pinned {pinned.get(path, ('absent',))[0]}, actual {actual.get(path, ('absent',))[0]}"
+            for path in sorted(pinned.keys() | actual.keys()) if pinned.get(path) != actual.get(path)]
+
+
+# (path, sha256, size) of every file ingest, featurize and cohorts write for
+# synth 1500x14 seed 1, then train-eval for each of STAGE_CELLS under
+# cell_<lead>_<lag>/, with default settings; computed with numpy 2.4.6 and
+# OpenBLAS at one thread, as RUNALL_400_FILES is. A change that moves any of
+# these bytes updates the table in its own diff and names the files that moved.
+STAGE_CELLS = ((13, 1), (3, 6), (6, 4), (1, 12))
+STAGES_1500_FILES = {
+    ("calendar.tsv", "cec22a7171b4c8a1931b2b8893f9e38bcc4a519fcd1946aa4b2d301769fb995a", "2452"),
+    ("cell_13_1/eval.tsv", "2e6a521778bc5f1a63e6939bb209ddcebc1f77a3134cbbf5c7626300a6ee0686", "187"),
+    ("cell_13_1/model.txt", "9c8128eda15f958cbbfc5729e97943751d1f6c6bf37e098371766c7e95b57d7e", "1861"),
+    ("cell_1_12/eval.tsv", "63eabfd974c9756bc9d5be23de45dd45baf578bb4dec986f05fe371383163aad", "170"),
+    ("cell_1_12/model.txt", "9ba14e09aa9aa3b1d88d1b0a3ec641857785243157760e5e4f94b3e6d74c91da", "20567"),
+    ("cell_3_6/eval.tsv", "0b636d7ea33f9a83fb743d5bbf47ac019d290ba9d1de64f0b80ec91d19c19e09", "182"),
+    ("cell_3_6/model.txt", "59eea6351cdf0ac55475fa54b5b2afca69a06090b4d4eec7423e75012a060c13", "10385"),
+    ("cell_6_4/eval.tsv", "1a3c9d3e8c58eb869d1b0678840070ecd9d57bc972a848b77eeafd0871f992c4", "184"),
+    ("cell_6_4/model.txt", "0ecb3667e251c54669703328d15ab1b3c30d34eb34a915c913c2b3471d8c2ace", "7022"),
+    ("cohorts.tsv", "84580b49e1058b7139ef8945a26f0d0303c75baa6fe0e81ea0f8619ab31968e5", "40023"),
+    ("dataset.tsv", "e197a4b83fa5c1a471f3c2743eddaf7715a0f5787a6db21af8dd6999b296180a", "5811837"),
+    ("features.tsv", "5f34c2189586130b1364bec4dd6ceacf3c56f210c42e18611e9eb50d168c20b8", "3594572"),
+    ("ingest_stats.tsv", "a288b1cbd140985885508b37c4b79c2805264de40b200a25776f8c163b02f96e", "60"),
+    ("stopout_histogram.tsv", "6b627a14488cd24e922f0f7447b280ea5096bd37928bd35f62faba78bbe6b170", "95"),
+}
+
+
+def test_stage_files_match_their_pinned_hashes(tmp_path):
+    course, out = tmp_path / "course", tmp_path / "out"
+    assert main(["synth", "--out", str(course), "--learners", "1500", "--weeks", "14", "--seed", "1"]) == 0
+    assert main(["ingest", "--events", str(course / "events.tsv"), "--calendar", str(course / "calendar.tsv"),
+                 "--out", str(out)]) == 0
+    for stage in ("featurize", "cohorts"):
+        assert main([stage, "--dataset", str(out / "dataset.tsv"), "--calendar", str(out / "calendar.tsv"),
+                     "--out", str(out)]) == 0
+    for lead, lag in STAGE_CELLS:
+        assert main(["train-eval", "--features", str(out / "features.tsv"), "--lead", str(lead), "--lag", str(lag),
+                     "--out", str(out / f"cell_{lead}_{lag}")]) == 0
+    actual = {p.relative_to(out).as_posix(): (sha256_file(p), str(p.stat().st_size))
+              for p in out.rglob("*") if p.is_file()}
+    assert not (moved := _moved(STAGES_1500_FILES, actual)), "stage files moved:\n" + "\n".join(moved)
 
 
 # ---------------------------------------------------------------------------
