@@ -25,7 +25,7 @@ import numpy as np
 from . import __version__
 from . import cohorts as cohorts_mod
 from . import importance as importance_mod
-from .dataset_builder import ALL_COHORT, ProblemSpec, enumerate_problems, flatten
+from .dataset_builder import ALL_COHORT, ProblemSpec, column_names, enumerate_problems, flatten
 from .errors import ConfigError, DataError, DegenerateLabelsError, InsufficientDataError
 from .evaluator import (
     STATUS_DEGENERATE,
@@ -290,10 +290,11 @@ def _load_problem(args):
 def cmd_build(args) -> int:
     out = _out_dir(args)
     matrix, spec = _load_problem(args)
-    X, y, learners, columns = flatten(matrix, spec)
+    X, y, learners = flatten(matrix, spec)
     if y.size == 0:
         cohort = f" cohort={spec.cohort}" if spec.cohort != ALL_COHORT else ""
         raise InsufficientDataError(f"no eligible learners for lead={spec.lead} lag={spec.lag}{cohort}")
+    columns = column_names(spec.lag)
     write_table(out / "design.tsv", ["learner_id", "label"] + columns, (
         [lid, int(label), *row] for lid, label, row in zip(learners, y.tolist(), X.tolist())
     ))
@@ -311,7 +312,7 @@ def cmd_train_eval(args) -> int:
         raise InsufficientDataError(f"{cell.n_rows} eligible learners for {where}, need {settings['min_rows']}")
     if cell.status == STATUS_DEGENERATE:
         raise DegenerateLabelsError(f"{where}: too few of one class to split and cross-validate")
-    save_model(model, out / "model.txt")
+    save_model(model, column_names(spec.lag), out / "model.txt")
     export_grid(GridResult(cohort=cell.cohort, num_weeks=matrix.num_weeks, cells=[cell]), out / "eval.tsv")
     print(f"train-eval: {where} cohort={cell.cohort} "
           f"cv={cell.cv_mean:.4f} train={cell.train_auc:.4f} test={cell.test_auc:.4f}")
@@ -352,7 +353,7 @@ def _run_importance_reports(problems: list[importance_mod.ProblemImportance], at
     reports = []
     for cohort in cohorts_mod.COHORTS:
         report = importance_mod.combine_problems([p for p in problems if p.cohort == cohort])
-        if not report.base_freq:
+        if report.base_freq is None:
             print(f"importance {cohort}: no problem had enough rows, skipped")
             continue
         reports.append(report)
@@ -447,7 +448,7 @@ def cmd_importance(args) -> int:
     matrix = _load_inputs(args, specs, "cohort-restricted problems need --cohorts FILE")
     report = importance_mod.run_importance(matrix, specs, **settings)
     importance_mod.export_problems(report.problems, out / "importance_problems.tsv")
-    if not report.base_freq:
+    if report.base_freq is None:
         raise InsufficientDataError("no prediction problem ran: " + ", ".join(
             f"{p.lead},{p.lag},{p.cohort} {p.status}" for p in report.problems))
     importance_mod.export_importance([report], out / "importance.tsv")

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError
-from .featurizer import FEATURE_IDS, FeatureMatrix
+from .featurizer import FEATURE_IDS, NUM_FEATURES, FeatureMatrix
 
 ALL_COHORT = "all"  # the label of a problem over the whole population
 
@@ -47,16 +47,18 @@ def enumerate_problems(num_weeks: int, cohort: str = ALL_COHORT) -> list[Problem
 
 
 def column_names(lag: int) -> list[str]:
+    """The printed name of each of flatten's columns at this lag."""
     return [f"w{w}_{fid}" for w in range(1, lag + 1) for fid in FEATURE_IDS]
 
 
-def flatten(matrix: FeatureMatrix, spec: ProblemSpec) -> tuple[np.ndarray, np.ndarray, list[str], list[str]]:
-    """Build (X, y, learner_ids, column_names) for one prediction problem.
+def flatten(matrix: FeatureMatrix, spec: ProblemSpec) -> tuple[np.ndarray, np.ndarray, list[str]]:
+    """Build (X, y, learner_ids) for one prediction problem.
 
     Rows keep only learners still active after the lag window (stopout week
     strictly beyond lag) and, when the spec names a cohort, only the
     learners the matrix's cohort column puts in it.
-    X stacks weeks 1..lag left to right, each week in feature-id order.
+    X stacks weeks 1..lag left to right, each week in FEATURE_IDS order, so
+    X.reshape(-1, lag, NUM_FEATURES) indexes a row by (week - 1, feature).
     """
     pw = spec.predicted_week
     if pw > matrix.num_weeks:
@@ -71,10 +73,9 @@ def flatten(matrix: FeatureMatrix, spec: ProblemSpec) -> tuple[np.ndarray, np.nd
 
     idx = np.flatnonzero(keep)
     # explicit width: reshape(-1) cannot infer columns when no row survives
-    X = matrix.values[idx, : spec.lag, :].reshape(idx.size, spec.lag * len(FEATURE_IDS))
+    X = matrix.values[idx, : spec.lag, :].reshape(idx.size, spec.lag * NUM_FEATURES)
     y = matrix.labels[idx, pw - 1].astype(np.float64)
-    learners = [matrix.learners[i] for i in idx]
-    return X, y, learners, column_names(spec.lag)
+    return X, y, [matrix.learners[i] for i in idx]
 
 
 def class_shuffles(y: np.ndarray, rng: np.random.Generator) -> list[np.ndarray]:

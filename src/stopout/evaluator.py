@@ -156,7 +156,6 @@ def evaluate_problem(
     ratio: float,
     ridge: float,
     folds: int,
-    columns: list[str] | None = None,
 ) -> TrainedModel:
     """Split, fit on full train and score both sides, then cross-validate;
     write the scores into cell and return the full-train model.
@@ -170,7 +169,7 @@ def evaluate_problem(
     X_test, y_test = X[test_idx], y[test_idx]
     _fold_count(y_train, folds)
     Xtr, Xte, means, scales = normalize(X_train, X_test)
-    model = train(Xtr, y_train, ridge=ridge, columns=columns)
+    model = train(Xtr, y_train, ridge=ridge)
     model.norm_means = means
     model.norm_scales = scales
     train_auc = roc_auc(y_train, predict_proba(model, Xtr))
@@ -216,7 +215,7 @@ def evaluate_cell(
     vector somewhere in the pipeline. shuffle_labels permutes y before
     splitting, as a no-signal control.
     """
-    X, y, _, columns = flatten(matrix, spec)
+    X, y, _ = flatten(matrix, spec)
     cell = CellResult(
         cohort=spec.cohort,
         lead=spec.lead,
@@ -232,7 +231,7 @@ def evaluate_cell(
     if shuffle_labels:
         y = y[rng.permutation(y.size)]
     try:
-        model = evaluate_problem(X, y, rng, cell, ratio=ratio, ridge=ridge, folds=folds, columns=columns)
+        model = evaluate_problem(X, y, rng, cell, ratio=ratio, ridge=ridge, folds=folds)
     except DegenerateLabelsError:
         cell.status = STATUS_DEGENERATE
         return cell, None

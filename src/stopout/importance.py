@@ -2,8 +2,9 @@
 
 Many stratified subsamples are fit with an l1 penalty whose per-column
 weights are randomly rescaled; a feature's importance is how often its
-coefficient survives. Columns repeat once per lag week, so a base feature's
-score is the max over its copies, then averaged across prediction problems.
+coefficient survives. Columns repeat once per lag week, in flatten's layout,
+so a base feature's score is the max over its copies, then averaged across
+prediction problems.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ import numpy as np
 from .dataset_builder import ProblemSpec, class_shuffles, flatten, normalize
 from .errors import DataError
 from .evaluator import STATUS_DEGENERATE, STATUS_INSUFFICIENT, STATUS_OK, cell_seed
-from .featurizer import FEATURE_IDS, FeatureMatrix
+from .featurizer import FEATURE_IDS, NUM_FEATURES, FeatureMatrix
 from .logistic_model import add_intercept, sigmoid
 from .tsv import write_table
 
@@ -111,18 +112,6 @@ def l1_logistic(
     return fits
 
 
-def _base_id(column: str) -> str:
-    return column.split("_", 1)[1]
-
-
-def _support_size(beta: np.ndarray, columns: list[str]) -> int:
-    selected = set()
-    for j, col in enumerate(columns):
-        if abs(beta[j + 1]) > SELECT_EPS:
-            selected.add(_base_id(col))
-    return len(selected)
-
-
 class Calibration(NamedTuple):
     lam: float
     fit: L1Fit  # the full-data fit at lam
@@ -132,13 +121,13 @@ class Calibration(NamedTuple):
 def calibrate_lambda(
     X: np.ndarray,
     y: np.ndarray,
-    columns: list[str],
     *,
     target_support: int,
 ) -> Calibration:
     """Pick the l1 strength whose full-data support is closest to the target.
 
-    Support counts base features, not columns. CALIBRATION_STEPS of geometric
+    Support counts base features, not columns: X's columns are weeks of
+    NUM_FEATURES features each, as flatten lays them out. CALIBRATION_STEPS of geometric
     bisection between a tiny penalty and the smallest all-zero penalty; ties
     prefer the sparser (larger) lambda. Each step starts from the previous
     step's solution, whose lambda is an endpoint of the current interval. The
@@ -160,7 +149,7 @@ def calibrate_lambda(
         mid = float(np.sqrt(lo * hi))
         [fit] = l1_logistic(X1, y1, np.full((1, d), mid), step, init=fits[-1].beta if fits else None)
         fits.append(fit)
-        support = _support_size(fit.beta, columns)
+        support = np.count_nonzero((np.abs(fit.beta[1:]) > SELECT_EPS).reshape(-1, NUM_FEATURES).any(axis=0))
         diff = abs(support - target_support)
         if diff < best_diff or (diff == best_diff and mid > best_lam):
             best_lam, best_diff, best_fit = mid, diff, fit
@@ -183,17 +172,16 @@ def _stratified_subsample(y: np.ndarray, fraction: float, rng: np.random.Generat
 def stability_select(
     X: np.ndarray,
     y: np.ndarray,
-    columns: list[str],
     rng: np.random.Generator,
     *,
     subsamples: int,
     fraction: float,
     weight_floor: float,
     target_support: int,
-) -> tuple[float, dict[str, float], list[L1Fit]]:
+) -> tuple[float, np.ndarray, list[L1Fit]]:
     """Selection frequencies from repeated randomized-l1 fits: the calibrated
-    lambda, each base feature's frequency, and every l1 fit run, the
-    calibration's first and then one per round.
+    lambda, each base feature's frequency in FEATURE_IDS order, and every l1
+    fit run, the calibration's first and then one per round.
 
     Each round draws fresh per-column penalty weights uniform on
     [weight_floor, 1] and a stratified row subsample; a column counts as
@@ -212,8 +200,8 @@ def stability_select(
     y = y[order]
     Xn, _, _, _ = normalize(X)
     X1 = add_intercept(Xn)
-    d = len(columns)
-    lam, full, fits = calibrate_lambda(Xn, y, columns, target_support=target_support)
+    d = X.shape[1]
+    lam, full, fits = calibrate_lambda(Xn, y, target_support=target_support)
     rounds = [(rng.uniform(weight_floor, 1.0, size=d), _stratified_subsample(y, fraction, rng))
               for _ in range(subsamples)]
     weights = np.array([w for w, _ in rounds])
@@ -224,11 +212,7 @@ def stability_select(
         fits += l1_logistic(X1[idx], y[idx], lam * weights[start:start + block], init=full.beta)
     betas = np.array([fit.beta for fit in fits[-subsamples:]])
     freq = np.count_nonzero(np.abs(betas[:, 1:]) > SELECT_EPS, axis=0) / subsamples
-    base: dict[str, float] = {}
-    for j, col in enumerate(columns):
-        fid = _base_id(col)
-        base[fid] = max(base.get(fid, 0.0), float(freq[j]))
-    return lam, base, fits
+    return lam, freq.reshape(-1, NUM_FEATURES).max(axis=0), fits
 
 
 @dataclass
@@ -240,7 +224,7 @@ class ProblemImportance:
     lag: int
     status: str
     lam: float | None = None
-    base_freq: dict[str, float] = field(default_factory=dict)
+    base_freq: np.ndarray | None = None  # one frequency per feature, FEATURE_IDS order
     l1_fits: int = 0
     l1_iterations: int = 0
     l1_unconverged: int = 0
@@ -262,7 +246,7 @@ def problem_importance(
     A problem with too few usable rows, fewer than two examples of a class
     or no column that varies is skipped with a typed status, not raised.
     """
-    X, y, _, columns = flatten(matrix, spec)
+    X, y, _ = flatten(matrix, spec)
     pos = int(np.sum(y == 1))
     status = (STATUS_INSUFFICIENT if y.size < min_rows else STATUS_DEGENERATE if min(pos, y.size - pos) < 2
               else STATUS_CONSTANT if (X == X[0]).all() else STATUS_OK)
@@ -270,7 +254,7 @@ def problem_importance(
         return ProblemImportance(spec.cohort, spec.lead, spec.lag, status)
     rng = np.random.default_rng(cell_seed(seed, f"importance|{spec.cohort}", spec.lead, spec.lag))
     lam, base_freq, fits = stability_select(
-        X, y, columns, rng,
+        X, y, rng,
         subsamples=subsamples, fraction=fraction,
         weight_floor=weight_floor, target_support=target_support,
     )
@@ -283,26 +267,22 @@ def problem_importance(
 class ImportanceReport:
     cohort: str
     problems: list[ProblemImportance] = field(default_factory=list)
-    base_freq: dict[str, float] = field(default_factory=dict)
+    base_freq: np.ndarray | None = None  # FEATURE_IDS order; None when no problem ran
 
     def ranked(self) -> list[tuple[str, float]]:
-        order = {fid: i for i, fid in enumerate(FEATURE_IDS)}
-        return sorted(self.base_freq.items(), key=lambda kv: (-kv[1], order[kv[0]]))
+        """(feature id, frequency) by descending frequency, ties in FEATURE_IDS order."""
+        freq = [] if self.base_freq is None else self.base_freq.tolist()
+        return sorted(zip(FEATURE_IDS, freq), key=lambda kv: -kv[1])
 
 
 def combine_problems(problems: list[ProblemImportance]) -> ImportanceReport:
-    """Average base-feature frequencies over the problems that ran, in order;
-    base_freq is empty when none ran."""
-    used = [p for p in problems if p.status == STATUS_OK]
-    sums = dict.fromkeys(FEATURE_IDS, 0.0)
-    for p in used:
-        for fid in FEATURE_IDS:
-            sums[fid] += p.base_freq.get(fid, 0.0)
+    """Average base-feature frequencies over the problems that ran, in order."""
+    used = [p.base_freq for p in problems if p.status == STATUS_OK]
     labels = {p.cohort for p in problems}
     return ImportanceReport(
         cohort=labels.pop() if len(labels) == 1 else "mixed",
         problems=list(problems),
-        base_freq={fid: sums[fid] / len(used) for fid in FEATURE_IDS} if used else {},
+        base_freq=np.mean(used, axis=0) if used else None,
     )
 
 

@@ -65,7 +65,6 @@ class TrainedModel:
     ridge: float
     converged: bool
     iterations: int
-    columns: list[str] | None = None
     # z-score statistics of the training matrix, so a serialized model can be
     # applied to raw (unnormalized) rows later
     norm_means: np.ndarray | None = None
@@ -160,7 +159,6 @@ def train(
     y: np.ndarray,
     *,
     ridge: float,
-    columns: list[str] | None = None,
     beta0: np.ndarray | None = None,
 ) -> TrainedModel:
     """Fit a logistic model at the given ridge.
@@ -190,7 +188,6 @@ def train(
             beta = np.zeros(fitted.size)
             beta[fitted] = model.beta
             model.beta = beta
-            model.columns = list(columns) if columns is not None else None
             return model
     raise DataError(f"logistic training failed at ridge {ridge}: {failure}") from failure
 
@@ -208,13 +205,14 @@ def _vec(values: np.ndarray | None) -> str:
     return "" if values is None else ",".join(repr(float(v)) for v in values)
 
 
-def save_model(model: TrainedModel, path: str | Path) -> None:
+def save_model(model: TrainedModel, columns: list[str], path: str | Path) -> None:
+    """model.txt: the model with the name of each of its columns."""
     lines = [
         "stopout-model-v1",
         f"ridge={model.ridge!r}",
         f"converged={int(model.converged)}",
         f"iterations={model.iterations}",
-        "columns=" + (",".join(model.columns) if model.columns else ""),
+        "columns=" + ",".join(columns),
         "norm_means=" + _vec(model.norm_means),
         "norm_scales=" + _vec(model.norm_scales),
         "beta=" + ",".join(repr(float(b)) for b in model.beta),

@@ -183,8 +183,7 @@ def penalized_gradient(beta: np.ndarray, X1: np.ndarray, y: np.ndarray, ridge: f
     return grad
 
 
-def irls_reference(X: np.ndarray, y: np.ndarray, *, ridge: float,
-                   columns: list[str] | None = None, beta0: np.ndarray | None = None) -> TrainedModel:
+def irls_reference(X: np.ndarray, y: np.ndarray, *, ridge: float, beta0: np.ndarray | None = None) -> TrainedModel:
     """Plain damped Newton at the given ridge, in train's place.
 
     It starts from zeros and solves the full Hessian (beta0 is accepted and
@@ -218,12 +217,12 @@ def irls_reference(X: np.ndarray, y: np.ndarray, *, ridge: float,
             step = step / 2.0
         else:
             if 0.0 <= gain <= len(y) * np.finfo(np.float64).eps * abs(ll):
-                return TrainedModel(beta, ridge, True, iteration, columns=columns)
+                return TrainedModel(beta, ridge, True, iteration)
             raise DataError(f"reference fit failed at ridge {ridge}: no improving Newton step")
         beta, ll = beta + step, new_ll
         if np.max(np.abs(step)) < 1e-8:
-            return TrainedModel(beta, ridge, True, iteration, columns=columns)
-    return TrainedModel(beta, ridge, False, 100, columns=columns)
+            return TrainedModel(beta, ridge, True, iteration)
+    return TrainedModel(beta, ridge, False, 100)
 
 
 def l1_logistic_reference(
@@ -729,15 +728,16 @@ def stratified_subsample_reference(y: np.ndarray, fraction: float, rng: np.rando
     return np.sort(np.concatenate(parts))
 
 
-def read_model_reference(path) -> TrainedModel:
-    """model.txt by README's spec: the format line, then seven key=value lines in order, each ended by "\\n" alone."""
+def read_model_reference(path) -> tuple[TrainedModel, list[str] | None]:
+    """model.txt by README's spec: the format line, then seven key=value lines in order, each ended by "\\n" alone.
+    Returns the model and its column names, None when the columns line is empty."""
     first, *lines, last = Path(path).read_bytes().decode("utf-8").split("\n")
     keys, (ridge, converged, iterations, columns, *vectors) = zip(*(line.split("=", 1) for line in lines))
     assert (first, last) == ("stopout-model-v1", "")
     assert keys == ("ridge", "converged", "iterations", "columns", "norm_means", "norm_scales", "beta")
     means, scales, beta = (np.array([float(v) for v in text.split(",")]) if text else None for text in vectors)
-    return TrainedModel(beta, float(ridge), {"0": False, "1": True}[converged], int(iterations),
-                        columns.split(",") if columns else None, means, scales)
+    model = TrainedModel(beta, float(ridge), {"0": False, "1": True}[converged], int(iterations), means, scales)
+    return model, columns.split(",") if columns else None
 
 
 def read_manifest_reference(path) -> dict[str, list[tuple[str, ...]]]:

@@ -155,7 +155,7 @@ def test_exclusion_rule_holds_in_every_cell(planted_course):
     matrix = planted_course.matrix
     stopout = {lid: int(matrix.stopout_week[i]) for i, lid in enumerate(matrix.learners)}
     for spec in enumerate_problems(matrix.num_weeks):
-        X, y, learners, _ = flatten(matrix, spec)
+        X, y, learners = flatten(matrix, spec)
         assert all(stopout[lid] > spec.lag for lid in learners)
         assert len(learners) == int(np.sum(matrix.stopout_week > spec.lag))
         assert np.all(np.isfinite(X))

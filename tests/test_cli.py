@@ -1062,10 +1062,10 @@ def test_model_file_replays_the_held_out_auc(pipeline, tmp_path):
     ])
     assert rc == 0
     # the held-out rows: the first draw of the cell's generator splits them off
-    X, y, _, _ = flatten(load_feature_matrix(pipeline.features), ProblemSpec(lead=lead, lag=lag))
+    X, y, _ = flatten(load_feature_matrix(pipeline.features), ProblemSpec(lead=lead, lag=lag))
     rng = np.random.default_rng(cell_seed(seed, ALL_COHORT, lead, lag))
     _, test_idx = stratified_split(y, float(DEFAULTS["ratio"]), rng)
-    model = read_model_reference(out / "model.txt")
+    model, _ = read_model_reference(out / "model.txt")
     beta, means, scales = model.beta, model.norm_means, model.norm_scales
     auc = roc_auc(y[test_idx], sigmoid(beta[0] + ((X[test_idx] - means) / scales) @ beta[1:]))
     header, row = (out / "eval.tsv").read_text(encoding="utf-8").splitlines()

@@ -74,17 +74,16 @@ def test_column_names_are_week_major():
 
 
 def test_flatten_fixture_lead1_lag1(fixture_matrix):
-    X, y, learners, cols = flatten(fixture_matrix, ProblemSpec(lead=1, lag=1))
+    X, y, learners = flatten(fixture_matrix, ProblemSpec(lead=1, lag=1))
     assert learners == ["alice", "bob", "dave", "eve"]
     assert X.shape == (4, NUM_FEATURES)
     assert y.tolist() == [1.0, 0.0, 1.0, 0.0]
-    assert cols == column_names(1)
 
 
 def test_flatten_is_a_view_of_the_cube(small_course):
     m = small_course.matrix
     spec = ProblemSpec(lead=2, lag=3)
-    X, y, learners, cols = flatten(m, spec)
+    X, y, learners = flatten(m, spec)
     assert X.shape == (len(learners), 3 * NUM_FEATURES)
     row_of = {lid: i for i, lid in enumerate(m.learners)}
     for r, lid in enumerate(learners):
@@ -97,14 +96,14 @@ def test_flatten_excludes_learners_alive_only_during_lag(small_course):
     m = small_course.matrix
     stopout = dict(zip(m.learners, m.stopout_week.tolist()))
     for spec in enumerate_problems(m.num_weeks):
-        _, _, learners, _ = flatten(m, spec)
+        _, _, learners = flatten(m, spec)
         assert all(stopout[lid] > spec.lag for lid in learners)
         expected = int(np.sum(m.stopout_week > spec.lag))
         assert len(learners) == expected
 
 
 def test_flatten_cohort_restriction(fixture_matrix, fixture_cohorts):
-    X, y, learners, _ = flatten(join_cohorts(fixture_matrix, fixture_cohorts), ProblemSpec(lead=1, lag=1, cohort=WIKI))
+    X, y, learners = flatten(join_cohorts(fixture_matrix, fixture_cohorts), ProblemSpec(lead=1, lag=1, cohort=WIKI))
     assert learners == ["dave"]
     assert y.tolist() == [1.0]
 
@@ -131,10 +130,10 @@ def test_flatten_empty_cell_keeps_column_width():
         stopout_week=np.array([2, 2]),
     )
     matrix.labels[:, 0] = 1
-    X, y, learners, cols = flatten(matrix, ProblemSpec(lead=1, lag=2))
+    X, y, learners = flatten(matrix, ProblemSpec(lead=1, lag=2))
     assert X.shape == (0, 2 * NUM_FEATURES)
     assert y.shape == (0,)
-    assert learners == [] and len(cols) == 2 * NUM_FEATURES
+    assert learners == []
 
 
 # ---------------------------------------------------------------------------

@@ -276,14 +276,13 @@ def test_grid_scores_equal_the_reference_fitter(small_course, monkeypatch):
 
 
 def test_cv_tracks_heldout_auc_on_planted_cell(planted_course):
-    X, y, _, cols = flatten(planted_course.matrix, ProblemSpec(lead=1, lag=3))
+    X, y, _ = flatten(planted_course.matrix, ProblemSpec(lead=1, lag=3))
     cell = blank_cell()
-    model = evaluate_problem(X, y, np.random.default_rng(11), cell, folds=10, columns=cols,
-                             **defaults("ratio", "ridge"))
+    model = evaluate_problem(X, y, np.random.default_rng(11), cell, folds=10, **defaults("ratio", "ridge"))
     assert abs(cell.cv_mean - cell.test_auc) < 0.05
     assert cell.n_train + cell.n_test == y.size and cell.folds_used == 10
     assert model.norm_means is not None and model.norm_means.size == X.shape[1]
-    assert model.columns == cols
+    assert model.beta.size == X.shape[1] + 1
 
 
 # ---------------------------------------------------------------------------

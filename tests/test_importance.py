@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -16,7 +18,7 @@ from stopout.cohorts import WIKI, join_cohorts
 from stopout.dataset_builder import ProblemSpec, column_names, normalize
 from stopout.errors import DataError
 from stopout.evaluator import STATUS_DEGENERATE, STATUS_INSUFFICIENT, STATUS_OK
-from stopout.featurizer import FEATURE_IDS, NUM_FEATURES, FeatureMatrix
+from stopout.featurizer import FEATURE_IDS, FEATURE_INDEX, NUM_FEATURES, FeatureMatrix
 from stopout.importance import (
     CALIBRATION_STEPS,
     IMPORTANCE_COLUMNS,
@@ -54,6 +56,18 @@ def statuses(report: ImportanceReport) -> list[tuple[str, int, int, str]]:
 
 def lams(report: ImportanceReport) -> list[float]:
     return [p.lam for p in report.problems if p.status == STATUS_OK]
+
+
+def freqs(**by_id: float) -> np.ndarray:
+    """A frequency per feature in FEATURE_IDS order: the given ones, 0.0 for the rest."""
+    return np.array([by_id.get(fid, 0.0) for fid in FEATURE_IDS])
+
+
+def plain(report: ImportanceReport) -> ImportanceReport:
+    """The report with each frequency array as a list, so == compares the frequencies one by one."""
+    listed = lambda freq: None if freq is None else freq.tolist()  # noqa: E731
+    return replace(report, base_freq=listed(report.base_freq),
+                   problems=[replace(p, base_freq=listed(p.base_freq)) for p in report.problems])
 
 
 def planted_instance(seed: int, n: int = 200) -> tuple[np.ndarray, np.ndarray]:
@@ -209,7 +223,7 @@ def test_planted_fits_converge_and_warm_starts_keep_the_support():
     for seed in PLANTED_SEEDS:
         X, y = planted_instance(seed)
         Xn, _, _, _ = normalize(X)
-        cal = calibrate_lambda(Xn, y, LAG1_COLUMNS, **defaults("importance_target_support"))
+        cal = calibrate_lambda(Xn, y, **defaults("importance_target_support"))
         assert cal.fit.converged
         assert l1_kkt_violation(cal.fit.beta, Xn, y, cal.lam) <= 1e-5
         rng = np.random.default_rng(seed)
@@ -243,7 +257,7 @@ def test_warm_started_calibration_picks_the_cold_start_lambda():
                 lo = mid
             else:
                 hi = mid
-        cal = calibrate_lambda(Xn, y, LAG1_COLUMNS, target_support=8)
+        cal = calibrate_lambda(Xn, y, target_support=8)
         assert cal.lam == best_lam, seed
         # all steps ran, or the bisection stopped at the fit it returns
         assert len(cal.fits) == CALIBRATION_STEPS or cal.fit is cal.fits[-1]
@@ -255,7 +269,7 @@ def test_calibration_stopping_early_returns_the_full_bisection(target):
         X, y = planted_instance(seed)
         Xn, _, _, _ = normalize(X)
         lam, (beta, iterations, converged) = calibrate_lambda_reference(Xn, y, LAG1_COLUMNS, target)
-        cal = calibrate_lambda(Xn, y, LAG1_COLUMNS, target_support=target)
+        cal = calibrate_lambda(Xn, y, target_support=target)
         assert cal.lam == lam, (seed, target)
         assert np.array_equal(cal.fit.beta, beta), (seed, target)
         assert (cal.fit.iterations, cal.fit.converged) == (iterations, converged)
@@ -266,7 +280,7 @@ def test_calibrated_lambda_hits_target_support():
     for seed in (4000, 4001):
         X, y = planted_instance(seed)
         Xn, _, _, _ = normalize(X)
-        lam = calibrate_lambda(Xn, y, LAG1_COLUMNS, target_support=8).lam
+        lam = calibrate_lambda(Xn, y, target_support=8).lam
         beta = fit_one(Xn, y, lam).beta
         support = {
             col.split("_", 1)[1]
@@ -280,7 +294,7 @@ def test_calibration_without_a_better_midpoint_fits_lam_max():
     # a target of 0 features is met by lam_max itself, which no midpoint beats
     X, y = planted_instance(4000)
     Xn, _, _, _ = normalize(X)
-    cal = calibrate_lambda(Xn, y, LAG1_COLUMNS, target_support=0)
+    cal = calibrate_lambda(Xn, y, target_support=0)
     assert cal.lam == float(np.max(np.abs(Xn.T @ (y - y.mean())))) / y.size
     # the bisection stops at its first all-zero midpoint, then fits lam_max
     *kept, last, _ = cal.fits
@@ -292,8 +306,7 @@ def test_calibration_without_a_better_midpoint_fits_lam_max():
 def test_calibrate_lambda_rejects_constant_labels():
     X, _ = planted_instance(2)
     with pytest.raises(DataError, match="constant labels"):
-        calibrate_lambda(normalize(X)[0], np.ones(X.shape[0]), LAG1_COLUMNS,
-                         **defaults("importance_target_support"))
+        calibrate_lambda(normalize(X)[0], np.ones(X.shape[0]), **defaults("importance_target_support"))
 
 
 # ---------------------------------------------------------------------------
@@ -303,10 +316,10 @@ def test_degenerate_parameters_reduce_to_single_fit():
     # one round of every row at unit weights refits the calibrated problem from its own solution
     X, y = planted_instance(77, n=60)
     settings = defaults(*STABILITY_KEYS, subsamples=1, fraction=1.0, weight_floor=1.0)
-    lam, _, fits = stability_select(X, y, LAG1_COLUMNS, np.random.default_rng(0), **settings)
+    lam, _, fits = stability_select(X, y, np.random.default_rng(0), **settings)
     order = np.lexsort(np.vstack([X.T, y[None, :]]))  # the canonical row order
     Xn, _, _, _ = normalize(X[order])
-    cal = calibrate_lambda(Xn, y[order], LAG1_COLUMNS, target_support=settings["target_support"])
+    cal = calibrate_lambda(Xn, y[order], target_support=settings["target_support"])
     beta = fit_one(Xn, y[order], cal.lam, init=cal.fit.beta).beta
     assert lam == cal.lam and len(fits) == len(cal.fits) + 1  # the calibration's fits, then one subsample
     assert np.array_equal(fits[-1].beta, beta)
@@ -316,11 +329,11 @@ def test_degenerate_parameters_reduce_to_single_fit():
 def test_frequencies_ignore_row_order():
     X, y = planted_instance(3, n=120)
     settings = defaults(*STABILITY_KEYS, subsamples=40)
-    a_lam, a_base, a_fits = stability_select(X, y, LAG1_COLUMNS, np.random.default_rng(9), **settings)
+    a_lam, a_base, a_fits = stability_select(X, y, np.random.default_rng(9), **settings)
     perm = np.random.default_rng(1).permutation(y.size)
-    b_lam, b_base, b_fits = stability_select(X[perm], y[perm], LAG1_COLUMNS, np.random.default_rng(9), **settings)
+    b_lam, b_base, b_fits = stability_select(X[perm], y[perm], np.random.default_rng(9), **settings)
     assert np.array_equal(column_freq(a_fits, 40), column_freq(b_fits, 40))
-    assert a_base == b_base
+    assert np.array_equal(a_base, b_base)
     assert a_lam == b_lam
 
 
@@ -332,37 +345,38 @@ def test_duplicating_a_column_leaves_unrelated_features_alone():
     z = 1.5 * X[:, 0] - 1.2 * X[:, 5]
     y = (rng.random(200) < 1 / (1 + np.exp(-z))).astype(float)
     _, base, _ = stability_select(
-        X, y, LAG1_COLUMNS, np.random.default_rng(0), **defaults(*STABILITY_KEYS, subsamples=200))
+        X, y, np.random.default_rng(0), **defaults(*STABILITY_KEYS, subsamples=200))
+    week2 = np.zeros_like(X)  # a second week whose only varying column repeats x2
+    week2[:, FEATURE_INDEX["x2"]] = X[:, FEATURE_INDEX["x2"]]
     _, dup, _ = stability_select(
-        np.hstack([X, X[:, [0]]]),
+        np.hstack([X, week2]),
         y,
-        LAG1_COLUMNS + ["w2_x2"],
         np.random.default_rng(0),
         **defaults(*STABILITY_KEYS, subsamples=200),
     )
-    for fid in base:
+    for fid, j in FEATURE_INDEX.items():
         if fid != "x2":
-            assert dup[fid] - base[fid] <= 0.2, fid
+            assert dup[j] - base[j] <= 0.2, fid
 
 
 def test_base_score_is_max_over_lag_copies():
     X, y = planted_instance(6, n=90)
     doubled = np.hstack([X, np.zeros_like(X)])  # week-2 copies carry nothing
     cols = column_names(2)
-    _, base, fits = stability_select(doubled, y, cols, np.random.default_rng(2),
+    _, base, fits = stability_select(doubled, y, np.random.default_rng(2),
                                      **defaults(*STABILITY_KEYS, subsamples=20))
     freq = column_freq(fits, 20)
-    assert set(base) == set(FEATURE_IDS)
-    for fid in FEATURE_IDS:
-        assert base[fid] == max(f for col, f in zip(cols, freq) if col.split("_", 1)[1] == fid)
+    assert base.shape == (NUM_FEATURES,)
+    for j, fid in enumerate(FEATURE_IDS):
+        assert base[j] == max(f for col, f in zip(cols, freq) if col.split("_", 1)[1] == fid)
 
 
 def test_stability_select_counts_every_l1_fit():
     X, y = planted_instance(6, n=90)
     settings = defaults(*STABILITY_KEYS, subsamples=12)
-    lam, _, fits = stability_select(X, y, LAG1_COLUMNS, np.random.default_rng(2), **settings)
+    lam, _, fits = stability_select(X, y, np.random.default_rng(2), **settings)
     order = np.lexsort(np.vstack([X.T, y[None, :]]))  # the canonical row order
-    cal = calibrate_lambda(normalize(X[order])[0], y[order], LAG1_COLUMNS, target_support=settings["target_support"])
+    cal = calibrate_lambda(normalize(X[order])[0], y[order], target_support=settings["target_support"])
     assert lam == cal.lam
     assert len(fits) == len(cal.fits) + 12  # the bisection's fits, then one per subsample
     assert all(np.array_equal(ours.beta, theirs.beta) for ours, theirs in zip(fits, cal.fits))
@@ -380,7 +394,7 @@ def test_each_fit_starts_from_its_nearest_solved_neighbour(monkeypatch):
 
     monkeypatch.setattr(importance, "l1_logistic", spy)
     X, y = planted_instance(6, n=90)
-    stability_select(X, y, LAG1_COLUMNS, np.random.default_rng(2), **defaults(*STABILITY_KEYS, subsamples=5))
+    stability_select(X, y, np.random.default_rng(2), **defaults(*STABILITY_KEYS, subsamples=5))
     *bisection, (rounds_init, rounds) = calls  # the five rounds make one stack
     assert len(rounds) == 5 and all(len(fits) == 1 for _, fits in bisection)
     assert bisection[0][0] is None
@@ -392,7 +406,7 @@ def test_each_fit_starts_from_its_nearest_solved_neighbour(monkeypatch):
 def test_rounds_are_stacked_in_blocks_of_at_most_stack_bytes(monkeypatch):
     X, y = planted_instance(6, n=90)
     settings = defaults(*STABILITY_KEYS, subsamples=7)
-    whole_lam, _, whole = stability_select(X, y, LAG1_COLUMNS, np.random.default_rng(2), **settings)
+    whole_lam, _, whole = stability_select(X, y, np.random.default_rng(2), **settings)
     sizes = []
     real = importance.l1_logistic
 
@@ -404,7 +418,7 @@ def test_rounds_are_stacked_in_blocks_of_at_most_stack_bytes(monkeypatch):
     monkeypatch.setattr(importance, "l1_logistic", spy)
     member = 68 * (len(LAG1_COLUMNS) + 1) * 8  # a 0.75 subsample of 90 rows keeps 68
     monkeypatch.setattr(importance, "STACK_BYTES", 3 * member)
-    blocked_lam, _, blocked = stability_select(X, y, LAG1_COLUMNS, np.random.default_rng(2), **settings)
+    blocked_lam, _, blocked = stability_select(X, y, np.random.default_rng(2), **settings)
     assert sizes[-3:] == [3, 3, 1]
     assert blocked_lam == whole_lam and len(blocked) == len(whole)
     assert all(np.array_equal(a.beta, b.beta) and a[1:] == b[1:] for a, b in zip(blocked, whole))
@@ -428,15 +442,15 @@ def test_pure_noise_frequencies_stay_diluted():
     matrix = noise_feature_matrix(2000)
     trio = [ProblemSpec(13, 1), ProblemSpec(3, 6), ProblemSpec(6, 4)]
     report = run_importance(matrix, trio, **defaults(*IMPORTANCE_KEYS, seed=0, subsamples=200))
-    assert max(report.base_freq.values()) <= 0.9
+    assert report.base_freq.max() <= 0.9
 
 
 def test_report_covers_all_features_within_bounds(small_course):
     report = run_importance(
         small_course.matrix, [ProblemSpec(lead=1, lag=1)], **defaults(*IMPORTANCE_KEYS, seed=3, subsamples=25)
     )
-    assert set(report.base_freq) == set(FEATURE_IDS)
-    assert all(0.0 <= v <= 1.0 for v in report.base_freq.values())
+    assert report.base_freq.shape == (NUM_FEATURES,) and report.base_freq.dtype == np.float64
+    assert all(0.0 <= v <= 1.0 for v in report.base_freq)
     assert statuses(report) == [("all", 1, 1, STATUS_OK)]
     assert len(lams(report)) == 1
 
@@ -444,7 +458,7 @@ def test_report_covers_all_features_within_bounds(small_course):
 def test_run_importance_is_seed_deterministic(small_course):
     a = run_importance(small_course.matrix, [ProblemSpec(1, 1)], **defaults(*IMPORTANCE_KEYS, seed=6, subsamples=20))
     b = run_importance(small_course.matrix, [ProblemSpec(1, 1)], **defaults(*IMPORTANCE_KEYS, seed=6, subsamples=20))
-    assert a.base_freq == b.base_freq and lams(a) == lams(b)
+    assert np.array_equal(a.base_freq, b.base_freq) and lams(a) == lams(b)
 
 
 def test_statuses_are_typed_per_problem():
@@ -508,19 +522,18 @@ def test_run_importance_is_its_problems_combined_in_spec_order(small_course, ord
     matrix = small_course.matrix
     parts = [problem_importance(matrix, spec, **kwargs) for spec in specs]
     report = run_importance(matrix, specs, **kwargs)
-    assert report == combine_problems(parts)
+    assert plain(report) == plain(combine_problems(parts))
     assert statuses(report) == [(p.cohort, p.lead, p.lag, p.status) for p in parts]
-    assert bool(report.base_freq) == any(p.status == STATUS_OK for p in parts)
+    assert (report.base_freq is not None) == any(p.status == STATUS_OK for p in parts)
 
 
 def test_combine_averages_only_the_problems_that_ran():
-    ran = [ProblemImportance("all", 1, 1, STATUS_OK, lam=0.5, base_freq={"x2": 0.25, "x3": 1.0}),
+    ran = [ProblemImportance("all", 1, 1, STATUS_OK, lam=0.5, base_freq=freqs(x2=0.25, x3=1.0)),
            ProblemImportance("all", 2, 1, STATUS_DEGENERATE),
-           ProblemImportance("all", 1, 2, STATUS_OK, lam=0.25, base_freq={"x2": 0.75})]
+           ProblemImportance("all", 1, 2, STATUS_OK, lam=0.25, base_freq=freqs(x2=0.75))]
     report = combine_problems(ran)
     assert report.cohort == "all" and lams(report) == [0.5, 0.25]
-    assert report.base_freq["x2"] == 0.5 and report.base_freq["x3"] == 0.5
-    assert report.base_freq["x9"] == 0.0
+    assert np.array_equal(report.base_freq, freqs(x2=0.5, x3=0.5))
     assert statuses(report)[1] == ("all", 2, 1, STATUS_DEGENERATE)
 
 
@@ -536,7 +549,7 @@ def test_problems_carry_their_solver_counts(small_course):
 
 def test_no_usable_problem_leaves_the_report_empty(fixture_matrix):
     report = run_importance(fixture_matrix, [ProblemSpec(1, 1)], **defaults(*IMPORTANCE_KEYS))
-    assert report.base_freq == {} and report.ranked() == []
+    assert report.base_freq is None and report.ranked() == []
     assert statuses(report) == [("all", 1, 1, STATUS_INSUFFICIENT)]
 
 
@@ -544,19 +557,19 @@ def test_no_usable_problem_leaves_the_report_empty(fixture_matrix):
 # report and export
 
 def test_ranked_breaks_ties_in_feature_order():
-    report = ImportanceReport(
-        cohort="all", base_freq={"x9": 0.5, "x2": 0.5, "x210": 0.9},
-    )
-    assert report.ranked() == [("x210", 0.9), ("x2", 0.5), ("x9", 0.5)]
+    report = ImportanceReport(cohort="all", base_freq=freqs(x9=0.5, x2=0.5, x210=0.9))
+    assert report.ranked() == [("x210", 0.9), ("x2", 0.5), ("x9", 0.5)] + [
+        (fid, 0.0) for fid in FEATURE_IDS if fid not in ("x2", "x9", "x210")]
 
 
 def test_export_round_trip(tmp_path):
-    a = ImportanceReport(cohort="all", base_freq={"x2": 1 / 3, "x9": 0.25})
-    b = ImportanceReport(cohort=WIKI, base_freq={"x2": 0.75})
+    a = ImportanceReport(cohort="all", base_freq=freqs(x2=1 / 3, x9=0.25))
+    b = ImportanceReport(cohort=WIKI, base_freq=freqs(x2=0.75))
     path = tmp_path / "importance.tsv"
     export_importance([a, b], path)
     loaded = {(cohort, fid): float(freq) for cohort, fid, freq in read_table(path, IMPORTANCE_COLUMNS)}
-    assert loaded == {("all", "x2"): 1 / 3, ("all", "x9"): 0.25, (WIKI, "x2"): 0.75}
+    expected = {(cohort, fid): 0.0 for cohort in ("all", WIKI) for fid in FEATURE_IDS}
+    assert loaded == expected | {("all", "x2"): 1 / 3, ("all", "x9"): 0.25, (WIKI, "x2"): 0.75}
     lines = path.read_text(encoding="utf-8").splitlines()
     assert lines[0] == "cohort\tfeature_id\tfrequency"
     assert lines[1].startswith("all\tx2")  # ranked within each cohort
