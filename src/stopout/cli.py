@@ -346,6 +346,10 @@ def _importance_pairs(cfg: dict[str, str], num_weeks: int) -> list[tuple[int, in
     return valid or [(1, 1)]  # shortest problem always fits a >= 2 week course
 
 
+def _none_ran(problems: list[importance_mod.ProblemImportance]) -> str:
+    return "no prediction problem ran: " + ", ".join(f"{p.lead},{p.lag},{p.cohort} {p.status}" for p in problems)
+
+
 def _run_importance_reports(problems: list[importance_mod.ProblemImportance], at) -> None:
     """Combine each cohort's problems into a report; write charts, importance.tsv
     and importance_problems.tsv."""
@@ -354,7 +358,7 @@ def _run_importance_reports(problems: list[importance_mod.ProblemImportance], at
     for cohort in cohorts_mod.COHORTS:
         report = importance_mod.combine_problems([p for p in problems if p.cohort == cohort])
         if report.base_freq is None:
-            print(f"importance {cohort}: no problem had enough rows, skipped")
+            print(f"importance {cohort}: {_none_ran(report.problems)}")
             continue
         reports.append(report)
         write_importance_chart(report.ranked(), at(f"importance_{cohort}.svg"), title=f"{cohort} feature stability")
@@ -449,8 +453,7 @@ def cmd_importance(args) -> int:
     report = importance_mod.run_importance(matrix, specs, **settings)
     importance_mod.export_problems(report.problems, out / "importance_problems.tsv")
     if report.base_freq is None:
-        raise InsufficientDataError("no prediction problem ran: " + ", ".join(
-            f"{p.lead},{p.lag},{p.cohort} {p.status}" for p in report.problems))
+        raise InsufficientDataError(_none_ran(report.problems))
     importance_mod.export_importance([report], out / "importance.tsv")
     ranked = report.ranked()
     write_importance_chart(ranked, out / "importance.svg", title=f"{report.cohort} feature stability")

@@ -15,7 +15,7 @@ import numpy as np
 
 from .event_store import TABLE_COLLABORATION, TABLE_SUBMISSION, CourseDataset
 from .featurizer import FeatureMatrix
-from .tsv import read_chunks, write_table
+from .tsv import read_table, write_table
 
 PASSIVE = "passive_collaborator"
 FORUM = "forum_contributor"
@@ -60,12 +60,18 @@ def export_cohorts(assignments: dict[str, str], path: str | Path) -> None:
 
 
 def load_cohorts(path: str | Path) -> dict[str, str]:
+    """Each listed learner's cohort; an unknown cohort or a second row for one
+    learner is a DataError naming its line."""
     assignments: dict[str, str] = {}
-    for chunk in read_chunks(path, COHORT_COLUMNS):
-        for row, (learner, cohort) in enumerate(line.split("\t") for line in chunk.rows):
-            if cohort not in COHORTS:
-                raise chunk.error(row, f"bad cohort row: unknown cohort {cohort!r}")
-            if learner in assignments:
-                raise chunk.error(row, f"second row for learner {learner}")
-            assignments[learner] = cohort
+
+    def cohort_row(cells: list[str]) -> list[str]:
+        learner, cohort = cells
+        if cohort not in COHORTS:
+            raise ValueError(f"bad cohort row: unknown cohort {cohort!r}")
+        if learner in assignments:
+            raise ValueError(f"second row for learner {learner}")
+        return cells
+
+    for learner, cohort in read_table(path, COHORT_COLUMNS, cohort_row):
+        assignments[learner] = cohort
     return assignments

@@ -1073,6 +1073,24 @@ def test_model_file_replays_the_held_out_auc(pipeline, tmp_path):
     assert float(written["test_auc"]) == auc  # floats are written with repr: bit for bit
 
 
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_run_all_names_each_skipped_importance_problems_status(pipeline, tmp_path, capsys, jobs):
+    # nobody stops out, so each cohort's one importance problem has a single class or too few rows
+    events, calendar = _degenerate_course(pipeline, tmp_path, "nobody stops out")
+    cfg, out = tmp_path / "run.cfg", tmp_path / "out"
+    cfg.write_text("importance_subsamples = 3\n", encoding="utf-8")
+    capsys.readouterr()
+    assert main(["run-all", "--events", str(events), "--calendar", str(calendar), "--out", str(out),
+                 "--config", str(cfg), "--jobs", jobs]) == 0
+    printed = [line for line in capsys.readouterr().out.splitlines() if line.startswith("importance ")]
+    rows = list(read_table(out / "importance_problems.tsv", PROBLEM_COLUMNS))
+    assert [row[:3] for row in rows] == [[cohort, "1", "1"] for cohort in COHORTS]
+    assert "degenerate_labels" in {row[3] for row in rows}
+    assert printed == [f"importance {cohort}: no prediction problem ran: 1,1,{cohort} {status}"
+                       for cohort, _, _, status, *_ in rows]
+    assert not (out / "importance.tsv").read_text(encoding="utf-8").splitlines()[1:]
+
+
 # ---------------------------------------------------------------------------
 # pinned run-all outputs
 

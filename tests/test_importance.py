@@ -537,6 +537,24 @@ def test_combine_averages_only_the_problems_that_ran():
     assert statuses(report)[1] == ("all", 2, 1, STATUS_DEGENERATE)
 
 
+@settings(max_examples=25, deadline=None)
+@given(st.integers(1, 91), st.integers(0, 20), st.integers(0, 2**32 - 1))
+@example(91, 20, 0)  # all 91 problems of a 14-week course
+def test_combine_is_the_in_order_mean_bit_for_bit(ok, skipped, seed):
+    # frequencies k/200, as 200 subsamples give; skipped problems carry
+    # frequencies too, which must not reach the average
+    rng = np.random.default_rng(seed)
+    kinds = rng.permutation([STATUS_OK] * ok + [STATUS_DEGENERATE] * skipped)
+    problems = [ProblemImportance("all", 1, 1, str(status), base_freq=rng.integers(0, 201, NUM_FEATURES) / 200)
+                for status in kinds]
+    sums = [0.0] * NUM_FEATURES
+    for p in problems:
+        if p.status == STATUS_OK:
+            sums = [total + float(f) for total, f in zip(sums, p.base_freq)]
+    expected = np.array([total / ok for total in sums])
+    assert combine_problems(problems).base_freq.tobytes() == expected.tobytes()
+
+
 def test_problems_carry_their_solver_counts(small_course):
     ran = problem_importance(small_course.matrix, ProblemSpec(1, 1), **defaults(*IMPORTANCE_KEYS, seed=1, subsamples=6))
     skipped = problem_importance(small_course.matrix, ProblemSpec(1, 1),
