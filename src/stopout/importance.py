@@ -127,13 +127,13 @@ def calibrate_lambda(
     """Pick the l1 strength whose full-data support is closest to the target.
 
     Support counts base features, not columns: X's columns are weeks of
-    NUM_FEATURES features each, as flatten lays them out. CALIBRATION_STEPS of geometric
-    bisection between a tiny penalty and the smallest all-zero penalty; ties
-    prefer the sparser (larger) lambda. Each step starts from the previous
-    step's solution, whose lambda is an endpoint of the current interval. The
-    bisection stops at the first midpoint whose support is the target: every
-    later midpoint is smaller, and a tie keeps the larger lambda, so none of
-    them could replace it.
+    NUM_FEATURES features each, as flatten lays them out. CALIBRATION_STEPS
+    of geometric bisection between a tiny penalty and the smallest all-zero
+    penalty; ties prefer the sparser (larger) lambda. Each step starts from
+    the previous step's solution, whose lambda is an endpoint of the current
+    interval. The bisection stops at the first midpoint whose support is the
+    target: every later midpoint is smaller, and a tie keeps the larger
+    lambda, so none of them could replace it.
     """
     n, d = X.shape
     resid = y - float(np.mean(y))
