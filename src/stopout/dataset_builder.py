@@ -59,6 +59,7 @@ def flatten(matrix: FeatureMatrix, spec: ProblemSpec) -> tuple[np.ndarray, np.nd
     learners the matrix's cohort column puts in it.
     X stacks weeks 1..lag left to right, each week in FEATURE_IDS order, so
     X.reshape(-1, lag, NUM_FEATURES) indexes a row by (week - 1, feature).
+    X and y are float64 ndarrays, and the layers below take them as they are.
     """
     pw = spec.predicted_week
     if pw > matrix.num_weeks:
@@ -119,11 +120,9 @@ def normalize(
     Returns (train, test, means, scales); scales holds the divisor actually
     used, 1.0 wherever the train column had zero variance.
     """
-    means = X_train.mean(axis=0) if X_train.size else np.zeros(X_train.shape[1])
-    stds = X_train.std(axis=0) if X_train.size else np.zeros(X_train.shape[1])
-    if X_train.size:  # centered on its value, a column of equal values is exact zeros
-        constant = (X_train == X_train[0]).all(axis=0)
-        means[constant], stds[constant] = X_train[0, constant], 0.0
+    means, stds = X_train.mean(axis=0), X_train.std(axis=0)
+    constant = (X_train == X_train[0]).all(axis=0)  # centered on its value, such a column is exact zeros
+    means[constant], stds[constant] = X_train[0, constant], 0.0
     scales = np.where(stds > 0.0, stds, 1.0)
     train = (X_train - means) / scales
     test = None if X_test is None else (X_test - means) / scales

@@ -33,11 +33,9 @@ def _counts(y: np.ndarray) -> tuple[int, int]:
     return pos, neg
 
 
-def _roc_counts(y_true: np.ndarray, scores: np.ndarray) -> tuple[np.ndarray, np.ndarray, int, int]:
+def _roc_counts(y: np.ndarray, s: np.ndarray) -> tuple[np.ndarray, np.ndarray, int, int]:
     """Checked inputs as positives and negatives at each distinct score, in
     ascending score order, then the two class totals."""
-    y = np.asarray(y_true, dtype=np.float64)
-    s = np.asarray(scores, dtype=np.float64)
     if y.shape != s.shape or y.ndim != 1:
         raise DataError(f"shape mismatch: labels {y.shape}, scores {s.shape}")
     if not np.all(np.isfinite(s)):
@@ -110,7 +108,6 @@ def cross_validate(
     recomputed inside each fold from its own training split. Each fold fit
     starts from beta0 when given (see train).
     """
-    y = np.asarray(y, dtype=np.float64)
     k = _fold_count(y, folds)
     if k < folds:
         warnings.warn(

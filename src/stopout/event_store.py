@@ -240,11 +240,12 @@ def _int64(cells: list[str], rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _check_events(cells: dict[str, list[str]], coders: dict[str, Coder],
-                  calendar: CourseCalendar, dump: bool) -> tuple[np.ndarray, dict[str, np.ndarray]]:
+                  calendar: CourseCalendar) -> tuple[np.ndarray, dict[str, np.ndarray]]:
     """Each row's first failing check as an index into REASONS (len(REASONS)
     if none), and the rows' DUMP_COLUMNS arrays with strings coded and the
-    cells a row's table does not use blanked; only dump reads durations (else
-    -1) and checks problems against the calendar."""
+    cells a row's table does not use blanked; only a dump's cells, which have
+    durations, read them (else -1) and check problems against the calendar."""
+    dump = "duration" in cells
     code = {name: np.fromiter(map(coder.__getitem__, cells[name]), np.int64, len(cells[name]))
             for name, coder in coders.items()}
     observed, submission, collab = (code["table"] == TABLE_CODE[name] for name in TABLE_ORDER)
@@ -294,10 +295,10 @@ def ingest(paths: list[str | Path], calendar_path: str | Path) -> CourseDataset:
     stats, coders, bound, filled = IngestStats(), _coders(calendar), sum(map(line_bound, paths)), 0
     events = {name: np.empty(bound, np.int64) for name in DUMP_COLUMNS}
     for path in paths:
-        for chunk in read_chunks(path, EVENT_COLUMNS, any_order=True, drop_wrong_width=True):
+        for chunk in read_chunks(path, EVENT_COLUMNS, lenient=True):
             stats.total += len(chunk.rows) + chunk.dropped
             stats.reject("bad_columns", chunk.dropped)
-            reason, values = _check_events(chunk.columns(), coders, calendar, False)
+            reason, values = _check_events(chunk.columns(), coders, calendar)
             for name, count in zip(REASONS, np.bincount(reason, minlength=len(REASONS)).tolist()):
                 stats.reject(name, count)
             ok = reason == len(REASONS)
@@ -369,7 +370,7 @@ def load_dump(path: str | Path, calendar: CourseCalendar) -> CourseDataset:
     events = {name: np.empty(bound, np.int64) for name in DUMP_COLUMNS}
     for chunk in read_chunks(path, DUMP_COLUMNS):
         cells = chunk.columns()
-        reason, values = _check_events(cells, coders, calendar, True)
+        reason, values = _check_events(cells, coders, calendar)
         bad = np.flatnonzero(reason < len(REASONS))
         if bad.size:
             raise chunk.error(bad[0], REASONS[reason[bad[0]]].format(cells["problem_id"][bad[0]]))

@@ -299,10 +299,10 @@ def load_feature_matrix(path: str | Path) -> FeatureMatrix:
     learners = sorted(words)
     index = {lid: i for i, lid in enumerate(learners)}
     at = (np.fromiter(map(index.__getitem__, words), np.int64, len(words))[codes], weeks - 1)
-    num_weeks = int(weeks.max(initial=0))
+    num_weeks = int(weeks.max())
     # every learner-week exactly once: as many rows as learner-weeks, checked
     # first so that a far-off week is reported, not allocated, and no key twice
-    if weeks.size != len(learners) * num_weeks or np.bincount(at[0] * num_weeks + at[1]).max(initial=1) > 1:
+    if weeks.size != len(learners) * num_weeks or np.bincount(at[0] * num_weeks + at[1]).max() > 1:
         _raise_at(path, *_layout_error(learners, at, num_weeks))
     key = at[0] * num_weeks + at[1]
     if not (key == np.arange(key.size)).all():
@@ -314,7 +314,7 @@ def load_feature_matrix(path: str | Path) -> FeatureMatrix:
         learner, week = divmod(int(key[back[0]]), num_weeks)
         _raise_at(path, int(back[0]), f"learner {learners[learner]} week {week + 1}: label 1 after label 0")
     # stopout week: the first week labelled 0, else num_weeks + 1
-    stopout = np.where(labels == 0, np.arange(1, num_weeks + 1), num_weeks + 1).min(axis=1, initial=num_weeks + 1)
+    stopout = np.where(labels == 0, np.arange(1, num_weeks + 1), num_weeks + 1).min(axis=1)
     return FeatureMatrix(learners=learners, num_weeks=num_weeks, values=values, labels=labels, stopout_week=stopout)
 
 

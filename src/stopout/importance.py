@@ -80,7 +80,7 @@ def l1_logistic(
     step = (lipschitz_steps(X1) if step is None else step)[:, None]
     step_tau = np.zeros((S, d1))
     step_tau[:, 1:] = step * penalty
-    beta = np.zeros((S, d1)) if init is None else np.tile(np.asarray(init, dtype=np.float64), (S, 1))
+    beta = np.zeros((S, d1)) if init is None else np.tile(init, (S, 1))
     look = beta
     t = np.ones((S, 1))
     members = np.arange(S)  # the member at each stack position
@@ -190,8 +190,6 @@ def stability_select(
     from the calibration's full-data solution. All rounds are drawn first, in
     round order, then fit as stacks of at most STACK_BYTES of rows.
     """
-    X = np.asarray(X, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
     # Canonical row order: shuffled copies of one dataset must give bitwise
     # equal frequencies, and float sums depend on row order. Ties are only
     # between identical rows, which are interchangeable.

@@ -35,7 +35,7 @@ Z_CLAMP = 709.0  # largest |z| exp() survives; keeps sigmoid(-1000) positive
 
 def sigmoid(z: np.ndarray) -> np.ndarray:
     """Numerically stable logistic function; never underflows to 0 or NaN."""
-    z = np.clip(np.asarray(z, dtype=np.float64), -Z_CLAMP, Z_CLAMP)
+    z = np.clip(z, -Z_CLAMP, Z_CLAMP)
     # e^-|z| <= 1 cannot overflow; it is e^-z on one side of 0 and e^z on the other
     e = np.exp(-np.abs(z))
     denom = 1.0 + e
@@ -43,7 +43,6 @@ def sigmoid(z: np.ndarray) -> np.ndarray:
 
 
 def add_intercept(X: np.ndarray) -> np.ndarray:
-    X = np.asarray(X, dtype=np.float64)
     return np.hstack([np.ones((X.shape[0], 1)), X])
 
 
@@ -167,17 +166,15 @@ def train(
     start before zeros. Raises DegenerateLabelsError unless y contains both
     classes, and DataError if the fit fails numerically.
     """
-    X = np.asarray(X, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
     if X.ndim != 2 or y.shape != (X.shape[0],):
         raise DataError(f"shape mismatch: X {X.shape}, y {y.shape}")
     if not np.all((y == 0.0) | (y == 1.0)):
         raise DataError("labels must be 0 or 1")
-    if np.all(y == y[0] if y.size else True):
+    if np.all(y == y[0]):
         raise DegenerateLabelsError("labels contain a single class")
     fitted = np.concatenate(([True], np.any(X != 0.0, axis=0)))
     X1 = add_intercept(X[:, fitted[1:]])
-    start = None if beta0 is None else np.asarray(beta0, dtype=np.float64)[fitted]
+    start = None if beta0 is None else beta0[fitted]
     for beta_start in (None,) if start is None else (start, None):
         try:
             model = _irls(X1, y, ridge, beta_start)
@@ -193,7 +190,6 @@ def train(
 
 
 def predict_proba(model: TrainedModel, X: np.ndarray) -> np.ndarray:
-    X = np.asarray(X, dtype=np.float64)
     if X.shape[1] != model.beta.size - 1:
         raise DataError(
             f"model expects {model.beta.size - 1} columns, got {X.shape[1]}"

@@ -90,17 +90,16 @@ def line_bound(path: str | Path) -> int:
         return 0
 
 
-def read_chunks(path: str | Path, header: Sequence[str], any_order: bool = False,
-                drop_wrong_width: bool = False) -> Iterator[Chunk]:
+def read_chunks(path: str | Path, header: Sequence[str], lenient: bool = False) -> Iterator[Chunk]:
     """Yield a table file's data rows a chunk at a time. An unreadable file, a
-    wrong header (any_order allows a permutation) or a row of the wrong width
-    raises DataError, the last once the rows before it are yielded; with
-    drop_wrong_width, such rows are left out and counted instead."""
+    wrong header or a row of the wrong width raises DataError, the last once
+    the rows before it are yielded. lenient allows the header's columns in
+    any order, and leaves rows of the wrong width out, counted instead."""
     path = Path(path)
     with _reading(path, DataError) as fh:
         got = fh.readline().rstrip("\n").split("\t")
-        if (sorted(got) != sorted(header)) if any_order else (got != list(header)):
-            raise DataError(f"{path}:1: bad header, expected {list(header)}{' in any order' * any_order}, got {got}")
+        if (sorted(got) != sorted(header)) if lenient else (got != list(header)):
+            raise DataError(f"{path}:1: bad header, expected {list(header)}{' in any order' * lenient}, got {got}")
         tabs, first_line = len(got) - 1, 2
         while lines := fh.readlines(CHUNK_BYTES):
             # split at "\n" alone, as read_lines does; drop what follows the last
@@ -110,7 +109,7 @@ def read_chunks(path: str | Path, header: Sequence[str], any_order: bool = False
             # a count per row: over the whole chunk, a long row could hide a short one
             counts = list(map(str.count, chunk.rows, repeat("\t")))
             wrong = [i for i, n in enumerate(counts) if n != tabs] if counts.count(tabs) != len(counts) else []
-            if wrong and not drop_wrong_width:
+            if wrong and not lenient:
                 if wrong[0]:
                     yield Chunk(path, got, chunk.rows[:wrong[0]], lines, chunk.first_line)
                 raise chunk.error(wrong[0], f"expected {tabs + 1} cells, got {counts[wrong[0]] + 1}")
