@@ -62,6 +62,8 @@ class SynthConfig:
             raise ConfigError(f"num_learners must be >= 0, got {self.num_learners}")
         if self.num_weeks < 2:
             raise ConfigError(f"num_weeks must be >= 2, got {self.num_weeks}")
+        if self.seed < 0:  # numpy's default_rng takes no negative seed
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
         for name in ("volume_slope", "timeliness_slope", "grades_slope"):
             if not math.isfinite(getattr(self, name)):
                 raise ConfigError(f"{name} must be finite, got {getattr(self, name)}")

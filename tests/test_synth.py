@@ -97,6 +97,14 @@ def test_synth_rejects_a_bad_config_value_with_exit_2(tmp_path, capsys, key, val
     assert not out.exists()
 
 
+def test_synth_rejects_a_negative_seed_with_exit_2(tmp_path, capsys):
+    # numpy's default_rng raises on a negative seed; the config check names it first
+    out = tmp_path / "o"
+    assert main(["synth", "--out", str(out), "--learners", "50", "--weeks", "4", "--seed", "-1"]) == 2
+    assert capsys.readouterr().err == "config error: seed must be >= 0, got -1\n"
+    assert not out.exists()
+
+
 # ---------------------------------------------------------------------------
 # calendar layout
 
