@@ -272,7 +272,8 @@ def export_heatmap_matrix(grid: GridResult, path: str | Path, value: str = "test
 
 def load_grid(path: str | Path) -> GridResult:
     """A grid file's cells; a row of a second cohort, a second row for one
-    (lead, lag) or an AUC not in [0, 1] is a DataError naming its line."""
+    (lead, lag), a predicted_week other than lead + lag or an AUC not in
+    [0, 1] is a DataError naming its line."""
     seen: dict[tuple[int, int], str] = {}  # (lead, lag) -> cohort
 
     def grid_cell(cells: list[str]) -> CellResult:
@@ -283,6 +284,8 @@ def load_grid(path: str | Path) -> GridResult:
         if (int(lead), int(lag)) in seen:
             raise ValueError(f"second row for lead {lead} lag {lag}")
         seen[int(lead), int(lag)] = cohort
+        if int(predicted_week) != int(lead) + int(lag):
+            raise ValueError(f"predicted_week {predicted_week} is not lead + lag = {int(lead) + int(lag)}")
         if bad := [f"{name} {v}" for name, v in zip(GRID_COLUMNS[8:-1], aucs) if v and not 0.0 <= float(v) <= 1.0]:
             raise ValueError(f"{bad[0]} is not an AUC in [0, 1]")  # nan fails the range test too
         return CellResult(cohort, int(lead), int(lag), int(predicted_week), status, int(n_rows), int(n_train),
