@@ -213,7 +213,7 @@ def stability_select(
     return lam, freq.reshape(-1, NUM_FEATURES).max(axis=0), fits
 
 
-@dataclass
+@dataclass(eq=False)  # == on its frequency array is elementwise, so a generated __eq__ would raise
 class ProblemImportance:
     """One problem's stability selection, or the status that skipped it."""
 
@@ -261,7 +261,7 @@ def problem_importance(
                              l1_unconverged=sum(not f.converged for f in fits))
 
 
-@dataclass
+@dataclass(eq=False)  # as ProblemImportance
 class ImportanceReport:
     cohort: str
     problems: list[ProblemImportance] = field(default_factory=list)

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import replace
+from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
@@ -63,11 +63,12 @@ def freqs(**by_id: float) -> np.ndarray:
     return np.array([by_id.get(fid, 0.0) for fid in FEATURE_IDS])
 
 
-def plain(report: ImportanceReport) -> ImportanceReport:
-    """The report with each frequency array as a list, so == compares the frequencies one by one."""
+def plain(report: ImportanceReport) -> dict:
+    """The report's fields as dicts and lists, each frequency array a list, so == compares them one by one
+    (the records compare by identity)."""
     listed = lambda freq: None if freq is None else freq.tolist()  # noqa: E731
-    return replace(report, base_freq=listed(report.base_freq),
-                   problems=[replace(p, base_freq=listed(p.base_freq)) for p in report.problems])
+    return asdict(replace(report, base_freq=listed(report.base_freq),
+                          problems=[replace(p, base_freq=listed(p.base_freq)) for p in report.problems]))
 
 
 def planted_instance(seed: int, n: int = 200) -> tuple[np.ndarray, np.ndarray]:
@@ -563,6 +564,15 @@ def test_problems_carry_their_solver_counts(small_course):
     assert 6 < ran.l1_fits <= CALIBRATION_STEPS + 1 + 6  # the bisection's fits, then one per subsample
     assert skipped.status == STATUS_INSUFFICIENT and skipped.lam is None
     assert (skipped.l1_fits, skipped.l1_iterations, skipped.l1_unconverged) == (0, 0, 0)
+
+
+def test_comparing_two_runs_of_one_problem_does_not_raise(small_course):
+    # a generated __eq__ compared the frequency arrays with ==, and an array's truth value raised
+    first, second = (problem_importance(small_course.matrix, ProblemSpec(1, 1),
+                                        **defaults(*IMPORTANCE_KEYS, seed=1, subsamples=4)) for _ in range(2))
+    assert np.array_equal(first.base_freq, second.base_freq)
+    assert first == first and first != second  # records compare by identity
+    assert combine_problems([first]) != combine_problems([second])
 
 
 def test_no_usable_problem_leaves_the_report_empty(fixture_matrix):
