@@ -22,6 +22,7 @@ import pytest
 import stopout
 from oracles import read_manifest_reference, read_model_reference
 from stopout.cli import (
+    CELL_KEYS,
     DEFAULTS,
     SETTINGS,
     build_parser,
@@ -40,7 +41,17 @@ from stopout.cli import (
 from stopout.cohorts import COHORTS
 from stopout.dataset_builder import ALL_COHORT, ProblemSpec, column_names, enumerate_problems, flatten, stratified_split
 from stopout.errors import ConfigError
-from stopout.evaluator import cell_seed, cross_validate, evaluate_cell, evaluate_problem, load_grid, roc_auc
+from stopout.evaluator import (
+    GRID_COLUMNS,
+    GridResult,
+    cell_seed,
+    cross_validate,
+    evaluate_cell,
+    evaluate_problem,
+    export_grid,
+    load_grid,
+    roc_auc,
+)
 from stopout.featurizer import FEATURE_COLUMNS, FeatureMatrix, export_feature_matrix, load_feature_matrix
 from stopout.importance import (
     CALIBRATION_STEPS,
@@ -51,7 +62,7 @@ from stopout.importance import (
     stability_select,
 )
 from stopout.logistic_model import sigmoid, train
-from stopout.synth import SynthConfig
+from stopout.synth import TRUTH_COLUMNS, SynthConfig
 from stopout.tsv import read_table
 from stopout.viz import CELL, PAD_LEFT, PAD_TOP
 
@@ -688,6 +699,14 @@ def test_heatmap_rejects_an_auc_that_is_not_in_zero_to_one(runall_dir, tmp_path,
     assert f"data error: {bad}:{at + 2}: test_auc {value} is not an AUC in [0, 1]\n" == capsys.readouterr().err
 
 
+def test_heatmap_rejects_a_predicted_week_that_is_not_lead_plus_lag(tmp_path, capsys):
+    # heatmap places a cell by its stored predicted_week: this row's test_auc was drawn under week 4
+    bad = tmp_path / "grid.tsv"
+    bad.write_text("\t".join(GRID_COLUMNS) + "\nall\t1\t1\t4\tok\t50\t35\t15\t0.8\t0.9\t0.85\t3\n", encoding="utf-8")
+    assert main(["heatmap", "--grid", str(bad), "--out", str(tmp_path / "o")]) == 3
+    assert capsys.readouterr().err == f"data error: {bad}:2: predicted_week 4 is not lead + lag = 2\n"
+
+
 def test_importance_command_writes_report_and_chart(pipeline, tmp_path, capsys):
     out = tmp_path / "imp"
     rc = main([
@@ -1208,6 +1227,75 @@ def _degenerate_course(pipeline, root: Path, name: str) -> tuple[Path, Path]:
     events = root / "events.tsv"
     events.write_text("\n".join([header, *kept]) + "\n", encoding="utf-8")
     return events, pipeline.calendar
+
+
+@pytest.fixture(scope="module")
+def degenerate_events(tmp_path_factory):
+    """Two event files cut from synth 1500x14 seed 1, with its calendar: "empty"
+    keeps the header alone, and "same week" the 116 learners whose truth
+    stopout week is 4, so every problem's labels are one class or no row is eligible."""
+    course = tmp_path_factory.mktemp("degenerate_events")
+    assert main(["synth", "--out", str(course), "--learners", "1500", "--weeks", "14", "--seed", "1"]) == 0
+    header, *lines = (course / "events.tsv").read_text(encoding="utf-8").splitlines()
+    week = {lid: week for lid, _, week, *_ in read_table(course / "truth.tsv", TRUTH_COLUMNS)}
+    (course / "empty.tsv").write_text(header + "\n", encoding="utf-8")
+    kept = [line for line in lines if week[line.split("\t")[1]] == "4"]
+    (course / "same week.tsv").write_text("\n".join([header, *kept]) + "\n", encoding="utf-8")
+    return course
+
+
+def _stages_end_typed(capsys, runs: list[tuple[list, int, str]]) -> None:
+    """Each command ends in process with its exit code and its stderr: one typed line, or none at exit 0."""
+    for argv, code, err in runs:
+        assert (main(list(map(str, argv))), capsys.readouterr().err) == (code, err), argv
+
+
+def _etl(events: Path, calendar: Path, out: Path) -> list[tuple[list, int, str]]:
+    dataset = ["--dataset", out / "dataset.tsv", "--calendar", out / "calendar.tsv", "--out", out]
+    return [(["ingest", "--events", events, "--calendar", calendar, "--out", out], 0, ""),
+            (["featurize", *dataset], 0, ""), (["cohorts", *dataset], 0, "")]
+
+
+def test_a_header_only_events_file_ends_every_stage_command_typed(degenerate_events, tmp_path, capsys):
+    out = tmp_path / "out"
+    features = ["--features", out / "features.tsv"]
+    no_rows = f"data error: {out / 'features.tsv'}: no data rows\n"
+    grid = tmp_path / "grid.tsv"
+    export_grid(GridResult(cohort=ALL_COHORT, num_weeks=0), grid)  # the grid of a course with no cell
+    _stages_end_typed(capsys, _etl(degenerate_events / "empty.tsv", degenerate_events / "calendar.tsv", out) + [
+        (["build", *features, "--lead", "1", "--lag", "3", "--out", tmp_path / "b"], 3, no_rows),
+        (["train-eval", *features, "--lead", "1", "--lag", "3", "--out", tmp_path / "t"], 3, no_rows),
+        (["importance", *features, "--problem", "1,3", "--out", tmp_path / "i"], 3, no_rows),
+        (["heatmap", "--grid", grid, "--out", tmp_path / "h"], 0, ""),
+    ])
+    assert (out / "features.tsv").read_text(encoding="utf-8").count("\n") == 1
+
+
+def test_a_course_where_everyone_stops_out_in_one_week_ends_every_stage_command_typed(
+        degenerate_events, tmp_path, capsys):
+    out = tmp_path / "out"
+    features = ["--features", out / "features.tsv"]
+    grid = tmp_path / "grid.tsv"
+    _stages_end_typed(capsys, _etl(degenerate_events / "same week.tsv", degenerate_events / "calendar.tsv", out) + [
+        (["build", *features, "--lead", "1", "--lag", "3", "--out", tmp_path / "b"], 0, ""),
+        (["train-eval", *features, "--lead", "1", "--lag", "3", "--out", tmp_path / "t"], 4,
+         "degenerate labels: lead=1 lag=3: too few of one class to split and cross-validate\n"),
+        (["train-eval", *features, "--lead", "5", "--lag", "5", "--out", tmp_path / "t"], 3,
+         "insufficient data: 0 eligible learners for lead=5 lag=5, need 10\n"),
+        (["importance", *features, "--problem", "1,3", "--problem", "1,1", "--out", tmp_path / "i"], 3,
+         "insufficient data: no prediction problem ran: 1,3,all degenerate_labels, 1,1,all degenerate_labels\n"),
+    ])
+    design = list(read_table(tmp_path / "b" / "design.tsv", ["learner_id", "label", *column_names(3)]))
+    assert len(design) == 116 and {row[1] for row in design} == {"0"}  # every row, one label
+    # the grid of the two cells train-eval refused, as run-all would write it: heatmap draws no cell of it
+    matrix = load_feature_matrix(out / "features.tsv")
+    cells = [evaluate_cell(matrix, spec, **_settings(argparse.Namespace(), DEFAULTS, *CELL_KEYS))[0]
+             for spec in (ProblemSpec(1, 3), ProblemSpec(5, 5))]
+    assert [c.status for c in cells] == ["degenerate_labels", "insufficient_data"]
+    export_grid(GridResult(cohort=ALL_COHORT, num_weeks=matrix.num_weeks, cells=cells), grid)
+    _stages_end_typed(capsys, [(["heatmap", "--grid", grid, "--out", tmp_path / "h"], 0, "")])
+    weeks = map(str, range(2, 11))  # a grid file's course ends at its largest predicted week, 5 + 5
+    assert all(cell == "" for row in read_table(tmp_path / "h" / "heatmap.tsv", ["lag", *weeks]) for cell in row[1:])
 
 
 @pytest.mark.parametrize("jobs", ["1", "2"])
