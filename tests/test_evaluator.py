@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import copy
 import re
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -10,7 +12,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import defaults
+from conftest import build_course, defaults, synth_config
 from oracles import irls_reference, pairwise_auc
 from stopout import evaluator
 from stopout.cli import CELL_KEYS
@@ -227,6 +229,27 @@ def test_folds_start_from_the_full_train_fit(monkeypatch):
     model = evaluate_problem(X, y, np.random.default_rng(3), blank_cell(), folds=5, **defaults("ratio", "ridge"))
     assert calls[0][1] is model and calls[0][0] is None
     assert len(calls) == 6 and all(beta0 is model.beta for beta0, _ in calls[1:])
+
+
+def test_warm_started_folds_score_as_cold_started_ones(tmp_path, monkeypatch):
+    # the full-train beta is a speed device only: from zeros, with the same
+    # fold draw, every fold of every ok cell of run-all's pinned course scores the same AUC
+    m = build_course(tmp_path, synth_config(num_learners=400, num_weeks=6, seed=7)).matrix
+    same, real = [], evaluator.cross_validate
+
+    def warm_and_cold(X, y, rng, **kwargs):
+        cold = real(X, y, copy.deepcopy(rng), **{**kwargs, "beta0": None})
+        warm = real(X, y, rng, **kwargs)
+        same.append(warm == cold)
+        return warm
+
+    monkeypatch.setattr(evaluator, "cross_validate", warm_and_cold)
+    specs = [s for cohort in (ALL_COHORT, *COHORTS) for s in enumerate_problems(m.num_weeks, cohort=cohort)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)  # the small cohorts' folds shrink
+        cells = run_grid(m, specs=specs, seed=0).cells
+    assert len(same) == sum(c.status == STATUS_OK for c in cells) >= len(specs) // 2
+    assert [cell for cell, equal in zip((c for c in cells if c.status == STATUS_OK), same) if not equal] == []
 
 
 def test_a_cell_that_cannot_cross_validate_fits_nothing(monkeypatch):

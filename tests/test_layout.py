@@ -7,9 +7,11 @@ parameter with a default that no call in src/stopout passes is a knob only
 the tests turn: it becomes a constant, or it earns a line in UNPASSED. And a
 dataclass field that no code in src/stopout reads is state only the tests
 look at: it goes, or it earns a line in UNREAD. An entry in any of the three
-lists must still be needed, or it goes too. Finally, only tsv.py reads a
+lists must still be needed, or it goes too. Only tsv.py reads a
 file, so there is one home for how a file's lines end; a function elsewhere
-that reads one earns a line in READERS.
+that reads one earns a line in READERS. Finally, the model layers take
+flatten's float64 arrays as they are: no function there passes a parameter
+to np.asarray.
 """
 
 from __future__ import annotations
@@ -212,3 +214,27 @@ def file_readers() -> set[str]:
 
 def test_only_tsv_reads_files():
     assert file_readers() == set(READERS)
+
+
+# flatten makes X and y as float64 ndarrays; the modules that take them from it use them as they are
+MODEL_LAYERS = ("dataset_builder.py", "evaluator.py", "importance.py", "logistic_model.py")
+
+
+def parameter_conversions() -> list[str]:
+    """file:line np.asarray(parameter) for each np.asarray of a parameter inside a function of MODEL_LAYERS."""
+    trees, found = _trees(), set()  # a set: a nested function's calls are walked again from the one around it
+    for path in MODEL_LAYERS:
+        for func in ast.walk(trees[path]):
+            if not isinstance(func, ast.FunctionDef):
+                continue
+            params = {a.arg for a in func.args.posonlyargs + func.args.args + func.args.kwonlyargs}
+            found |= {
+                (path, call.lineno, call.args[0].id) for call in ast.walk(func)
+                if isinstance(call, ast.Call) and isinstance(call.func, ast.Attribute) and call.func.attr == "asarray"
+                and call.args and isinstance(call.args[0], ast.Name) and call.args[0].id in params
+            }
+    return [f"{path}:{line} np.asarray({name})" for path, line, name in sorted(found)]
+
+
+def test_model_layers_take_their_arrays_as_they_are():
+    assert parameter_conversions() == []
