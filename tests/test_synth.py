@@ -71,6 +71,7 @@ def _rejected(kwargs, message, index):
         _rejected({"hazard_noise": -1.0}, "hazard_noise must be finite and >= 0", 15),
         _rejected({"hazard_noise": math.inf}, "hazard_noise must be finite and >= 0", 16),
         _rejected({"hazard_noise": math.nan}, "hazard_noise must be finite and >= 0", 17),
+        _rejected({"seed": -1}, "seed must be >= 0, got -1", 18),  # numpy's default_rng raised on it
     ],
 )
 def test_config_rejects_bad_values(kwargs, message):
@@ -94,14 +95,6 @@ def test_synth_rejects_a_bad_config_value_with_exit_2(tmp_path, capsys, key, val
     out = tmp_path / "o"
     assert main(["synth", "--out", str(out), "--learners", "50", "--weeks", "4", "--config", str(path)]) == 2
     assert f"config error: {key.removeprefix('synth_')} must be finite" in capsys.readouterr().err
-    assert not out.exists()
-
-
-def test_synth_rejects_a_negative_seed_with_exit_2(tmp_path, capsys):
-    # numpy's default_rng raises on a negative seed; the config check names it first
-    out = tmp_path / "o"
-    assert main(["synth", "--out", str(out), "--learners", "50", "--weeks", "4", "--seed", "-1"]) == 2
-    assert capsys.readouterr().err == "config error: seed must be >= 0, got -1\n"
     assert not out.exists()
 
 
