@@ -105,8 +105,10 @@ def cross_validate(
 
     Folds are assigned round-robin within each shuffled class, so every fold
     holds at least one example of each class. Normalization statistics are
-    recomputed inside each fold from its own training split. Each fold fit
-    starts from beta0 when given (see train).
+    recomputed inside each fold from its own training split. beta0, when
+    given, is a model on X's raw scale, intercept first. Each fold fit
+    starts from it in that fold's z-scores, where it scores the fold's rows
+    as beta0 does; train reruns a start that fails from zeros.
     """
     k = _fold_count(y, folds)
     if k < folds:
@@ -122,8 +124,9 @@ def cross_validate(
     aucs = []
     for f in range(k):
         test_mask = fold_id == f
-        Xtr, Xte, _, _ = normalize(X[~test_mask], X[test_mask])
-        model = train(Xtr, y[~test_mask], ridge=ridge, beta0=beta0)
+        Xtr, Xte, means, scales = normalize(X[~test_mask], X[test_mask])
+        start = None if beta0 is None else np.concatenate(([beta0[0] + beta0[1:] @ means], beta0[1:] * scales))
+        model = train(Xtr, y[~test_mask], ridge=ridge, beta0=start)
         aucs.append(roc_auc(y[test_mask], predict_proba(model, Xte)))
     return aucs
 
@@ -157,8 +160,11 @@ def evaluate_problem(
     """Split, fit on full train and score both sides, then cross-validate;
     write the scores into cell and return the full-train model.
 
-    The folds start from the full-train fit. rng draws only the split and the
-    folds, so fitting first changes no draw; a cell that cannot
+    The folds start from the full-train fit, put on X's raw scale once
+    (w = beta[1:] / scales, intercept beta[0] - w . means) and then into
+    each fold's own z-scores by cross_validate. The start only saves Newton
+    steps: each fold converges to its own optimum. rng draws only the split
+    and the folds, so fitting first changes no draw; a cell that cannot
     cross-validate raises before anything is fit, and a raise leaves cell unscored.
     """
     train_idx, test_idx = stratified_split(y, ratio, rng)
@@ -172,7 +178,9 @@ def evaluate_problem(
     train_auc = roc_auc(y_train, predict_proba(model, Xtr))
     test_auc = roc_auc(y_test, predict_proba(model, Xte))
     del Xtr, Xte  # not held while the folds allocate their own
-    cv_aucs = cross_validate(X_train, y_train, rng, folds=folds, ridge=ridge, beta0=model.beta)
+    w = model.beta[1:] / scales
+    raw = np.concatenate(([model.beta[0] - w @ means], w))
+    cv_aucs = cross_validate(X_train, y_train, rng, folds=folds, ridge=ridge, beta0=raw)
     cell.n_train, cell.n_test = int(train_idx.size), int(test_idx.size)
     cell.cv_mean = sum(cv_aucs) / len(cv_aucs)
     cell.train_auc, cell.test_auc = train_auc, test_auc

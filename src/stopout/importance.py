@@ -33,7 +33,12 @@ STATUS_CONSTANT = "constant_features"  # no column varies, so no l1 strength can
 
 
 def soft_threshold(v: np.ndarray, tau: np.ndarray) -> np.ndarray:
-    return np.sign(v) * np.maximum(np.abs(v) - tau, 0.0)
+    """sign(v) * max(|v| - tau, 0), in one new array."""
+    shrunk = np.abs(v)
+    shrunk -= tau
+    np.maximum(shrunk, 0.0, out=shrunk)
+    shrunk *= np.sign(v)
+    return shrunk
 
 
 class L1Fit(NamedTuple):
@@ -87,11 +92,15 @@ def l1_logistic(
     fits: list[L1Fit] = [None] * S
     for iteration in range(1, MAX_ITER + 1):
         p = sigmoid(X1 @ look[:, :, None])[:, :, 0]
-        grad = (X1.transpose(0, 2, 1) @ (p - y)[:, :, None])[:, :, 0] / n
-        new_beta = soft_threshold(look - step * grad, step_tau)
+        grad = (X1.transpose(0, 2, 1) @ (p - y)[:, :, None])[:, :, 0]
+        grad /= n
+        grad *= step
+        new_beta = soft_threshold(look - grad, step_tau)
         moved = new_beta - beta
-        # restart: this step takes no momentum; a (1, d) @ (d, 1) product is one dot
-        t = np.where(((look - new_beta)[:, None, :] @ moved[:, :, None])[:, 0] > 0.0, 1.0, t)
+        # restart: this step takes no momentum; a (1, d) @ (d, 1) product is
+        # one dot, here of look - new_beta, written over the spent gradient
+        back = np.subtract(look, new_beta, out=grad)
+        t = np.where((back[:, None, :] @ moved[:, :, None])[:, 0] > 0.0, 1.0, t)
         t_new = (1.0 + np.sqrt(1.0 + 4.0 * t * t)) / 2.0
         look = new_beta + ((t - 1.0) / t_new) * moved
         beta = new_beta

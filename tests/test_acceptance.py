@@ -90,7 +90,8 @@ def test_trainer_matches_grid_oracle():
         if y.min() == y.max():
             y[0] = 1.0 - y[0]
         model = train(X, y, ridge=ridge)
-        ll = penalized_ll(model.beta, add_intercept(X), y, ridge)
+        X1 = add_intercept(X)
+        ll = penalized_ll(X1 @ model.beta, 1.0 - 2.0 * y, model.beta, ridge)
         assert abs(ll - grid_mle_ll(X, y, ridge)) <= 1e-6
     assert time.monotonic() - start < 60.0
 
@@ -104,6 +105,7 @@ def test_gradient_matches_central_differences():
         X1 = add_intercept(rng.normal(size=(n, 3)))
         y = rng.integers(0, 2, size=n).astype(np.float64)
         ridge = float(rng.choice([0.0, 1e-4, 1e-2]))
+        sign = 1.0 - 2.0 * y
         for _ in range(5):
             beta = rng.normal(scale=1.5, size=4)
             analytic = penalized_gradient(beta, X1, y, ridge)
@@ -113,7 +115,7 @@ def test_gradient_matches_central_differences():
                 up, down = beta.copy(), beta.copy()
                 up[j] += h
                 down[j] -= h
-                fd[j] = (penalized_ll(up, X1, y, ridge) - penalized_ll(down, X1, y, ridge)) / (2 * h)
+                fd[j] = (penalized_ll(X1 @ up, sign, up, ridge) - penalized_ll(X1 @ down, sign, down, ridge)) / (2 * h)
             assert np.allclose(analytic, fd, rtol=1e-5, atol=1e-7)
             checked += 1
     assert checked == 100

@@ -17,7 +17,7 @@ from oracles import irls_reference, pairwise_auc
 from stopout import evaluator
 from stopout.cli import CELL_KEYS
 from stopout.cohorts import COHORTS, PASSIVE
-from stopout.dataset_builder import ALL_COHORT, ProblemSpec, enumerate_problems, flatten
+from stopout.dataset_builder import ALL_COHORT, ProblemSpec, enumerate_problems, flatten, stratified_split
 from stopout.errors import DataError, DegenerateLabelsError
 from stopout.evaluator import (
     STATUS_DEGENERATE,
@@ -217,18 +217,38 @@ def test_cv_floor_is_two_folds():
 
 
 def test_folds_start_from_the_full_train_fit(monkeypatch):
+    # each fold starts from the full-train model in that fold's own z-scores,
+    # so on the fold's training rows the start predicts what the model does
     X, y = balanced_problem(80, seed=4)
-    calls = []
+    settings = defaults("ratio", "ridge")
+    # a column constant (3.0) in the one fold that holds out its single 5.0:
+    # train drops it there, and its 3.0 goes into the start's intercept
+    row = stratified_split(y, settings["ratio"], np.random.default_rng(3))[0][0]
+    X = np.column_stack([X, np.full(80, 3.0)])
+    X[row, -1] = 5.0
+    raw_rows, calls = [], []
+    real_normalize = evaluator.normalize
 
-    def spy(X, y, **kwargs):
-        model = train(X, y, **kwargs)
-        calls.append((kwargs.get("beta0"), model))
-        return model
+    def normalize_spy(X_train, X_test):
+        raw_rows.append(X_train)
+        return real_normalize(X_train, X_test)
 
-    monkeypatch.setattr(evaluator, "train", spy)
-    model = evaluate_problem(X, y, np.random.default_rng(3), blank_cell(), folds=5, **defaults("ratio", "ridge"))
-    assert calls[0][1] is model and calls[0][0] is None
-    assert len(calls) == 6 and all(beta0 is model.beta for beta0, _ in calls[1:])
+    def train_spy(X, y, **kwargs):
+        calls.append((X, kwargs.get("beta0")))
+        return train(X, y, **kwargs)
+
+    monkeypatch.setattr(evaluator, "normalize", normalize_spy)
+    monkeypatch.setattr(evaluator, "train", train_spy)
+    model = evaluate_problem(X, y, np.random.default_rng(3), blank_cell(), folds=5, **settings)
+    assert len(calls) == len(raw_rows) == 6 and calls[0][1] is None
+    assert model.beta[-1] != 0.0
+    constant = []
+    for raw, (Xz, start) in zip(raw_rows[1:], calls[1:]):
+        ours = start[0] + Xz @ start[1:]
+        full = model.beta[0] + ((raw - model.norm_means) / model.norm_scales) @ model.beta[1:]
+        assert np.abs(ours - full).max() <= 1e-12 * np.abs(full).max()
+        constant.append(not Xz[:, -1].any())
+    assert sum(constant) == 1
 
 
 def test_warm_started_folds_score_as_cold_started_ones(tmp_path, monkeypatch):

@@ -87,6 +87,11 @@ def test_add_intercept():
 # ---------------------------------------------------------------------------
 # objective and gradient
 
+def ll_of(beta, X1, y, ridge):
+    """penalized_ll at beta, from the design and labels it is a function of."""
+    return penalized_ll(X1 @ beta, 1.0 - 2.0 * y, beta, ridge)
+
+
 @given(st.integers(0, 2**31), st.integers(1, 3), st.sampled_from([0.0, 1e-6, 1e-2, 1.0]))
 def test_penalized_ll_matches_reference(seed, d, ridge):
     rng = np.random.default_rng(seed)
@@ -94,7 +99,7 @@ def test_penalized_ll_matches_reference(seed, d, ridge):
     X = rng.normal(size=(n, d)) * 3
     y = rng.integers(0, 2, size=n).astype(float)
     beta = rng.normal(size=d + 1) * 2
-    ours = penalized_ll(beta, add_intercept(X), y, ridge)
+    ours = ll_of(beta, add_intercept(X), y, ridge)
     assert ours == pytest.approx(penalized_ll_reference(beta, X, y, ridge), rel=1e-12)
 
 
@@ -106,14 +111,14 @@ def test_penalized_ll_is_exact_per_row_up_to_z_700(rows, ridge):
     z = np.array([r[0] for r in rows])
     y = np.array([r[1] for r in rows])
     beta = np.array([0.0, 1.0])
-    ours = penalized_ll(beta, add_intercept(z[:, None]), y, ridge)
+    ours = ll_of(beta, add_intercept(z[:, None]), y, ridge)
     assert ours == pytest.approx(penalized_ll_reference(beta, z[:, None], y, ridge), rel=1e-12, abs=0)
 
 
 def test_penalized_ll_keeps_the_digits_of_well_fit_rows():
     # each row adds -log1p(e^-15); y*z - log(1 + e^z) would leave ~8 digits
     z = np.full(4, 15.0)
-    ll = penalized_ll(np.array([0.0, 1.0]), add_intercept(z[:, None]), np.ones(4), 0.0)
+    ll = ll_of(np.array([0.0, 1.0]), add_intercept(z[:, None]), np.ones(4), 0.0)
     assert ll == pytest.approx(-4.0 * math.log1p(math.exp(-15.0)), rel=1e-15, abs=0)
 
 
@@ -131,8 +136,8 @@ def test_gradient_matches_finite_differences():
             step = np.zeros_like(beta)
             step[j] = h
             fd = (
-                penalized_ll(beta + step, X1, y, ridge)
-                - penalized_ll(beta - step, X1, y, ridge)
+                ll_of(beta + step, X1, y, ridge)
+                - ll_of(beta - step, X1, y, ridge)
             ) / (2 * h)
             assert grad[j] == pytest.approx(fd, rel=1e-5, abs=1e-7)
 
@@ -141,7 +146,7 @@ def test_ridge_leaves_intercept_unpenalized():
     X1 = np.ones((4, 1))
     y = np.array([0.0, 1.0, 1.0, 1.0])
     beta = np.array([2.5])
-    assert penalized_ll(beta, X1, y, 10.0) == penalized_ll(beta, X1, y, 0.0)
+    assert ll_of(beta, X1, y, 10.0) == ll_of(beta, X1, y, 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -153,7 +158,7 @@ def test_train_toy_separable_matches_grid_search():
     model = train(X, y, ridge=1e-2)
     assert model.converged
     assert model.beta[1] > 0
-    ll = penalized_ll(model.beta, add_intercept(X), y, 1e-2)
+    ll = ll_of(model.beta, add_intercept(X), y, 1e-2)
     assert ll == pytest.approx(grid_mle_ll(X, y, 1e-2), abs=1e-6)
 
 
@@ -193,8 +198,8 @@ def test_accepted_likelihoods_are_monotone(monkeypatch):
     real_ll = logistic_model.penalized_ll
     seen = []
 
-    def recorder(*args):
-        seen.append(real_ll(*args))
+    def recorder(z, sign, beta, ridge):
+        seen.append(real_ll(z, sign, beta, ridge))
         return seen[-1]
 
     monkeypatch.setattr(logistic_model, "penalized_ll", recorder)
@@ -207,7 +212,33 @@ def test_accepted_likelihoods_are_monotone(monkeypatch):
             path.append(ll)
     assert len(path) == model.iterations + 1
     assert np.all(np.diff(path) >= 0.0)
-    assert path[-1] == real_ll(model.beta, add_intercept(X), y, 1e-4)
+    assert path[-1] == ll_of(model.beta, add_intercept(X), y, 1e-4)
+
+
+def test_each_step_takes_the_linear_predictor_of_the_step_it_accepted(monkeypatch):
+    # one X1 @ beta per step: sigmoid gets the z the accepted likelihood was taken at
+    X, y = _logistic_problem(4)
+    real_ll, real_sigmoid = logistic_model.penalized_ll, logistic_model.sigmoid
+    lls, sigmoid_inputs = [], []
+
+    def recording_ll(z, sign, beta, ridge):
+        lls.append((z, real_ll(z, sign, beta, ridge)))
+        return lls[-1][1]
+
+    def recording_sigmoid(z):
+        sigmoid_inputs.append(z)
+        return real_sigmoid(z)
+
+    monkeypatch.setattr(logistic_model, "penalized_ll", recording_ll)
+    monkeypatch.setattr(logistic_model, "sigmoid", recording_sigmoid)
+    model = train(X, y, ridge=1e-6)
+    accepted, best = [lls[0][0]], lls[0][1]  # the start, then each likelihood no worse than the last kept
+    for z, ll in lls[1:]:
+        if ll >= best:
+            accepted.append(z)
+            best = ll
+    assert model.converged and len(sigmoid_inputs) == model.iterations
+    assert all(taken is z for taken, z in zip(sigmoid_inputs, accepted))
 
 
 @pytest.mark.parametrize("ridge", [1e-6, 1e-4, 1e-2])
@@ -302,7 +333,7 @@ def test_a_step_no_halving_improves_at_the_optimum_has_converged(monkeypatch):
     def fit_where_no_step_improves(beta0=None):  # every likelihood after the start reads -inf
         calls = itertools.count()
         monkeypatch.setattr(logistic_model, "penalized_ll",
-                            lambda *args: real_ll(*args) if next(calls) == 0 else -np.inf)
+                            lambda z, sign, beta, ridge: real_ll(z, sign, beta, ridge) if next(calls) == 0 else -np.inf)
         return train(X, y, ridge=1e-6, beta0=beta0)
 
     # 1e-9 off the optimum the predicted gain is ~3e-17, below n * eps * |ll| ~ 4e-13
