@@ -314,13 +314,27 @@ def ingest(paths: list[str | Path], calendar_path: str | Path) -> CourseDataset:
     return dataset
 
 
+def _canonical(events: dict[str, np.ndarray]) -> bool:
+    """Whether each row is <= the next under the EVENT_COLUMNS keys, the
+    first one primary: then the stable canonical sort would leave every row
+    where it is. A key decides only the pairs that all earlier keys tie."""
+    tied = np.ones_like(events["table"][1:], dtype=bool)  # one flag per pair of rows (i, i + 1)
+    for name in EVENT_COLUMNS:
+        before, after = events[name][:-1], events[name][1:]
+        if (tied & (before > after)).any():
+            return False
+        tied &= before == after
+    return True
+
+
 def _build_dataset(calendar: CourseCalendar, coders: dict[str, Coder], events: dict[str, np.ndarray],
                    rows: int, stats: IngestStats) -> CourseDataset:
     """Take the first rows of each column, recode each string column by the
     sorted words its rows use (learner ids become dense sorted indices), and
-    sort canonically. Each column of events is replaced in place, a column
-    at a time, so one column is held twice at most; the caller hands events
-    over and keeps no other reference to its arrays."""
+    sort canonically unless the rows are already in that order, as a dump's
+    are. Each column of events is replaced in place, a column at a time, so
+    one column is held twice at most; the caller hands events over and keeps
+    no other reference to its arrays."""
     for name in DUMP_COLUMNS:
         events[name] = events[name][:rows]
     vocab = {}
@@ -329,10 +343,11 @@ def _build_dataset(calendar: CourseCalendar, coders: dict[str, Coder], events: d
         rank = np.zeros(len(words), dtype=np.int64)
         rank[used] = np.arange(len(used))
         events[name], vocab[name] = rank[events[name]], [words[code] for code in used]
-    # lexsort's last key is the primary one; the sort is stable
-    order = np.lexsort([events[name] for name in reversed(EVENT_COLUMNS)])
-    for name in DUMP_COLUMNS:
-        events[name] = events[name][order]
+    if not _canonical(events):
+        # lexsort's last key is the primary one; the sort is stable
+        order = np.lexsort([events[name] for name in reversed(EVENT_COLUMNS)])
+        for name in DUMP_COLUMNS:
+            events[name] = events[name][order]
     return CourseDataset(calendar=calendar, events=events, vocab=vocab, stats=stats)
 
 

@@ -268,6 +268,35 @@ def test_dump_round_trip(fixture_dataset, tmp_path):
     assert_same_events(again, fixture_dataset)
 
 
+def test_a_shuffled_dump_loads_as_the_canonical_one(small_course, tmp_path):
+    dataset = small_course.dataset
+    dump_dataset(dataset, tmp_path / "dataset.tsv")
+    header, *rows = (tmp_path / "dataset.tsv").read_text(encoding="utf-8").splitlines()
+    random.Random(5).shuffle(rows)
+    (tmp_path / "shuffled.tsv").write_text("\n".join([header, *rows]) + "\n", encoding="utf-8")
+    canonical = load_dump(tmp_path / "dataset.tsv", dataset.calendar)
+    assert_same_events(canonical, dataset)
+    assert_same_events(load_dump(tmp_path / "shuffled.tsv", dataset.calendar), canonical)
+
+
+def test_a_canonical_dump_loads_without_a_sort(small_course, tmp_path, monkeypatch):
+    dump_dataset(small_course.dataset, tmp_path / "dataset.tsv")
+
+    def no_sort(keys):
+        raise AssertionError("lexsort called")
+
+    monkeypatch.setattr(np, "lexsort", no_sort)
+    assert_same_events(load_dump(tmp_path / "dataset.tsv", small_course.dataset.calendar), small_course.dataset)
+
+
+@given(st.lists(st.tuples(*[st.integers(0, 2)] * len(EVENT_COLUMNS)), max_size=12))
+def test_rows_count_as_canonical_exactly_when_the_sort_keeps_them(rows):
+    columns = np.array(rows, dtype=np.int64).reshape(len(rows), len(EVENT_COLUMNS)).T
+    events = dict(zip(EVENT_COLUMNS, columns))
+    keeps = np.array_equal(np.lexsort(columns[::-1]), np.arange(len(rows)))
+    assert event_store._canonical(events) == keeps
+
+
 def test_load_dump_rejects_other_files(tmp_path, fixture_dataset):
     path = tmp_path / "junk.tsv"
     path.write_text("nope\n", encoding="utf-8")
