@@ -313,7 +313,7 @@ def cmd_train_eval(args) -> int:
     if cell.status == STATUS_DEGENERATE:
         raise DegenerateLabelsError(f"{where}: too few of one class to split and cross-validate")
     save_model(model, column_names(spec.lag), out / "model.txt")
-    export_grid(GridResult(cohort=cell.cohort, num_weeks=matrix.num_weeks, cells=[cell]), out / "eval.tsv")
+    export_grid(GridResult(cohort=cell.cohort, cells=[cell]), out / "eval.tsv")
     print(f"train-eval: {where} cohort={cell.cohort} "
           f"cv={cell.cv_mean:.4f} train={cell.train_auc:.4f} test={cell.test_auc:.4f}")
     return 0
@@ -411,7 +411,7 @@ def cmd_run_all(args) -> int:
         own = [c for c in cells if c.cohort == cohort]
         if not own:
             continue
-        grid = GridResult(cohort=cohort, num_weeks=matrix.num_weeks, cells=own)
+        grid = GridResult(cohort=cohort, cells=own)
         export_grid(grid, at(f"grid_{cohort}.tsv"))
         export_heatmap_matrix(grid, at(f"heatmap_{cohort}.tsv"))
         write_heatmap(grid, at(f"heatmap_{cohort}.svg"))

@@ -198,7 +198,6 @@ def cell_seed(master_seed: int, cohort: str, lead: int, lag: int) -> int:
 @dataclass
 class GridResult:
     cohort: str
-    num_weeks: int
     cells: list[CellResult] = field(default_factory=list)
 
 
@@ -263,19 +262,22 @@ def export_grid(grid: GridResult, path: str | Path) -> None:
 
 def heatmap_rows(grid: GridResult, value: str) -> list[list[float | None]]:
     """The lag-by-predicted-week matrix of a grid's value: rows are lag
-    1..num_weeks-1, columns predicted week 2..num_weeks. A cell that is not
-    ok, has no value, or lies outside the triangle (predicted week <= lag)
-    is None.
+    1..W-1, columns predicted week 2..W, where W, the grid's span, is the
+    largest predicted week of its cells, whatever their status. A cell that
+    is not ok, has no value, or lies outside the triangle (predicted week
+    <= lag) is None.
     """
+    span = max((c.predicted_week for c in grid.cells), default=0)
     by_pos = {(c.lag, c.predicted_week): getattr(c, value) for c in grid.cells if c.status == STATUS_OK}
-    return [[by_pos.get((lag, pw)) for pw in range(2, grid.num_weeks + 1)] for lag in range(1, grid.num_weeks)]
+    return [[by_pos.get((lag, pw)) for pw in range(2, span + 1)] for lag in range(1, span)]
 
 
 def export_heatmap_matrix(grid: GridResult, path: str | Path, value: str = "test_auc") -> None:
     """heatmap_rows as a table: a lag column, then one column per predicted
     week; None cells are empty strings."""
-    rows = ([lag, *map(_fmt, row)] for lag, row in enumerate(heatmap_rows(grid, value), 1))
-    write_table(path, ["lag", *map(str, range(2, grid.num_weeks + 1))], rows)
+    matrix = heatmap_rows(grid, value)
+    rows = ([lag, *map(_fmt, row)] for lag, row in enumerate(matrix, 1))
+    write_table(path, ["lag", *map(str, range(2, len(matrix) + 2))], rows)
 
 
 def load_grid(path: str | Path) -> GridResult:
@@ -300,8 +302,4 @@ def load_grid(path: str | Path) -> GridResult:
                           int(n_test), *(float(v) if v else None for v in aucs), int(folds_used))
 
     cells = list(read_table(path, GRID_COLUMNS, grid_cell))
-    return GridResult(
-        cohort=cells[-1].cohort if cells else ALL_COHORT,
-        num_weeks=max((c.predicted_week for c in cells), default=0),
-        cells=cells,
-    )
+    return GridResult(cohort=cells[-1].cohort if cells else ALL_COHORT, cells=cells)

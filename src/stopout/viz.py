@@ -39,7 +39,7 @@ def heatmap_svg(grid: GridResult, value: str = "test_auc") -> str:
     as positions outside the lead/lag triangle.
     """
     rows = heatmap_rows(grid, value)
-    width = PAD_LEFT + len(rows) * CELL + 20  # one column per predicted week 2..num_weeks, as many as lags
+    width = PAD_LEFT + len(rows) * CELL + 20  # one column per predicted week 2..span, as many as lags
     height = PAD_TOP + len(rows) * CELL + PAD_BOTTOM
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '

@@ -614,6 +614,18 @@ def test_heatmap_command_renders_grid_exports(runall_dir, tmp_path):
     assert main(["heatmap", "--grid", str(grid), "--out", str(out), "--value", "cv_mean"]) == 0
 
 
+def test_heatmap_redraws_a_filtered_run_all_grid_as_run_all_drew_it(pipeline, tmp_path):
+    # a grid's span is its largest predicted week, in run-all and in heatmap alike
+    out = tmp_path / "o"
+    assert main(["run-all", "--events", str(pipeline.events), "--calendar", str(pipeline.calendar), "--out", str(out),
+                 "--config", str(pipeline.config), "--filter", "lead=1,lag=1", "--shuffle-labels"]) == 0
+    for cohort in COHORTS:
+        redrawn = tmp_path / cohort
+        assert main(["heatmap", "--grid", str(out / f"grid_{cohort}.tsv"), "--out", str(redrawn)]) == 0
+        for kind in ("tsv", "svg"):
+            assert (redrawn / f"heatmap.{kind}").read_bytes() == (out / f"heatmap_{cohort}.{kind}").read_bytes()
+
+
 def test_heatmap_missing_grid_exits_3(tmp_path, capsys):
     missing = tmp_path / "absent.tsv"
     rc = main(["heatmap", "--grid", str(missing), "--out", str(tmp_path / "o")])
@@ -1261,7 +1273,7 @@ def test_a_header_only_events_file_ends_every_stage_command_typed(degenerate_eve
     features = ["--features", out / "features.tsv"]
     no_rows = f"data error: {out / 'features.tsv'}: no data rows\n"
     grid = tmp_path / "grid.tsv"
-    export_grid(GridResult(cohort=ALL_COHORT, num_weeks=0), grid)  # the grid of a course with no cell
+    export_grid(GridResult(cohort=ALL_COHORT), grid)  # the grid of a course with no cell
     _stages_end_typed(capsys, _etl(degenerate_events / "empty.tsv", degenerate_events / "calendar.tsv", out) + [
         (["build", *features, "--lead", "1", "--lag", "3", "--out", tmp_path / "b"], 3, no_rows),
         (["train-eval", *features, "--lead", "1", "--lag", "3", "--out", tmp_path / "t"], 3, no_rows),
@@ -1292,7 +1304,7 @@ def test_a_course_where_everyone_stops_out_in_one_week_ends_every_stage_command_
     cells = [evaluate_cell(matrix, spec, **_settings(argparse.Namespace(), DEFAULTS, *CELL_KEYS))[0]
              for spec in (ProblemSpec(1, 3), ProblemSpec(5, 5))]
     assert [c.status for c in cells] == ["degenerate_labels", "insufficient_data"]
-    export_grid(GridResult(cohort=ALL_COHORT, num_weeks=matrix.num_weeks, cells=cells), grid)
+    export_grid(GridResult(cohort=ALL_COHORT, cells=cells), grid)
     _stages_end_typed(capsys, [(["heatmap", "--grid", grid, "--out", tmp_path / "h"], 0, "")])
     weeks = map(str, range(2, 11))  # a grid file's course ends at its largest predicted week, 5 + 5
     assert all(cell == "" for row in read_table(tmp_path / "h" / "heatmap.tsv", ["lag", *weeks]) for cell in row[1:])

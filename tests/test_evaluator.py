@@ -46,7 +46,7 @@ def run_grid(matrix, cohort=ALL_COHORT, specs=None, **settings) -> GridResult:
     if specs is None:
         specs = enumerate_problems(matrix.num_weeks, cohort=cohort)
     cells = [evaluate_cell(matrix, spec, **defaults(*CELL_KEYS, **settings))[0] for spec in specs]
-    return GridResult(cohort=cohort, num_weeks=matrix.num_weeks, cells=cells)
+    return GridResult(cohort=cohort, cells=cells)
 
 def labelled_scores(max_n: int, score: st.SearchStrategy) -> st.SearchStrategy:
     """Labels with both classes present, then one score per label."""
@@ -444,7 +444,7 @@ def test_grid_round_trip(small_course, tmp_path):
 
 
 def test_grid_round_trip_keeps_folds_used(tmp_path):
-    grid = GridResult(cohort="all", num_weeks=3, cells=[
+    grid = GridResult(cohort="all", cells=[
         CellResult(cohort="all", lead=1, lag=1, predicted_week=2, status=STATUS_OK, n_rows=12,
                    n_train=8, n_test=4, cv_mean=0.75, train_auc=1.0, test_auc=0.5, folds_used=3),
         CellResult(cohort="all", lead=2, lag=1, predicted_week=3, status=STATUS_INSUFFICIENT, n_rows=3),
@@ -495,7 +495,7 @@ def test_heatmap_matrix_round_trip(small_course, tmp_path):
 
 
 def test_heatmap_matrix_leaves_invalid_cells_empty(tmp_path):
-    grid = GridResult(cohort="all", num_weeks=3, cells=[
+    grid = GridResult(cohort="all", cells=[
         CellResult(cohort="all", lead=1, lag=1, predicted_week=2, status=STATUS_OK,
                    n_rows=50, n_train=35, n_test=15, cv_mean=0.8, train_auc=0.9, test_auc=0.85),
         CellResult(cohort="all", lead=2, lag=1, predicted_week=3, status=STATUS_INSUFFICIENT, n_rows=3),
@@ -510,7 +510,7 @@ def test_heatmap_matrix_leaves_invalid_cells_empty(tmp_path):
 
 def test_load_grid_rejects_a_second_row_for_one_cell(tmp_path):
     # two heatmaps of this grid would differ: the matrix keeps the ok cell, the SVG the last one
-    grid = GridResult(cohort="all", num_weeks=3, cells=[
+    grid = GridResult(cohort="all", cells=[
         CellResult(cohort="all", lead=1, lag=1, predicted_week=2, status=STATUS_OK, n_rows=50,
                    n_train=35, n_test=15, cv_mean=0.8, train_auc=0.9, test_auc=0.85, folds_used=3),
         CellResult(cohort="all", lead=1, lag=1, predicted_week=2, status=STATUS_INSUFFICIENT, n_rows=3),
@@ -522,7 +522,7 @@ def test_load_grid_rejects_a_second_row_for_one_cell(tmp_path):
 
 
 def test_load_grid_rejects_rows_of_a_second_cohort(tmp_path):
-    grid = GridResult(cohort="all", num_weeks=3, cells=[
+    grid = GridResult(cohort="all", cells=[
         CellResult(cohort="all", lead=1, lag=1, predicted_week=2, status=STATUS_INSUFFICIENT, n_rows=3),
         CellResult(cohort=PASSIVE, lead=2, lag=1, predicted_week=3, status=STATUS_INSUFFICIENT, n_rows=3),
     ])

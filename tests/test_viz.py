@@ -59,7 +59,7 @@ def hand_grid() -> GridResult:
         CellResult("all", 2, 2, 4, STATUS_DEGENERATE, 25),
         CellResult("all", 1, 3, 4, STATUS_OK, 40, 30, 10, cv_mean=None, test_auc=None),
     ]
-    return GridResult(cohort="all", num_weeks=4, cells=cells)
+    return GridResult(cohort="all", cells=cells)
 
 
 def test_heatmap_draws_only_successful_cells():
@@ -89,7 +89,7 @@ def test_heatmap_alternate_metric():
 
 
 def test_heatmap_escapes_markup_in_labels():
-    grid = GridResult(cohort="a<b&c", num_weeks=2, cells=[])
+    grid = GridResult(cohort="a<b&c", cells=[])
     svg = heatmap_svg(grid)
     assert "a&lt;b&amp;c cohort" in svg
     assert "a<b" not in svg
