@@ -77,8 +77,8 @@ SYNTH_KEYS = ("synth_learners", "synth_weeks", "seed", "synth_volume_slope", "sy
 
 
 def load_config(path: str | None) -> dict[str, str]:
-    """Flat key=value file over the built-in defaults; unknown keys are errors."""
-    merged = dict(DEFAULTS)
+    """Flat key=value file over the built-in defaults; unknown or repeated keys are errors."""
+    merged, first = dict(DEFAULTS), {}  # key -> the line that gave it
     if path is None:
         return merged
     for lineno, raw in enumerate(read_lines(path, error=ConfigError), start=1):
@@ -91,7 +91,9 @@ def load_config(path: str | None) -> dict[str, str]:
             raise ConfigError(f"{path}:{lineno}: expected key=value, got {raw!r}")
         if key not in DEFAULTS:
             raise ConfigError(f"{path}:{lineno}: unknown config key {key!r}")
-        merged[key] = value
+        if key in first:
+            raise ConfigError(f"{path}:{lineno}: config key {key} given twice, first on line {first[key]}")
+        merged[key], first[key] = value, lineno
     return merged
 
 

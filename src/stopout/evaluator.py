@@ -9,7 +9,6 @@ for run-all grids and for train-eval alike.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -101,7 +100,7 @@ def cross_validate(
     ridge: float,
     beta0: np.ndarray | None = None,
 ) -> list[float]:
-    """Stratified k-fold AUCs; k shrinks to the minority count when needed.
+    """Stratified k-fold AUCs, one per fold; k is min(folds, minority count).
 
     Folds are assigned round-robin within each shuffled class, so every fold
     holds at least one example of each class. Normalization statistics are
@@ -111,13 +110,6 @@ def cross_validate(
     as beta0 does; train reruns a start that fails from zeros.
     """
     k = _fold_count(y, folds)
-    if k < folds:
-        warnings.warn(
-            f"reducing cross-validation folds from {folds} to {k} "
-            f"(minority class has {k} rows)",
-            RuntimeWarning,
-            stacklevel=2,
-        )
     fold_id = np.empty(y.size, dtype=np.int64)
     for members in class_shuffles(y, rng):
         fold_id[members] = np.arange(members.size) % k

@@ -69,10 +69,6 @@ class CourseCalendar:
     num_weeks: int
     problem_meta: dict[str, ProblemMeta]
 
-    def __post_init__(self) -> None:
-        if self.num_weeks < 2:
-            raise DataError(f"calendar needs at least 2 weeks, got {self.num_weeks}")
-
     @property
     def course_end(self) -> int:
         return self.course_start + self.num_weeks * WEEK_SECONDS
@@ -173,8 +169,8 @@ def load_calendar(path: str | Path) -> CourseCalendar:
         calendar = CourseCalendar(course_start=int(head[0]), num_weeks=int(head[1]), problem_meta={})
     except ValueError as exc:
         raise DataError(f"{path}:{first}: calendar line 1 not integers: {head_line!r}") from exc
-    except DataError as exc:  # too few weeks
-        raise DataError(f"{path}:{first}: {exc}") from None
+    if calendar.num_weeks < 2:
+        raise DataError(f"{path}:{first}: calendar needs at least 2 weeks, got {calendar.num_weeks}")
     meta = calendar.problem_meta
     for number, ln in rows:
         where = f"{path}:{number}:"

@@ -208,6 +208,17 @@ def test_bad_config_exits_2(tmp_path, capsys):
     assert "config error:" in capsys.readouterr().err
 
 
+def test_a_config_key_given_twice_exits_2(pipeline, tmp_path, capsys):
+    # as a second calendar, cohort or grid row is: the later value does not quietly win
+    path, out = tmp_path / "twice.cfg", tmp_path / "o"
+    path.write_text("folds=5\n# the second one\nridge=1e-6\nfolds=3\n", encoding="utf-8")
+    rc = main(["train-eval", "--features", str(pipeline.features), "--lead", "1", "--lag", "1",
+               "--config", str(path), "--out", str(out)])
+    assert rc == 2
+    assert f"config error: {path}:4: config key folds given twice, first on line 1" in capsys.readouterr().err
+    assert not out.exists()
+
+
 # each numeric config key: a command that reads it, and the kind of value it needs
 NUMERIC_KEYS = {
     "seed": ("train-eval", "an integer"),
@@ -912,11 +923,15 @@ def test_parallel_importance_run_is_byte_identical(importance_jobs_pair):
 BLAS_THREADS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
+def src_env(env: dict[str, str]) -> dict[str, str]:
+    """env with this checkout's src first on PYTHONPATH, for a python subprocess."""
+    src = str(Path(stopout.__file__).resolve().parent.parent)
+    return {**env, "PYTHONPATH": os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))}
+
+
 @pytest.mark.parametrize("preset", [None, "2"])
 def test_cli_import_defaults_blas_threads_to_one(preset):
-    env = {k: v for k, v in os.environ.items() if k not in BLAS_THREADS}
-    src = str(Path(stopout.__file__).resolve().parent.parent)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    env = src_env({k: v for k, v in os.environ.items() if k not in BLAS_THREADS})
     if preset is not None:
         env["OPENBLAS_NUM_THREADS"] = preset
     probe = f"import os, stopout.cli; print(*[os.environ[v] for v in {BLAS_THREADS!r}])"
@@ -926,9 +941,7 @@ def test_cli_import_defaults_blas_threads_to_one(preset):
 
 def test_the_etl_commands_never_load_openssl(tmp_path):
     # hashlib loads OpenSSL (~3.5 MB RSS); only run-all and the cell seeds hash
-    env = dict(os.environ)
-    src = str(Path(stopout.__file__).resolve().parent.parent)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    env = src_env(dict(os.environ))
     data = Path(__file__).parent / "data"
     out = tmp_path / "out"
     commands = [
@@ -1162,10 +1175,18 @@ def test_run_all_files_match_their_pinned_hashes(tmp_path):
     course, out, cfg = tmp_path / "course", tmp_path / "out", tmp_path / "run.cfg"
     assert main(["synth", "--out", str(course), "--learners", "400", "--weeks", "6", "--seed", "7"]) == 0
     cfg.write_text("importance_subsamples=10\n", encoding="utf-8")
-    assert main(["run-all", "--events", str(course / "events.tsv"), "--calendar", str(course / "calendar.tsv"),
-                 "--out", str(out), "--seed", "0", "--jobs", "2", "--config", str(cfg)]) == 0
+    # in its own process, with Python's default warning filters: pool workers forked from
+    # pytest would inherit its warning recorder, and print nothing whatever they warned
+    env = src_env(dict(os.environ))
+    argv = ["run-all", "--events", str(course / "events.tsv"), "--calendar", str(course / "calendar.tsv"),
+            "--out", str(out), "--seed", "0", "--jobs", "2", "--config", str(cfg)]
+    probe = f"import sys; from stopout.cli import main; sys.exit(main({argv!r}))"
+    ran = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True)
+    assert (ran.returncode, ran.stderr) == (0, "")  # the fold reductions are in the grids alone
     actual = {row[0]: row[1:] for row in read_manifest_reference(out / "manifest.tsv")["file"]}
     assert not (moved := _moved(RUNALL_400_FILES, actual)), "run-all files moved:\n" + "\n".join(moved)
+    cells = [c for path in sorted(out.glob("grid_*.tsv")) for c in load_grid(path).cells]
+    assert any(c.status == "ok" and c.folds_used < int(DEFAULTS["folds"]) for c in cells)
 
 
 def _moved(table: set[tuple[str, str, str]], actual: dict[str, tuple[str, str]]) -> list[str]:

@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import warnings
-
 import numpy as np
 import pytest
 from hypothesis import given
@@ -191,8 +189,7 @@ def fold_test_rows(y: np.ndarray, folds: int, rng: np.random.Generator) -> list[
         seen.append(X_test[:, 0].astype(np.int64))
         return X_train, X_test, None, None
 
-    with pytest.MonkeyPatch.context() as mp, warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)  # fewer folds than asked for
+    with pytest.MonkeyPatch.context() as mp:
         mp.setattr(evaluator, "normalize", spy)
         mp.setattr(evaluator, "train", lambda X, y, **kw: None)
         mp.setattr(evaluator, "predict_proba", lambda model, X: np.zeros(len(X)))

@@ -9,9 +9,10 @@ dataclass field that no code in src/stopout reads is state only the tests
 look at: it goes, or it earns a line in UNREAD. An entry in any of the three
 lists must still be needed, or it goes too. Only tsv.py reads a
 file, so there is one home for how a file's lines end; a function elsewhere
-that reads one earns a line in READERS. Finally, the model layers take
+that reads one earns a line in READERS. The model layers take
 flatten's float64 arrays as they are: no function there passes a parameter
-to np.asarray.
+to np.asarray. Finally, no module uses the warnings module: what a run has
+to report goes into its output files, not to stderr as free text.
 """
 
 from __future__ import annotations
@@ -238,3 +239,21 @@ def parameter_conversions() -> list[str]:
 
 def test_model_layers_take_their_arrays_as_they_are():
     assert parameter_conversions() == []
+
+
+def warning_uses() -> list[str]:
+    """file:line for each import from the warnings module and each warnings.<name> taken."""
+    found = []
+    for path, tree in _trees().items():
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.Import) and any(a.name.split(".")[0] == "warnings" for a in node.names)
+                    or isinstance(node, ast.ImportFrom) and node.module == "warnings"
+                    or isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                    and node.value.id == "warnings"):
+                found.append(f"{path}:{node.lineno}")
+    return found
+
+
+def test_no_module_uses_warnings():
+    # a fold reduction, for one, is a cell's folds_used column
+    assert warning_uses() == []
