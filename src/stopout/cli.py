@@ -1,9 +1,4 @@
-"""Command-line pipeline: every stage reads and writes plain TSV/SVG files.
-
-Exit codes: 0 success, 2 bad configuration or arguments, 3 unusable data,
-4 degenerate labels on a single requested problem. Grid runs never exit 4;
-they record per-cell statuses instead.
-"""
+"""Command-line pipeline: every stage reads and writes plain TSV/SVG files."""
 
 from __future__ import annotations
 
@@ -26,10 +21,8 @@ from . import __version__
 from . import cohorts as cohorts_mod
 from . import importance as importance_mod
 from .dataset_builder import ALL_COHORT, ProblemSpec, column_names, enumerate_problems, flatten
-from .errors import ConfigError, DataError, DegenerateLabelsError, InsufficientDataError
+from .errors import ConfigError, DegenerateLabelsError, InsufficientDataError, PipelineError
 from .evaluator import (
-    STATUS_DEGENERATE,
-    STATUS_INSUFFICIENT,
     STATUS_OK,
     CellResult,
     GridResult,
@@ -310,9 +303,9 @@ def cmd_train_eval(args) -> int:
     matrix, spec = _load_problem(args)
     cell, model = evaluate_cell(matrix, spec, **settings)
     where = f"lead={cell.lead} lag={cell.lag}"
-    if cell.status == STATUS_INSUFFICIENT:
+    if cell.status == InsufficientDataError.status:
         raise InsufficientDataError(f"{cell.n_rows} eligible learners for {where}, need {settings['min_rows']}")
-    if cell.status == STATUS_DEGENERATE:
+    if cell.status == DegenerateLabelsError.status:
         raise DegenerateLabelsError(f"{where}: too few of one class to split and cross-validate")
     save_model(model, column_names(spec.lag), out / "model.txt")
     export_grid(GridResult(cohort=cell.cohort, cells=[cell]), out / "eval.tsv")
@@ -529,21 +522,12 @@ def main(argv: list[str] | None = None) -> int:
     if args.command is None:
         parser.print_usage(sys.stderr)
         print("stopout: a subcommand or --defaults is required", file=sys.stderr)
-        return 2
+        return ConfigError.exit_code
     try:
         return args.func(args)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
-    except DegenerateLabelsError as exc:
-        print(f"degenerate labels: {exc}", file=sys.stderr)
-        return 4
-    except InsufficientDataError as exc:
-        print(f"insufficient data: {exc}", file=sys.stderr)
-        return 3
-    except DataError as exc:
-        print(f"data error: {exc}", file=sys.stderr)
-        return 3
+    except PipelineError as exc:
+        print(f"{exc.label}: {exc}", file=sys.stderr)
+        return exc.exit_code
 
 
 if __name__ == "__main__":

@@ -15,14 +15,12 @@ from pathlib import Path
 import numpy as np
 
 from .dataset_builder import ALL_COHORT, ProblemSpec, class_shuffles, flatten, normalize, stratified_split
-from .errors import DataError, DegenerateLabelsError
+from .errors import DataError, DegenerateLabelsError, InsufficientDataError
 from .featurizer import FeatureMatrix
 from .logistic_model import TrainedModel, predict_proba, train
 from .tsv import read_table, write_table
 
 STATUS_OK = "ok"
-STATUS_INSUFFICIENT = "insufficient_data"
-STATUS_DEGENERATE = "degenerate_labels"
 AUC_ROUTE_TOL = 1e-9
 
 
@@ -206,10 +204,10 @@ def evaluate_cell(
 ) -> tuple[CellResult, TrainedModel | None]:
     """Evaluate one lead/lag problem: its grid cell and its full-train model.
 
-    A cell that cannot be evaluated gets a typed status, and no model,
-    instead of raising: too few eligible learners, or a single-class label
-    vector somewhere in the pipeline. shuffle_labels permutes y before
-    splitting, as a no-signal control.
+    A cell that cannot be evaluated, for too few eligible learners or a
+    single-class label vector somewhere in the pipeline, gets the status its
+    error class declares, and no model, instead of raising. shuffle_labels
+    permutes y before splitting, as a no-signal control.
     """
     X, y, _ = flatten(matrix, spec)
     cell = CellResult(
@@ -220,16 +218,15 @@ def evaluate_cell(
         status=STATUS_OK,
         n_rows=int(y.size),
     )
-    if y.size < min_rows:
-        cell.status = STATUS_INSUFFICIENT
-        return cell, None
-    rng = np.random.default_rng(cell_seed(seed, spec.cohort, spec.lead, spec.lag))
-    if shuffle_labels:
-        y = y[rng.permutation(y.size)]
     try:
+        if y.size < min_rows:
+            raise InsufficientDataError(f"{y.size} eligible learners, need {min_rows}")
+        rng = np.random.default_rng(cell_seed(seed, spec.cohort, spec.lead, spec.lag))
+        if shuffle_labels:
+            y = y[rng.permutation(y.size)]
         model = evaluate_problem(X, y, rng, cell, ratio=ratio, ridge=ridge, folds=folds)
-    except DegenerateLabelsError:
-        cell.status = STATUS_DEGENERATE
+    except (InsufficientDataError, DegenerateLabelsError) as exc:
+        cell.status = exc.status
         return cell, None
     return cell, model
 

@@ -171,6 +171,8 @@ def load_calendar(path: str | Path) -> CourseCalendar:
         raise DataError(f"{path}:{first}: calendar line 1 not integers: {head_line!r}") from exc
     if calendar.num_weeks < 2:
         raise DataError(f"{path}:{first}: calendar needs at least 2 weeks, got {calendar.num_weeks}")
+    if not -2**63 <= calendar.course_start < calendar.course_end < 2**63:  # timestamps are int64
+        raise DataError(f"{path}:{first}: calendar course start and end must be within int64, got {head_line!r}")
     meta = calendar.problem_meta
     for number, ln in rows:
         where = f"{path}:{number}:"
@@ -188,6 +190,8 @@ def load_calendar(path: str | Path) -> CourseCalendar:
             raise DataError(f"{where} duplicate calendar entry for problem {pid}")
         if due < calendar.course_start:
             raise DataError(f"{where} problem {pid} due before course start")
+        if due >= 2**63:
+            raise DataError(f"{where} problem {pid} due at {due}, past int64")
         if not 1 <= week <= calendar.num_weeks:
             raise DataError(f"{where} problem {pid} assigned to week {week}, outside 1..{calendar.num_weeks}")
         meta[pid] = ProblemMeta(assignment_kind=kind, week_assigned=week, due_timestamp=due)

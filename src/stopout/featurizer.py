@@ -296,6 +296,9 @@ def load_feature_matrix(path: str | Path) -> FeatureMatrix:
     words, codes, weeks, labels, values = _read_features(path)
     if not weeks.size:
         raise DataError(f"{path}: no data rows")
+    if not np.isfinite(values).all():  # float() reads nan and inf; the featurizer writes neither
+        row, col = np.argwhere(~np.isfinite(values))[0]
+        _raise_at(path, int(row), f"{FEATURE_IDS[col]} is {values[row, col]}, not a finite number")
     learners = sorted(words)
     index = {lid: i for i, lid in enumerate(learners)}
     at = (np.fromiter(map(index.__getitem__, words), np.int64, len(words))[codes], weeks - 1)

@@ -16,8 +16,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .dataset_builder import ProblemSpec, class_shuffles, flatten, normalize
-from .errors import DataError
-from .evaluator import STATUS_DEGENERATE, STATUS_INSUFFICIENT, STATUS_OK, cell_seed
+from .errors import DataError, DegenerateLabelsError, InsufficientDataError
+from .evaluator import STATUS_OK, cell_seed
 from .featurizer import FEATURE_IDS, NUM_FEATURES, FeatureMatrix
 from .logistic_model import add_intercept, sigmoid
 from .tsv import write_table
@@ -255,7 +255,8 @@ def problem_importance(
     """
     X, y, _ = flatten(matrix, spec)
     pos = int(np.sum(y == 1))
-    status = (STATUS_INSUFFICIENT if y.size < min_rows else STATUS_DEGENERATE if min(pos, y.size - pos) < 2
+    status = (InsufficientDataError.status if y.size < min_rows
+              else DegenerateLabelsError.status if min(pos, y.size - pos) < 2
               else STATUS_CONSTANT if (X == X[0]).all() else STATUS_OK)
     if status != STATUS_OK:
         return ProblemImportance(spec.cohort, spec.lead, spec.lag, status)

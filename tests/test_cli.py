@@ -771,6 +771,49 @@ def test_a_header_only_features_file_is_a_data_error(tmp_path, capsys, command):
     assert capsys.readouterr().err == f"data error: {features}: no data rows\n"
 
 
+@pytest.mark.parametrize("command", ["build", "train-eval", "importance"])
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_a_non_finite_feature_cell_is_a_data_error_naming_its_line(pipeline, tmp_path, capsys, command, value):
+    """Two non-finite cells: the last feature of one row and the first of a
+    later row. The error names the earlier row in file order."""
+    lines = pipeline.features.read_text(encoding="utf-8").splitlines()
+    at = len(lines) // 2
+    for row, column in ((at, -1), (at + 3, 3)):
+        cells = lines[row].split("\t")
+        cells[column] = value
+        lines[row] = "\t".join(cells)
+    bad = tmp_path / "features.tsv"
+    bad.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    problem = ["--problem", "1,1"] if command == "importance" else ["--lead", "1", "--lag", "1"]
+    assert main([command, "--features", str(bad), *problem, "--out", str(tmp_path / "o")]) == 3
+    err = capsys.readouterr().err
+    assert err == f"data error: {bad}:{at + 1}: {FEATURE_COLUMNS[-1]} is {float(value)}, not a finite number\n"
+
+
+BEYOND_INT64 = "99999999999999999999999"
+
+
+@pytest.mark.parametrize("line, field, value", [
+    (1, 0, BEYOND_INT64),  # course_start
+    (1, 0, "-" + BEYOND_INT64),
+    (1, 1, BEYOND_INT64),  # num_weeks
+    (1, 1, str(2**62)),  # num_weeks within int64, but the course ends past it
+    (2, 2, BEYOND_INT64),  # week_assigned
+    (2, 3, BEYOND_INT64),  # due_timestamp
+])
+def test_a_calendar_integer_outside_int64_is_a_data_error(pipeline, tmp_path, capsys, line, field, value):
+    lines = pipeline.calendar.read_text(encoding="utf-8").splitlines()
+    cells = lines[line - 1].split("\t")
+    cells[field] = value
+    lines[line - 1] = "\t".join(cells)
+    bad = tmp_path / "calendar.tsv"
+    bad.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    assert main(["ingest", "--events", str(pipeline.events), "--calendar", str(bad),
+                 "--out", str(tmp_path / "o")]) == 3
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith(f"data error: {bad}:{line}: ")
+
+
 def test_importance_cohort_problem_needs_cohorts_file(pipeline, tmp_path, capsys):
     rc = main([
         "importance", "--features", str(pipeline.features),

@@ -17,10 +17,8 @@ from stopout import evaluator
 from stopout.cli import CELL_KEYS
 from stopout.cohorts import COHORTS, PASSIVE
 from stopout.dataset_builder import ALL_COHORT, ProblemSpec, enumerate_problems, flatten, stratified_split
-from stopout.errors import DataError, DegenerateLabelsError
+from stopout.errors import DataError, DegenerateLabelsError, InsufficientDataError
 from stopout.evaluator import (
-    STATUS_DEGENERATE,
-    STATUS_INSUFFICIENT,
     STATUS_OK,
     CellResult,
     GridResult,
@@ -37,6 +35,8 @@ from stopout.evaluator import (
 )
 from stopout.logistic_model import train
 from stopout.tsv import read_table
+
+STATUS_INSUFFICIENT, STATUS_DEGENERATE = InsufficientDataError.status, DegenerateLabelsError.status
 
 
 def run_grid(matrix, cohort=ALL_COHORT, specs=None, **settings) -> GridResult:

@@ -16,8 +16,8 @@ from stopout import importance
 from stopout.cli import IMPORTANCE_KEYS
 from stopout.cohorts import WIKI, join_cohorts
 from stopout.dataset_builder import ProblemSpec, column_names, normalize
-from stopout.errors import DataError
-from stopout.evaluator import STATUS_DEGENERATE, STATUS_INSUFFICIENT, STATUS_OK
+from stopout.errors import DataError, DegenerateLabelsError, InsufficientDataError
+from stopout.evaluator import STATUS_OK
 from stopout.featurizer import FEATURE_IDS, FEATURE_INDEX, NUM_FEATURES, FeatureMatrix
 from stopout.importance import (
     CALIBRATION_STEPS,
@@ -41,6 +41,7 @@ from stopout.importance import (
 from stopout.logistic_model import add_intercept, predict_proba, sigmoid, train
 from stopout.tsv import read_table
 
+STATUS_INSUFFICIENT, STATUS_DEGENERATE = InsufficientDataError.status, DegenerateLabelsError.status
 LAG1_COLUMNS = column_names(1)
 # the settings stability_select takes
 STABILITY_KEYS = ("importance_subsamples", "importance_fraction", "importance_weight_floor",

@@ -11,8 +11,10 @@ lists must still be needed, or it goes too. Only tsv.py reads a
 file, so there is one home for how a file's lines end; a function elsewhere
 that reads one earns a line in READERS. The model layers take
 flatten's float64 arrays as they are: no function there passes a parameter
-to np.asarray. Finally, no module uses the warnings module: what a run has
-to report goes into its output files, not to stderr as free text.
+to np.asarray. No module uses the warnings module: what a run has to report
+goes into its output files, not to stderr as free text. Finally, cli.main has
+one except clause: each error class declares its own exit code and stderr
+label in errors.py.
 """
 
 from __future__ import annotations
@@ -257,3 +259,14 @@ def warning_uses() -> list[str]:
 def test_no_module_uses_warnings():
     # a fold reduction, for one, is a cell's folds_used column
     assert warning_uses() == []
+
+
+def except_clauses(path: str, function: str) -> int:
+    """The number of except clauses in a top-level function of a module."""
+    func = next(node for node in _trees()[path].body if isinstance(node, ast.FunctionDef) and node.name == function)
+    return sum(isinstance(node, ast.ExceptHandler) for node in ast.walk(func))
+
+
+def test_main_has_one_handler():
+    # a new failure is a PipelineError subclass with its exit_code and label, not a new clause
+    assert except_clauses("cli.py", "main") == 1

@@ -9,7 +9,8 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from stopout.evaluator import STATUS_DEGENERATE, STATUS_INSUFFICIENT, STATUS_OK, CellResult, GridResult
+from stopout.errors import DegenerateLabelsError, InsufficientDataError
+from stopout.evaluator import STATUS_OK, CellResult, GridResult
 from stopout.viz import (
     auc_color,
     heatmap_svg,
@@ -17,6 +18,8 @@ from stopout.viz import (
     write_heatmap,
     write_importance_chart,
 )
+
+STATUS_INSUFFICIENT, STATUS_DEGENERATE = InsufficientDataError.status, DegenerateLabelsError.status
 
 
 def _hex_channels(color: str) -> tuple[int, int, int]:
