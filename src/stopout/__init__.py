@@ -6,20 +6,3 @@ feature importance. See the cli module for the file-mediated pipeline.
 """
 
 __version__ = "0.1.0"
-
-from .errors import (
-    ConfigError,
-    DataError,
-    DegenerateLabelsError,
-    InsufficientDataError,
-    PipelineError,
-)
-
-__all__ = [
-    "__version__",
-    "PipelineError",
-    "ConfigError",
-    "DataError",
-    "InsufficientDataError",
-    "DegenerateLabelsError",
-]

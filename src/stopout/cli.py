@@ -25,7 +25,6 @@ from .errors import ConfigError, DegenerateLabelsError, InsufficientDataError, P
 from .evaluator import (
     STATUS_OK,
     CellResult,
-    GridResult,
     evaluate_cell,
     evaluate_problem,  # noqa: F401  (unused here; perfbench/tracer.py wraps cli.evaluate_problem)
     export_grid,
@@ -308,7 +307,7 @@ def cmd_train_eval(args) -> int:
     if cell.status == DegenerateLabelsError.status:
         raise DegenerateLabelsError(f"{where}: too few of one class to split and cross-validate")
     save_model(model, column_names(spec.lag), out / "model.txt")
-    export_grid(GridResult(cohort=cell.cohort, cells=[cell]), out / "eval.tsv")
+    export_grid([cell], out / "eval.tsv")
     print(f"train-eval: {where} cohort={cell.cohort} "
           f"cv={cell.cv_mean:.4f} train={cell.train_auc:.4f} test={cell.test_auc:.4f}")
     return 0
@@ -406,10 +405,9 @@ def cmd_run_all(args) -> int:
         own = [c for c in cells if c.cohort == cohort]
         if not own:
             continue
-        grid = GridResult(cohort=cohort, cells=own)
-        export_grid(grid, at(f"grid_{cohort}.tsv"))
-        export_heatmap_matrix(grid, at(f"heatmap_{cohort}.tsv"))
-        write_heatmap(grid, at(f"heatmap_{cohort}.svg"))
+        export_grid(own, at(f"grid_{cohort}.tsv"))
+        export_heatmap_matrix(own, at(f"heatmap_{cohort}.tsv"))
+        write_heatmap(own, at(f"heatmap_{cohort}.svg"))
         ok = sum(1 for c in own if c.status == STATUS_OK)
         print(f"grid {cohort}: {ok}/{len(own)} cells ok")
         manifest_cells.extend((c.cohort, c.lead, c.lag, c.status) for c in own)

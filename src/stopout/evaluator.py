@@ -9,12 +9,12 @@ for run-all grids and for train-eval alike.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import astuple, dataclass, fields
 from pathlib import Path
 
 import numpy as np
 
-from .dataset_builder import ALL_COHORT, ProblemSpec, class_shuffles, flatten, normalize, stratified_split
+from .dataset_builder import ProblemSpec, class_shuffles, flatten, normalize, stratified_split
 from .errors import DataError, DegenerateLabelsError, InsufficientDataError
 from .featurizer import FeatureMatrix
 from .logistic_model import TrainedModel, predict_proba, train
@@ -185,12 +185,6 @@ def cell_seed(master_seed: int, cohort: str, lead: int, lag: int) -> int:
     return int.from_bytes(hashlib.sha256(key).digest()[:16], "big")
 
 
-@dataclass
-class GridResult:
-    cohort: str
-    cells: list[CellResult] = field(default_factory=list)
-
-
 def evaluate_cell(
     matrix: FeatureMatrix,
     spec: ProblemSpec,
@@ -231,45 +225,40 @@ def evaluate_cell(
     return cell, model
 
 
-GRID_COLUMNS = (
-    "cohort", "lead", "lag", "predicted_week", "status",
-    "n_rows", "n_train", "n_test", "cv_mean", "train_auc", "test_auc", "folds_used",
-)
+GRID_COLUMNS = tuple(f.name for f in fields(CellResult))
 
 
 def _fmt(value: float | None) -> str | float:
     return "" if value is None else float(value)
 
 
-def export_grid(grid: GridResult, path: str | Path) -> None:
+def export_grid(cells: list[CellResult], path: str | Path) -> None:
     write_table(path, GRID_COLUMNS, (
-        (c.cohort, c.lead, c.lag, c.predicted_week, c.status, c.n_rows, c.n_train, c.n_test,
-         _fmt(c.cv_mean), _fmt(c.train_auc), _fmt(c.test_auc), c.folds_used)
-        for c in sorted(grid.cells, key=lambda c: (c.lag, c.lead))
+        ["" if v is None else v for v in astuple(c)] for c in sorted(cells, key=lambda c: (c.lag, c.lead))
     ))
 
 
-def heatmap_rows(grid: GridResult, value: str) -> list[list[float | None]]:
+def heatmap_rows(cells: list[CellResult], value: str) -> list[list[float | None]]:
     """The lag-by-predicted-week matrix of a grid's value: rows are lag
     1..W-1, columns predicted week 2..W, where W, the grid's span, is the
     largest predicted week of its cells, whatever their status. A cell that
     is not ok, has no value, or lies outside the triangle (predicted week
     <= lag) is None.
     """
-    span = max((c.predicted_week for c in grid.cells), default=0)
-    by_pos = {(c.lag, c.predicted_week): getattr(c, value) for c in grid.cells if c.status == STATUS_OK}
+    span = max((c.predicted_week for c in cells), default=0)
+    by_pos = {(c.lag, c.predicted_week): getattr(c, value) for c in cells if c.status == STATUS_OK}
     return [[by_pos.get((lag, pw)) for pw in range(2, span + 1)] for lag in range(1, span)]
 
 
-def export_heatmap_matrix(grid: GridResult, path: str | Path, value: str = "test_auc") -> None:
+def export_heatmap_matrix(cells: list[CellResult], path: str | Path, value: str = "test_auc") -> None:
     """heatmap_rows as a table: a lag column, then one column per predicted
     week; None cells are empty strings."""
-    matrix = heatmap_rows(grid, value)
+    matrix = heatmap_rows(cells, value)
     rows = ([lag, *map(_fmt, row)] for lag, row in enumerate(matrix, 1))
     write_table(path, ["lag", *map(str, range(2, len(matrix) + 2))], rows)
 
 
-def load_grid(path: str | Path) -> GridResult:
+def load_grid(path: str | Path) -> list[CellResult]:
     """A grid file's cells; a row of a second cohort, a second row for one
     (lead, lag), a predicted_week other than lead + lag or an AUC not in
     [0, 1] is a DataError naming its line."""
@@ -290,5 +279,4 @@ def load_grid(path: str | Path) -> GridResult:
         return CellResult(cohort, int(lead), int(lag), int(predicted_week), status, int(n_rows), int(n_train),
                           int(n_test), *(float(v) if v else None for v in aucs), int(folds_used))
 
-    cells = list(read_table(path, GRID_COLUMNS, grid_cell))
-    return GridResult(cohort=cells[-1].cohort if cells else ALL_COHORT, cells=cells)
+    return list(read_table(path, GRID_COLUMNS, grid_cell))

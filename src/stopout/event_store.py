@@ -171,8 +171,9 @@ def load_calendar(path: str | Path) -> CourseCalendar:
         raise DataError(f"{path}:{first}: calendar line 1 not integers: {head_line!r}") from exc
     if calendar.num_weeks < 2:
         raise DataError(f"{path}:{first}: calendar needs at least 2 weeks, got {calendar.num_weeks}")
-    if not -2**63 <= calendar.course_start < calendar.course_end < 2**63:  # timestamps are int64
-        raise DataError(f"{path}:{first}: calendar course start and end must be within int64, got {head_line!r}")
+    # epoch seconds from 0: then no difference of two timestamps, dues or week starts wraps int64
+    if not 0 <= calendar.course_start < calendar.course_end < 2**63:
+        raise DataError(f"{path}:{first}: calendar course start must be >= 0 and its end within int64, got {head_line!r}")
     meta = calendar.problem_meta
     for number, ln in rows:
         where = f"{path}:{number}:"

@@ -40,15 +40,22 @@ FEATURE_INDEX = {fid: i for i, fid in enumerate(FEATURE_IDS)}
 @dataclass
 class FeatureMatrix:
     learners: list[str]        # participating learners, sorted by id
-    num_weeks: int
     values: np.ndarray         # (L, W, 27) float64, FEATURE_IDS order
     labels: np.ndarray         # (L, W) int8; labels[i, w-1] is x1 for week w
-    stopout_week: np.ndarray   # (L,) int
     cohort: np.ndarray | None = None  # (L,) str, "" for no cohort; None when no cohorts were joined
 
     @property
     def num_learners(self) -> int:
         return len(self.learners)
+
+    @property
+    def num_weeks(self) -> int:
+        return self.labels.shape[1]
+
+    @property
+    def stopout_week(self) -> np.ndarray:
+        """(L,) int64: each learner's first week labelled 0, else num_weeks + 1."""
+        return np.where(self.labels == 0, np.arange(1, self.num_weeks + 1), self.num_weeks + 1).min(axis=1)
 
 
 def stopout_weeks(learner: np.ndarray, timestamp: np.ndarray, calendar: CourseCalendar, num_learners: int) -> np.ndarray:
@@ -209,10 +216,8 @@ def build_feature_matrix(dataset: CourseDataset) -> tuple[FeatureMatrix, np.ndar
 
     matrix = FeatureMatrix(
         learners=[dataset.learners[li] for li in participants],
-        num_weeks=num_weeks,
         values=values,
         labels=(stopout[:, None] > np.arange(1, num_weeks + 1)).astype(np.int8),
-        stopout_week=stopout,
     )
     return matrix, histogram
 
@@ -316,9 +321,7 @@ def load_feature_matrix(path: str | Path) -> FeatureMatrix:
     if (back := np.flatnonzero(np.diff(labels, axis=1, prepend=1).ravel()[key] > 0)).size:
         learner, week = divmod(int(key[back[0]]), num_weeks)
         _raise_at(path, int(back[0]), f"learner {learners[learner]} week {week + 1}: label 1 after label 0")
-    # stopout week: the first week labelled 0, else num_weeks + 1
-    stopout = np.where(labels == 0, np.arange(1, num_weeks + 1), num_weeks + 1).min(axis=1)
-    return FeatureMatrix(learners=learners, num_weeks=num_weeks, values=values, labels=labels, stopout_week=stopout)
+    return FeatureMatrix(learners=learners, values=values, labels=labels)
 
 
 def export_histogram(histogram: np.ndarray, path: str | Path) -> None:

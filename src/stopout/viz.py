@@ -9,7 +9,8 @@ from __future__ import annotations
 
 from pathlib import Path
 
-from .evaluator import GridResult, heatmap_rows
+from .dataset_builder import ALL_COHORT
+from .evaluator import CellResult, heatmap_rows
 
 RAMP_LOW = (0xFF, 0xFF, 0xCC)
 RAMP_HIGH = (0xBD, 0x00, 0x26)
@@ -31,21 +32,22 @@ def _esc(text: str) -> str:
     return text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
 
 
-def heatmap_svg(grid: GridResult, value: str = "test_auc") -> str:
+def heatmap_svg(cells: list[CellResult], value: str = "test_auc") -> str:
     """Predicted week on the x axis, lag on the y axis, one square per cell
     of heatmap_rows that holds a value.
 
     Cells that failed (too few rows, one-class labels) are left blank, same
-    as positions outside the lead/lag triangle.
+    as positions outside the lead/lag triangle. The title names the cells'
+    cohort, or the whole course for a grid with no cells.
     """
-    rows = heatmap_rows(grid, value)
+    rows = heatmap_rows(cells, value)
     width = PAD_LEFT + len(rows) * CELL + 20  # one column per predicted week 2..span, as many as lags
     height = PAD_TOP + len(rows) * CELL + PAD_BOTTOM
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
         f'font-family="monospace" font-size="11">',
         f'<rect width="{width}" height="{height}" fill="white"/>',
-        f'<text x="{PAD_LEFT}" y="20" font-size="14">{_esc(grid.cohort)} cohort, {_esc(value)}</text>',
+        f'<text x="{PAD_LEFT}" y="20" font-size="14">{_esc(cells[0].cohort if cells else ALL_COHORT)} cohort, {_esc(value)}</text>',
         f'<text x="{PAD_LEFT}" y="38" fill="#555">columns: predicted week, rows: lag, blank: no result</text>',
     ]
     for i in range(len(rows)):
@@ -77,8 +79,8 @@ def heatmap_svg(grid: GridResult, value: str = "test_auc") -> str:
     return "\n".join(parts) + "\n"
 
 
-def write_heatmap(grid: GridResult, path: str | Path, value: str = "test_auc") -> None:
-    Path(path).write_text(heatmap_svg(grid, value), encoding="utf-8")
+def write_heatmap(cells: list[CellResult], path: str | Path, value: str = "test_auc") -> None:
+    Path(path).write_text(heatmap_svg(cells, value), encoding="utf-8")
 
 
 def importance_svg(ranked: list[tuple[str, float]], title: str = "feature stability") -> str:

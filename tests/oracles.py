@@ -484,10 +484,8 @@ def feature_matrix_reference(dataset) -> tuple[FeatureMatrix, np.ndarray]:
 
     matrix = FeatureMatrix(
         learners=participants,
-        num_weeks=num_weeks,
         values=values,
         labels=labels,
-        stopout_week=stopout,
     )
     return matrix, histogram
 

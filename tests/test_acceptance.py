@@ -171,7 +171,7 @@ def test_planted_signal_reproduction(planted_course):
     specs = [ProblemSpec(lead=1, lag=lag) for lag in range(1, matrix.num_weeks)]
     specs += [ProblemSpec(lead=pw - 1, lag=1) for pw in range(8, matrix.num_weeks + 1)]
     grid = run_grid(matrix, seed=0, folds=2, specs=specs)
-    cell = {(c.lead, c.lag): c for c in grid.cells}
+    cell = {(c.lead, c.lag): c for c in grid}
 
     diagonal = [cell[1, lag].test_auc for lag in range(1, matrix.num_weeks)]
     assert all(a is not None for a in diagonal)
@@ -184,7 +184,7 @@ def test_planted_signal_reproduction(planted_course):
         assert (longest - shortest) / (pw - 2) >= -0.02
 
     shuffled = run_grid(matrix, seed=0, folds=2, shuffle_labels=True)
-    control = [c.test_auc for c in shuffled.cells if c.test_auc is not None]
+    control = [c.test_auc for c in shuffled if c.test_auc is not None]
     assert len(control) == len(enumerate_problems(matrix.num_weeks))
     assert 0.45 <= float(np.mean(control)) <= 0.55
 

@@ -43,7 +43,6 @@ from stopout.dataset_builder import ALL_COHORT, ProblemSpec, column_names, enume
 from stopout.errors import ConfigError
 from stopout.evaluator import (
     GRID_COLUMNS,
-    GridResult,
     cell_seed,
     cross_validate,
     evaluate_cell,
@@ -52,7 +51,8 @@ from stopout.evaluator import (
     load_grid,
     roc_auc,
 )
-from stopout.featurizer import FEATURE_COLUMNS, FeatureMatrix, export_feature_matrix, load_feature_matrix
+from stopout.event_store import DUMP_COLUMNS
+from stopout.featurizer import FEATURE_COLUMNS, FEATURE_IDS, FeatureMatrix, export_feature_matrix, load_feature_matrix
 from stopout.importance import (
     CALIBRATION_STEPS,
     IMPORTANCE_COLUMNS,
@@ -605,10 +605,8 @@ def test_train_eval_one_class_course_exits_4(tmp_path, capsys):
     n, weeks = 12, 3
     matrix = FeatureMatrix(
         learners=[f"L{i:02d}" for i in range(n)],
-        num_weeks=weeks,
         values=rng.normal(size=(n, weeks, 27)),
         labels=np.ones((n, weeks), dtype=np.int8),
-        stopout_week=np.full(n, weeks + 1),
     )
     features = tmp_path / "features.tsv"
     export_feature_matrix(matrix, features)
@@ -812,6 +810,54 @@ def test_a_calendar_integer_outside_int64_is_a_data_error(pipeline, tmp_path, ca
                  "--out", str(tmp_path / "o")]) == 3
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and err.startswith(f"data error: {bad}:{line}: ")
+
+
+EVENT_HEADER = "table\tlearner_id\ttimestamp\tresource_id\tresource_kind\tproblem_id\tcorrect\tassignment_kind\tcollab_kind\ttext_length\n"
+FAR_DUE = 9000000000000000000
+
+
+def _far_apart_course(tmp_path: Path, start: int, early: int, observed: bool) -> tuple[Path, Path]:
+    """A 2-week course with one homework due at FAR_DUE: a submits at early,
+    b at FAR_DUE, and with observed b also views a lecture at both times."""
+    calendar, events = tmp_path / "calendar.tsv", tmp_path / "events.tsv"
+    calendar.write_text(f"{start}\t2\np1\thomework\t1\t{FAR_DUE}\n", encoding="utf-8")
+    rows = [f"submission\t{who}\t{at}\t\t\tp1\t1\thomework\t\t\n" for who, at in (("a", early), ("b", FAR_DUE))]
+    if observed:
+        rows += [f"observed\tb\t{at}\tr1\tlecture\t\t\t\t\t\n" for at in (early, FAR_DUE)]
+    events.write_text(EVENT_HEADER + "".join(rows), encoding="utf-8")
+    return events, calendar
+
+
+@pytest.mark.parametrize("course", ["far_apart", "far_apart_observed", "int64_min"])
+def test_a_course_start_below_0_is_a_data_error(pipeline, tmp_path, capsys, course):
+    # timestamps more than 2**63 apart once wrapped int64 differences: a learner went missing,
+    # an x210 turned negative, a duration went empty, or no learner participated
+    if course == "int64_min":
+        head, rest = pipeline.calendar.read_text(encoding="utf-8").split("\n", 1)
+        events, calendar = pipeline.events, tmp_path / "calendar.tsv"
+        calendar.write_text(f"{-2**63}\t{head.split()[1]}\n{rest}", encoding="utf-8")
+    else:
+        events, calendar = _far_apart_course(tmp_path, -FAR_DUE, -FAR_DUE + 1000, course == "far_apart_observed")
+    for argv in (["ingest", "--events", events], ["run-all", "--events", events],
+                 ["featurize", "--dataset", pipeline.dataset], ["cohorts", "--dataset", pipeline.dataset]):
+        assert main([*map(str, argv), "--calendar", str(calendar), "--out", str(tmp_path / "o")]) == 3
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert err.startswith(f"data error: {calendar}:1: calendar course start must be >= 0 and its end within int64")
+
+
+def test_a_course_from_0_reaches_past_2_to_the_62_without_a_wrap(tmp_path, capsys):
+    events, calendar = _far_apart_course(tmp_path, 0, 1000, observed=True)
+    out = tmp_path / "o"
+    assert main(["ingest", "--events", str(events), "--calendar", str(calendar), "--out", str(out)]) == 0
+    assert main(["featurize", "--dataset", str(out / "dataset.tsv"), "--calendar", str(calendar), "--out", str(out)]) == 0
+    assert capsys.readouterr().err == ""
+    durations = [row[-1] for row in read_table(out / "dataset.tsv", DUMP_COLUMNS) if row[0] == "observed"]
+    assert durations == ["3600", "60"]  # a gap of ~9e18 s is capped at an hour; the last view gets the tail
+    matrix = load_feature_matrix(out / "features.tsv")
+    assert matrix.learners == ["a", "b"]
+    assert matrix.stopout_week.tolist() == [2, 3]  # b submits in the last week, clamped: num_weeks + 1
+    assert matrix.values[0, 0, FEATURE_IDS.index("x210")] == float(FAR_DUE - 1000) == 8.999999999999999e+18
 
 
 def test_importance_cohort_problem_needs_cohorts_file(pipeline, tmp_path, capsys):
@@ -1037,7 +1083,7 @@ def test_run_all_filter_cohort_all_keeps_every_cohort(pipeline, tmp_path, capsys
     want = sorted((s.lead, s.lag) for s in enumerate_problems(4) if s.lag in lags)
     assert f"run-all: {len(want) * len(COHORTS)} cells attempted" in capsys.readouterr().out
     for cohort in COHORTS:
-        assert sorted((c.lead, c.lag) for c in load_grid(out / f"grid_{cohort}.tsv").cells) == want
+        assert sorted((c.lead, c.lag) for c in load_grid(out / f"grid_{cohort}.tsv")) == want
 
 
 def test_run_all_rejects_bad_filter(pipeline, tmp_path, capsys):
@@ -1228,7 +1274,7 @@ def test_run_all_files_match_their_pinned_hashes(tmp_path):
     assert (ran.returncode, ran.stderr) == (0, "")  # the fold reductions are in the grids alone
     actual = {row[0]: row[1:] for row in read_manifest_reference(out / "manifest.tsv")["file"]}
     assert not (moved := _moved(RUNALL_400_FILES, actual)), "run-all files moved:\n" + "\n".join(moved)
-    cells = [c for path in sorted(out.glob("grid_*.tsv")) for c in load_grid(path).cells]
+    cells = [c for path in sorted(out.glob("grid_*.tsv")) for c in load_grid(path)]
     assert any(c.status == "ok" and c.folds_used < int(DEFAULTS["folds"]) for c in cells)
 
 
@@ -1337,7 +1383,7 @@ def test_a_header_only_events_file_ends_every_stage_command_typed(degenerate_eve
     features = ["--features", out / "features.tsv"]
     no_rows = f"data error: {out / 'features.tsv'}: no data rows\n"
     grid = tmp_path / "grid.tsv"
-    export_grid(GridResult(cohort=ALL_COHORT), grid)  # the grid of a course with no cell
+    export_grid([], grid)  # the grid of a course with no cell
     _stages_end_typed(capsys, _etl(degenerate_events / "empty.tsv", degenerate_events / "calendar.tsv", out) + [
         (["build", *features, "--lead", "1", "--lag", "3", "--out", tmp_path / "b"], 3, no_rows),
         (["train-eval", *features, "--lead", "1", "--lag", "3", "--out", tmp_path / "t"], 3, no_rows),
@@ -1368,7 +1414,7 @@ def test_a_course_where_everyone_stops_out_in_one_week_ends_every_stage_command_
     cells = [evaluate_cell(matrix, spec, **_settings(argparse.Namespace(), DEFAULTS, *CELL_KEYS))[0]
              for spec in (ProblemSpec(1, 3), ProblemSpec(5, 5))]
     assert [c.status for c in cells] == ["degenerate_labels", "insufficient_data"]
-    export_grid(GridResult(cohort=ALL_COHORT, cells=cells), grid)
+    export_grid(cells, grid)
     _stages_end_typed(capsys, [(["heatmap", "--grid", grid, "--out", tmp_path / "h"], 0, "")])
     weeks = map(str, range(2, 11))  # a grid file's course ends at its largest predicted week, 5 + 5
     assert all(cell == "" for row in read_table(tmp_path / "h" / "heatmap.tsv", ["lag", *weeks]) for cell in row[1:])

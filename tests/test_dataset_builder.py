@@ -122,10 +122,8 @@ def test_flatten_empty_cell_keeps_column_width():
     rng = np.random.default_rng(0)
     matrix = FeatureMatrix(
         learners=["a", "b"],
-        num_weeks=4,
         values=rng.normal(size=(2, 4, NUM_FEATURES)),
         labels=np.zeros((2, 4), dtype=np.int8),
-        stopout_week=np.array([2, 2]),
     )
     matrix.labels[:, 0] = 1
     X, y, learners = flatten(matrix, ProblemSpec(lead=1, lag=2))

@@ -21,7 +21,6 @@ from stopout.errors import DataError, DegenerateLabelsError, InsufficientDataErr
 from stopout.evaluator import (
     STATUS_OK,
     CellResult,
-    GridResult,
     cell_seed,
     cross_validate,
     evaluate_cell,
@@ -39,13 +38,12 @@ from stopout.tsv import read_table
 STATUS_INSUFFICIENT, STATUS_DEGENERATE = InsufficientDataError.status, DegenerateLabelsError.status
 
 
-def run_grid(matrix, cohort=ALL_COHORT, specs=None, **settings) -> GridResult:
+def run_grid(matrix, cohort=ALL_COHORT, specs=None, **settings) -> list[CellResult]:
     """Every lead/lag cell of one population, or just the cells of specs, at
     the configured settings but for those given."""
     if specs is None:
         specs = enumerate_problems(matrix.num_weeks, cohort=cohort)
-    cells = [evaluate_cell(matrix, spec, **defaults(*CELL_KEYS, **settings))[0] for spec in specs]
-    return GridResult(cohort=cohort, cells=cells)
+    return [evaluate_cell(matrix, spec, **defaults(*CELL_KEYS, **settings))[0] for spec in specs]
 
 def labelled_scores(max_n: int, score: st.SearchStrategy) -> st.SearchStrategy:
     """Labels with both classes present, then one score per label."""
@@ -267,7 +265,7 @@ def test_warm_started_folds_score_as_cold_started_ones(tmp_path, monkeypatch):
 
     monkeypatch.setattr(evaluator, "cross_validate", warm_and_cold)
     specs = [s for cohort in (ALL_COHORT, *COHORTS) for s in enumerate_problems(m.num_weeks, cohort=cohort)]
-    cells = run_grid(m, specs=specs, seed=0).cells
+    cells = run_grid(m, specs=specs, seed=0)
     assert len(same) == sum(c.status == STATUS_OK for c in cells) >= len(specs) // 2
     assert [cell for cell, equal in zip((c for c in cells if c.status == STATUS_OK), same) if not equal] == []
 
@@ -305,7 +303,7 @@ def test_grid_scores_equal_the_reference_fitter(small_course, monkeypatch):
     specs = [s for cohort in COHORTS for s in enumerate_problems(m.num_weeks, cohort=cohort)]
 
     def scores():
-        cells = run_grid(m, specs=specs, seed=4, folds=5).cells
+        cells = run_grid(m, specs=specs, seed=4, folds=5)
         return [(c.status, c.cv_mean, c.train_auc, c.test_auc, c.folds_used) for c in cells]
 
     ours = scores()
@@ -331,8 +329,8 @@ def test_cv_tracks_heldout_auc_on_planted_cell(planted_course):
 
 def test_grid_on_tiny_course_is_insufficient(fixture_matrix):
     grid = run_grid(fixture_matrix, seed=0)
-    assert len(grid.cells) == 1
-    cell = grid.cells[0]
+    assert len(grid) == 1
+    cell = grid[0]
     assert cell.status == STATUS_INSUFFICIENT
     assert cell.n_rows == 4
     assert cell.cv_mean is None and cell.test_auc is None
@@ -340,15 +338,15 @@ def test_grid_on_tiny_course_is_insufficient(fixture_matrix):
 
 def test_grid_degenerate_cell_is_typed(fixture_matrix):
     grid = run_grid(fixture_matrix, seed=0, min_rows=3)
-    assert grid.cells[0].status == STATUS_DEGENERATE
+    assert grid[0].status == STATUS_DEGENERATE
 
 
 def test_grid_covers_all_problems(small_course):
     m = small_course.matrix
     grid = run_grid(m, seed=9, ridge=1e-6, folds=5)
-    assert len(grid.cells) == (m.num_weeks - 1) * m.num_weeks // 2
+    assert len(grid) == (m.num_weeks - 1) * m.num_weeks // 2
     stopout = m.stopout_week
-    for cell in grid.cells:
+    for cell in grid:
         assert cell.status in (STATUS_OK, STATUS_INSUFFICIENT, STATUS_DEGENERATE)
         assert cell.predicted_week == cell.lead + cell.lag
         assert cell.n_rows == int(np.sum(stopout > cell.lag))
@@ -356,7 +354,7 @@ def test_grid_covers_all_problems(small_course):
             assert cell.n_train + cell.n_test == cell.n_rows
             for v in (cell.cv_mean, cell.train_auc, cell.test_auc):
                 assert v is not None and 0.0 <= v <= 1.0
-    assert any(c.status == STATUS_OK for c in grid.cells)
+    assert any(c.status == STATUS_OK for c in grid)
 
 
 def test_cell_records_the_folds_cross_validation_used(small_course):
@@ -380,8 +378,8 @@ def test_grid_cells_do_not_depend_on_iteration_order(small_course):
     specs = [ProblemSpec(lead=1, lag=1), ProblemSpec(lead=2, lag=3), ProblemSpec(lead=3, lag=2)]
     a = run_grid(m, seed=4, folds=4, specs=specs)
     b = run_grid(m, seed=4, folds=4, specs=list(reversed(specs)))
-    by_key = {(c.lead, c.lag): c for c in b.cells}
-    for cell in a.cells:
+    by_key = {(c.lead, c.lag): c for c in b}
+    for cell in a:
         assert by_key[(cell.lead, cell.lag)] == cell
 
 
@@ -390,9 +388,9 @@ def test_grid_label_shuffle_is_deterministic_and_destroys_signal(small_course):
     specs = [ProblemSpec(lead=1, lag=2)]
     a = run_grid(m, seed=4, folds=4, specs=specs, shuffle_labels=True)
     b = run_grid(m, seed=4, folds=4, specs=specs, shuffle_labels=True)
-    assert a.cells[0] == b.cells[0]
+    assert a[0] == b[0]
     real = run_grid(m, seed=4, folds=4, specs=specs)
-    assert real.cells[0].test_auc != a.cells[0].test_auc
+    assert real[0].test_auc != a[0].test_auc
 
 
 def test_grid_cohort_restriction(small_course):
@@ -403,7 +401,7 @@ def test_grid_cohort_restriction(small_course):
         folds=4,
         specs=[ProblemSpec(lead=1, lag=1, cohort=PASSIVE)],
     )
-    assert grid.cohort == PASSIVE
+    assert grid[0].cohort == PASSIVE
     in_cohort = sum(1 for c in small_course.assignments.values() if c == PASSIVE)
     stopout = small_course.matrix.stopout_week
     eligible = {
@@ -411,7 +409,7 @@ def test_grid_cohort_restriction(small_course):
         for lid, so in zip(small_course.matrix.learners, stopout.tolist())
         if so > 1 and small_course.assignments.get(lid) == PASSIVE
     }
-    assert grid.cells[0].n_rows == len(eligible) <= in_cohort
+    assert grid[0].n_rows == len(eligible) <= in_cohort
 
 
 def test_cell_seed_is_stable_and_distinct():
@@ -437,25 +435,25 @@ def test_grid_round_trip(small_course, tmp_path):
     export_grid(grid, path)
     again = load_grid(path)
     assert sorted(
-        (c.lead, c.lag) for c in again.cells
-    ) == sorted((c.lead, c.lag) for c in grid.cells)
-    by_key = {(c.lead, c.lag): c for c in again.cells}
-    for cell in grid.cells:
+        (c.lead, c.lag) for c in again
+    ) == sorted((c.lead, c.lag) for c in grid)
+    by_key = {(c.lead, c.lag): c for c in again}
+    for cell in grid:
         assert by_key[(cell.lead, cell.lag)] == cell
 
 
 def test_grid_round_trip_keeps_folds_used(tmp_path):
-    grid = GridResult(cohort="all", cells=[
+    grid = [
         CellResult(cohort="all", lead=1, lag=1, predicted_week=2, status=STATUS_OK, n_rows=12,
                    n_train=8, n_test=4, cv_mean=0.75, train_auc=1.0, test_auc=0.5, folds_used=3),
         CellResult(cohort="all", lead=2, lag=1, predicted_week=3, status=STATUS_INSUFFICIENT, n_rows=3),
-    ])
+    ]
     path = tmp_path / "grid.tsv"
     export_grid(grid, path)
     header, ok_row, skipped_row = path.read_text(encoding="utf-8").splitlines()
     assert header.split("\t")[-1] == "folds_used"
     assert ok_row.split("\t")[-1] == "3" and skipped_row.split("\t")[-1] == "0"
-    assert load_grid(path).cells == grid.cells
+    assert load_grid(path) == grid
 
 
 def test_grid_export_is_sorted_by_lag_then_lead(small_course, tmp_path):
@@ -489,19 +487,19 @@ def test_heatmap_matrix_round_trip(small_course, tmp_path):
     loaded = read_heatmap(path, W)
     expected = {
         (c.lag, c.predicted_week): c.test_auc
-        for c in grid.cells
+        for c in grid
         if c.status == STATUS_OK
     }
     assert loaded == expected  # repr round-trips floats bit-exactly
 
 
 def test_heatmap_matrix_leaves_invalid_cells_empty(tmp_path):
-    grid = GridResult(cohort="all", cells=[
+    grid = [
         CellResult(cohort="all", lead=1, lag=1, predicted_week=2, status=STATUS_OK,
                    n_rows=50, n_train=35, n_test=15, cv_mean=0.8, train_auc=0.9, test_auc=0.85),
         CellResult(cohort="all", lead=2, lag=1, predicted_week=3, status=STATUS_INSUFFICIENT, n_rows=3),
         CellResult(cohort="all", lead=1, lag=2, predicted_week=3, status=STATUS_DEGENERATE, n_rows=40),
-    ])
+    ]
     path = tmp_path / "heat.tsv"
     export_heatmap_matrix(grid, path)
     assert read_heatmap(path, 3) == {(1, 2): 0.85}
@@ -511,11 +509,11 @@ def test_heatmap_matrix_leaves_invalid_cells_empty(tmp_path):
 
 def test_load_grid_rejects_a_second_row_for_one_cell(tmp_path):
     # two heatmaps of this grid would differ: the matrix keeps the ok cell, the SVG the last one
-    grid = GridResult(cohort="all", cells=[
+    grid = [
         CellResult(cohort="all", lead=1, lag=1, predicted_week=2, status=STATUS_OK, n_rows=50,
                    n_train=35, n_test=15, cv_mean=0.8, train_auc=0.9, test_auc=0.85, folds_used=3),
         CellResult(cohort="all", lead=1, lag=1, predicted_week=2, status=STATUS_INSUFFICIENT, n_rows=3),
-    ])
+    ]
     path = tmp_path / "grid.tsv"
     export_grid(grid, path)
     with pytest.raises(DataError, match=r"grid\.tsv:3: second row for lead 1 lag 1$"):
@@ -523,10 +521,10 @@ def test_load_grid_rejects_a_second_row_for_one_cell(tmp_path):
 
 
 def test_load_grid_rejects_rows_of_a_second_cohort(tmp_path):
-    grid = GridResult(cohort="all", cells=[
+    grid = [
         CellResult(cohort="all", lead=1, lag=1, predicted_week=2, status=STATUS_INSUFFICIENT, n_rows=3),
         CellResult(cohort=PASSIVE, lead=2, lag=1, predicted_week=3, status=STATUS_INSUFFICIENT, n_rows=3),
-    ])
+    ]
     path = tmp_path / "grid.tsv"
     export_grid(grid, path)
     with pytest.raises(DataError, match=rf"grid\.tsv:3: cohort {PASSIVE} after cohort all; a grid file holds one cohort"):

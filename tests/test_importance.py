@@ -90,10 +90,8 @@ def noise_feature_matrix(seed: int, num_learners: int = 500, num_weeks: int = 14
         labels[:, w - 1] = (stopout > w).astype(np.int8)
     return FeatureMatrix(
         learners=[f"L{i:04d}" for i in range(num_learners)],
-        num_weeks=num_weeks,
         values=values,
         labels=labels,
-        stopout_week=stopout,
     )
 
 
@@ -473,10 +471,8 @@ def test_statuses_are_typed_per_problem():
         labels[:, w - 1] = (stopout > w).astype(np.int8)
     matrix = FeatureMatrix(
         learners=[f"L{i:02d}" for i in range(30)],
-        num_weeks=3,
         values=rng.normal(size=(30, 3, NUM_FEATURES)),
         labels=labels,
-        stopout_week=stopout,
     )
     report = run_importance(
         join_cohorts(matrix, {lid: WIKI for lid in matrix.learners[:3]}),
@@ -500,8 +496,7 @@ def test_a_problem_with_no_varying_column_is_skipped(tmp_path):
     labels = (np.arange(1, 4) < stopout[:, None]).astype(np.int8)
     values = np.random.default_rng(8).normal(size=(30, 3, NUM_FEATURES))
     values[:10] = 0.5
-    matrix = FeatureMatrix(learners=[f"L{i:02d}" for i in range(30)], num_weeks=3, values=values,
-                           labels=labels, stopout_week=stopout)
+    matrix = FeatureMatrix(learners=[f"L{i:02d}" for i in range(30)], values=values, labels=labels)
     specs = [ProblemSpec(1, 1), ProblemSpec(1, 1, cohort=WIKI)]
     matrix = join_cohorts(matrix, {lid: WIKI for lid in matrix.learners[:10]})
     report = run_importance(matrix, specs, **defaults(*IMPORTANCE_KEYS, seed=0, subsamples=5))

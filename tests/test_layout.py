@@ -12,9 +12,10 @@ file, so there is one home for how a file's lines end; a function elsewhere
 that reads one earns a line in READERS. The model layers take
 flatten's float64 arrays as they are: no function there passes a parameter
 to np.asarray. No module uses the warnings module: what a run has to report
-goes into its output files, not to stderr as free text. Finally, cli.main has
+goes into its output files, not to stderr as free text. cli.main has
 one except clause: each error class declares its own exit code and stderr
-label in errors.py.
+label in errors.py. Finally, the package root binds only __version__, so
+errors.py is the one list of the error classes.
 """
 
 from __future__ import annotations
@@ -165,16 +166,21 @@ def unread_fields(allowed: dict[str, str] = UNREAD) -> list[str]:
     """Class.field for each dataclass field no attribute read in src/stopout takes.
 
     A read is matched to a field by name alone, as calls are matched above.
+    fields(Class) reads every field of Class: the package lists them, as the
+    grid file's columns are CellResult's.
     """
     trees = _trees()
-    read = {
-        node.attr for tree in trees.values() for node in ast.walk(tree)
-        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+    nodes = [node for tree in trees.values() for node in ast.walk(tree)]
+    read = {node.attr for node in nodes if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+    listed = {
+        node.args[0].id for node in nodes
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "fields"
+        and node.args and isinstance(node.args[0], ast.Name)
     }
     return [
         f"{path}:{line} {cls}.{name}"
         for path, tree in trees.items() for cls, name, line in _dataclass_fields(tree)
-        if name not in read and f"{cls}.{name}" not in allowed
+        if name not in read and cls not in listed and f"{cls}.{name}" not in allowed
     ]
 
 
@@ -270,3 +276,21 @@ def except_clauses(path: str, function: str) -> int:
 def test_main_has_one_handler():
     # a new failure is a PipelineError subclass with its exit_code and label, not a new clause
     assert except_clauses("cli.py", "main") == 1
+
+
+def package_root_names() -> list[str]:
+    """Every name __init__.py binds at module level: imports, definitions and assignments."""
+    names = []
+    for node in _trees()["__init__.py"].body:
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            names += [alias.asname or alias.name for alias in node.names]
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.append(node.name)
+        else:
+            names += [n.id for n in ast.walk(node) if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Store)]
+    return names
+
+
+def test_package_root_binds_only_its_version():
+    # each name has one home: the error classes are stopout.errors's, not re-exported from the root
+    assert package_root_names() == ["__version__"]

@@ -110,8 +110,8 @@ def _matrix(values) -> FeatureMatrix:
     weeks = max(1, -(-len(values) // NUM_FEATURES))
     flat = np.zeros(weeks * NUM_FEATURES)
     flat[:len(values)] = values
-    return FeatureMatrix(learners=["a"], num_weeks=weeks, values=flat.reshape(1, weeks, NUM_FEATURES),
-                         labels=np.ones((1, weeks), dtype=np.int8), stopout_week=np.array([weeks + 1]))
+    return FeatureMatrix(learners=["a"], values=flat.reshape(1, weeks, NUM_FEATURES),
+                         labels=np.ones((1, weeks), dtype=np.int8))
 
 
 def _bits(values: np.ndarray) -> list[int]:

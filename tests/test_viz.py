@@ -9,8 +9,9 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from stopout.dataset_builder import ALL_COHORT
 from stopout.errors import DegenerateLabelsError, InsufficientDataError
-from stopout.evaluator import STATUS_OK, CellResult, GridResult
+from stopout.evaluator import STATUS_OK, CellResult
 from stopout.viz import (
     auc_color,
     heatmap_svg,
@@ -53,8 +54,8 @@ def test_ramp_channels_fade_monotonically():
 # heatmap
 
 
-def hand_grid() -> GridResult:
-    cells = [
+def hand_grid() -> list[CellResult]:
+    return [
         CellResult("all", 1, 1, 2, STATUS_OK, 40, 30, 10, cv_mean=0.7, test_auc=0.85),
         CellResult("all", 2, 1, 3, STATUS_OK, 40, 30, 10, cv_mean=0.55, test_auc=0.5),
         CellResult("all", 3, 1, 4, STATUS_OK, 40, 30, 10, cv_mean=0.9, test_auc=1.0),
@@ -62,7 +63,6 @@ def hand_grid() -> GridResult:
         CellResult("all", 2, 2, 4, STATUS_DEGENERATE, 25),
         CellResult("all", 1, 3, 4, STATUS_OK, 40, 30, 10, cv_mean=None, test_auc=None),
     ]
-    return GridResult(cohort="all", cells=cells)
 
 
 def test_heatmap_draws_only_successful_cells():
@@ -91,8 +91,13 @@ def test_heatmap_alternate_metric():
     assert "cv_mean" in svg
 
 
+def test_an_empty_grid_is_titled_for_the_whole_course():
+    # a header-only grid file holds no cohort; its heatmap is titled as load_grid once labelled it
+    assert f'font-size="14">{ALL_COHORT} cohort, test_auc</text>' in heatmap_svg([])
+
+
 def test_heatmap_escapes_markup_in_labels():
-    grid = GridResult(cohort="a<b&c", cells=[])
+    grid = [CellResult("a<b&c", 1, 1, 2, STATUS_INSUFFICIENT, 4)]
     svg = heatmap_svg(grid)
     assert "a&lt;b&amp;c cohort" in svg
     assert "a<b" not in svg
